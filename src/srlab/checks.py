@@ -11,9 +11,12 @@ Conventions shared by every checker:
   (``preconditions_met=False``, ``holds=None``), never a failure.
 * Two-sided bounds produce one report with per-side slacks in ``details``.
 
-Exponent-dependent checks also come in ``grid_*`` form, which decomposes
-the inputs once and evaluates every exponent in a grid; ``check_*`` is the
-single-exponent special case.
+Exponent-dependent checks also come in ``grid_*`` form, which evaluates a
+whole exponent grid with one power-sum call per spectrum; ``check_*`` is
+the single-exponent special case. Every classification and decomposition
+goes through the :mod:`srlab.matrices` family, so inside a
+:func:`srlab.matrices.trial_scope` (one fuzz trial) each input is
+decomposed once across all checks, not once per check.
 """
 
 from __future__ import annotations
@@ -28,9 +31,13 @@ from .matrices import (
     DecompositionError,
     Matrix,
     Tolerances,
+    hermitian_part_eigenvalues,
     is_hermitian,
     pivoted_cholesky,
-    singular_values,
+    psd_eigenvalues,
+    psd_intrinsic_dimension,
+    sigma,
+    sigma_and_psd,
 )
 from .ranks import DEFAULT_RANK_RTOL, numerical_rank_from_spectrum
 from .schatten import normalized_power_sum
@@ -61,13 +68,13 @@ class CheckReport:
     def to_json_dict(self) -> dict:
         return {
             "name": self.name,
-            "lhs": _encode(self.lhs),
-            "rhs": _encode(self.rhs),
-            "slack": _encode(self.slack),
+            "lhs": encode_json(self.lhs),
+            "rhs": encode_json(self.rhs),
+            "slack": encode_json(self.slack),
             "holds": self.holds,
             "preconditions_met": self.preconditions_met,
             "status": self.status,
-            "details": _encode(self.details),
+            "details": encode_json(self.details),
         }
 
     @staticmethod
@@ -83,12 +90,12 @@ class CheckReport:
         )
 
 
-def _encode(v):
+def encode_json(v):
     """JSON-safe encoding: non-finite floats become sentinel strings."""
     if isinstance(v, dict):
-        return {k: _encode(x) for k, x in v.items()}
+        return {k: encode_json(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
-        return [_encode(x) for x in v]
+        return [encode_json(x) for x in v]
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
     if isinstance(v, (int, np.integer)):
@@ -168,58 +175,23 @@ def _srp_from_values(values: np.ndarray, p: float) -> float:
     return normalized_power_sum(values, p)
 
 
-def _hermitize(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2
+def _srp_grid(values: np.ndarray, ps: list[float]) -> list[float]:
+    """:func:`_srp_from_values` for every p in ``ps``, with one power-sum call."""
+    if len(values) == 0 or values[0] <= 0.0:
+        return [0.0] * len(ps)
+    finite = [p for p in ps if not math.isinf(p)]
+    sums = iter(normalized_power_sum(values, np.array(finite)).tolist())
+    return [1.0 if math.isinf(p) else next(sums) for p in ps]
 
 
-def _psd_eigs(a: np.ndarray, tol: Tolerances) -> np.ndarray | None:
-    """Descending eigenvalues if ``a`` is Hermitian PSD within tol, else None."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return None
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.conj().T))) > tol.hermitian_asym * scale:
-        return None
-    w = np.linalg.eigvalsh(_hermitize(a))
-    if w[0] < -tol.psd_negativity * max(1.0, float(w[-1])):
-        return None
-    return w[::-1]
-
-
-def _sigma_any(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, bool]:
-    """(descending singular values, PSD flag) with one decomposition.
-
-    Hermitian inputs go through the eigenvalue route (singular values are
-    the absolute eigenvalues), all others through the SVD.
-    """
-    square = a.ndim == 2 and a.shape[0] == a.shape[1]
-    if square:
-        scale = max(1.0, float(np.max(np.abs(a))))
-        if float(np.max(np.abs(a - a.conj().T))) <= tol.hermitian_asym * scale:
-            w = np.linalg.eigvalsh(_hermitize(a))
-            psd = bool(w[0] >= -tol.psd_negativity * max(1.0, float(w[-1])))
-            return np.sort(np.abs(w))[::-1], psd
-    return np.linalg.svd(a, compute_uv=False), False
+def _proot_grid(values: np.ndarray, ps: list[float]) -> list[float]:
+    """srp(values)^(1/p) for every p in ``ps``, with one power-sum call."""
+    return [_proot(x, p) for x, p in zip(_srp_grid(values, ps), ps)]
 
 
 def _psd_sigma(w: np.ndarray) -> np.ndarray:
     """Singular values of a PSD matrix from its descending eigenvalues."""
     return np.maximum(w, 0.0)
-
-
-def _intdim_from_eigs(a: np.ndarray, w: np.ndarray) -> float:
-    lam_max = float(w[0])
-    if lam_max <= 0.0:
-        return 0.0
-    return float(np.trace(a).real) / lam_max
-
-
-def _intdim_psd(a: np.ndarray) -> float:
-    """trace / two-norm for input the caller has already established PSD."""
-    w = np.linalg.eigvalsh(_hermitize(np.asarray(a)))
-    lam_max = float(w[-1])
-    if lam_max <= 0.0:
-        return 0.0
-    return float(np.trace(a).real) / lam_max
 
 
 def _sr_from_values(values: np.ndarray) -> float:
@@ -245,14 +217,13 @@ def check_weyl(a: Matrix, b: Matrix, tol: Tolerances = DEFAULT_TOL) -> CheckRepo
     b = np.asarray(b)
     if not _same_square(a, b):
         return _not_applicable(name, "requires two square matrices of equal size")
-    wa = _psd_eigs(a, tol)
+    wa = psd_eigenvalues(a, tol)
     if wa is None:
         return _not_applicable(name, "A is not positive semi-definite")
-    wb = _psd_eigs(b, tol)
+    wb = psd_eigenvalues(b, tol)
     if wb is None:
         return _not_applicable(name, "B is not positive semi-definite")
-    wab = np.linalg.eigvalsh(_hermitize(a + b))
-    top_sum = float(wab[-1])
+    top_sum = float(hermitian_part_eigenvalues(a + b)[0])
     base = float(wa[0])
     mid = base + float(wb[-1])
     margins = [top_sum - mid, mid - base]
@@ -277,14 +248,11 @@ def check_intdim_subadditive(
         return _not_applicable(name, "requires two square matrices of equal size")
     if _is_zero(a) or _is_zero(b):
         return _not_applicable(name, "requires nonzero matrices")
-    wa = _psd_eigs(a, tol)
-    wb = _psd_eigs(b, tol)
-    if wa is None or wb is None:
+    if psd_eigenvalues(a, tol) is None or psd_eigenvalues(b, tol) is None:
         return _not_applicable(name, "requires positive semi-definite matrices")
-    ws = np.linalg.eigvalsh(_hermitize(a + b))[::-1]
-    id_a = _intdim_from_eigs(a, wa)
-    id_b = _intdim_from_eigs(b, wb)
-    lhs = _intdim_from_eigs(a + b, ws)
+    id_a = psd_intrinsic_dimension(a)
+    id_b = psd_intrinsic_dimension(b)
+    lhs = psd_intrinsic_dimension(a + b)
     rhs = id_a + id_b
     return _finish(name, lhs, rhs, [rhs - lhs], {"intdim_a": id_a, "intdim_b": id_b})
 
@@ -304,9 +272,9 @@ def check_block_diag_sr(
     block = np.zeros((m1 + m2, n1 + n2), dtype=dtype)
     block[:m1, :n1] = a11
     block[m1:, n1:] = a22
-    sr11 = _sr_from_values(singular_values(a11).values)
-    sr22 = _sr_from_values(singular_values(a22).values)
-    sr_block = _sr_from_values(singular_values(block).values)
+    sr11 = _sr_from_values(sigma(a11))
+    sr22 = _sr_from_values(sigma(a22))
+    sr_block = _sr_from_values(sigma(block))
     low = min(sr11, sr22)
     high = sr11 + sr22
     margins = [sr_block - low, high - sr_block]
@@ -331,12 +299,11 @@ def check_block_intdim(a: Matrix, k: int, tol: Tolerances = DEFAULT_TOL) -> Chec
     k = int(k)
     if not 1 <= k < n:
         raise ValueError(f"block split k must satisfy 1 <= k < n, got k={k}, n={n}")
-    w = _psd_eigs(a, tol)
-    if w is None:
+    if psd_eigenvalues(a, tol) is None:
         return _not_applicable(name, "requires a positive semi-definite matrix")
-    id_full = _intdim_from_eigs(a, w)
-    id_11 = _intdim_psd(a[:k, :k])
-    id_22 = _intdim_psd(a[k:, k:])
+    id_full = psd_intrinsic_dimension(a)
+    id_11 = psd_intrinsic_dimension(a[:k, :k])
+    id_22 = psd_intrinsic_dimension(a[k:, k:])
     rhs = id_11 + id_22
     details = {"k": k, "intdim_a11": id_11, "intdim_a22": id_22}
     return _finish(name, id_full, rhs, [rhs - id_full], details)
@@ -364,12 +331,12 @@ def check_deletion(
     if not 0 <= drop_col < n:
         raise ValueError(f"drop_col must lie in [0, {n}), got {drop_col}")
     ahat = np.delete(a, drop_col, axis=1)
-    sa = singular_values(a)
-    sh = singular_values(ahat)
+    sa = sigma(a)
+    sh = sigma(ahat)
     rank_a = numerical_rank_from_spectrum(sa, rtol)
     rank_h = numerical_rank_from_spectrum(sh, rtol)
-    sr_a = _sr_from_values(sa.values)
-    sr_h = _sr_from_values(sh.values)
+    sr_a = _sr_from_values(sa)
+    sr_h = _sr_from_values(sh)
     details = {
         "drop_col": drop_col,
         "rank_a": rank_a,
@@ -378,10 +345,8 @@ def check_deletion(
         "sr_deleted": sr_h,
         "sr_increased": bool(sr_h > sr_a),
     }
-    if a.shape[0] == a.shape[1]:
-        wa = _psd_eigs(a, tol)
-        if wa is not None:
-            details["intdim_a"] = _intdim_from_eigs(a, wa)
+    if psd_eigenvalues(a, tol) is not None:
+        details["intdim_a"] = psd_intrinsic_dimension(a)
     return _finish(name, float(rank_h), float(rank_a), [float(rank_a - rank_h)], details)
 
 
@@ -399,8 +364,7 @@ def check_cholesky_intdim(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> CheckRepo
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return _not_applicable(name, "requires a square matrix")
-    w = _psd_eigs(a, tol)
-    if w is None:
+    if psd_eigenvalues(a, tol) is None:
         return _not_applicable(name, "requires a positive semi-definite matrix")
     L, perm, rank = pivoted_cholesky(a, tol)
     n = a.shape[0]
@@ -410,8 +374,8 @@ def check_cholesky_intdim(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> CheckRepo
         raise DecompositionError(
             f"pivoted Cholesky residual {residual:.3e} too large; input likely indefinite"
         )
-    intdim_a = _intdim_from_eigs(a, w)
-    sl = singular_values(L).values if rank > 0 else np.zeros(0)
+    intdim_a = psd_intrinsic_dimension(a)
+    sl = sigma(L) if rank > 0 else np.zeros(0)
     sr_l = _sr_from_values(sl)
     margins = [sr_l - intdim_a]
     details = {
@@ -423,14 +387,14 @@ def check_cholesky_intdim(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> CheckRepo
     if rank == n and len(sl) and sl[0] > 0.0:
         details["factor_trace_ratio"] = float(np.trace(L).real) / float(sl[0])
         if is_hermitian(L, tol):
-            intdim_l = _intdim_psd(L)
+            intdim_l = psd_intrinsic_dimension(L)
             details["factor_intdim"] = intdim_l
             margins.append(intdim_l - intdim_a)
     return _finish(name, intdim_a, sr_l, margins, details)
 
 
 # ---------------------------------------------------------------------------
-# Exponent-dependent checkers (grid form decomposes once per input set)
+# Exponent-dependent checkers (grid form: one power-sum call per spectrum)
 
 
 def _finite_p_or_na(name: str, p: float) -> CheckReport | float:
@@ -447,6 +411,16 @@ def _p_or_na(name: str, p: float) -> CheckReport | float:
     return p
 
 
+def _grid_reports(checked: list, reports) -> list[CheckReport]:
+    """Merge per-p results in grid order.
+
+    ``checked`` holds, per grid point, either a not-applicable report or
+    the validated exponent; ``reports`` yields one report per exponent.
+    """
+    reports = iter(reports)
+    return [c if isinstance(c, CheckReport) else next(reports) for c in checked]
+
+
 def grid_sum_subadditivity_proot(
     a: Matrix, b: Matrix, p_grid, tol: Tolerances = DEFAULT_TOL
 ) -> list[CheckReport]:
@@ -460,29 +434,24 @@ def grid_sum_subadditivity_proot(
     elif _is_zero(a) or _is_zero(b):
         reason = "requires nonzero matrices"
     else:
-        wa = _psd_eigs(a, tol)
-        wb = _psd_eigs(b, tol)
+        wa = psd_eigenvalues(a, tol)
+        wb = psd_eigenvalues(b, tol)
         if wa is None or wb is None:
             reason = "requires positive semi-definite matrices"
     if reason is not None:
         return [_not_applicable(name, reason, p=float(p)) for p in p_grid]
-    sig_a = _psd_sigma(wa)
-    sig_b = _psd_sigma(wb)
-    sig_sum = _psd_sigma(np.linalg.eigvalsh(_hermitize(a + b))[::-1])
-    out = []
-    for p in p_grid:
-        p_ok = _finite_p_or_na(name, p)
-        if isinstance(p_ok, CheckReport):
-            out.append(p_ok)
-            continue
-        p = p_ok
-        root_a = _proot(_srp_from_values(sig_a, p), p)
-        root_b = _proot(_srp_from_values(sig_b, p), p)
-        lhs = _proot(_srp_from_values(sig_sum, p), p)
+    checked = [_finite_p_or_na(name, p) for p in p_grid]
+    ps = [p for p in checked if not isinstance(p, CheckReport)]
+    roots_a = _proot_grid(_psd_sigma(wa), ps)
+    roots_b = _proot_grid(_psd_sigma(wb), ps)
+    roots_sum = _proot_grid(_psd_sigma(hermitian_part_eigenvalues(a + b)), ps)
+
+    def report(p, root_a, root_b, lhs):
         rhs = root_a + root_b
         details = {"p": p, "proot_a": root_a, "proot_b": root_b}
-        out.append(_finish(name, lhs, rhs, [rhs - lhs], details))
-    return out
+        return _finish(name, lhs, rhs, [rhs - lhs], details)
+
+    return _grid_reports(checked, map(report, ps, roots_a, roots_b, roots_sum))
 
 
 def check_sum_subadditivity_proot(
@@ -507,8 +476,8 @@ def grid_rank1_addition(
     if not _same_square(a, b):
         reason = "requires two square matrices of equal size"
     else:
-        wa = _psd_eigs(a, tol)
-        wb = _psd_eigs(b, tol)
+        wa = psd_eigenvalues(a, tol)
+        wb = psd_eigenvalues(b, tol)
         if wa is None or wb is None:
             reason = "requires positive semi-definite matrices"
         else:
@@ -518,21 +487,17 @@ def grid_rank1_addition(
                 extra = {"rank_b": rank_b}
     if reason is not None:
         return [_not_applicable(name, reason, p=float(p), **extra) for p in p_grid]
-    sig_a = _psd_sigma(wa)
-    sig_sum = _psd_sigma(np.linalg.eigvalsh(_hermitize(a + b))[::-1])
-    out = []
-    for p in p_grid:
-        p_ok = _p_or_na(name, p)
-        if isinstance(p_ok, CheckReport):
-            out.append(p_ok)
-            continue
-        p = p_ok
-        root_a = _proot(_srp_from_values(sig_a, p), p)
-        root_sum = _proot(_srp_from_values(sig_sum, p), p)
+    checked = [_p_or_na(name, p) for p in p_grid]
+    ps = [p for p in checked if not isinstance(p, CheckReport)]
+    roots_a = _proot_grid(_psd_sigma(wa), ps)
+    roots_sum = _proot_grid(_psd_sigma(hermitian_part_eigenvalues(a + b)), ps)
+
+    def report(p, root_a, root_sum):
         lhs = root_sum - root_a
         details = {"p": p, "proot_a": root_a, "proot_sum": root_sum}
-        out.append(_finish(name, lhs, 1.0, [1.0 - lhs], details))
-    return out
+        return _finish(name, lhs, 1.0, [1.0 - lhs], details)
+
+    return _grid_reports(checked, map(report, ps, roots_a, roots_sum))
 
 
 def check_rank1_addition(
@@ -560,24 +525,19 @@ def grid_product_kappa(
         return [_not_applicable(name, "requires square A", p=float(p)) for p in p_grid]
     if b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
-    sa = singular_values(a)
+    sa = sigma(a)
     if numerical_rank_from_spectrum(sa, rtol) != a.shape[0]:
         return [
             _not_applicable(name, "A is numerically singular", p=float(p)) for p in p_grid
         ]
-    kappa = float(sa.values[0] / sa.values[-1])
-    sig_b = singular_values(b).values
-    sig_ab = singular_values(a @ b).values
-    out = []
-    for p in p_grid:
-        p_ok = _finite_p_or_na(name, p)
-        if isinstance(p_ok, CheckReport):
-            out.append(p_ok)
-            continue
-        p = p_ok
+    kappa = float(sa[0] / sa[-1])
+    checked = [_finite_p_or_na(name, p) for p in p_grid]
+    ps = [p for p in checked if not isinstance(p, CheckReport)]
+    srps_b = _srp_grid(sigma(b), ps)
+    srps_ab = _srp_grid(sigma(a @ b), ps)
+
+    def report(p, srp_b, srp_ab):
         kappa_p = kappa**p
-        srp_b = _srp_from_values(sig_b, p)
-        srp_ab = _srp_from_values(sig_ab, p)
         upper = kappa_p * srp_b if srp_b > 0 else 0.0
         lower = srp_b / kappa_p
         margins = [upper - srp_ab, srp_ab - lower]
@@ -590,8 +550,9 @@ def grid_product_kappa(
             "slack_upper": margins[0],
             "slack_lower": margins[1],
         }
-        out.append(_finish(name, srp_ab, upper, margins, details))
-    return out
+        return _finish(name, srp_ab, upper, margins, details)
+
+    return _grid_reports(checked, map(report, ps, srps_b, srps_ab))
 
 
 def check_product_kappa(
@@ -612,21 +573,14 @@ def grid_cross_product(
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"cross_product requires a matrix, got shape {a.shape}")
-    sig_a = singular_values(a).values
-    sig_left = singular_values(a.conj().T @ a).values
-    sig_right = singular_values(a @ a.conj().T).values
-    out = []
-    for p in p_grid:
-        p_ok = _p_or_na(name, p)
-        if isinstance(p_ok, CheckReport):
-            out.append(p_ok)
-            continue
-        p = p_ok
-        srp_a = _srp_from_values(sig_a, p)
-        two_p = math.inf if math.isinf(p) else 2.0 * p
-        sr_2p_a = _srp_from_values(sig_a, two_p)
-        gram_left = _srp_from_values(sig_left, p)
-        gram_right = _srp_from_values(sig_right, p)
+    checked = [_p_or_na(name, p) for p in p_grid]
+    ps = [p for p in checked if not isinstance(p, CheckReport)]
+    two_ps = [math.inf if math.isinf(p) else 2.0 * p for p in ps]
+    srps_a = _srp_grid(sigma(a), ps + two_ps)
+    srps_left = _srp_grid(sigma(a.conj().T @ a), ps)
+    srps_right = _srp_grid(sigma(a @ a.conj().T), ps)
+
+    def report(p, srp_a, sr_2p_a, gram_left, gram_right):
         ident_left = -abs(gram_left - sr_2p_a)
         ident_right = -abs(gram_right - sr_2p_a)
         margins = [srp_a - gram_left, srp_a - gram_right, ident_left, ident_right]
@@ -638,8 +592,11 @@ def grid_cross_product(
             "sr_2p_a": sr_2p_a,
             "identity_abs_err": max(-ident_left, -ident_right),
         }
-        out.append(_finish(name, gram_left, srp_a, margins, details))
-    return out
+        return _finish(name, gram_left, srp_a, margins, details)
+
+    k = len(ps)
+    reports = map(report, ps, srps_a[:k], srps_a[k:], srps_left, srps_right)
+    return _grid_reports(checked, reports)
 
 
 def check_cross_product(a: Matrix, p: float, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -674,11 +631,11 @@ def grid_perturbation(
             _not_applicable(name, "requires matrices of equal shape", p=float(p))
             for p in p_grid
         ]
-    sig_a, psd_a = _sigma_any(a, tol)
+    sig_a, psd_a = sigma_and_psd(a, tol)
     norm_a = float(sig_a[0])
     if norm_a == 0.0:
         return [_not_applicable(name, "A is the zero matrix", p=float(p)) for p in p_grid]
-    sig_e, psd_e = _sigma_any(e, tol)
+    sig_e, psd_e = sigma_and_psd(e, tol)
     eps = float(sig_e[0]) / norm_a
     if eps >= 1.0:
         return [
@@ -686,18 +643,15 @@ def grid_perturbation(
             for p in p_grid
         ]
     r = numerical_rank_from_spectrum(sig_e, rtol)
-    sig_sum, _ = _sigma_any(a + e, tol)
+    sig_sum, _ = sigma_and_psd(a + e, tol)
     psd_pair = psd_a and psd_e
-    out = []
-    for p in p_grid:
-        p_ok = _p_or_na(name, p)
-        if isinstance(p_ok, CheckReport):
-            out.append(p_ok)
-            continue
-        p = p_ok
+    checked = [_p_or_na(name, p) for p in p_grid]
+    ps = [p for p in checked if not isinstance(p, CheckReport)]
+    base_roots = _proot_grid(sig_a, ps)
+    actual_roots = _proot_grid(sig_sum, ps)
+
+    def report(p, x, y):
         rp = _proot(float(r), p)
-        x = _proot(_srp_from_values(sig_a, p), p)
-        y = _proot(_srp_from_values(sig_sum, p), p)
         gen_lower = (x - rp * eps) / (1.0 + eps)
         gen_upper = (x + rp * eps) / (1.0 - eps)
         margins = [y - gen_lower, gen_upper - y]
@@ -716,8 +670,9 @@ def grid_perturbation(
             psd_upper = x + rp * eps
             margins += [y - psd_lower, psd_upper - y]
             details.update(psd_lower=psd_lower, psd_upper=psd_upper)
-        out.append(_finish(name, y, gen_upper, margins, details))
-    return out
+        return _finish(name, y, gen_upper, margins, details)
+
+    return _grid_reports(checked, map(report, ps, base_roots, actual_roots))
 
 
 def check_perturbation(

@@ -23,11 +23,11 @@ from . import gallery as gal
 from .checks import (
     CHECK_SIGNATURES,
     CHECKS,
-    _encode,
     canonical_check_name,
     check_perturbation,
+    encode_json,
 )
-from .fuzz import FuzzConfig, _scaled_perturbation, run_fuzz
+from .fuzz import FuzzConfig, run_fuzz, scaled_perturbation
 from .matrices import PreconditionError
 from .mmio import MatrixParseError, read_matrix, write_matrix_market
 from .ranks import intrinsic_dimension, numerical_rank, p_stable_rank, stable_rank
@@ -37,7 +37,7 @@ SCHEMA_VERSION = 1
 
 
 def _print_json(payload) -> None:
-    print(json.dumps(_encode(payload), indent=2, sort_keys=True))
+    print(json.dumps(encode_json(payload), indent=2, sort_keys=True))
 
 
 def _print_csv(rows: list[dict]) -> None:
@@ -46,7 +46,7 @@ def _print_csv(rows: list[dict]) -> None:
     keys = list(rows[0])
     print(",".join(keys))
     for row in rows:
-        print(",".join(str(_encode(row.get(k, ""))) for k in keys))
+        print(",".join(str(encode_json(row.get(k, ""))) for k in keys))
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -232,7 +232,7 @@ def cmd_condition(args) -> int:
             continue
         rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(i,)))
         field = "complex" if np.iscomplexobj(a) else "real"
-        e = _scaled_perturbation(rng, a, eps, args.perturbation, field)
+        e = scaled_perturbation(rng, a, eps, args.perturbation, field)
         report = check_perturbation(a, e, args.p)
         if not report.preconditions_met:
             row["reason"] = report.details.get("reason", "not applicable")
@@ -303,7 +303,7 @@ def cmd_fuzz(args) -> int:
     report = run_fuzz(cfg)
     payload = report.to_json_dict()
     if args.out:
-        Path(args.out).write_text(json.dumps(_encode(payload), indent=2, sort_keys=True))
+        Path(args.out).write_text(json.dumps(encode_json(payload), indent=2, sort_keys=True))
     if args.format == "json":
         _print_json(payload)
     elif args.format == "csv":

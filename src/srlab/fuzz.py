@@ -23,7 +23,6 @@ from . import matrices as mat
 from .checks import (
     CHECKS,
     CheckReport,
-    _encode,
     canonical_check_name,
     check_block_diag_sr,
     check_block_intdim,
@@ -31,6 +30,7 @@ from .checks import (
     check_deletion,
     check_intdim_subadditive,
     check_weyl,
+    encode_json,
     grid_cross_product,
     grid_perturbation,
     grid_product_kappa,
@@ -92,7 +92,7 @@ class FuzzConfig:
             "seed": self.seed,
             "dims_max": self.dims_max,
             "distributions": list(self.distributions),
-            "p_grid": [_encode(p) for p in self.p_grid],
+            "p_grid": [encode_json(p) for p in self.p_grid],
             "checks": list(self.checks),
         }
 
@@ -150,15 +150,19 @@ def _psd_matrix(rng, kind, n, dims_max, field):
     return mat.projector_matrix(rng, n, int(rng.integers(1, n + 1)), field)
 
 
-def _scaled_perturbation(rng, base, eps, kind, field):
-    """Perturbation with two-norm exactly eps times that of ``base``."""
+def scaled_perturbation(rng, base, eps, kind, field):
+    """Perturbation with two-norm exactly eps times that of ``base``.
+
+    The two-norm of ``base`` comes from :func:`srlab.matrices.sigma`,
+    so inside a trial scope the checks reuse that decomposition.
+    """
     m, n = base.shape
     if kind == "psd":
         rows = int(rng.integers(1, max(m, n) + 1))
         g = mat.psd_gram_matrix(rng, rows, n, field)
     else:
         g = mat.gaussian_matrix(rng, m, n, field)
-    norm_base = np.linalg.svd(base, compute_uv=False)[0]
+    norm_base = mat.sigma(base)[0]
     norm_g = np.linalg.svd(g, compute_uv=False)[0]
     if norm_base == 0.0 or norm_g == 0.0:
         return np.zeros_like(base)
@@ -186,9 +190,9 @@ def trial_inputs(seed: int, index: int, cfg: FuzzConfig) -> dict:
     k_prod = int(rng.integers(1, dmax + 1))
     b_prod = mat.gaussian_matrix(rng, n, k_prod, field)
     eps_gen = float(rng.uniform(0.05, 0.9))
-    e_gen = _scaled_perturbation(rng, a_gen, eps_gen, "gaussian", field)
+    e_gen = scaled_perturbation(rng, a_gen, eps_gen, "gaussian", field)
     eps_psd = float(rng.uniform(0.05, 0.9))
-    e_psd = _scaled_perturbation(rng, a_psd, eps_psd, "psd", field)
+    e_psd = scaled_perturbation(rng, a_psd, eps_psd, "psd", field)
     k1 = int(rng.integers(1, dmax + 1))
     k2 = int(rng.integers(1, dmax + 1))
     a11 = mat.gaussian_matrix(rng, k1, k1, field)
@@ -215,8 +219,16 @@ def trial_inputs(seed: int, index: int, cfg: FuzzConfig) -> dict:
 
 
 def run_trial(seed: int, index: int, cfg: FuzzConfig) -> list[TrialResult]:
-    """Run every enabled check on the trial's inputs across the p grid."""
-    x = trial_inputs(seed, index, cfg)
+    """Run every enabled check on the trial's inputs across the p grid.
+
+    The trial runs in a :func:`srlab.matrices.trial_scope`, so an input
+    that several checks share is classified and decomposed once.
+    """
+    with mat.trial_scope():
+        return _run_checks(trial_inputs(seed, index, cfg), cfg)
+
+
+def _run_checks(x: dict, cfg: FuzzConfig) -> list[TrialResult]:
     enabled = set(cfg.checks)
     out: list[TrialResult] = []
 
@@ -342,8 +354,8 @@ class RunReport:
             "schema": 1,
             "kind": "fuzz_report",
             "config": self.config.config_echo(),
-            "checks": _encode(self.checks),
-            "failures": _encode(self.failures),
+            "checks": encode_json(self.checks),
+            "failures": encode_json(self.failures),
             "wall_time": self.wall_time,
         }
 

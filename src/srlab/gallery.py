@@ -48,7 +48,9 @@ GEOMETRIC_NOTE = (
     "sr equals the geometric series (1 - ratio^(2n)) / (1 - ratio^2); "
     "the simpler closed form (4/3)*(1 - 1/n) sometimes quoted for "
     "ratio = 1/2 is not the series value, though the bound sr <= 4/3 "
-    "holds either way."
+    "holds either way. rank_A predicts the numerical rank at the default "
+    "rtol (1e-10): the count of j < n with ratio^j > rtol, which is less "
+    "than n once ratio^(n-1) drops to rtol."
 )
 
 
@@ -116,16 +118,18 @@ def geometric_decay(n: int, ratio: float, rotate_seed: int | None = None) -> Fam
     ratio = float(ratio)
     if not 0.0 < ratio <= 1.0:
         raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
-    a = _diag(ratio ** np.arange(n))
+    values = ratio ** np.arange(n)
+    a = _diag(values)
     if rotate_seed is not None:
         rng = np.random.default_rng(rotate_seed)
         a = _orthogonal(rng, n) @ a @ _orthogonal(rng, n).T
     sr = float(n) if ratio == 1.0 else (1.0 - ratio ** (2 * n)) / (1.0 - ratio**2)
+    rank = np.count_nonzero(values > DEFAULT_RANK_RTOL)
     return FamilyInstance(
         name="geometric_decay",
         matrices=_freeze({"A": a}),
         params={"n": n, "ratio": ratio},
-        predicted={"sr_A": sr, "rank_A": float(n)},
+        predicted={"sr_A": sr, "rank_A": float(rank)},
         threshold_met=None,
         notes=GEOMETRIC_NOTE,
     )

@@ -5,10 +5,19 @@ A "matrix" throughout the package is a plain 2-D numpy array of float64 or
 complex128 entries, validated and frozen by :func:`as_matrix`. Every function
 here is pure and all returned arrays are read-only, so values can be shared
 freely across threads. Sampling is a deterministic function of the seed.
+
+Inside a :func:`trial_scope` the classification and decomposition family
+(:func:`is_hermitian`, :func:`hermitian_part_eigenvalues`, :func:`sigma`,
+:func:`singular_values`, :func:`psd_eigenvalues`, :func:`sigma_and_psd`)
+remembers each result by the input's kind, shape, dtype and bytes, so a
+matrix that several checks share is decomposed once. Outside a scope
+nothing is cached.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,17 +142,69 @@ def _require_square(a, op: str) -> np.ndarray:
     return a
 
 
+# ---------------------------------------------------------------------------
+# Classification and decomposition, shared within a trial scope
+
+_SCOPE: ContextVar[dict | None] = ContextVar("srlab_trial_scope", default=None)
+_MISSING = object()
+
+
+@contextmanager
+def trial_scope():
+    """Share classification and decomposition results within the block.
+
+    Results are keyed by ``(kind, shape, dtype, bytes)`` of the input and
+    dropped when the block exits, also when it raises. The cache lives in
+    a context variable, so each thread or task sees only its own scope.
+    """
+    token = _SCOPE.set({})
+    try:
+        yield
+    finally:
+        _SCOPE.reset(token)
+
+
+def _memo(kind, a: np.ndarray, compute):
+    cache = _SCOPE.get()
+    if cache is None:
+        return compute(a)
+    key = (kind, a.shape, a.dtype, a.tobytes())
+    value = cache.get(key, _MISSING)
+    if value is _MISSING:
+        value = cache[key] = compute(a)
+    return value
+
+
+def _frozen(v: np.ndarray) -> np.ndarray:
+    v.setflags(write=False)
+    return v
+
+
+def _hermitize(a: np.ndarray) -> np.ndarray:
+    return (a + a.conj().T) / 2
+
+
 def singular_values(a: Matrix) -> Spectrum:
     """Descending singular values via LAPACK, clamped at zero.
 
     Raises :class:`DecompositionError` if the iteration fails to converge.
     """
     a = _require_2d(a, "singular_values")
+    return Spectrum(sigma(a), "singular", a.shape)
+
+
+def sigma(a: Matrix) -> np.ndarray:
+    """:func:`singular_values` as a bare read-only array."""
+    a = _require_2d(a, "sigma")
+    return _memo("svd", a, _sigma)
+
+
+def _sigma(a: np.ndarray) -> np.ndarray:
     try:
         s = np.linalg.svd(a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD did not converge: {exc}") from exc
-    return Spectrum(np.maximum(s, 0.0), "singular", a.shape)
+    return _frozen(np.maximum(s, 0.0))
 
 
 def hermitian_asymmetry(a: Matrix) -> float:
@@ -153,9 +214,82 @@ def hermitian_asymmetry(a: Matrix) -> float:
 
 
 def is_hermitian(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> bool:
+    """max |A - A*| within ``tol.hermitian_asym * max(1, max |A|)``."""
     a = _require_square(a, "is_hermitian")
+    kind = ("hermitian", tol.hermitian_asym)
+    return _memo(kind, a, lambda a: _is_hermitian(a, tol))
+
+
+def _is_hermitian(a: np.ndarray, tol: Tolerances) -> bool:
     scale = max(1.0, float(np.max(np.abs(a))))
     return hermitian_asymmetry(a) <= tol.hermitian_asym * scale
+
+
+def hermitian_part_eigenvalues(a: Matrix) -> np.ndarray:
+    """Descending eigenvalues of the Hermitian part (A + A*) / 2, read-only.
+
+    Raises :class:`DecompositionError` if the iteration fails to converge.
+    """
+    a = _require_square(a, "hermitian_part_eigenvalues")
+    return _memo("eigvalsh", a, _hermitian_part_eigenvalues)
+
+
+def _hermitian_part_eigenvalues(a: np.ndarray) -> np.ndarray:
+    try:
+        w = np.linalg.eigvalsh(_hermitize(a))
+    except np.linalg.LinAlgError as exc:
+        raise DecompositionError(f"eigendecomposition did not converge: {exc}") from exc
+    return _frozen(w[::-1].copy())
+
+
+def _psd_within(w: np.ndarray, tol: Tolerances) -> bool:
+    """Descending eigenvalues ``w`` clear the relative negativity floor."""
+    return bool(w[-1] >= -tol.psd_negativity * max(1.0, float(w[0])))
+
+
+def psd_eigenvalues(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
+    """Descending eigenvalues if ``a`` is square Hermitian PSD within tol, else None."""
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return None
+    kind = ("psd", tol.hermitian_asym, tol.psd_negativity)
+    return _memo(kind, a, lambda a: _psd_eigenvalues(a, tol))
+
+
+def _psd_eigenvalues(a: np.ndarray, tol: Tolerances) -> np.ndarray | None:
+    if not is_hermitian(a, tol):
+        return None
+    w = hermitian_part_eigenvalues(a)
+    return w if _psd_within(w, tol) else None
+
+
+def sigma_and_psd(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
+    """(descending singular values, PSD flag) from one decomposition.
+
+    Hermitian inputs go through the eigenvalue route (singular values are
+    the absolute eigenvalues), all others through the SVD.
+    """
+    a = _require_2d(a, "sigma_and_psd")
+    kind = ("sigma_psd", tol.hermitian_asym, tol.psd_negativity)
+    return _memo(kind, a, lambda a: _sigma_and_psd(a, tol))
+
+
+def _sigma_and_psd(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, bool]:
+    if a.shape[0] == a.shape[1] and is_hermitian(a, tol):
+        w = hermitian_part_eigenvalues(a)
+        return _frozen(np.sort(np.abs(w))[::-1]), _psd_within(w, tol)
+    return sigma(a), False
+
+
+def psd_intrinsic_dimension(a: Matrix) -> float:
+    """trace / lambda_max for input the caller has already established PSD.
+
+    Returns 0.0 when the largest eigenvalue is not positive.
+    """
+    lam_max = float(hermitian_part_eigenvalues(a)[0])
+    if lam_max <= 0.0:
+        return 0.0
+    return float(np.trace(a).real) / lam_max
 
 
 def hermitian_eigenvalues(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
@@ -182,10 +316,7 @@ def hermitian_eigenvalues(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
 def is_psd(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     """Hermitian with smallest eigenvalue above the relative negativity floor."""
     a = _require_square(a, "is_psd")
-    if not is_hermitian(a, tol):
-        return False
-    w = np.linalg.eigvalsh(a)
-    return bool(w[0] >= -tol.psd_negativity * max(1.0, float(w[-1])))
+    return psd_eigenvalues(a, tol) is not None
 
 
 def two_norm(a: Matrix) -> float:
@@ -304,10 +435,6 @@ def haar_unitary(rng: np.random.Generator, n: int, field: str = "real") -> np.nd
     absd = np.abs(d)
     phase = np.where(absd == 0, 1.0, d / np.where(absd == 0, 1.0, absd))
     return q * phase
-
-
-def _hermitize(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2
 
 
 def psd_gram_matrix(rng: np.random.Generator, m: int, n: int, field: str = "real") -> np.ndarray:

@@ -26,8 +26,6 @@ from .schatten import normalized_power_sum, validate_exponent
 
 DEFAULT_RANK_RTOL = 1e-10
 
-RANK_DEFINITIONS = ("p_stable", "stable", "intrinsic_dimension", "numerical_rank")
-
 
 @dataclass(frozen=True)
 class RankResult:
@@ -122,7 +120,6 @@ def intrinsic_dimension(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> RankResult:
 
 __all__ = [
     "DEFAULT_RANK_RTOL",
-    "RANK_DEFINITIONS",
     "RankResult",
     "numerical_rank",
     "numerical_rank_from_spectrum",

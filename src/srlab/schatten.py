@@ -32,18 +32,37 @@ def validate_exponent(p) -> float:
     return p
 
 
-def normalized_power_sum(values: np.ndarray, p: float) -> float:
+# For a scalar exponent numpy evaluates ``x ** 2.0`` as ``square(x)``,
+# ``x ** 0.5`` as ``sqrt(x)`` and ``x ** -1.0`` as ``reciprocal(x)``, which
+# can differ from ``power`` in the last bit. The array form keeps these
+# exponents on the scalar path so that both forms agree bit for bit.
+_SCALAR_POWER_SHORTCUTS = (-1.0, 0.5, 2.0)
+
+
+def normalized_power_sum(values: np.ndarray, p):
     """sum over j of (v_j / v_0) ** p for a descending nonnegative sequence.
 
     This is the overflow-safe core shared by the norms and the stable
     ranks: the leading value is factored out before powering, so huge or
     tiny spectra never overflow. Returns 0.0 for an all-zero sequence.
+
+    ``p`` may also be a 1-D array of exponents; the result is then an
+    array with one sum per exponent, each equal to the scalar-``p`` value.
     """
     top = float(values[0]) if len(values) else 0.0
+    if np.ndim(p) == 0:
+        if top == 0.0:
+            return 0.0
+        return float(np.sum((values / top) ** p))
+    exponents = np.asarray(p, dtype=np.float64)
     if top == 0.0:
-        return 0.0
+        return np.zeros(len(exponents))
     ratios = values / top
-    return float(np.sum(ratios**p))
+    sums = np.sum(ratios ** exponents[:, None], axis=1)
+    for i, q in enumerate(exponents.tolist()):
+        if q in _SCALAR_POWER_SHORTCUTS:
+            sums[i] = np.sum(ratios**q)
+    return sums
 
 
 def schatten_norm_from_spectrum(s, p) -> float:

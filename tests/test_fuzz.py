@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from srlab import fuzz
+from srlab import matrices as mat
 from srlab.checks import CHECKS, CheckReport
 from srlab.fuzz import (
     FuzzConfig,
@@ -181,3 +182,43 @@ def test_projector_distribution_hits_equality_cases():
     agg = report.checks["cross_product"]
     assert agg["applicable_count"] > 0
     assert abs(agg["min_slack"]) <= 1e-10
+
+
+def _report_dicts(results):
+    return [(r.check, r.variant, r.p, r.report.to_json_dict()) for r in results]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_trial_scope_does_not_change_reports(seed):
+    cfg = FuzzConfig(trials=1, seed=seed, parallelism=1)
+    for trial in range(25):
+        scoped = run_trial(seed, trial, cfg)
+        unscoped = fuzz._run_checks(trial_inputs(seed, trial, cfg), cfg)
+        assert json.dumps(_report_dicts(scoped)) == json.dumps(_report_dicts(unscoped))
+
+
+def _scope_active():
+    a = np.diag([2.0, 1.0])
+    return mat.hermitian_part_eigenvalues(a) is mat.hermitian_part_eigenvalues(a)
+
+
+def test_no_scope_after_run_trial():
+    cfg = small_config()
+    assert not _scope_active()
+    run_trial(cfg.seed, 0, cfg)
+    assert not _scope_active()
+
+
+def test_no_scope_after_run_trial_raises(monkeypatch):
+    seen = []
+
+    def broken(a, b, tol=mat.DEFAULT_TOL):
+        seen.append(_scope_active())
+        raise RuntimeError("check failed")
+
+    monkeypatch.setattr(fuzz, "check_weyl", broken)
+    cfg = small_config()
+    with pytest.raises(RuntimeError):
+        run_trial(cfg.seed, 0, cfg)
+    assert seen == [True]
+    assert not _scope_active()

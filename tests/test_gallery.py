@@ -230,6 +230,7 @@ def test_equality_cases_validation():
         lambda s: gallery.rank1_drop_family(5, 3.0, rotate_seed=s),
         lambda s: gallery.product_violation_family(3, 2.0, rotate_seed=s),
         lambda s: gallery.cross_gap_family(3, 0.5, rotate_seed=s),
+        lambda s: gallery.geometric_decay(40, 0.5, rotate_seed=s),
     ],
 )
 def test_rotation_preserves_predictions(build):

@@ -284,3 +284,40 @@ def test_pivoted_cholesky_complex():
 def test_pivoted_cholesky_breaks_down_on_indefinite():
     with pytest.raises(DecompositionError):
         pivoted_cholesky(np.diag([1.0, -1.0]))
+
+
+def test_trial_scope_memoizes_read_only_results():
+    from srlab.matrices import psd_eigenvalues, sigma, sigma_and_psd, trial_scope
+
+    a = gaussian_matrix(np.random.default_rng(5), 4, 4)
+    g = a.T @ a
+    with trial_scope():
+        s1 = sigma(a)
+        assert sigma(a.copy()) is s1  # keyed by contents, not identity
+        assert not s1.flags.writeable
+        w = psd_eigenvalues(g)
+        assert psd_eigenvalues(g.copy()) is w
+        assert not w.flags.writeable
+        sig, psd = sigma_and_psd(g)
+        assert psd and not sig.flags.writeable
+        assert sigma(a.astype(np.complex128)) is not s1  # dtype is part of the key
+    assert sigma(a) is not sigma(a)
+    np.testing.assert_array_equal(sigma(a), s1)
+
+
+def test_classifier_family_matches_spectra():
+    from srlab.matrices import hermitian_part_eigenvalues, psd_eigenvalues, sigma_and_psd
+
+    rng = np.random.default_rng(8)
+    x = gaussian_matrix(rng, 5, 5, "complex")
+    g = x.conj().T @ x
+    assert psd_eigenvalues(g) is not None
+    assert psd_eigenvalues(-g) is None
+    assert psd_eigenvalues(x) is None
+    assert psd_eigenvalues(np.zeros((2, 3))) is None
+    sig, psd = sigma_and_psd(-g)
+    assert not psd
+    np.testing.assert_allclose(sig, singular_values(g).values, rtol=1e-12)
+    np.testing.assert_allclose(
+        hermitian_part_eigenvalues(g), hermitian_eigenvalues(g).values, rtol=1e-12
+    )

@@ -166,3 +166,24 @@ def test_unitary_invariance(seed, m, n, field):
         na = schatten_norm(a, p)
         nr = schatten_norm(q1 @ a @ q2.conj().T, p)
         assert nr == pytest.approx(na, rel=1e-10, abs=1e-12)
+
+
+def test_array_exponents_bit_equal_to_inline_power_sum():
+    from srlab.fuzz import DEFAULT_P_GRID
+    from srlab.schatten import normalized_power_sum
+
+    exponents = np.array(DEFAULT_P_GRID + (0.5,))
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        n = int(rng.integers(1, 60))
+        v = np.sort(np.exp(rng.uniform(-12.0, 0.0, n)))[::-1] * np.exp(rng.uniform(-30, 30))
+        sums = normalized_power_sum(v, exponents)
+        assert sums.shape == exponents.shape
+        for p, got in zip(exponents, sums):
+            assert got == np.sum((v / v[0]) ** p)
+
+
+def test_array_exponents_zero_spectrum():
+    from srlab.schatten import normalized_power_sum
+
+    assert normalized_power_sum(np.zeros(4), np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
