@@ -28,7 +28,7 @@ from .checks import (
     encode_json,
 )
 from .fuzz import FuzzConfig, run_fuzz, scaled_perturbation
-from .matrices import PreconditionError
+from .matrices import PreconditionError, trial_scope
 from .mmio import MatrixParseError, read_matrix, write_matrix_market
 from .ranks import intrinsic_dimension, numerical_rank, p_stable_rank, stable_rank
 from .schatten import schatten_norm
@@ -120,7 +120,8 @@ def cmd_verify(args) -> int:
     if "drop_col" in signature:
         call_args.append(args.drop_col)
     try:
-        report = CHECKS[name](*call_args)
+        with trial_scope():
+            report = CHECKS[name](*call_args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -153,8 +153,8 @@ def _psd_matrix(rng, kind, n, dims_max, field):
 def scaled_perturbation(rng, base, eps, kind, field):
     """Perturbation with two-norm exactly eps times that of ``base``.
 
-    The two-norm of ``base`` comes from :func:`srlab.matrices.sigma`,
-    so inside a trial scope the checks reuse that decomposition.
+    Both two-norms come from :func:`srlab.matrices.sigma`, so inside a
+    trial scope the checks reuse the decomposition of ``base``.
     """
     m, n = base.shape
     if kind == "psd":
@@ -163,7 +163,7 @@ def scaled_perturbation(rng, base, eps, kind, field):
     else:
         g = mat.gaussian_matrix(rng, m, n, field)
     norm_base = mat.sigma(base)[0]
-    norm_g = np.linalg.svd(g, compute_uv=False)[0]
+    norm_g = mat.sigma(g)[0]
     if norm_base == 0.0 or norm_g == 0.0:
         return np.zeros_like(base)
     return g * (eps * norm_base / norm_g)

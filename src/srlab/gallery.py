@@ -34,6 +34,7 @@ from .matrices import (
     prescribed_spectrum_matrix,
     projector_matrix,
     rank1_psd_matrix,
+    trial_scope,
 )
 from .ranks import (
     DEFAULT_RANK_RTOL,
@@ -75,24 +76,27 @@ def evaluate(
     """Compute every predicted quantity and report relative errors.
 
     Predicted keys follow the convention ``<quantity>_<matrix key>`` with
-    quantity one of sr, intdim, srp (uses ``params['p']``), or rank.
+    quantity one of sr, intdim, srp (uses ``params['p']``), or rank. The
+    quantities are computed in one :func:`srlab.matrices.trial_scope`, so
+    a matrix with several predicted quantities is decomposed once.
     """
     out = {}
-    for key, predicted in instance.predicted.items():
-        quantity, _, mat_key = key.partition("_")
-        a = instance.matrices[mat_key]
-        if quantity == "sr":
-            computed = stable_rank(a).value
-        elif quantity == "intdim":
-            computed = intrinsic_dimension(a, tol).value
-        elif quantity == "srp":
-            computed = p_stable_rank(a, instance.params["p"], rtol).value
-        elif quantity == "rank":
-            computed = float(numerical_rank(a, rtol))
-        else:
-            raise ValueError(f"unknown predicted quantity {key!r}")
-        rel_err = abs(computed - predicted) / max(1.0, abs(predicted))
-        out[key] = {"predicted": float(predicted), "computed": computed, "rel_err": rel_err}
+    with trial_scope():
+        for key, predicted in instance.predicted.items():
+            quantity, _, mat_key = key.partition("_")
+            a = instance.matrices[mat_key]
+            if quantity == "sr":
+                computed = stable_rank(a).value
+            elif quantity == "intdim":
+                computed = intrinsic_dimension(a, tol).value
+            elif quantity == "srp":
+                computed = p_stable_rank(a, instance.params["p"], rtol).value
+            elif quantity == "rank":
+                computed = float(numerical_rank(a, rtol))
+            else:
+                raise ValueError(f"unknown predicted quantity {key!r}")
+            rel_err = abs(computed - predicted) / max(1.0, abs(predicted))
+            out[key] = {"predicted": float(predicted), "computed": computed, "rel_err": rel_err}
     return out
 
 

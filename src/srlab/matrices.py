@@ -6,12 +6,20 @@ complex128 entries, validated and frozen by :func:`as_matrix`. Every function
 here is pure and all returned arrays are read-only, so values can be shared
 freely across threads. Sampling is a deterministic function of the seed.
 
+Singular values come from the cheapest exact LAPACK call. An exactly
+Hermitian input (``a == a*`` entrywise, not within a tolerance) takes the
+absolute values of its eigenvalues, sorted descending, from the same
+``eigvalsh`` that :func:`hermitian_part_eigenvalues` runs. A wide input
+(fewer rows than columns) runs the SVD on its transpose, which has the same
+singular values. Every other input runs the SVD as it comes.
+
 Inside a :func:`trial_scope` the classification and decomposition family
 (:func:`is_hermitian`, :func:`hermitian_part_eigenvalues`, :func:`sigma`,
 :func:`singular_values`, :func:`psd_eigenvalues`, :func:`sigma_and_psd`)
 remembers each result by the input's kind, shape, dtype and bytes, so a
-matrix that several checks share is decomposed once. Outside a scope
-nothing is cached.
+matrix that several checks share is decomposed once, and the singular
+values of an exactly Hermitian matrix share its eigendecomposition.
+Outside a scope nothing is cached.
 """
 
 from __future__ import annotations
@@ -181,13 +189,19 @@ def _frozen(v: np.ndarray) -> np.ndarray:
 
 
 def _hermitize(a: np.ndarray) -> np.ndarray:
-    return (a + a.conj().T) / 2
+    # Halve before adding, so entries near the float64 maximum do not overflow.
+    return a / 2 + a.conj().T / 2
 
 
 def singular_values(a: Matrix) -> Spectrum:
     """Descending singular values via LAPACK, clamped at zero.
 
-    Raises :class:`DecompositionError` if the iteration fails to converge.
+    An exactly Hermitian input (``a == a*`` entrywise) takes them as the
+    sorted absolute eigenvalues from ``eigvalsh``; a wide input runs the
+    SVD on ``a.T``; any other input runs the SVD on ``a``. Each route is
+    exact in exact arithmetic and accurate to rounding relative to
+    sigma_1. Raises :class:`DecompositionError` if the iteration fails to
+    converge.
     """
     a = _require_2d(a, "singular_values")
     return Spectrum(sigma(a), "singular", a.shape)
@@ -196,15 +210,30 @@ def singular_values(a: Matrix) -> Spectrum:
 def sigma(a: Matrix) -> np.ndarray:
     """:func:`singular_values` as a bare read-only array."""
     a = _require_2d(a, "sigma")
-    return _memo("svd", a, _sigma)
+    return _memo("sigma", a, _sigma)
 
 
 def _sigma(a: np.ndarray) -> np.ndarray:
+    m, n = a.shape
+    if m == n and _exactly_hermitian(a):
+        return _sigma_from_eigenvalues(hermitian_part_eigenvalues(a))
     try:
-        s = np.linalg.svd(a, compute_uv=False)
+        s = np.linalg.svd(a.T if m < n else a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD did not converge: {exc}") from exc
     return _frozen(np.maximum(s, 0.0))
+
+
+def _exactly_hermitian(a: np.ndarray) -> bool:
+    """``a == a*`` entrywise for square ``a``; one corner pair rejects most inputs."""
+    if a.item(-1, 0) != a.item(0, -1).conjugate():
+        return False
+    return bool((a == a.conj().T).all())
+
+
+def _sigma_from_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """Singular values of a Hermitian matrix from its eigenvalues."""
+    return _frozen(np.sort(np.abs(w))[::-1])
 
 
 def hermitian_asymmetry(a: Matrix) -> float:
@@ -217,12 +246,11 @@ def is_hermitian(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> bool:
     """max |A - A*| within ``tol.hermitian_asym * max(1, max |A|)``."""
     a = _require_square(a, "is_hermitian")
     kind = ("hermitian", tol.hermitian_asym)
-    return _memo(kind, a, lambda a: _is_hermitian(a, tol))
+    return _memo(kind, a, lambda a: hermitian_asymmetry(a) <= _asymmetry_bound(a, tol))
 
 
-def _is_hermitian(a: np.ndarray, tol: Tolerances) -> bool:
-    scale = max(1.0, float(np.max(np.abs(a))))
-    return hermitian_asymmetry(a) <= tol.hermitian_asym * scale
+def _asymmetry_bound(a: np.ndarray, tol: Tolerances) -> float:
+    return tol.hermitian_asym * max(1.0, float(np.max(np.abs(a))))
 
 
 def hermitian_part_eigenvalues(a: Matrix) -> np.ndarray:
@@ -277,7 +305,7 @@ def sigma_and_psd(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray,
 def _sigma_and_psd(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, bool]:
     if a.shape[0] == a.shape[1] and is_hermitian(a, tol):
         w = hermitian_part_eigenvalues(a)
-        return _frozen(np.sort(np.abs(w))[::-1]), _psd_within(w, tol)
+        return _sigma_from_eigenvalues(w), _psd_within(w, tol)
     return sigma(a), False
 
 
@@ -295,22 +323,20 @@ def psd_intrinsic_dimension(a: Matrix) -> float:
 def hermitian_eigenvalues(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     """Descending real eigenvalues of a Hermitian matrix.
 
+    The values are those of :func:`hermitian_part_eigenvalues`, so they
+    agree with every check that classifies through :func:`is_hermitian`.
     Raises :class:`PreconditionError` (carrying ``max_asymmetry``) if the
     input is not Hermitian within ``tol.hermitian_asym``.
     """
     a = _require_square(a, "hermitian_eigenvalues")
-    asym = hermitian_asymmetry(a)
-    bound = tol.hermitian_asym * max(1.0, float(np.max(np.abs(a))))
-    if asym > bound:
+    if not is_hermitian(a, tol):
+        asym = hermitian_asymmetry(a)
+        bound = _asymmetry_bound(a, tol)
         raise PreconditionError(
             f"matrix is not Hermitian: max asymmetry {asym:.6e} exceeds {bound:.6e}",
             max_asymmetry=asym,
         )
-    try:
-        w = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:
-        raise DecompositionError(f"eigendecomposition did not converge: {exc}") from exc
-    return Spectrum(w[::-1].copy(), "hermitian_eigen", a.shape)
+    return Spectrum(hermitian_part_eigenvalues(a), "hermitian_eigen", a.shape)
 
 
 def is_psd(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> bool:

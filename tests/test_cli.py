@@ -300,3 +300,18 @@ def test_text_and_csv_formats_do_not_crash(files):
             fmt,
         )
         assert out.returncode == 0
+
+
+@pytest.mark.parametrize("check", ["cholesky_intdim", "intdim_subadditive", "block_intdim"])
+def test_verify_decomposes_each_input_once(check, tmp_path, lapack_calls, capsys):
+    from srlab.cli import main
+
+    x = np.random.default_rng(3).standard_normal((6, 6))
+    g = x @ x.T
+    path = tmp_path / "g.mtx"
+    write_matrix_market(path, g / 2 + g.T / 2)
+    inputs = [str(path)] * (2 if check == "intdim_subadditive" else 1)
+    extra = ["--k", "3"] if check == "block_intdim" else []
+    assert main(["verify", check, *inputs, *extra]) == 0
+    capsys.readouterr()
+    assert lapack_calls.count(("eigvalsh", (6, 6))) == 1 + (check == "intdim_subadditive")

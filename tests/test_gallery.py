@@ -302,3 +302,18 @@ def test_sum_violation_negative_alpha():
     assert inst.predicted["sr_A"] == pytest.approx(2.0)
     assert inst.threshold_met is True
     assert_instance_accurate(inst)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gallery.deletion_family(5, 2.0, rotate_seed=3),
+        lambda: gallery.sum_violation_family(5, 2.0, rotate_seed=3),
+        lambda: gallery.cross_gap_family(4, 0.5, rotate_seed=3),
+    ],
+)
+def test_evaluate_decomposes_each_matrix_once(build, lapack_calls):
+    inst = build()
+    matrix_keys = {key.partition("_")[2] for key in inst.predicted}
+    gallery.evaluate(inst)
+    assert len(lapack_calls) == len(matrix_keys), lapack_calls

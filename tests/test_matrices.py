@@ -321,3 +321,124 @@ def test_classifier_family_matches_spectra():
     np.testing.assert_allclose(
         hermitian_part_eigenvalues(g), hermitian_eigenvalues(g).values, rtol=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# Routing of singular values: exactly Hermitian -> eigvalsh, wide -> SVD of a.T
+
+
+def _hermitian(rng, n, field):
+    x = gaussian_matrix(rng, n, n, field)
+    return x + x.conj().T  # exactly Hermitian: each pair sums the same two numbers
+
+
+def _hermitian_psd(rng, n, field, rank=None):
+    x = gaussian_matrix(rng, n, n if rank is None else rank, field)
+    y = x @ x.conj().T
+    return y + y.conj().T
+
+
+def test_sigma_routes_to_cheapest_exact_call(lapack_calls):
+    from srlab.matrices import sigma
+
+    rng = np.random.default_rng(11)
+    h = _hermitian(rng, 4, "complex")
+    near = h.copy()
+    near[0, 1] += 1e-15
+    sigma(h)
+    sigma(near)
+    sigma(gaussian_matrix(rng, 2, 5))
+    sigma(gaussian_matrix(rng, 5, 2))
+    assert lapack_calls == [
+        ("eigvalsh", (4, 4)),
+        ("svd", (4, 4)),  # Hermitian within tolerance only: still the SVD
+        ("svd", (5, 2)),  # the wide input, transposed
+        ("svd", (5, 2)),
+    ]
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_sigma_is_bit_identical_under_transpose(field):
+    from srlab.matrices import sigma
+
+    rng = np.random.default_rng(12)
+    for m in range(1, 21):
+        for n in range(1, 21):
+            if m != n:
+                a = gaussian_matrix(rng, m, n, field)
+                np.testing.assert_array_equal(sigma(a), sigma(a.T))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_sigma_of_exact_hermitian_matches_sigma_and_psd(field):
+    from srlab.matrices import sigma, sigma_and_psd
+
+    rng = np.random.default_rng(13)
+    for n in range(1, 16):
+        h = _hermitian(rng, n, field)
+        g = _hermitian_psd(rng, n, field)
+        for x in (h, g, -g):  # indefinite, PSD and NSD
+            np.testing.assert_array_equal(sigma(x), sigma_and_psd(x)[0])
+
+
+def test_sigma_shares_the_eigendecomposition_in_scope(lapack_calls):
+    from srlab.matrices import hermitian_part_eigenvalues, sigma, trial_scope
+
+    h = _hermitian(np.random.default_rng(14), 6, "complex")
+    with trial_scope():
+        s = sigma(h)
+        w = hermitian_part_eigenvalues(h)
+    assert lapack_calls == [("eigvalsh", (6, 6))]
+    np.testing.assert_array_equal(s, np.sort(np.abs(w))[::-1])
+
+
+def _assert_sigma_accurate(a):
+    from srlab.matrices import sigma
+
+    expected = np.linalg.svd(a, compute_uv=False)
+    got = sigma(a)
+    assert got.shape == expected.shape
+    assert np.all(np.abs(got - expected) <= 1e-12 * expected[0]), (a.shape, got, expected)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_sigma_accuracy_against_plain_svd(field):
+    rng = np.random.default_rng(15)
+    for size in range(1, 41):
+        other = int(rng.integers(1, 41))
+        _assert_sigma_accurate(gaussian_matrix(rng, size, other, field))
+        _assert_sigma_accurate(gaussian_matrix(rng, other, size, field))
+        _assert_sigma_accurate(_hermitian(rng, size, field))
+        _assert_sigma_accurate(_hermitian_psd(rng, size, field))
+        _assert_sigma_accurate(_hermitian_psd(rng, size, field, rank=max(1, size // 3)))
+    for n in (1, 2, 7, 40):
+        _assert_sigma_accurate(gaussian_matrix(rng, 1, n, field))
+        _assert_sigma_accurate(gaussian_matrix(rng, n, 1, field))
+
+
+def test_sigma_accuracy_on_zero_matrices():
+    from srlab.matrices import sigma
+
+    for shape in [(1, 1), (3, 3), (2, 5), (5, 2)]:
+        np.testing.assert_array_equal(sigma(np.zeros(shape)), np.zeros(min(shape)))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("scale", [1.0, 1.5e308])
+def test_sigma_accuracy_on_rank_deficient_projectors(field, scale):
+    from srlab.matrices import projector_matrix
+    from srlab.ranks import numerical_rank, stable_rank
+
+    rng = np.random.default_rng(16)
+    for n, r in [(6, 3), (12, 1), (20, 13)]:
+        p = projector_matrix(rng, n, r, field) * scale
+        _assert_sigma_accurate(p)
+        assert numerical_rank(p) == r
+        assert stable_rank(p).value == pytest.approx(r, rel=1e-12)
+
+
+def test_hermitian_part_does_not_overflow_near_the_float_maximum():
+    from srlab.matrices import hermitian_part_eigenvalues
+
+    a = np.array([[0.0, 1.7e308], [1.6e308, 0.0]])
+    np.testing.assert_allclose(hermitian_part_eigenvalues(a), [1.65e308, -1.65e308], rtol=1e-15)

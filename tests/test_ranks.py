@@ -213,3 +213,15 @@ def test_rank_result_bounds(seed, n, field):
     assert 0.0 <= result.value <= n
     assert result.definition == "p_stable"
     assert result.spectrum_used.kind == "singular"
+
+
+def test_intdim_agrees_with_the_check_path_on_near_hermitian_grams():
+    from srlab.matrices import hermitian_part_eigenvalues, psd_intrinsic_dimension
+
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        x = gaussian_matrix(rng, 6, 6)
+        g = x @ x.T + 1e-13 * rng.standard_normal((6, 6))
+        result = intrinsic_dimension(g)
+        assert result.value == psd_intrinsic_dimension(g)
+        np.testing.assert_array_equal(result.spectrum_used.values, hermitian_part_eigenvalues(g))
