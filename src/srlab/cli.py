@@ -8,11 +8,16 @@ JSON (schema 1) by default; ``--format csv|text`` flattens them.
 Exit codes: 0 success or not-applicable, 1 a verified inequality failed,
 2 unreadable input or invalid parameters, 3 intrinsic dimension requested
 for a non-PSD matrix.
+
+The argument parser is built once per process and shared by every
+:func:`main` call, so repeated in-process calls skip argparse's set-up.
+Its defaults are immutable, so no call can change what the next one sees.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -225,38 +230,40 @@ def cmd_condition(args) -> int:
         return 2
     rows = []
     any_failure = False
-    for i, eps in enumerate(args.epsilons):
-        row = {"epsilon": eps, "applicable": False}
-        if eps >= 1.0 or eps < 0.0:
-            row["reason"] = "requires 0 <= eps < 1"
+    # One scope for the sweep: the input is decomposed once, not per epsilon.
+    with trial_scope():
+        for i, eps in enumerate(args.epsilons):
+            row = {"epsilon": eps, "applicable": False}
+            if eps >= 1.0 or eps < 0.0:
+                row["reason"] = "requires 0 <= eps < 1"
+                rows.append(row)
+                continue
+            rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(i,)))
+            field = "complex" if np.iscomplexobj(a) else "real"
+            e = scaled_perturbation(rng, a, eps, args.perturbation, field)
+            report = check_perturbation(a, e, args.p)
+            if not report.preconditions_met:
+                row["reason"] = report.details.get("reason", "not applicable")
+                rows.append(row)
+                continue
+            d = report.details
+            row.update(
+                applicable=True,
+                p=d["p"],
+                rank_e=d["rank_e"],
+                lower=d["gen_lower"],
+                actual=d["actual_proot"],
+                upper=d["gen_upper"],
+                slack_lower=d["actual_proot"] - d["gen_lower"],
+                slack_upper=d["gen_upper"] - d["actual_proot"],
+                psd_pair=d["psd_pair"],
+                holds=report.holds,
+            )
+            if d["psd_pair"]:
+                row.update(psd_lower=d["psd_lower"], psd_upper=d["psd_upper"])
+            if report.holds is False:
+                any_failure = True
             rows.append(row)
-            continue
-        rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(i,)))
-        field = "complex" if np.iscomplexobj(a) else "real"
-        e = scaled_perturbation(rng, a, eps, args.perturbation, field)
-        report = check_perturbation(a, e, args.p)
-        if not report.preconditions_met:
-            row["reason"] = report.details.get("reason", "not applicable")
-            rows.append(row)
-            continue
-        d = report.details
-        row.update(
-            applicable=True,
-            p=d["p"],
-            rank_e=d["rank_e"],
-            lower=d["gen_lower"],
-            actual=d["actual_proot"],
-            upper=d["gen_upper"],
-            slack_lower=d["actual_proot"] - d["gen_lower"],
-            slack_upper=d["gen_upper"] - d["actual_proot"],
-            psd_pair=d["psd_pair"],
-            holds=report.holds,
-        )
-        if d["psd_pair"]:
-            row.update(psd_lower=d["psd_lower"], psd_upper=d["psd_upper"])
-        if report.holds is False:
-            any_failure = True
-        rows.append(row)
     payload = {
         "schema": SCHEMA_VERSION,
         "kind": "condition",
@@ -328,7 +335,12 @@ def cmd_fuzz(args) -> int:
     return 1 if report.failure_count else 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Return the process-wide ``srlab`` parser, built on the first call.
+
+    Every call returns the same instance, so callers must not modify it.
+    """
     parser = argparse.ArgumentParser(
         prog="srlab",
         description="Stable rank, intrinsic dimension, and Schatten p-norm toolkit",
@@ -388,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     condition.add_argument("input")
     condition.add_argument("--perturbation", choices=("gaussian", "psd"), default="gaussian")
     condition.add_argument(
-        "--epsilons", type=_parse_float_list, default=[0.01, 0.05, 0.1, 0.3, 0.5]
+        "--epsilons", type=_parse_float_list, default=(0.01, 0.05, 0.1, 0.3, 0.5)
     )
     condition.add_argument("-p", type=float, default=2.0)
     condition.set_defaults(func=cmd_condition)

@@ -161,9 +161,11 @@ _MISSING = object()
 def trial_scope():
     """Share classification and decomposition results within the block.
 
-    Results are keyed by ``(kind, shape, dtype, bytes)`` of the input and
-    dropped when the block exits, also when it raises. The cache lives in
-    a context variable, so each thread or task sees only its own scope.
+    Results are keyed by the input's ``(shape, dtype, bytes)`` and then by
+    kind, so the scope holds one copy of each distinct input however many
+    kinds it is asked for. They are dropped when the block exits, also when
+    it raises. The cache lives in a context variable, so each thread or
+    task sees only its own scope.
     """
     token = _SCOPE.set({})
     try:
@@ -176,10 +178,10 @@ def _memo(kind, a: np.ndarray, compute):
     cache = _SCOPE.get()
     if cache is None:
         return compute(a)
-    key = (kind, a.shape, a.dtype, a.tobytes())
-    value = cache.get(key, _MISSING)
+    results = cache.setdefault((a.shape, a.dtype, a.tobytes()), {})
+    value = results.get(kind, _MISSING)
     if value is _MISSING:
-        value = cache[key] = compute(a)
+        value = results[kind] = compute(a)
     return value
 
 

@@ -3,6 +3,11 @@
 Reads MatrixMarket (array or coordinate, real or complex) and plain dense
 CSV (real); always writes MatrixMarket array format with a "general"
 symmetry header and full double precision.
+
+MatrixMarket I/O goes through ``scipy.io``, which pulls in ``scipy.sparse``
+and costs more to import than the rest of srlab. Both are imported on the
+first MatrixMarket read or write, not with this module, so ``import srlab``
+and work that touches no MatrixMarket file load no SciPy module.
 """
 
 from __future__ import annotations
@@ -11,8 +16,6 @@ import io
 from pathlib import Path
 
 import numpy as np
-import scipy.io
-import scipy.sparse
 
 from .matrices import Matrix, as_matrix
 
@@ -22,6 +25,9 @@ class MatrixParseError(ValueError):
 
 
 def read_matrix_market(path) -> Matrix:
+    import scipy.io
+    import scipy.sparse
+
     try:
         a = scipy.io.mmread(path)
     except Exception as exc:
@@ -58,11 +64,15 @@ def read_matrix(path) -> Matrix:
 
 
 def write_matrix_market(path, a: Matrix) -> None:
+    import scipy.io
+
     a = as_matrix(a)
     scipy.io.mmwrite(str(path), a, symmetry="general", precision=17)
 
 
 def matrix_to_market_string(a: Matrix) -> str:
+    import scipy.io
+
     buf = io.BytesIO()
     scipy.io.mmwrite(buf, as_matrix(a), symmetry="general", precision=17)
     return buf.getvalue().decode()

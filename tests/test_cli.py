@@ -237,6 +237,49 @@ def test_condition_sweep(files):
     assert uppers == sorted(uppers)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "psd"])
+def test_condition_sweep_decomposes_input_once(kind, tmp_path, lapack_calls, capsys):
+    from srlab.cli import main
+
+    rng = np.random.default_rng(4)
+    if kind == "psd":
+        x = rng.standard_normal((30, 30))
+        a = x @ x.T
+    else:
+        a = rng.standard_normal((40, 30))
+    path = tmp_path / "a.mtx"
+    write_matrix_market(path, a)
+    assert main(["condition", str(path), "--perturbation", kind]) == 0
+    assert len(json.loads(capsys.readouterr().out)["rows"]) == 5
+    # Per epsilon: the perturbation's norm, then E and A + E in the check.
+    # The input itself is decomposed once for the whole sweep.
+    assert len(lapack_calls) == 1 + 3 * 5
+
+
+def test_main_calls_share_one_parser(files, capsys):
+    from srlab.cli import build_parser, main
+
+    assert build_parser() is build_parser()
+    ident = str(files / "identity5.mtx")
+    assert main(["compute", ident, "-q", "sr", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "quantity,p,value"
+    assert main(["compute", ident, "-q", "sr"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(5.0)
+
+    assert main(["condition", ident, "--epsilons", "0.1"]) == 0
+    assert [r["epsilon"] for r in json.loads(capsys.readouterr().out)["rows"]] == [0.1]
+    assert main(["condition", ident]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["epsilon"] for r in rows] == [0.01, 0.05, 0.1, 0.3, 0.5]
+
+    with pytest.raises(SystemExit) as exc:
+        main(["compute", ident, "-q", "volume"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["compute", ident, "-q", "rank", "--format", "text"]) == 0
+    assert capsys.readouterr().out == "5.0\n"
+
+
 def test_fuzz_cli_exit_and_output(files, tmp_path):
     out_file = tmp_path / "report.json"
     out = run_cli(

@@ -305,6 +305,19 @@ def test_trial_scope_memoizes_read_only_results():
     np.testing.assert_array_equal(sigma(a), s1)
 
 
+def test_trial_scope_keeps_one_copy_of_each_input():
+    from srlab import matrices as mat
+
+    a = gaussian_matrix(np.random.default_rng(6), 4, 5)
+    g = a @ a.T
+    with mat.trial_scope():
+        mat.sigma(a)
+        for ask in (mat.sigma_and_psd, mat.sigma, mat.is_hermitian, mat.psd_eigenvalues):
+            ask(g.copy())
+        # The scope keys each distinct input's bytes once, not once per kind.
+        assert len(mat._SCOPE.get()) == 2
+
+
 def test_classifier_family_matches_spectra():
     from srlab.matrices import hermitian_part_eigenvalues, psd_eigenvalues, sigma_and_psd
 

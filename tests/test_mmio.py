@@ -1,5 +1,8 @@
 """Matrix file round trips and parse failure handling."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -92,3 +95,23 @@ def test_nonfinite_entries_rejected(tmp_path):
     path.write_text("1.0,nan\n2.0,3.0\n")
     with pytest.raises(MatrixParseError):
         read_matrix(path)
+
+
+def test_importing_srlab_loads_no_scipy(tmp_path):
+    # SciPy is imported on the first MatrixMarket read or write, so it must
+    # be absent after the imports and present, and working, after a read.
+    path = tmp_path / "a.mtx"
+    write_matrix_market(path, np.arange(6.0).reshape(2, 3))
+    code = (
+        "import sys\n"
+        "import srlab, srlab.cli, srlab.fuzz\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+        "a = srlab.mmio.read_matrix(sys.argv[1])\n"
+        "assert a.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], a\n"
+        "assert 'scipy.io' in sys.modules\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)], capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
