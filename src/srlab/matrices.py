@@ -24,6 +24,7 @@ Outside a scope nothing is cached.
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -76,14 +77,32 @@ class Tolerances:
 
 DEFAULT_TOL = Tolerances()
 
+# The Gram-eigenvalue route for singular values (see _certified_gram_sigma)
+# certifies each value to this relative error, and serves inputs whose
+# smaller side is at least GRAM_MIN_SIDE and whose larger side is at least
+# GRAM_MIN_ASPECT times the smaller one: the crossover of a timing sweep
+# against the SVD (README, "Singular values").
+SIGMA_RTOL = 1e-8
+GRAM_MIN_SIDE = 32
+GRAM_MIN_ASPECT = 2
+
 
 def as_matrix(entries) -> Matrix:
     """Validate array-like input as a dense matrix and freeze it.
 
     Returns a C-contiguous 2-D array of float64 or complex128 with positive
-    dimensions and all entries finite. The result is marked read-only.
+    dimensions and all entries finite. The result is marked read-only. It is
+    always a copy, so the caller's array and its flags are left as they are.
     """
-    a = np.array(entries, order="C")
+    return _freeze_fresh(np.array(entries, order="C"))
+
+
+def _freeze_fresh(a: np.ndarray) -> Matrix:
+    """:func:`as_matrix` for an array nothing else holds: frozen in place.
+
+    Copies only where ``a`` is not C-contiguous or not float64/complex128.
+    """
+    a = np.asarray(a, order="C")
     if a.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {a.shape}")
     if a.shape[0] < 1 or a.shape[1] < 1:
@@ -219,11 +238,59 @@ def _sigma(a: np.ndarray) -> np.ndarray:
     m, n = a.shape
     if m == n and _exactly_hermitian(a):
         return _sigma_from_eigenvalues(hermitian_part_eigenvalues(a))
+    k = min(m, n)
+    if k >= GRAM_MIN_SIDE and max(m, n) >= GRAM_MIN_ASPECT * k:
+        s = _certified_gram_sigma(a)
+        if s is not None:
+            return s
     try:
         s = np.linalg.svd(a.T if m < n else a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD did not converge: {exc}") from exc
     return _frozen(np.maximum(s, 0.0))
+
+
+def _certified_gram_sigma(a: np.ndarray) -> np.ndarray | None:
+    """Singular values from the eigenvalues of the small Gram matrix, or None.
+
+    The input is scaled by an exact power of two, ``B = 2^-e A`` with
+    ``2^(e-1) <= max |Re b|, |Im b| < 2^e``, so ``sigma(2^j A)`` is
+    ``2^j sigma(A)`` bit for bit and the Gram ``G = B B*`` (on the smaller
+    side) neither overflows nor underflows. The computed eigenvalues are
+    those of ``G + E`` with ``||E||_2 <= delta``, where ``delta`` adds the
+    rounding of the Gram's inner products of length N (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.5:
+    ``gamma_N ||B||_F^2``, and ``sqrt(2) gamma_2N`` for complex entries,
+    whose real and imaginary parts are real inner products of length 2N)
+    to the eigensolver's backward error, taken as ``2k u ||G||_2``. By
+    Weyl's inequality each computed eigenvalue is within ``delta`` of
+    ``sigma_i(B)^2``, so ``sqrt`` of it is within ``delta / (lam - delta)``
+    of ``sigma_i(B)``, relatively. Returns None unless that bound, plus the
+    rounding of the square root, is at most :data:`SIGMA_RTOL` for every
+    value; the caller then runs the SVD.
+    """
+    m, n = a.shape
+    k, big = min(m, n), max(m, n)
+    b = np.array(a.T if m > n else a, order="C")  # wide, the same bytes for a and a.T
+    parts = b.view(np.float64)  # real and imaginary parts side by side
+    _, e = math.frexp(max(float(parts.max()), -float(parts.min())))
+    np.ldexp(parts, -e, out=parts)
+    gram = b @ b.conj().T
+    try:
+        lam = np.linalg.eigvalsh(gram)
+    except np.linalg.LinAlgError:
+        return None
+    u = np.finfo(np.float64).eps / 2
+    complex_entries = np.iscomplexobj(b)
+    inner = 2 * big if complex_entries else big
+    gamma = inner * u / (1 - inner * u) * (math.sqrt(2) if complex_entries else 1.0)
+    # trace(G) has relative error at most gamma + k u: its terms are nonnegative.
+    fro2 = float(np.trace(gram).real) / (1 - gamma - k * u)
+    delta = (gamma + 2 * k * u * (1 + gamma)) * fro2
+    lam_min = float(lam[0])
+    if not (lam_min > delta and delta <= (SIGMA_RTOL - 2 * u) * (lam_min - delta)):
+        return None
+    return _frozen(np.ldexp(np.sqrt(lam[::-1]), e))
 
 
 def _exactly_hermitian(a: np.ndarray) -> bool:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrices import Matrix, as_matrix
+from .matrices import Matrix, _freeze_fresh, as_matrix
 
 
 class MatrixParseError(ValueError):
@@ -25,6 +25,7 @@ class MatrixParseError(ValueError):
 
 
 def read_matrix_market(path) -> Matrix:
+    """Read a MatrixMarket file; the parsed array is frozen, not copied again."""
     import scipy.io
     import scipy.sparse
 
@@ -35,7 +36,7 @@ def read_matrix_market(path) -> Matrix:
     if scipy.sparse.issparse(a):
         a = a.toarray()
     try:
-        return as_matrix(a)
+        return _freeze_fresh(a)
     except ValueError as exc:
         raise MatrixParseError(f"{path}: {exc}") from exc
 
@@ -46,7 +47,7 @@ def read_csv(path) -> Matrix:
     except Exception as exc:
         raise MatrixParseError(f"{path}: not a readable CSV matrix: {exc}") from exc
     try:
-        return as_matrix(a)
+        return _freeze_fresh(a)
     except ValueError as exc:
         raise MatrixParseError(f"{path}: {exc}") from exc
 

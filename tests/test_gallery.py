@@ -1,5 +1,6 @@
 """Family constructions: predicted formulas, thresholds, rotation, edges."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -7,7 +8,14 @@ import numpy as np
 import pytest
 
 from srlab import gallery
-from srlab.matrices import PreconditionError, gaussian_matrix, is_psd, prescribed_spectrum_matrix
+from srlab.matrices import (
+    SIGMA_RTOL,
+    PreconditionError,
+    gaussian_matrix,
+    haar_unitary,
+    is_psd,
+    prescribed_spectrum_matrix,
+)
 from srlab.ranks import stable_rank
 from srlab.schatten import INF
 
@@ -317,3 +325,51 @@ def test_evaluate_decomposes_each_matrix_once(build, lapack_calls):
     matrix_keys = {key.partition("_")[2] for key in inst.predicted}
     gallery.evaluate(inst)
     assert len(lapack_calls) == len(matrix_keys), lapack_calls
+
+
+def _embed_wide(a, rng):
+    """``[a, 0]`` times a random orthogonal matrix: wide, with the singular values of ``a``."""
+    m, n = a.shape
+    return np.hstack([a, np.zeros((m, 3 * m))]) @ haar_unitary(rng, n + 3 * m).T
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: gallery.geometric_decay(40, 0.9, rotate_seed=1),
+        lambda: gallery.deletion_family(40, 2.0, rotate_seed=2),
+        lambda: gallery.sum_violation_family(40, 3.0, rotate_seed=3),
+        lambda: gallery.rank1_drop_family(40, 2.0, rotate_seed=4),
+        lambda: gallery.product_violation_family(40, 2.0, rotate_seed=5),
+        lambda: gallery.cross_gap_family(40, 0.5, rotate_seed=6),
+        lambda: gallery.equality_cases("scaled_unitary", 40, 3.0, seed=7),
+        lambda: gallery.equality_cases("flat_spectrum", 40, 1.5, rank=40, seed=8),
+    ],
+)
+def test_exact_families_meet_the_sigma_contract_above_the_crossover(lapack_calls, build):
+    """Embedded in 40 x 160 matrices, the families' sr, sr_p and rank stay
+    within what a relative error of SIGMA_RTOL on each singular value allows:
+    (1+e)/(1-e) to the power p for sr_p (p = 2 for sr), none for the rank.
+    Well-conditioned matrices take the Gram route, rank-deficient ones the SVD.
+    """
+    instance = build()
+    rng = np.random.default_rng(9)
+    rho = (1 + SIGMA_RTOL) / (1 - SIGMA_RTOL)
+    for key, predicted in instance.predicted.items():
+        quantity, _, mat_key = key.partition("_")
+        if quantity == "intdim":  # needs a square input
+            continue
+        a = instance.matrices[mat_key]
+        s = np.linalg.svd(a, compute_uv=False)
+        wide = _embed_wide(a, rng)
+        lapack_calls.clear()
+        one = dataclasses.replace(instance, matrices={mat_key: wide}, predicted={key: predicted})
+        computed = gallery.evaluate(one)[key]["computed"]
+        took_svd = any(name == "svd" for name, _ in lapack_calls)
+        if min(a.shape) < a.shape[0] or s[-1] < 1e-12 * s[0]:
+            assert took_svd, key
+        elif s[-1] >= s[0] / 30:
+            assert not took_svd, key
+        p = {"sr": 2.0, "srp": instance.params.get("p"), "rank": 0.0}[quantity]
+        bound = rho**p - 1 + 1e-12
+        assert abs(computed - predicted) <= bound * predicted, (instance.name, key, computed)

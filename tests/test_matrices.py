@@ -20,6 +20,7 @@ from srlab.matrices import (
     is_psd,
     matmul,
     pivoted_cholesky,
+    prescribed_spectrum_matrix,
     sample,
     scalar_field,
     singular_values,
@@ -455,3 +456,112 @@ def test_hermitian_part_does_not_overflow_near_the_float_maximum():
 
     a = np.array([[0.0, 1.7e308], [1.6e308, 0.0]])
     np.testing.assert_allclose(hermitian_part_eigenvalues(a), [1.65e308, -1.65e308], rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# The certified Gram-eigenvalue route for large rectangular inputs
+
+
+def _svd_route(a):
+    """What ``sigma`` computes on the SVD route: the fallback of the Gram route."""
+    m, n = a.shape
+    return np.maximum(np.linalg.svd(a.T if m < n else a, compute_uv=False), 0.0)
+
+
+def _within_contract(got, exact, rounding=1e-12):
+    """Each value within SIGMA_RTOL of ``exact``, plus ``exact``'s own rounding."""
+    from srlab.matrices import SIGMA_RTOL
+
+    return bool(np.all(np.abs(got - exact) <= SIGMA_RTOL * exact + rounding * exact[0]))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+@pytest.mark.parametrize("shape", [(32, 64), (64, 32), (40, 200), (150, 50)])
+def test_sigma_takes_the_gram_route_above_the_crossover(lapack_calls, shape, field):
+    from srlab.matrices import sigma
+
+    a = gaussian_matrix(np.random.default_rng(21), *shape, field)
+    s = sigma(a)
+    k = min(shape)
+    assert lapack_calls == [("eigvalsh", (k, k))]
+    assert not s.flags.writeable
+    assert s.shape == (k,) and np.all(np.diff(s) <= 0)
+    assert _within_contract(s, _svd_route(a))
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_gram_route_meets_the_contract(lapack_calls, field):
+    from srlab.matrices import sigma
+
+    rng = np.random.default_rng(22)
+    for _ in range(8):
+        k = int(rng.integers(32, 81))
+        big = int(rng.integers(2 * k, 5 * k + 1))
+        shape = (k, big) if rng.integers(2) else (big, k)
+        exact = np.geomspace(1.0, float(rng.uniform(0.05, 1.0)), k)
+        scale = 10.0 ** rng.uniform(-5, 5)
+        cases = [
+            (gaussian_matrix(rng, *shape, field), None),
+            (prescribed_spectrum_matrix(rng, *shape, exact, field) * scale, exact * scale),
+        ]
+        for a, expected in cases:
+            lapack_calls.clear()
+            s = sigma(a)
+            assert lapack_calls == [("eigvalsh", (k, k))], shape
+            assert _within_contract(s, _svd_route(a) if expected is None else expected), shape
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_gram_route_falls_back_to_the_svd_bit_for_bit(lapack_calls, field):
+    from srlab.matrices import sigma
+
+    rng = np.random.default_rng(23)
+    k, big = 40, 120
+    rank_deficient = gaussian_matrix(rng, k, k // 2, field) @ gaussian_matrix(rng, k // 2, big, field)
+    ill_conditioned = prescribed_spectrum_matrix(rng, k, big, np.geomspace(1.0, 1e-6, k), field)
+    for a in (rank_deficient, ill_conditioned, rank_deficient.T, ill_conditioned.T):
+        lapack_calls.clear()
+        s = sigma(a)
+        assert lapack_calls == [("eigvalsh", (k, k)), ("svd", (big, k))]
+        np.testing.assert_array_equal(s, _svd_route(a))
+        assert not s.flags.writeable
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_gram_route_is_exactly_scale_equivariant(lapack_calls, field):
+    from srlab.matrices import sigma
+
+    a = gaussian_matrix(np.random.default_rng(24), 40, 100, field)
+    base = sigma(a)
+    for j in (-1000, -500, 500, 1000):
+        s = sigma(a * 2.0**j)
+        assert np.all(np.isfinite(s))
+        np.testing.assert_array_equal(s, base * 2.0**j)
+    for c in (1e-200, 1e200):  # the unscaled Gram would underflow or overflow
+        np.testing.assert_allclose(sigma(a * c), base * c, rtol=1e-14)
+    assert [name for name, _ in lapack_calls] == ["eigvalsh"] * 7
+
+
+def test_gram_route_on_the_zero_matrix(lapack_calls):
+    from srlab.matrices import sigma
+    from srlab.ranks import numerical_rank, stable_rank
+
+    for shape in [(40, 100), (100, 40)]:
+        lapack_calls.clear()
+        z = np.zeros(shape)
+        s = sigma(z)
+        np.testing.assert_array_equal(s, np.zeros(40))
+        assert not s.flags.writeable
+        assert lapack_calls == [("eigvalsh", (40, 40)), ("svd", (100, 40))]
+        assert numerical_rank(z) == 0 and stable_rank(z).value == 0.0
+
+
+def test_shapes_below_the_crossover_keep_the_svd(lapack_calls):
+    from srlab.matrices import sigma
+
+    rng = np.random.default_rng(25)
+    # Just below GRAM_MIN_SIDE = 32 and GRAM_MIN_ASPECT = 2, then square and thin.
+    shapes = [(31, 200), (200, 31), (40, 79), (79, 40), (60, 60), (5, 500)]
+    for shape in shapes:
+        sigma(gaussian_matrix(rng, *shape))
+    assert lapack_calls == [("svd", (max(s), min(s))) for s in shapes]

@@ -115,3 +115,39 @@ def test_importing_srlab_loads_no_scipy(tmp_path):
         [sys.executable, "-c", code, str(path)], capture_output=True, text=True
     )
     assert out.returncode == 0, out.stderr
+
+
+@pytest.mark.parametrize("fmt", ["array", "coordinate"])
+def test_market_read_freezes_the_parsed_array_without_copying(monkeypatch, tmp_path, fmt):
+    import scipy.io
+    import scipy.sparse
+
+    real_mmread = scipy.io.mmread
+    parsed = []
+
+    def mmread(path):
+        a = real_mmread(path)
+        dense = a.toarray() if scipy.sparse.issparse(a) else a
+        # toarray() returns a fresh array each call: record the one read_matrix_market gets.
+        if scipy.sparse.issparse(a):
+            a.toarray = lambda: dense
+        parsed.append(dense)
+        return a
+
+    monkeypatch.setattr(scipy.io, "mmread", mmread)
+    a = np.arange(6.0).reshape(2, 3)
+    path = tmp_path / "a.mtx"
+    scipy.io.mmwrite(str(path), scipy.sparse.coo_matrix(a) if fmt == "coordinate" else a)
+    got = read_matrix_market(path)
+    assert np.shares_memory(got, parsed[0])
+    assert not got.flags.writeable and got.flags.c_contiguous and got.dtype == np.float64
+    assert np.array_equal(got, a)
+
+
+def test_as_matrix_still_copies_what_the_caller_owns():
+    from srlab.matrices import as_matrix
+
+    a = np.arange(6.0).reshape(2, 3)
+    frozen = as_matrix(a)
+    assert not np.shares_memory(frozen, a)
+    assert a.flags.writeable and not frozen.flags.writeable
