@@ -6,12 +6,22 @@ complex128 entries, validated and frozen by :func:`as_matrix`. Every function
 here is pure and all returned arrays are read-only, so values can be shared
 freely across threads. Sampling is a deterministic function of the seed.
 
-Singular values come from the cheapest exact LAPACK call. An exactly
-Hermitian input (``a == a*`` entrywise, not within a tolerance) takes the
-absolute values of its eigenvalues, sorted descending, from the same
-``eigvalsh`` that :func:`hermitian_part_eigenvalues` runs. A wide input
-(fewer rows than columns) runs the SVD on its transpose, which has the same
-singular values. Every other input runs the SVD as it comes.
+Singular values come from the cheapest LAPACK route for the input. An
+exactly Hermitian input (``a == a*`` entrywise, not within a tolerance)
+takes the absolute values of its eigenvalues, sorted descending, from the
+same ``eigvalsh`` that :func:`hermitian_part_eigenvalues` runs. A
+rectangular input whose smaller side k is at least :data:`GRAM_MIN_SIDE`
+and whose larger side is at least :data:`GRAM_MIN_ASPECT` times k takes the
+square roots of the eigenvalues of its k x k Gram matrix, scaled by an
+exact power of two, when an a posteriori bound certifies every value to a
+relative error of at most :data:`SIGMA_RTOL` (1e-8). With that, ``||A||_2``
+and the Schatten norms are within 1e-8, ``sr_p`` within about 2p * 1e-8 and
+``sr_p^(1/p)`` within about 2e-8, and the numerical rank is exact unless
+some ``s_j / s_1`` lies within that error of ``rtol``; the README derives
+these bounds. When the bound fails, the input falls back to the SVD. Any
+other wide input (fewer rows than columns) runs the SVD on its transpose,
+which has the same singular values. Every other input runs the SVD as it
+comes.
 
 Inside a :func:`trial_scope` the classification and decomposition family
 (:func:`is_hermitian`, :func:`hermitian_part_eigenvalues`, :func:`sigma`,
@@ -218,11 +228,14 @@ def singular_values(a: Matrix) -> Spectrum:
     """Descending singular values via LAPACK, clamped at zero.
 
     An exactly Hermitian input (``a == a*`` entrywise) takes them as the
-    sorted absolute eigenvalues from ``eigvalsh``; a wide input runs the
-    SVD on ``a.T``; any other input runs the SVD on ``a``. Each route is
-    exact in exact arithmetic and accurate to rounding relative to
-    sigma_1. Raises :class:`DecompositionError` if the iteration fails to
-    converge.
+    sorted absolute eigenvalues from ``eigvalsh``. A rectangular input of
+    at least :data:`GRAM_MIN_SIDE` by :data:`GRAM_MIN_ASPECT` times that
+    takes them from the eigenvalues of its small Gram matrix when each is
+    certified to a relative error of :data:`SIGMA_RTOL`, and otherwise from
+    the SVD. Any other wide input runs the SVD on ``a.T``, and any other
+    input the SVD on ``a``. The eigenvalue and SVD routes are accurate to
+    rounding relative to sigma_1. Raises :class:`DecompositionError` if the
+    iteration fails to converge.
     """
     a = _require_2d(a, "singular_values")
     return Spectrum(sigma(a), "singular", a.shape)
@@ -267,7 +280,8 @@ def _certified_gram_sigma(a: np.ndarray) -> np.ndarray | None:
     ``sigma_i(B)^2``, so ``sqrt`` of it is within ``delta / (lam - delta)``
     of ``sigma_i(B)``, relatively. Returns None unless that bound, plus the
     rounding of the square root, is at most :data:`SIGMA_RTOL` for every
-    value; the caller then runs the SVD.
+    value; the caller then runs the SVD. Scaled entries below 2^-1022 round,
+    by at most 2^-1075 each, which is far inside ``delta >= N u / 4``.
     """
     m, n = a.shape
     k, big = min(m, n), max(m, n)
