@@ -14,7 +14,9 @@ rectangular input whose smaller side k is at least :data:`GRAM_MIN_SIDE`
 and whose larger side is at least :data:`GRAM_MIN_ASPECT` times k takes the
 square roots of the eigenvalues of its k x k Gram matrix, scaled by an
 exact power of two, when an a posteriori bound certifies every value to a
-relative error of at most :data:`SIGMA_RTOL` (1e-8). With that, ``||A||_2``
+relative error of at most :data:`SIGMA_RTOL` (1e-8). The bound's Gram
+rounding term is proven; its eigensolver term assumes LAPACK's backward
+error is at most ``k^2 u ||G||_2``. With that, ``||A||_2``
 and the Schatten norms are within 1e-8, ``sr_p`` within about 2p * 1e-8 and
 ``sr_p^(1/p)`` within about 2e-8, and the numerical rank is exact unless
 some ``s_j / s_1`` lies within that error of ``rtol``; the README derives
@@ -252,7 +254,11 @@ def _sigma(a: np.ndarray) -> np.ndarray:
     if m == n and _exactly_hermitian(a):
         return _sigma_from_eigenvalues(hermitian_part_eigenvalues(a))
     k = min(m, n)
-    if k >= GRAM_MIN_SIDE and max(m, n) >= GRAM_MIN_ASPECT * k:
+    if (
+        k >= GRAM_MIN_SIDE
+        and max(m, n) >= GRAM_MIN_ASPECT * k
+        and np.can_cast(a.dtype, np.complex128)
+    ):
         s = _certified_gram_sigma(a)
         if s is not None:
             return s
@@ -266,17 +272,24 @@ def _sigma(a: np.ndarray) -> np.ndarray:
 def _certified_gram_sigma(a: np.ndarray) -> np.ndarray | None:
     """Singular values from the eigenvalues of the small Gram matrix, or None.
 
-    The input is scaled by an exact power of two, ``B = 2^-e A`` with
-    ``2^(e-1) <= max |Re b|, |Im b| < 2^e``, so ``sigma(2^j A)`` is
-    ``2^j sigma(A)`` bit for bit and the Gram ``G = B B*`` (on the smaller
-    side) neither overflows nor underflows. The computed eigenvalues are
-    those of ``G + E`` with ``||E||_2 <= delta``, where ``delta`` adds the
-    rounding of the Gram's inner products of length N (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., section 3.5:
-    ``gamma_N ||B||_F^2``, and ``sqrt(2) gamma_2N`` for complex entries,
-    whose real and imaginary parts are real inner products of length 2N)
-    to the eigensolver's backward error, taken as ``2k u ||G||_2``. By
-    Weyl's inequality each computed eigenvalue is within ``delta`` of
+    The input, in float64 or complex128 whatever its dtype, is scaled by an
+    exact power of two, ``B = 2^-e A`` with ``2^(e-1) <= max |Re b|, |Im b|
+    < 2^e``, so ``sigma(2^j A)`` is ``2^j sigma(A)`` bit for bit and the
+    Gram ``G = B B*`` (on the smaller side) neither overflows nor
+    underflows. The computed eigenvalues are exact for ``G + E``, and
+    ``delta`` bounds ``||E||_2`` as the sum of two terms. The first is
+    proven: the computed
+    Gram differs from ``G`` by at most ``gamma_N ||B||_F^2`` in norm
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 3.5), and by ``sqrt(2) gamma_2N ||B||_F^2`` for complex entries,
+    whose real and imaginary parts are real inner products of length 2N.
+    The second is assumed: LAPACK documents the symmetric eigensolver's
+    backward error only as ``p(k) u ||G||_2`` with an unspecified, modestly
+    growing ``p(k)``; this takes ``p(k) = k^2``, the order of the Householder
+    tridiagonal reduction's normwise bound (Higham, section 19.3). The
+    computed eigenvalues are exact for a matrix of 2-norm ``max |lam|``, so
+    that term is at most ``k^2 u max |lam| / (1 - k^2 u)``. By Weyl's
+    inequality each computed eigenvalue is then within ``delta`` of
     ``sigma_i(B)^2``, so ``sqrt`` of it is within ``delta / (lam - delta)``
     of ``sigma_i(B)``, relatively. Returns None unless that bound, plus the
     rounding of the square root, is at most :data:`SIGMA_RTOL` for every
@@ -285,7 +298,10 @@ def _certified_gram_sigma(a: np.ndarray) -> np.ndarray | None:
     """
     m, n = a.shape
     k, big = min(m, n), max(m, n)
-    b = np.array(a.T if m > n else a, order="C")  # wide, the same bytes for a and a.T
+    # Wide, in float64 or complex128 (the same bytes for a and a.T), and a
+    # fresh copy that the scaling below may overwrite.
+    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
+    b = np.array(a.T if m > n else a, dtype=dtype, order="C")
     parts = b.view(np.float64)  # real and imaginary parts side by side
     _, e = math.frexp(max(float(parts.max()), -float(parts.min())))
     np.ldexp(parts, -e, out=parts)
@@ -300,8 +316,9 @@ def _certified_gram_sigma(a: np.ndarray) -> np.ndarray | None:
     gamma = inner * u / (1 - inner * u) * (math.sqrt(2) if complex_entries else 1.0)
     # trace(G) has relative error at most gamma + k u: its terms are nonnegative.
     fro2 = float(np.trace(gram).real) / (1 - gamma - k * u)
-    delta = (gamma + 2 * k * u * (1 + gamma)) * fro2
-    lam_min = float(lam[0])
+    solver = k * k * u
+    lam_min, lam_norm = float(lam[0]), max(float(lam[-1]), -float(lam[0]))
+    delta = gamma * fro2 + solver * lam_norm / (1 - solver)
     if not (lam_min > delta and delta <= (SIGMA_RTOL - 2 * u) * (lam_min - delta)):
         return None
     return _frozen(np.ldexp(np.sqrt(lam[::-1]), e))

@@ -511,6 +511,32 @@ def test_gram_route_meets_the_contract(lapack_calls, field):
             assert _within_contract(s, _svd_route(a) if expected is None else expected), shape
 
 
+@pytest.mark.parametrize("shape", [(40, 100), (40, 101), (101, 40)])
+def test_gram_route_reads_other_dtypes_as_their_float64_cast(lapack_calls, shape):
+    from srlab.matrices import sigma
+
+    rng = np.random.default_rng(26)
+    gauss = gaussian_matrix(rng, *shape, "complex")
+    inputs = [
+        rng.integers(0, 2, shape),  # a 0/1 adjacency matrix
+        rng.integers(-1000, 1001, shape),
+        rng.integers(0, 7, shape).astype(np.uint8),
+        rng.integers(0, 2, shape).astype(bool),
+        gauss.real.astype(np.float32),
+        gauss.astype(np.complex64),
+    ]
+    for a in inputs:
+        before = a.copy()
+        cast = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
+        lapack_calls.clear()
+        s = sigma(a)
+        assert lapack_calls == [("eigvalsh", (40, 40))], a.dtype
+        np.testing.assert_array_equal(s, sigma(cast))
+        assert s.dtype == np.float64 and np.all(np.isfinite(s))
+        assert _within_contract(s, _svd_route(cast)), a.dtype
+        np.testing.assert_array_equal(a, before)
+
+
 @pytest.mark.parametrize("field", ["real", "complex"])
 def test_gram_route_falls_back_to_the_svd_bit_for_bit(lapack_calls, field):
     from srlab.matrices import sigma
