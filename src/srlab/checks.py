@@ -22,7 +22,7 @@ decomposed once across all checks, not once per check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,9 +47,8 @@ SLACK_RTOL = 1e-10
 _NAN = float("nan")
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one inequality check on concrete matrices."""
+class CheckReport(NamedTuple):
+    """Outcome of one inequality check on concrete matrices (immutable)."""
 
     name: str
     lhs: float
@@ -91,10 +90,16 @@ class CheckReport:
 
 
 def encode_json(v):
-    """JSON-safe encoding: non-finite floats become sentinel strings."""
+    """JSON-safe encoding: non-finite floats become sentinel strings.
+
+    A :class:`CheckReport` becomes its :meth:`~CheckReport.to_json_dict`,
+    not the list its tuple base would give.
+    """
     if isinstance(v, dict):
         return {k: encode_json(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
+        if isinstance(v, CheckReport):
+            return v.to_json_dict()
         return [encode_json(x) for x in v]
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
@@ -124,39 +129,22 @@ def _decode(v):
     return v
 
 
-def _abs_tol(lhs: float, rhs: float) -> float:
-    scale = 1.0
-    for v in (lhs, rhs):
-        if math.isfinite(v):
-            scale = max(scale, abs(v))
-    return SLACK_RTOL * scale
-
-
 def _finish(name: str, lhs: float, rhs: float, margins, details: dict) -> CheckReport:
+    """An applicable report; ``scale`` is max(1, |lhs|, |rhs|) over the finite sides."""
+    lhs = float(lhs)
+    rhs = float(rhs)
     slack = float(min(margins))
-    holds = bool(slack >= -_abs_tol(float(lhs), float(rhs)))
-    return CheckReport(
-        name=name,
-        lhs=float(lhs),
-        rhs=float(rhs),
-        slack=slack,
-        holds=holds,
-        preconditions_met=True,
-        details=details,
-    )
+    scale = 1.0
+    if scale < abs(lhs) < math.inf:
+        scale = abs(lhs)
+    if scale < abs(rhs) < math.inf:
+        scale = abs(rhs)
+    return CheckReport(name, lhs, rhs, slack, slack >= -SLACK_RTOL * scale, True, details)
 
 
 def _not_applicable(name: str, reason: str, **details) -> CheckReport:
     details = {k: v for k, v in details.items() if v is not None}
-    return CheckReport(
-        name=name,
-        lhs=_NAN,
-        rhs=_NAN,
-        slack=_NAN,
-        holds=None,
-        preconditions_met=False,
-        details={"reason": reason, **details},
-    )
+    return CheckReport(name, _NAN, _NAN, _NAN, None, False, {"reason": reason, **details})
 
 
 def _proot(x: float, p: float) -> float:

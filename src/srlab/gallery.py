@@ -261,6 +261,9 @@ def product_violation_family(n: int, alpha: float, rotate_seed: int | None = Non
         a = q @ a @ q.T
         b = q @ b @ q.T
     ab = a @ b
+    # AB = I exactly; symmetrizing keeps the rotated product exactly
+    # symmetric, so it is classified and decomposed like the other inputs.
+    ab = (ab + ab.T) / 2
     thresholds = {"product": Fraction(alpha) > 1}
     return FamilyInstance(
         name="product_violation_family",

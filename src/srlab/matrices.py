@@ -36,10 +36,14 @@ Outside a scope nothing is cached.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+from collections.abc import Callable
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -343,10 +347,20 @@ def hermitian_asymmetry(a: Matrix) -> float:
 
 
 def is_hermitian(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """max |A - A*| within ``tol.hermitian_asym * max(1, max |A|)``."""
+    """max |A - A*| within ``tol.hermitian_asym * max(1, max |A|)``.
+
+    False for any input with a nan or infinite entry.
+    """
     a = _require_square(a, "is_hermitian")
     kind = ("hermitian", tol.hermitian_asym)
-    return _memo(kind, a, lambda a: hermitian_asymmetry(a) <= _asymmetry_bound(a, tol))
+    return _memo(kind, a, lambda a: _is_hermitian(a, tol))
+
+
+def _is_hermitian(a: np.ndarray, tol: Tolerances) -> bool:
+    if _exactly_hermitian(a):
+        # The asymmetry is 0, or nan where inf - inf meets an infinite entry.
+        return bool(np.isfinite(a).all())
+    return hermitian_asymmetry(a) <= _asymmetry_bound(a, tol)
 
 
 def _asymmetry_bound(a: np.ndarray, tol: Tolerances) -> float:
@@ -471,41 +485,128 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
 def pivoted_cholesky(
     a: Matrix, tol: Tolerances = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray, int]:
-    """Diagonally pivoted Cholesky factorization of a PSD matrix.
+    """Diagonally pivoted Cholesky factorization of a PSD matrix, by LAPACK ``?pstrf``.
 
     Returns ``(L, perm, rank)`` with ``a[perm][:, perm] ~= L @ L*`` and ``L``
-    of shape ``(n, rank)``. Pivoting always takes the largest remaining
-    diagonal entry; the sweep stops once it drops below
-    ``psd_negativity * trace(a) / n`` and raises :class:`DecompositionError`
-    if it turns significantly negative (indefinite input).
+    of shape ``(n, rank)``, lower trapezoidal with a positive diagonal. Only
+    the lower triangle of ``a`` is read. Each step pivots on the largest
+    remaining diagonal entry of the Schur complement; the factorization
+    stops once that entry is at most ``psd_negativity * trace(a) / n``.
+    Raises :class:`DecompositionError` if the largest diagonal entry of the
+    Schur complement left after ``rank`` steps is below
+    ``-psd_negativity * max(1, trace(a))`` (indefinite input), or if LAPACK
+    reports an error. :func:`pstrf_provider` says which LAPACK runs.
     """
     a = _require_square(a, "pivoted_cholesky")
     n = a.shape[0]
-    w = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
-    perm = np.arange(n)
-    total = max(float(np.trace(w).real), 0.0)
-    threshold = tol.psd_negativity * total / n
-    rank = n
-    for i in range(n):
-        d = np.real(np.diagonal(w))
-        j = i + int(np.argmax(d[i:]))
-        pivot = d[j]
-        if pivot <= threshold:
-            if pivot < -tol.psd_negativity * max(1.0, total):
-                raise DecompositionError(
-                    f"pivoted Cholesky breakdown: negative pivot {pivot:.6e}"
-                )
-            rank = i
-            break
-        if j != i:
-            w[:, [i, j]] = w[:, [j, i]]
-            w[[i, j], :] = w[[j, i], :]
-            perm[[i, j]] = perm[[j, i]]
-        w[i, i] = np.sqrt(pivot)
-        w[i + 1 :, i] /= w[i, i]
-        w[i + 1 :, i + 1 :] -= np.outer(w[i + 1 :, i], np.conj(w[i + 1 :, i]))
-    L = np.tril(w)[:, :rank]
+    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
+    w = np.array(a, dtype=dtype, order="F")
+    total = max(float(w.trace().real), 0.0)
+    w, piv, rank, info = pstrf_provider()[1](w, tol.psd_negativity * total / n)
+    if info < 0:
+        raise DecompositionError(f"LAPACK ?pstrf rejected argument {-info}")
+    perm = piv - 1
+    w[_above_diagonal(n)] = 0
+    L = w[:, :rank]
+    if rank < n:
+        rest = L[rank:]
+        norms = np.add.reduce((rest * rest.conj()).real, axis=1)
+        schur = a.diagonal().real[perm[rank:]] - norms
+        pivot = float(schur.max())
+        if pivot < -tol.psd_negativity * max(1.0, total):
+            raise DecompositionError(f"pivoted Cholesky breakdown: negative pivot {pivot:.6e}")
     return L, perm, rank
+
+
+@functools.lru_cache(maxsize=32)
+def _above_diagonal(n: int) -> np.ndarray:
+    """Read-only mask of the entries above the diagonal of an n x n array.
+
+    Cached because ``np.tril`` builds this mask on every call, which on the
+    small inputs of a fuzz trial costs about as much as the LAPACK call.
+    """
+    return _frozen(np.triu(np.ones((n, n), dtype=bool), 1))
+
+
+# LAPACKE's matrix_layout value for column-major (Fortran) storage.
+_LAPACK_COL_MAJOR = 102
+
+
+@functools.cache
+def pstrf_provider() -> tuple[str, Callable]:
+    """``(name, routine)`` of the LAPACK ``?pstrf`` that :func:`pivoted_cholesky` calls.
+
+    "openblas" is the ILP64 LAPACKE routine exported by the OpenBLAS that
+    numpy bundles, called through :mod:`ctypes` with no SciPy import;
+    "scipy" is :mod:`scipy.linalg.lapack`, taken where numpy bundles no
+    such library. ``routine(w, tol)`` factors the lower triangle of the
+    Fortran-ordered float64 or complex128 square ``w``, which it may
+    overwrite, and returns ``(factor, piv, rank, info)`` with 1-based int64
+    pivots, as LAPACK does.
+    """
+    routines = _bundled_pstrf()
+    if routines is None:
+        return "scipy", _scipy_pstrf
+
+    def openblas_pstrf(w: np.ndarray, tol: float):
+        routine = routines.get(w.dtype)
+        n = w.shape[0]
+        if routine is None or w.shape != (n, n) or not (w.flags.f_contiguous and w.flags.writeable):
+            raise ValueError(
+                "?pstrf needs a writeable Fortran-ordered square float64 or complex128 array"
+            )
+        piv = np.empty(n, dtype=np.int64)
+        rank = ctypes.c_int64()
+        info = routine(
+            _LAPACK_COL_MAJOR, b"L", n, w.ctypes.data, n, piv.ctypes.data, ctypes.byref(rank), tol
+        )
+        return w, piv, rank.value, info
+
+    return "openblas", openblas_pstrf
+
+
+def _bundled_pstrf() -> dict | None:
+    """LAPACKE ``dpstrf`` and ``zpstrf`` from numpy's bundled ILP64 OpenBLAS, by dtype.
+
+    None where numpy bundles no such library (a numpy built against a
+    system BLAS, say). Opening the library numpy has already loaded maps
+    nothing new.
+    """
+    package = Path(np.__file__).parent
+    libraries = [
+        *sorted(package.parent.glob("numpy.libs/libscipy_openblas64_*")),
+        *sorted(package.glob(".dylibs/libscipy_openblas64_*")),
+    ]
+    for path in libraries:
+        try:
+            lib = ctypes.CDLL(str(path))
+            routines = [getattr(lib, f"scipy_LAPACKE_{t}pstrf64_") for t in "dz"]
+        except (OSError, AttributeError):
+            continue
+        for routine in routines:
+            # lapack_int LAPACKE_?pstrf(int layout, char uplo, lapack_int n, T *a,
+            #     lapack_int lda, lapack_int *piv, lapack_int *rank, double tol)
+            routine.argtypes = [
+                ctypes.c_int,
+                ctypes.c_char,
+                ctypes.c_int64,
+                ctypes.c_void_p,
+                ctypes.c_int64,
+                ctypes.c_void_p,
+                ctypes.POINTER(ctypes.c_int64),
+                ctypes.c_double,
+            ]
+            routine.restype = ctypes.c_int64
+        return dict(zip((np.dtype(np.float64), np.dtype(np.complex128)), routines))
+    return None
+
+
+def _scipy_pstrf(w: np.ndarray, tol: float):
+    from scipy.linalg import lapack
+
+    routine = lapack.zpstrf if w.dtype == np.complex128 else lapack.dpstrf
+    c, piv, rank, info = routine(w, tol=tol, lower=1, overwrite_a=1)
+    return c, piv.astype(np.int64), rank, info
 
 
 # ---------------------------------------------------------------------------

@@ -53,15 +53,15 @@ def normalized_power_sum(values: np.ndarray, p):
     if np.ndim(p) == 0:
         if top == 0.0:
             return 0.0
-        return float(np.sum((values / top) ** p))
+        return float(np.add.reduce((values / top) ** p))
     exponents = np.asarray(p, dtype=np.float64)
     if top == 0.0:
         return np.zeros(len(exponents))
     ratios = values / top
-    sums = np.sum(ratios ** exponents[:, None], axis=1)
+    sums = np.add.reduce(ratios ** exponents[:, None], axis=1)
     for i, q in enumerate(exponents.tolist()):
         if q in _SCALAR_POWER_SHORTCUTS:
-            sums[i] = np.sum(ratios**q)
+            sums[i] = np.add.reduce(ratios**q)
     return sums
 
 

@@ -25,6 +25,7 @@ from srlab.checks import (
     check_rank1_addition,
     check_sum_subadditivity_proot,
     check_weyl,
+    encode_json,
     grid_cross_product,
 )
 from srlab.matrices import gaussian_matrix, haar_unitary, projector_matrix, rank1_psd_matrix
@@ -472,6 +473,49 @@ def test_report_json_round_trip_lossless():
                 assert math.isnan(back.details[key])
             else:
                 assert back.details[key] == value
+
+
+def test_check_report_is_an_immutable_record():
+    report = check_weyl(np.diag([2.0, 1.0]), np.diag([1.0, 0.5]))
+    assert report == CheckReport(
+        name="weyl",
+        lhs=2.5,
+        rhs=3.0,
+        slack=0.5,
+        holds=True,
+        preconditions_met=True,
+        details=report.details,
+    )
+    assert report.status == "pass"
+    with pytest.raises(AttributeError):
+        report.slack = -1.0
+    failed = CheckReport("weyl", 1.0, 0.0, -1.0, False, True, {})
+    assert failed.status == "fail"
+    assert check_weyl(np.diag([1.0, -1.0]), np.eye(2)).status == "not-applicable"
+    assert CheckReport.from_json_dict(report.to_json_dict()) == report
+
+
+def test_encode_json_of_verify_payloads_is_unchanged():
+    passed = check_weyl(np.diag([2.0, 1.0]), np.diag([1.0, 0.5]))
+    na = check_weyl(np.diag([1.0, -1.0]), np.eye(2))
+    encoded = [
+        json.dumps(encode_json({"schema": 1, "kind": "verify", **r.to_json_dict()}), sort_keys=True)
+        for r in (passed, na)
+    ]
+    assert encoded == [
+        '{"details": {"lam1_a": 2.0, "lam1_sum": 3.0, "lamn_b": 0.5, "slack_base_bound": 0.5, '
+        '"slack_sum_bound": 0.5}, "holds": true, "kind": "verify", "lhs": 2.5, "name": "weyl", '
+        '"preconditions_met": true, "rhs": 3.0, "schema": 1, "slack": 0.5, "status": "pass"}',
+        '{"details": {"reason": "A is not positive semi-definite"}, "holds": null, '
+        '"kind": "verify", "lhs": "nan", "name": "weyl", "preconditions_met": false, '
+        '"rhs": "nan", "schema": 1, "slack": "nan", "status": "not-applicable"}',
+    ]
+    # A report nested in a payload encodes as its JSON dict, not as the
+    # list its tuple base would give; plain tuples still become lists.
+    assert encode_json({"r": passed, "t": (1.0, INF)}) == {
+        "r": passed.to_json_dict(),
+        "t": [1.0, "inf"],
+    }
 
 
 def test_tolerance_policy_uniform():

@@ -8,7 +8,7 @@ import pytest
 
 from srlab import fuzz
 from srlab import matrices as mat
-from srlab.checks import CHECKS, CheckReport
+from srlab.checks import CHECKS, CheckReport, encode_json
 from srlab.fuzz import (
     FuzzConfig,
     reproduce_check,
@@ -107,6 +107,27 @@ def test_argmin_instance_regenerates():
             continue
         again = reproduce_check(cfg, arg["trial"], name, arg["variant"], arg["p"])
         assert abs(again.slack - agg["min_slack"]) <= 1e-14
+
+
+def test_encode_json_of_a_fuzz_payload_is_unchanged(monkeypatch):
+    def always_fails(a, b, tol=None):
+        return CheckReport("weyl", 1.0, math.inf, -1.0, False, True, {"pair": (0.5, math.nan)})
+
+    monkeypatch.setattr(fuzz, "check_weyl", always_fails)
+    cfg = FuzzConfig(trials=1, seed=11, checks=("weyl",), parallelism=1)
+    payload = run_fuzz(cfg).to_json_dict()
+    payload.pop("wall_time")
+    assert json.dumps(encode_json(payload), sort_keys=True) == (
+        '{"checks": {"weyl": {"applicable_count": 1, "argmin_instance_seed": {"p": null, '
+        '"seed": 11, "trial": 0, "variant": null}, "min_slack": -1.0, "pass_count": 0}}, '
+        '"config": {"checks": ["weyl"], "dims_max": 20, "distributions": ["gaussian", '
+        '"orthogonal_projector", "prescribed_spectrum", "psd_gram", "rank1_psd"], "p_grid": '
+        '[1.0, 1.5, 2.0, 3.0, 10.0, "inf"], "seed": 11, "trials": 1}, "failures": [{"check": '
+        '"weyl", "p": null, "report": {"details": {"pair": [0.5, "nan"]}, "holds": false, '
+        '"lhs": 1.0, "name": "weyl", "preconditions_met": true, "rhs": "inf", "slack": -1.0, '
+        '"status": "fail"}, "seed": 11, "trial": 0, "variant": null}], "kind": "fuzz_report", '
+        '"schema": 1}'
+    )
 
 
 def test_failures_are_captured_with_seeds(monkeypatch):

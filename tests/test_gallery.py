@@ -318,6 +318,7 @@ def test_sum_violation_negative_alpha():
         lambda: gallery.deletion_family(5, 2.0, rotate_seed=3),
         lambda: gallery.sum_violation_family(5, 2.0, rotate_seed=3),
         lambda: gallery.cross_gap_family(4, 0.5, rotate_seed=3),
+        lambda: gallery.product_violation_family(4, 2.0, rotate_seed=3),
     ],
 )
 def test_evaluate_decomposes_each_matrix_once(build, lapack_calls):

@@ -1,10 +1,14 @@
 """Substrate tests: decompositions, classification, sampling."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from srlab import matrices
 from srlab.matrices import (
     DecompositionError,
     PreconditionError,
@@ -94,6 +98,16 @@ def test_is_hermitian_basic():
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         is_hermitian(np.zeros((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(np.inf, 0.0)])
+def test_is_hermitian_rejects_non_finite_entries(bad):
+    # inf - inf is nan, so an exactly symmetric input with an infinite
+    # entry is not Hermitian within any tolerance; nor is one with a nan.
+    for i, j in [(0, 0), (0, 2), (1, 2)]:
+        a = np.eye(3, dtype=np.result_type(type(bad), np.float64))
+        a[i, j] = a[j, i] = bad
+        assert not is_hermitian(a), (bad, i, j)
 
 
 @given(seed=seeds, n=small_dims, field=fields)
@@ -255,7 +269,17 @@ def test_sampled_spectra_are_sorted_nonnegative(seed):
 # Pivoted Cholesky
 
 
-def test_pivoted_cholesky_reconstructs():
+@pytest.fixture(params=["openblas", "scipy"])
+def pstrf(request, monkeypatch):
+    """Route :func:`pivoted_cholesky` through one ``?pstrf`` provider."""
+    if request.param == "scipy":
+        monkeypatch.setattr(matrices, "pstrf_provider", lambda: ("scipy", matrices._scipy_pstrf))
+    elif matrices.pstrf_provider()[0] != "openblas":
+        pytest.skip("numpy bundles no ILP64 OpenBLAS ?pstrf here")
+    return request.param
+
+
+def test_pivoted_cholesky_reconstructs(pstrf):
     rng = np.random.default_rng(0)
     x = rng.standard_normal((8, 5))
     a = x.T @ x
@@ -264,7 +288,7 @@ def test_pivoted_cholesky_reconstructs():
     assert np.allclose(a[np.ix_(perm, perm)], L @ L.T, atol=1e-10)
 
 
-def test_pivoted_cholesky_truncates_low_rank():
+def test_pivoted_cholesky_truncates_low_rank(pstrf):
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(rng.standard_normal((6, 2)))
     a = q @ q.T
@@ -273,7 +297,7 @@ def test_pivoted_cholesky_truncates_low_rank():
     assert np.allclose(a[np.ix_(perm, perm)], L @ L.conj().T, atol=1e-10)
 
 
-def test_pivoted_cholesky_complex():
+def test_pivoted_cholesky_complex(pstrf):
     rng = np.random.default_rng(2)
     x = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
     a = x.conj().T @ x
@@ -282,9 +306,66 @@ def test_pivoted_cholesky_complex():
     assert np.allclose(a[np.ix_(perm, perm)], L @ L.conj().T, atol=1e-10)
 
 
-def test_pivoted_cholesky_breaks_down_on_indefinite():
+def test_pivoted_cholesky_breaks_down_on_indefinite(pstrf):
     with pytest.raises(DecompositionError):
         pivoted_cholesky(np.diag([1.0, -1.0]))
+
+
+def test_pivoted_cholesky_breaks_down_on_a_late_negative_pivot(pstrf):
+    # Every diagonal entry is positive: the first two pivots (1, then 0.5)
+    # go through, and the Schur complement left is 1 - 2^2 = -3.
+    a = np.array([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, 0.5]])
+    with pytest.raises(DecompositionError, match="negative pivot -3"):
+        pivoted_cholesky(a)
+    with pytest.raises(DecompositionError, match="negative pivot -3"):
+        pivoted_cholesky(a.astype(np.complex128))
+
+
+def _factor_with(provider: str, a: np.ndarray):
+    with pytest.MonkeyPatch.context() as mp:
+        if provider == "scipy":
+            mp.setattr(matrices, "pstrf_provider", lambda: ("scipy", matrices._scipy_pstrf))
+        return pivoted_cholesky(a)
+
+
+def _random_psd(rng, n, field):
+    rank = int(rng.integers(1, n + 1))
+    x = gaussian_matrix(rng, n, rank, field)
+    return x @ x.conj().T / rank, rank
+
+
+def test_pstrf_providers_agree():
+    if matrices.pstrf_provider()[0] != "openblas":
+        pytest.skip("numpy bundles no ILP64 OpenBLAS ?pstrf here")
+    rng = np.random.default_rng(29)
+    fields = ("real", "complex")
+    cases = [_random_psd(rng, int(rng.integers(1, 21)), fields[i % 2]) for i in range(200)]
+    big = gaussian_matrix(rng, 300, 120)
+    cases.append((big @ big.T, 120))
+    assert sum(rank < len(a) for a, rank in cases) > 100
+    for a, rank in cases:
+        bound = 1e-12 * np.linalg.norm(a)
+        for provider in ("openblas", "scipy"):
+            L, perm, r = _factor_with(provider, a)
+            assert r == rank, (provider, a.shape)
+            assert sorted(perm.tolist()) == list(range(len(a)))
+            assert np.linalg.norm(a[np.ix_(perm, perm)] - L @ L.conj().T) <= bound, provider
+
+
+def test_run_trial_loads_no_scipy():
+    if matrices.pstrf_provider()[0] != "openblas":
+        pytest.skip("numpy bundles no ILP64 OpenBLAS ?pstrf here")
+    code = (
+        "import sys\n"
+        "import srlab.fuzz as f\n"
+        "cfg = f.FuzzConfig(trials=1, seed=0, parallelism=1)\n"
+        "reports = {r.check: r.report for r in f.run_trial(0, 0, cfg)}\n"
+        "assert reports['cholesky_intdim'].status == 'pass', reports['cholesky_intdim']\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
 
 
 def test_trial_scope_memoizes_read_only_results():
