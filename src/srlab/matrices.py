@@ -32,6 +32,11 @@ remembers each result by the input's kind, shape, dtype and bytes, so a
 matrix that several checks share is decomposed once, and the singular
 values of an exactly Hermitian matrix share its eigendecomposition.
 Outside a scope nothing is cached.
+
+:func:`pivoted_cholesky` is one call of LAPACK's ``?pstrf``. Where numpy
+bundles an ILP64 OpenBLAS that exports the LAPACKE routine, it is called
+through :mod:`ctypes` and SciPy is not imported; elsewhere it comes from
+:mod:`scipy.linalg.lapack`. :func:`pstrf_provider` says which.
 """
 
 from __future__ import annotations

@@ -269,13 +269,17 @@ def test_sampled_spectra_are_sorted_nonnegative(seed):
 # Pivoted Cholesky
 
 
-@pytest.fixture(params=["openblas", "scipy"])
+needs_bundled_pstrf = pytest.mark.skipif(
+    matrices.pstrf_provider()[0] != "openblas",
+    reason="numpy bundles no ILP64 OpenBLAS ?pstrf here",
+)
+
+
+@pytest.fixture(params=[pytest.param("openblas", marks=needs_bundled_pstrf), "scipy"])
 def pstrf(request, monkeypatch):
     """Route :func:`pivoted_cholesky` through one ``?pstrf`` provider."""
     if request.param == "scipy":
         monkeypatch.setattr(matrices, "pstrf_provider", lambda: ("scipy", matrices._scipy_pstrf))
-    elif matrices.pstrf_provider()[0] != "openblas":
-        pytest.skip("numpy bundles no ILP64 OpenBLAS ?pstrf here")
     return request.param
 
 
@@ -331,12 +335,12 @@ def _factor_with(provider: str, a: np.ndarray):
 def _random_psd(rng, n, field):
     rank = int(rng.integers(1, n + 1))
     x = gaussian_matrix(rng, n, rank, field)
-    return x @ x.conj().T / rank, rank
+    g = x @ x.conj().T / rank
+    return (g + g.conj().T) / 2, rank
 
 
+@needs_bundled_pstrf
 def test_pstrf_providers_agree():
-    if matrices.pstrf_provider()[0] != "openblas":
-        pytest.skip("numpy bundles no ILP64 OpenBLAS ?pstrf here")
     rng = np.random.default_rng(29)
     fields = ("real", "complex")
     cases = [_random_psd(rng, int(rng.integers(1, 21)), fields[i % 2]) for i in range(200)]
@@ -352,9 +356,39 @@ def test_pstrf_providers_agree():
             assert np.linalg.norm(a[np.ix_(perm, perm)] - L @ L.conj().T) <= bound, provider
 
 
+def _loop_pivoted_cholesky(a, tol=Tolerances()):
+    """The Python elimination loop that ``?pstrf`` replaced, as a reference."""
+    n = a.shape[0]
+    w = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
+    perm = np.arange(n)
+    threshold = tol.psd_negativity * max(float(np.trace(w).real), 0.0) / n
+    for i in range(n):
+        d = np.real(np.diagonal(w))
+        j = i + int(np.argmax(d[i:]))
+        pivot = d[j]  # a scalar: d is a view of the diagonal the swaps move
+        if pivot <= threshold:
+            return perm, i
+        w[:, [i, j]] = w[:, [j, i]]
+        w[[i, j], :] = w[[j, i], :]
+        perm[[i, j]] = perm[[j, i]]
+        w[i, i] = np.sqrt(pivot)
+        w[i + 1 :, i] /= w[i, i]
+        w[i + 1 :, i + 1 :] -= np.outer(w[i + 1 :, i], np.conj(w[i + 1 :, i]))
+    return perm, n
+
+
+def test_pivoted_cholesky_pivots_like_the_elimination_loop(pstrf):
+    rng = np.random.default_rng(31)
+    for i in range(100):
+        a, _ = _random_psd(rng, int(rng.integers(1, 13)), ("real", "complex")[i % 2])
+        _, perm, rank = pivoted_cholesky(a)
+        loop_perm, loop_rank = _loop_pivoted_cholesky(a)
+        assert rank == loop_rank
+        assert perm[:rank].tolist() == loop_perm[:rank].tolist()
+
+
+@needs_bundled_pstrf
 def test_run_trial_loads_no_scipy():
-    if matrices.pstrf_provider()[0] != "openblas":
-        pytest.skip("numpy bundles no ILP64 OpenBLAS ?pstrf here")
     code = (
         "import sys\n"
         "import srlab.fuzz as f\n"
