@@ -507,7 +507,8 @@ def pivoted_cholesky(
     dtype = np.complex128 if np.iscomplexobj(a) else np.float64
     w = np.array(a, dtype=dtype, order="F")
     total = max(float(w.trace().real), 0.0)
-    w, piv, rank, info = pstrf_provider()[1](w, tol.psd_negativity * total / n)
+    _, pstrf = pstrf_provider()
+    w, piv, rank, info = pstrf(w, tol.psd_negativity * total / n)
     if info < 0:
         raise DecompositionError(f"LAPACK ?pstrf rejected argument {-info}")
     perm = piv - 1

@@ -275,11 +275,15 @@ needs_bundled_pstrf = pytest.mark.skipif(
 )
 
 
+def _force_scipy_pstrf(mp: pytest.MonkeyPatch) -> None:
+    mp.setattr(matrices, "pstrf_provider", lambda: ("scipy", matrices._scipy_pstrf))
+
+
 @pytest.fixture(params=[pytest.param("openblas", marks=needs_bundled_pstrf), "scipy"])
 def pstrf(request, monkeypatch):
     """Route :func:`pivoted_cholesky` through one ``?pstrf`` provider."""
     if request.param == "scipy":
-        monkeypatch.setattr(matrices, "pstrf_provider", lambda: ("scipy", matrices._scipy_pstrf))
+        _force_scipy_pstrf(monkeypatch)
     return request.param
 
 
@@ -328,7 +332,7 @@ def test_pivoted_cholesky_breaks_down_on_a_late_negative_pivot(pstrf):
 def _factor_with(provider: str, a: np.ndarray):
     with pytest.MonkeyPatch.context() as mp:
         if provider == "scipy":
-            mp.setattr(matrices, "pstrf_provider", lambda: ("scipy", matrices._scipy_pstrf))
+            _force_scipy_pstrf(mp)
         return pivoted_cholesky(a)
 
 
