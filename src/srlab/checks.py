@@ -13,10 +13,17 @@ Conventions shared by every checker:
 
 Exponent-dependent checks also come in ``grid_*`` form, which evaluates a
 whole exponent grid with one power-sum call per spectrum; ``check_*`` is
-the single-exponent special case. Every classification and decomposition
-goes through the :mod:`srlab.matrices` family, so inside a
+the single-exponent special case. Every sr_p comes from
+:func:`srlab.ranks.srp_from_sigma`, and every intrinsic dimension from
+:func:`srlab.matrices.psd_intrinsic_dimension`. Every classification and
+decomposition goes through the :mod:`srlab.matrices` family, so inside a
 :func:`srlab.matrices.trial_scope` (one fuzz trial) each input is
 decomposed once across all checks, not once per check.
+
+:data:`CHECKS` maps each check's name to its ``check_*`` function, whose
+signature is the whole description the CLI needs: the parameters without
+defaults are its inputs. Which fuzz-trial inputs feed which check is
+described in :mod:`srlab.fuzz`.
 """
 
 from __future__ import annotations
@@ -39,8 +46,11 @@ from .matrices import (
     sigma,
     sigma_and_psd,
 )
-from .ranks import DEFAULT_RANK_RTOL, numerical_rank_from_spectrum
-from .schatten import normalized_power_sum
+from .ranks import DEFAULT_RANK_RTOL, numerical_rank_from_spectrum, srp_from_sigma
+
+# Not called here: perfbench's traced run counts power sums by wrapping
+# this module attribute, so the name stays importable from srlab.checks.
+from .schatten import normalized_power_sum  # noqa: F401
 
 SLACK_RTOL = 1e-10
 
@@ -154,36 +164,14 @@ def _proot(x: float, p: float) -> float:
     return x ** (1.0 / p)
 
 
-def _srp_from_values(values: np.ndarray, p: float) -> float:
-    """p-stable rank of a descending nonnegative spectrum."""
-    if len(values) == 0 or values[0] <= 0.0:
-        return 0.0
-    if math.isinf(p):
-        return 1.0
-    return normalized_power_sum(values, p)
-
-
-def _srp_grid(values: np.ndarray, ps: list[float]) -> list[float]:
-    """:func:`_srp_from_values` for every p in ``ps``, with one power-sum call."""
-    if len(values) == 0 or values[0] <= 0.0:
-        return [0.0] * len(ps)
-    finite = [p for p in ps if not math.isinf(p)]
-    sums = iter(normalized_power_sum(values, np.array(finite)).tolist())
-    return [1.0 if math.isinf(p) else next(sums) for p in ps]
-
-
 def _proot_grid(values: np.ndarray, ps: list[float]) -> list[float]:
     """srp(values)^(1/p) for every p in ``ps``, with one power-sum call."""
-    return [_proot(x, p) for x, p in zip(_srp_grid(values, ps), ps)]
+    return [_proot(x, p) for x, p in zip(srp_from_sigma(values, ps).tolist(), ps)]
 
 
 def _psd_sigma(w: np.ndarray) -> np.ndarray:
     """Singular values of a PSD matrix from its descending eigenvalues."""
     return np.maximum(w, 0.0)
-
-
-def _sr_from_values(values: np.ndarray) -> float:
-    return _srp_from_values(values, 2.0)
 
 
 def _is_zero(a: np.ndarray) -> bool:
@@ -260,9 +248,9 @@ def check_block_diag_sr(
     block = np.zeros((m1 + m2, n1 + n2), dtype=dtype)
     block[:m1, :n1] = a11
     block[m1:, n1:] = a22
-    sr11 = _sr_from_values(sigma(a11))
-    sr22 = _sr_from_values(sigma(a22))
-    sr_block = _sr_from_values(sigma(block))
+    sr11 = srp_from_sigma(sigma(a11), 2.0)
+    sr22 = srp_from_sigma(sigma(a22), 2.0)
+    sr_block = srp_from_sigma(sigma(block), 2.0)
     low = min(sr11, sr22)
     high = sr11 + sr22
     margins = [sr_block - low, high - sr_block]
@@ -323,8 +311,8 @@ def check_deletion(
     sh = sigma(ahat)
     rank_a = numerical_rank_from_spectrum(sa, rtol)
     rank_h = numerical_rank_from_spectrum(sh, rtol)
-    sr_a = _sr_from_values(sa)
-    sr_h = _sr_from_values(sh)
+    sr_a = srp_from_sigma(sa, 2.0)
+    sr_h = srp_from_sigma(sh, 2.0)
     details = {
         "drop_col": drop_col,
         "rank_a": rank_a,
@@ -364,7 +352,7 @@ def check_cholesky_intdim(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> CheckRepo
         )
     intdim_a = psd_intrinsic_dimension(a)
     sl = sigma(L) if rank > 0 else np.zeros(0)
-    sr_l = _sr_from_values(sl)
+    sr_l = srp_from_sigma(sl, 2.0)
     margins = [sr_l - intdim_a]
     details = {
         "factor_stable_rank": sr_l,
@@ -385,18 +373,23 @@ def check_cholesky_intdim(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> CheckRepo
 # Exponent-dependent checkers (grid form: one power-sum call per spectrum)
 
 
-def _finite_p_or_na(name: str, p: float) -> CheckReport | float:
-    p = float(p)
-    if not math.isfinite(p) or p < 1.0:
-        return _not_applicable(name, f"requires finite p >= 1, got p={p}", p=p)
-    return p
+def _not_applicable_grid(name: str, reason: str, p_grid, **details) -> list[CheckReport]:
+    return [_not_applicable(name, reason, p=float(p), **details) for p in p_grid]
 
 
-def _p_or_na(name: str, p: float) -> CheckReport | float:
-    p = float(p)
-    if math.isnan(p) or p < 1.0:
-        return _not_applicable(name, f"requires p >= 1, got p={p}", p=p)
-    return p
+def _grid_exponents(name: str, p_grid, finite: bool) -> tuple[list, list[float]]:
+    """Per grid point a not-applicable report or the exponent, and the exponents.
+
+    An exponent must be at least 1, and finite where ``finite`` is set.
+    """
+    need = "finite p" if finite else "p"
+    checked = []
+    for p in map(float, p_grid):
+        if math.isnan(p) or p < 1.0 or (finite and math.isinf(p)):
+            checked.append(_not_applicable(name, f"requires {need} >= 1, got p={p}", p=p))
+        else:
+            checked.append(p)
+    return checked, [p for p in checked if not isinstance(p, CheckReport)]
 
 
 def _grid_reports(checked: list, reports) -> list[CheckReport]:
@@ -427,9 +420,8 @@ def grid_sum_subadditivity_proot(
         if wa is None or wb is None:
             reason = "requires positive semi-definite matrices"
     if reason is not None:
-        return [_not_applicable(name, reason, p=float(p)) for p in p_grid]
-    checked = [_finite_p_or_na(name, p) for p in p_grid]
-    ps = [p for p in checked if not isinstance(p, CheckReport)]
+        return _not_applicable_grid(name, reason, p_grid)
+    checked, ps = _grid_exponents(name, p_grid, finite=True)
     roots_a = _proot_grid(_psd_sigma(wa), ps)
     roots_b = _proot_grid(_psd_sigma(wb), ps)
     roots_sum = _proot_grid(_psd_sigma(hermitian_part_eigenvalues(a + b)), ps)
@@ -474,9 +466,8 @@ def grid_rank1_addition(
                 reason = f"requires rank(B) = 1, got {rank_b}"
                 extra = {"rank_b": rank_b}
     if reason is not None:
-        return [_not_applicable(name, reason, p=float(p), **extra) for p in p_grid]
-    checked = [_p_or_na(name, p) for p in p_grid]
-    ps = [p for p in checked if not isinstance(p, CheckReport)]
+        return _not_applicable_grid(name, reason, p_grid, **extra)
+    checked, ps = _grid_exponents(name, p_grid, finite=False)
     roots_a = _proot_grid(_psd_sigma(wa), ps)
     roots_sum = _proot_grid(_psd_sigma(hermitian_part_eigenvalues(a + b)), ps)
 
@@ -510,19 +501,16 @@ def grid_product_kappa(
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return [_not_applicable(name, "requires square A", p=float(p)) for p in p_grid]
+        return _not_applicable_grid(name, "requires square A", p_grid)
     if b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
     sa = sigma(a)
     if numerical_rank_from_spectrum(sa, rtol) != a.shape[0]:
-        return [
-            _not_applicable(name, "A is numerically singular", p=float(p)) for p in p_grid
-        ]
+        return _not_applicable_grid(name, "A is numerically singular", p_grid)
     kappa = float(sa[0] / sa[-1])
-    checked = [_finite_p_or_na(name, p) for p in p_grid]
-    ps = [p for p in checked if not isinstance(p, CheckReport)]
-    srps_b = _srp_grid(sigma(b), ps)
-    srps_ab = _srp_grid(sigma(a @ b), ps)
+    checked, ps = _grid_exponents(name, p_grid, finite=True)
+    srps_b = srp_from_sigma(sigma(b), ps).tolist()
+    srps_ab = srp_from_sigma(sigma(a @ b), ps).tolist()
 
     def report(p, srp_b, srp_ab):
         kappa_p = kappa**p
@@ -561,12 +549,11 @@ def grid_cross_product(
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"cross_product requires a matrix, got shape {a.shape}")
-    checked = [_p_or_na(name, p) for p in p_grid]
-    ps = [p for p in checked if not isinstance(p, CheckReport)]
+    checked, ps = _grid_exponents(name, p_grid, finite=False)
     two_ps = [math.inf if math.isinf(p) else 2.0 * p for p in ps]
-    srps_a = _srp_grid(sigma(a), ps + two_ps)
-    srps_left = _srp_grid(sigma(a.conj().T @ a), ps)
-    srps_right = _srp_grid(sigma(a @ a.conj().T), ps)
+    srps_a = srp_from_sigma(sigma(a), ps + two_ps).tolist()
+    srps_left = srp_from_sigma(sigma(a.conj().T @ a), ps).tolist()
+    srps_right = srp_from_sigma(sigma(a @ a.conj().T), ps).tolist()
 
     def report(p, srp_a, sr_2p_a, gram_left, gram_right):
         ident_left = -abs(gram_left - sr_2p_a)
@@ -615,26 +602,20 @@ def grid_perturbation(
     a = np.asarray(a)
     e = np.asarray(e)
     if a.shape != e.shape or a.ndim != 2:
-        return [
-            _not_applicable(name, "requires matrices of equal shape", p=float(p))
-            for p in p_grid
-        ]
+        return _not_applicable_grid(name, "requires matrices of equal shape", p_grid)
     sig_a, psd_a = sigma_and_psd(a, tol)
     norm_a = float(sig_a[0])
     if norm_a == 0.0:
-        return [_not_applicable(name, "A is the zero matrix", p=float(p)) for p in p_grid]
+        return _not_applicable_grid(name, "A is the zero matrix", p_grid)
     sig_e, psd_e = sigma_and_psd(e, tol)
     eps = float(sig_e[0]) / norm_a
     if eps >= 1.0:
-        return [
-            _not_applicable(name, f"requires eps < 1, got eps={eps:.6g}", p=float(p), epsilon=eps)
-            for p in p_grid
-        ]
+        reason = f"requires eps < 1, got eps={eps:.6g}"
+        return _not_applicable_grid(name, reason, p_grid, epsilon=eps)
     r = numerical_rank_from_spectrum(sig_e, rtol)
     sig_sum, _ = sigma_and_psd(a + e, tol)
     psd_pair = psd_a and psd_e
-    checked = [_p_or_na(name, p) for p in p_grid]
-    ps = [p for p in checked if not isinstance(p, CheckReport)]
+    checked, ps = _grid_exponents(name, p_grid, finite=False)
     base_roots = _proot_grid(sig_a, ps)
     actual_roots = _proot_grid(sig_sum, ps)
 
@@ -689,23 +670,6 @@ CHECKS = {
     "cholesky_intdim": check_cholesky_intdim,
     "deletion": check_deletion,
 }
-
-# Input slots per check, consumed by the CLI: names "p", "k" and "drop_col"
-# come from flags, everything else is a matrix file argument.
-CHECK_SIGNATURES = {
-    "weyl": ("A", "B"),
-    "intdim_subadditive": ("A", "B"),
-    "sum_subadditivity_proot": ("A", "B", "p"),
-    "rank1_addition": ("A", "B", "p"),
-    "product_kappa": ("A", "B", "p"),
-    "cross_product": ("A", "p"),
-    "perturbation": ("A", "E", "p"),
-    "block_diag_sr": ("A11", "A22"),
-    "block_intdim": ("A", "k"),
-    "cholesky_intdim": ("A",),
-    "deletion": ("A", "drop_col"),
-}
-
 
 def canonical_check_name(name: str) -> str:
     """Accept either "weyl" or "check_weyl" style identifiers."""

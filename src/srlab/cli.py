@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: ``compute`` (single quantities), ``verify`` (one inequality
-check on files), ``gallery`` (emit an example family), ``condition``
+check on files; the check's signature names its matrix files, and the
+flags ``-p``, ``--k`` and ``--drop-col`` fill the parameters of those
+names), ``gallery`` (emit an example family), ``condition``
 (perturbation-bound sweep), ``fuzz`` (randomized campaign). Reports are
 JSON (schema 1) by default; ``--format csv|text`` flattens them.
 
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -25,13 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gallery as gal
-from .checks import (
-    CHECK_SIGNATURES,
-    CHECKS,
-    canonical_check_name,
-    check_perturbation,
-    encode_json,
-)
+from .checks import CHECKS, canonical_check_name, check_perturbation, encode_json
 from .fuzz import FuzzConfig, run_fuzz, scaled_perturbation
 from .matrices import PreconditionError, trial_scope
 from .mmio import MatrixParseError, read_matrix, write_matrix_market
@@ -39,6 +36,9 @@ from .ranks import intrinsic_dimension, numerical_rank, p_stable_rank, stable_ra
 from .schatten import schatten_norm
 
 SCHEMA_VERSION = 1
+
+# Check parameters that ``verify`` fills from its flags, not from files.
+_VERIFY_FLAGS = ("p", "k", "drop_col")
 
 
 def _print_json(payload) -> None:
@@ -103,8 +103,13 @@ def cmd_compute(args) -> int:
 
 def cmd_verify(args) -> int:
     name = canonical_check_name(args.check)
-    signature = CHECK_SIGNATURES[name]
-    matrix_slots = [s for s in signature if s not in ("p", "k", "drop_col")]
+    check = CHECKS[name]
+    params = inspect.signature(check).parameters
+    matrix_slots = [
+        key.upper()
+        for key, param in params.items()
+        if param.default is param.empty and key not in _VERIFY_FLAGS
+    ]
     if len(args.inputs) != len(matrix_slots):
         print(
             f"error: {name} needs {len(matrix_slots)} matrix file(s): "
@@ -117,16 +122,10 @@ def cmd_verify(args) -> int:
     except MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    call_args = list(matrices)
-    if "p" in signature:
-        call_args.append(args.p)
-    if "k" in signature:
-        call_args.append(args.k)
-    if "drop_col" in signature:
-        call_args.append(args.drop_col)
+    flags = {key: getattr(args, key) for key in _VERIFY_FLAGS if key in params}
     try:
         with trial_scope():
-            report = CHECKS[name](*call_args)
+            report = check(*matrices, **flags)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -6,6 +6,11 @@ independent of execution order and the report is bit-identical for any
 parallelism level. Each trial draws its full input set in a fixed order
 before any check runs, which makes every instance reproducible from
 ``(seed, trial)`` alone.
+
+Which trial inputs feed which check is described once, in the ``_CALLS``
+table of ``(check, variant, call)`` rows that :func:`run_trial` walks in
+order. General inputs are drawn through :func:`srlab.matrices.draw_matrix`,
+the one dispatch over the sample kinds.
 """
 
 from __future__ import annotations
@@ -122,16 +127,13 @@ def _descending_spectrum(rng, length, low=1e-4, high=1.0):
 
 
 def _general_matrix(rng, kind, m, n, field):
-    if kind == "gaussian":
-        return mat.gaussian_matrix(rng, m, n, field)
+    # The spectrum and the rank are drawn before the matrix itself.
+    spectrum = rank = None
     if kind == "prescribed_spectrum":
-        k = int(rng.integers(1, min(m, n) + 1))
-        return mat.prescribed_spectrum_matrix(rng, m, n, _descending_spectrum(rng, k), field)
-    if kind == "psd_gram":
-        return mat.psd_gram_matrix(rng, m, n, field)
-    if kind == "rank1_psd":
-        return mat.rank1_psd_matrix(rng, n, field)
-    return mat.projector_matrix(rng, n, int(rng.integers(1, n + 1)), field)
+        spectrum = _descending_spectrum(rng, int(rng.integers(1, min(m, n) + 1)))
+    elif kind == "orthogonal_projector":
+        rank = int(rng.integers(1, n + 1))
+    return mat.draw_matrix(rng, kind, m, n, field, spectrum, rank)
 
 
 def _psd_matrix(rng, kind, n, dims_max, field):
@@ -145,9 +147,7 @@ def _psd_matrix(rng, kind, n, dims_max, field):
         v = mat.haar_unitary(rng, n, field)
         g = (v * lam) @ v.conj().T
         return (g + g.conj().T) / 2
-    if kind == "rank1_psd":
-        return mat.rank1_psd_matrix(rng, n, field)
-    return mat.projector_matrix(rng, n, int(rng.integers(1, n + 1)), field)
+    return _general_matrix(rng, kind, n, n, field)  # rank-1 PSD or a projector
 
 
 def scaled_perturbation(rng, base, eps, kind, field):
@@ -228,49 +228,51 @@ def run_trial(seed: int, index: int, cfg: FuzzConfig) -> list[TrialResult]:
         return _run_checks(trial_inputs(seed, index, cfg), cfg)
 
 
+# (check, variant, call) in report order. ``call(x, grid)`` yields the
+# ``(p, report)`` pairs of one trial's inputs ``x`` over the p grid. Each call looks its
+# check function up in this module when it runs, so a replaced
+# ``srlab.fuzz.check_*`` or ``grid_*`` attribute is the one that runs.
+_CALLS = (
+    ("weyl", None, lambda x, g: [(None, check_weyl(x["A_psd"], x["B_psd"]))]),
+    (
+        "intdim_subadditive",
+        None,
+        lambda x, g: [(None, check_intdim_subadditive(x["A_psd"], x["B_psd"]))],
+    ),
+    (
+        "sum_subadditivity_proot",
+        None,
+        lambda x, g: zip(g, grid_sum_subadditivity_proot(x["A_psd"], x["B_psd"], g)),
+    ),
+    ("rank1_addition", None, lambda x, g: zip(g, grid_rank1_addition(x["A_psd"], x["B_rank1"], g))),
+    (
+        "product_kappa",
+        None,
+        lambda x, g: zip(g, grid_product_kappa(x["A_nonsing"], x["B_prod"], g)),
+    ),
+    ("cross_product", None, lambda x, g: zip(g, grid_cross_product(x["A_gen"], g))),
+    ("perturbation", "general", lambda x, g: zip(g, grid_perturbation(x["A_gen"], x["E_gen"], g))),
+    ("perturbation", "psd", lambda x, g: zip(g, grid_perturbation(x["A_psd"], x["E_psd"], g))),
+    ("block_diag_sr", None, lambda x, g: [(None, check_block_diag_sr(x["A11"], x["A22"]))]),
+    (
+        "block_intdim",
+        None,
+        # A block split needs n >= 2; smaller trials have no instance.
+        lambda x, g: [(None, check_block_intdim(x["A_psd"], x["split_k"]))] if x["n"] >= 2 else [],
+    ),
+    ("cholesky_intdim", None, lambda x, g: [(None, check_cholesky_intdim(x["A_psd"]))]),
+    ("deletion", None, lambda x, g: [(None, check_deletion(x["A_gen"], x["drop_col"]))]),
+)
+
+
 def _run_checks(x: dict, cfg: FuzzConfig) -> list[TrialResult]:
     enabled = set(cfg.checks)
-    out: list[TrialResult] = []
-
-    def add(check, variant, p, report):
-        out.append(TrialResult(check, variant, p, report))
-
-    if "weyl" in enabled:
-        add("weyl", None, None, check_weyl(x["A_psd"], x["B_psd"]))
-    if "intdim_subadditive" in enabled:
-        add(
-            "intdim_subadditive",
-            None,
-            None,
-            check_intdim_subadditive(x["A_psd"], x["B_psd"]),
-        )
-    grid = cfg.p_grid
-    if "sum_subadditivity_proot" in enabled:
-        for p, report in zip(grid, grid_sum_subadditivity_proot(x["A_psd"], x["B_psd"], grid)):
-            add("sum_subadditivity_proot", None, p, report)
-    if "rank1_addition" in enabled:
-        for p, report in zip(grid, grid_rank1_addition(x["A_psd"], x["B_rank1"], grid)):
-            add("rank1_addition", None, p, report)
-    if "product_kappa" in enabled:
-        for p, report in zip(grid, grid_product_kappa(x["A_nonsing"], x["B_prod"], grid)):
-            add("product_kappa", None, p, report)
-    if "cross_product" in enabled:
-        for p, report in zip(grid, grid_cross_product(x["A_gen"], grid)):
-            add("cross_product", None, p, report)
-    if "perturbation" in enabled:
-        for p, report in zip(grid, grid_perturbation(x["A_gen"], x["E_gen"], grid)):
-            add("perturbation", "general", p, report)
-        for p, report in zip(grid, grid_perturbation(x["A_psd"], x["E_psd"], grid)):
-            add("perturbation", "psd", p, report)
-    if "block_diag_sr" in enabled:
-        add("block_diag_sr", None, None, check_block_diag_sr(x["A11"], x["A22"]))
-    if "block_intdim" in enabled and x["n"] >= 2:
-        add("block_intdim", None, None, check_block_intdim(x["A_psd"], x["split_k"]))
-    if "cholesky_intdim" in enabled:
-        add("cholesky_intdim", None, None, check_cholesky_intdim(x["A_psd"]))
-    if "deletion" in enabled:
-        add("deletion", None, None, check_deletion(x["A_gen"], x["drop_col"]))
-    return out
+    return [
+        TrialResult(check, variant, p, report)
+        for check, variant, call in _CALLS
+        if check in enabled
+        for p, report in call(x, cfg.p_grid)
+    ]
 
 
 def reproduce_check(
@@ -278,10 +280,7 @@ def reproduce_check(
 ) -> CheckReport:
     """Re-run a single recorded instance from its reproduction seed."""
     for result in run_trial(cfg.seed, trial, cfg):
-        same_p = (result.p is None and p is None) or (
-            result.p is not None and p is not None and result.p == p
-        )
-        if result.check == check and result.variant == variant and same_p:
+        if result.check == check and result.variant == variant and result.p == p:
             return result.report
     raise ValueError(f"no instance of {check} (variant={variant}, p={p}) in trial {trial}")
 

@@ -346,8 +346,10 @@ def _sigma_from_eigenvalues(w: np.ndarray) -> np.ndarray:
 
 
 def hermitian_asymmetry(a: Matrix) -> float:
-    """max |A - A*| over all entries."""
+    """max |A - A*| over all entries; bool and unsigned input are taken as float64."""
     a = _require_square(a, "hermitian_asymmetry")
+    if a.dtype.kind in "bu":  # bool cannot subtract, and unsigned wraps around
+        a = a.astype(np.float64)
     return float(np.max(np.abs(a - a.conj().T)))
 
 
@@ -428,12 +430,14 @@ def _sigma_and_psd(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, bool]:
     return sigma(a), False
 
 
-def psd_intrinsic_dimension(a: Matrix) -> float:
+def psd_intrinsic_dimension(a: Matrix, w: np.ndarray | None = None) -> float:
     """trace / lambda_max for input the caller has already established PSD.
 
-    Returns 0.0 when the largest eigenvalue is not positive.
+    ``w``, the descending eigenvalues of ``a`` where the caller holds them,
+    saves a second decomposition outside a trial scope. Returns 0.0 when the
+    largest eigenvalue is not positive.
     """
-    lam_max = float(hermitian_part_eigenvalues(a)[0])
+    lam_max = float((hermitian_part_eigenvalues(a) if w is None else w)[0])
     if lam_max <= 0.0:
         return 0.0
     return float(np.trace(a).real) / lam_max
@@ -499,13 +503,18 @@ def pivoted_cholesky(
     stops once that entry is at most ``psd_negativity * trace(a) / n``.
     Raises :class:`DecompositionError` if the largest diagonal entry of the
     Schur complement left after ``rank`` steps is below
-    ``-psd_negativity * max(1, trace(a))`` (indefinite input), or if LAPACK
-    reports an error. :func:`pstrf_provider` says which LAPACK runs.
+    ``-psd_negativity * max(1, trace(a))`` (indefinite input), if ``a`` has
+    a nan or infinite entry, or if LAPACK reports an error.
+    :func:`pstrf_provider` says which LAPACK runs.
     """
     a = _require_square(a, "pivoted_cholesky")
     n = a.shape[0]
     dtype = np.complex128 if np.iscomplexobj(a) else np.float64
     w = np.array(a, dtype=dtype, order="F")
+    # Checked here, not left to LAPACK: OpenBLAS's LAPACKE rejects a nan in
+    # the lower triangle, while SciPy's ?pstrf factors it without complaint.
+    if not np.isfinite(w).all():
+        raise DecompositionError("pivoted Cholesky needs finite entries")
     total = max(float(w.trace().real), 0.0)
     _, pstrf = pstrf_provider()
     w, piv, rank, info = pstrf(w, tol.psd_negativity * total / n)
@@ -697,20 +706,35 @@ def projector_matrix(rng: np.random.Generator, n: int, r: int, field: str = "rea
     return _hermitize(q @ q.conj().T)
 
 
+def draw_matrix(
+    rng: np.random.Generator,
+    kind: str,
+    m: int,
+    n: int,
+    field: str = "real",
+    spectrum=None,
+    rank: int | None = None,
+) -> np.ndarray:
+    """One matrix of sample kind ``kind`` drawn from ``rng``.
+
+    ``spectrum`` (the singular values of "prescribed_spectrum") and ``rank``
+    (that of "orthogonal_projector") are used only by their kind; the
+    "rank1_psd" and "orthogonal_projector" kinds are n x n.
+    """
+    if kind == "gaussian":
+        return gaussian_matrix(rng, m, n, field)
+    if kind == "psd_gram":
+        return psd_gram_matrix(rng, m, n, field)
+    if kind == "prescribed_spectrum":
+        return prescribed_spectrum_matrix(rng, m, n, spectrum, field)
+    if kind == "rank1_psd":
+        return rank1_psd_matrix(rng, n, field)
+    return projector_matrix(rng, n, rank, field)
+
+
 def sample(spec: SampleSpec) -> Matrix:
     """Draw the matrix described by ``spec``; bit-identical for equal specs."""
     rng = np.random.default_rng(spec.seed)
-    m, n = spec.dims
-    field = spec.scalar_field
-    if spec.kind == "gaussian":
-        a = gaussian_matrix(rng, m, n, field)
-    elif spec.kind == "psd_gram":
-        a = psd_gram_matrix(rng, m, n, field)
-    elif spec.kind == "prescribed_spectrum":
-        a = prescribed_spectrum_matrix(rng, m, n, spec.spectrum, field)
-    elif spec.kind == "rank1_psd":
-        a = rank1_psd_matrix(rng, n, field)
-    else:
-        a = projector_matrix(rng, n, spec.rank, field)
+    a = draw_matrix(rng, spec.kind, *spec.dims, spec.scalar_field, spec.spectrum, spec.rank)
     a.setflags(write=False)
     return a

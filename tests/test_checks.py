@@ -10,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from srlab.checks import (
-    CHECK_SIGNATURES,
     CHECKS,
     CheckReport,
     canonical_check_name,
@@ -525,7 +524,6 @@ def test_tolerance_policy_uniform():
 
 
 def test_registry_consistency():
-    assert set(CHECKS) == set(CHECK_SIGNATURES)
     assert canonical_check_name("check_weyl") == "weyl"
     assert canonical_check_name("deletion") == "deletion"
     with pytest.raises(ValueError):

@@ -118,6 +118,37 @@ def test_verify_wrong_arity_exit_2(files):
     assert out.returncode == 2
 
 
+# The matrix files each check takes, in order, as verify names them.
+VERIFY_SLOTS = {
+    "weyl": "A, B",
+    "intdim_subadditive": "A, B",
+    "sum_subadditivity_proot": "A, B",
+    "rank1_addition": "A, B",
+    "product_kappa": "A, B",
+    "cross_product": "A",
+    "perturbation": "A, E",
+    "block_diag_sr": "A11, A22",
+    "block_intdim": "A",
+    "cholesky_intdim": "A",
+    "deletion": "A",
+}
+
+
+@pytest.mark.parametrize("check", sorted(VERIFY_SLOTS))
+def test_verify_wrong_arity_names_the_slots(check, files, capsys):
+    from srlab.checks import CHECKS
+    from srlab.cli import main
+
+    assert set(CHECKS) == set(VERIFY_SLOTS)
+    slots = VERIFY_SLOTS[check]
+    count = slots.count(",") + 1
+    path = str(files / "identity5.mtx")
+    for inputs in ([], [path] * (count + 1)):
+        assert main(["verify", check, *inputs]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {check} needs {count} matrix file(s): {slots}\n"
+
+
 def test_verify_unknown_check_errors(files):
     out = run_cli("verify", "nope", str(files / "identity5.mtx"))
     assert out.returncode != 0

@@ -230,16 +230,42 @@ def test_no_scope_after_run_trial():
     assert not _scope_active()
 
 
-def test_no_scope_after_run_trial_raises(monkeypatch):
+# Every check function run_trial calls, as srlab.fuzz names it.
+FUZZ_CHECK_FUNCTIONS = (
+    "check_weyl",
+    "check_intdim_subadditive",
+    "grid_sum_subadditivity_proot",
+    "grid_rank1_addition",
+    "grid_product_kappa",
+    "grid_cross_product",
+    "grid_perturbation",
+    "check_block_diag_sr",
+    "check_block_intdim",
+    "check_cholesky_intdim",
+    "check_deletion",
+)
+
+
+def test_fuzz_check_functions_are_all_listed():
+    imported = {name for name in vars(fuzz) if name.startswith(("check_", "grid_"))}
+    assert imported == set(FUZZ_CHECK_FUNCTIONS)
+
+
+@pytest.mark.parametrize("function", FUZZ_CHECK_FUNCTIONS)
+def test_no_scope_after_run_trial_raises(monkeypatch, function):
+    # Replacing the module attribute reaches run_trial only if each check
+    # function is looked up when its call runs.
     seen = []
 
-    def broken(a, b, tol=mat.DEFAULT_TOL):
+    def broken(*args, **kwargs):
         seen.append(_scope_active())
         raise RuntimeError("check failed")
 
-    monkeypatch.setattr(fuzz, "check_weyl", broken)
+    monkeypatch.setattr(fuzz, function, broken)
     cfg = small_config()
-    with pytest.raises(RuntimeError):
-        run_trial(cfg.seed, 0, cfg)
+    # block_intdim runs only on trials with n >= 2.
+    trial = next(i for i in range(cfg.trials) if trial_inputs(cfg.seed, i, cfg)["n"] >= 2)
+    with pytest.raises(RuntimeError, match="check failed"):
+        run_trial(cfg.seed, trial, cfg)
     assert seen == [True]
     assert not _scope_active()

@@ -96,6 +96,11 @@ def test_hermitian_eigenvalues_rejects_asymmetric():
 def test_is_hermitian_basic():
     assert is_hermitian(np.eye(3))
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # Boolean input: the asymmetry is taken in floating point.
+    assert not is_hermitian(np.array([[True, False], [True, True]]))
+    assert is_hermitian(np.array([[True, False], [False, True]]))
+    # Unsigned input: 0 - 1 would wrap around to 255.
+    assert matrices.hermitian_asymmetry(np.array([[0, 1], [0, 0]], dtype=np.uint8)) == 1.0
     with pytest.raises(ValueError):
         is_hermitian(np.zeros((2, 3)))
 
@@ -317,6 +322,17 @@ def test_pivoted_cholesky_complex(pstrf):
 def test_pivoted_cholesky_breaks_down_on_indefinite(pstrf):
     with pytest.raises(DecompositionError):
         pivoted_cholesky(np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("where", [(0, 1), (1, 0), (2, 2)])
+def test_pivoted_cholesky_rejects_non_finite_entries(pstrf, bad, where):
+    # Both providers, and either triangle, although ?pstrf reads only the lower.
+    for dtype in (np.float64, np.complex128):
+        a = np.eye(3, dtype=dtype)
+        a[where] = bad
+        with pytest.raises(DecompositionError, match="finite entries"):
+            pivoted_cholesky(a)
 
 
 def test_pivoted_cholesky_breaks_down_on_a_late_negative_pivot(pstrf):

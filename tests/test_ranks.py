@@ -19,6 +19,7 @@ from srlab.ranks import (
     intrinsic_dimension,
     numerical_rank,
     p_stable_rank,
+    srp_from_sigma,
     stable_rank,
 )
 from srlab.schatten import INF
@@ -87,6 +88,30 @@ def test_zero_matrix_has_zero_rank_surrogates():
         assert p_stable_rank(z, p).value == 0.0
     assert intrinsic_dimension(np.zeros((3, 3))).value == 0.0
     assert numerical_rank(z) == 0
+
+
+def test_srp_from_sigma_inf_and_zero_spectrum():
+    values = np.array([2.0, 1.0, 0.5])
+    assert srp_from_sigma(values, INF) == 1.0
+    assert srp_from_sigma(np.zeros(3), INF) == 0.0
+    assert srp_from_sigma(np.zeros(3), 2.0) == 0.0
+    assert srp_from_sigma(np.zeros(0), 2.0) == 0.0
+    grid = np.array([INF, 2.0, INF])
+    assert srp_from_sigma(values, grid).tolist() == [1.0, 1.3125, 1.0]
+    assert srp_from_sigma(np.zeros(3), grid).tolist() == [0.0, 0.0, 0.0]
+    assert srp_from_sigma(np.zeros(0), grid).tolist() == [0.0, 0.0, 0.0]
+    assert srp_from_sigma(values, np.array([INF])).tolist() == [1.0]
+
+
+def test_srp_from_sigma_array_matches_scalar_bit_for_bit():
+    rng = np.random.default_rng(8)
+    grid = (1.0, 1.5, 2.0, 3.0, 10.0, 0.5, INF)
+    for _ in range(200):
+        n = int(rng.integers(1, 30))
+        values = np.sort(np.exp(rng.uniform(-20.0, 5.0, n)))[::-1]
+        values[int(rng.integers(0, n)) :] *= float(rng.integers(0, 2))
+        together = srp_from_sigma(values, np.array(grid)).tolist()
+        assert together == [srp_from_sigma(values, p) for p in grid]
 
 
 def test_intdim_scaled_identity():
