@@ -127,7 +127,7 @@ def _descending_spectrum(rng, length, low=1e-4, high=1.0):
 
 
 def _general_matrix(rng, kind, m, n, field):
-    # The spectrum and the rank are drawn before the matrix itself.
+    # Spectrum and rank come off the stream before the matrix, so recorded trials replay.
     spectrum = rank = None
     if kind == "prescribed_spectrum":
         spectrum = _descending_spectrum(rng, int(rng.integers(1, min(m, n) + 1)))
