@@ -12,8 +12,14 @@ Conventions shared by every checker:
 * Two-sided bounds produce one report with per-side slacks in ``details``.
 
 Exponent-dependent checks also come in ``grid_*`` form, which evaluates a
-whole exponent grid with one power-sum call per spectrum; ``check_*`` is
-the single-exponent special case. Every sr_p comes from
+whole exponent grid in one pass, with one power-sum call per spectrum, into
+a :class:`GridReports`: plain-float columns of lhs, rhs, slack and holds,
+one entry per grid point, with ``holds`` None where a point is not
+applicable. It is a sequence of reports, but builds a point's
+:class:`CheckReport`, details included, only when that point is indexed or
+iterated, so a caller that reads only the columns (the fuzz campaign)
+builds none. ``check_*`` is the single-exponent grid, indexed. Every sr_p
+comes from
 :func:`srlab.ranks.srp_from_sigma`, and every intrinsic dimension from
 :func:`srlab.matrices.psd_intrinsic_dimension`. Every classification and
 decomposition goes through the :mod:`srlab.matrices` family, so inside a
@@ -28,7 +34,9 @@ described in :mod:`srlab.fuzz`.
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -139,17 +147,25 @@ def _decode(v):
     return v
 
 
-def _finish(name: str, lhs: float, rhs: float, margins, details: dict) -> CheckReport:
-    """An applicable report; ``scale`` is max(1, |lhs|, |rhs|) over the finite sides."""
-    lhs = float(lhs)
-    rhs = float(rhs)
+def _verdict(lhs: float, rhs: float, margins) -> tuple[float, bool]:
+    """The slack (least margin) and whether it is within ``SLACK_RTOL * scale``.
+
+    ``scale`` is max(1, |lhs|, |rhs|) over the finite sides.
+    """
     slack = float(min(margins))
     scale = 1.0
     if scale < abs(lhs) < math.inf:
         scale = abs(lhs)
     if scale < abs(rhs) < math.inf:
         scale = abs(rhs)
-    return CheckReport(name, lhs, rhs, slack, slack >= -SLACK_RTOL * scale, True, details)
+    return slack, slack >= -SLACK_RTOL * scale
+
+
+def _finish(name: str, lhs: float, rhs: float, margins, details: dict) -> CheckReport:
+    """An applicable report."""
+    lhs = float(lhs)
+    rhs = float(rhs)
+    return CheckReport(name, lhs, rhs, *_verdict(lhs, rhs, margins), True, details)
 
 
 def _not_applicable(name: str, reason: str, **details) -> CheckReport:
@@ -164,7 +180,7 @@ def _proot(x: float, p: float) -> float:
     return x ** (1.0 / p)
 
 
-def _proot_grid(values: np.ndarray, ps: list[float]) -> list[float]:
+def _proot_grid(values: np.ndarray, ps) -> list[float]:
     """srp(values)^(1/p) for every p in ``ps``, with one power-sum call."""
     return [_proot(x, p) for x, p in zip(srp_from_sigma(values, ps).tolist(), ps)]
 
@@ -175,7 +191,7 @@ def _psd_sigma(w: np.ndarray) -> np.ndarray:
 
 
 def _is_zero(a: np.ndarray) -> bool:
-    return not np.asarray(a).any()
+    return np.count_nonzero(a) == 0  # a few times faster than ``not a.any()``
 
 
 def _same_square(a: np.ndarray, b: np.ndarray) -> bool:
@@ -370,41 +386,112 @@ def check_cholesky_intdim(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> CheckRepo
 
 
 # ---------------------------------------------------------------------------
-# Exponent-dependent checkers (grid form: one power-sum call per spectrum)
+# Exponent-dependent checkers (grid form: columns over the grid, one
+# power-sum call per spectrum)
 
 
-def _not_applicable_grid(name: str, reason: str, p_grid, **details) -> list[CheckReport]:
-    return [_not_applicable(name, reason, p=float(p), **details) for p in p_grid]
+class GridReports(Sequence):
+    """The reports of one ``grid_*`` check, one per grid point, held as columns.
+
+    ``p``, ``lhs``, ``rhs`` and ``slack`` hold plain floats and ``holds``
+    plain bools, one entry per grid point. A point that is not applicable
+    has ``holds`` None and nan in ``lhs``, ``rhs`` and ``slack``. Indexing
+    or iterating builds a point's :class:`CheckReport`, details included,
+    so a caller that reads only the columns builds no report.
+    """
+
+    __slots__ = ("name", "p", "lhs", "rhs", "slack", "holds", "_details", "_args")
+
+    def __init__(self, name, p, lhs, rhs, slack, holds, details, args):
+        self.name = name
+        self.p = p
+        self.lhs = lhs
+        self.rhs = rhs
+        self.slack = slack
+        self.holds = holds
+        # Per point: the arguments of ``details`` for an applicable point,
+        # or (reason, extra details) for a point that is not.
+        self._details = details
+        self._args = args
+
+    def __len__(self) -> int:
+        return len(self.holds)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self.holds))[k]]
+        return self._report(
+            self.p[k], self.lhs[k], self.rhs[k], self.slack[k], self.holds[k], self._args[k]
+        )
+
+    def __iter__(self):
+        return map(self._report, self.p, self.lhs, self.rhs, self.slack, self.holds, self._args)
+
+    def _report(self, p, lhs, rhs, slack, holds, args) -> CheckReport:
+        """One grid point's report, from its entries in the columns."""
+        if holds is None:
+            reason, extra = args
+            return _not_applicable(self.name, reason, p=p, **extra)
+        return CheckReport(self.name, lhs, rhs, slack, holds, True, self._details(*args))
+
+    def __repr__(self) -> str:
+        return f"GridReports({list(self)!r})"
 
 
-def _grid_exponents(name: str, p_grid, finite: bool) -> tuple[list, list[float]]:
-    """Per grid point a not-applicable report or the exponent, and the exponents.
+def _not_applicable_grid(name: str, reason: str, p_grid, **extra) -> GridReports:
+    ps = tuple(float(p) for p in p_grid)
+    nans = [_NAN] * len(ps)
+    return GridReports(name, ps, nans, nans, nans, [None] * len(ps), None, [(reason, extra)] * len(ps))
+
+
+def _grid_exponents(p_grid, finite: bool) -> tuple[tuple, tuple, tuple]:
+    """The grid as floats, per point None or why it is not applicable, and the valid exponents.
 
     An exponent must be at least 1, and finite where ``finite`` is set.
     """
+    return _checked_exponents(tuple(p_grid), finite)
+
+
+@functools.lru_cache(maxsize=64)
+def _checked_exponents(p_grid: tuple, finite: bool) -> tuple[tuple, tuple, tuple]:
+    # A fuzz campaign passes the same grid to every check of every trial.
     need = "finite p" if finite else "p"
-    checked = []
-    for p in map(float, p_grid):
-        if math.isnan(p) or p < 1.0 or (finite and math.isinf(p)):
-            checked.append(_not_applicable(name, f"requires {need} >= 1, got p={p}", p=p))
-        else:
-            checked.append(p)
-    return checked, [p for p in checked if not isinstance(p, CheckReport)]
+    ps = tuple(float(p) for p in p_grid)
+    reasons = tuple(
+        f"requires {need} >= 1, got p={p}"
+        if math.isnan(p) or p < 1.0 or (finite and math.isinf(p))
+        else None
+        for p in ps
+    )
+    return ps, reasons, tuple(p for p, reason in zip(ps, reasons) if reason is None)
 
 
-def _grid_reports(checked: list, reports) -> list[CheckReport]:
-    """Merge per-p results in grid order.
+def _grid(name: str, ps: tuple, reasons: tuple, details, rows) -> GridReports:
+    """Columns over the grid ``ps``.
 
-    ``checked`` holds, per grid point, either a not-applicable report or
-    the validated exponent; ``reports`` yields one report per exponent.
+    ``reasons`` holds, per grid point, None or why the point is not
+    applicable. ``rows`` yields ``(lhs, rhs, margins, args)`` for each
+    applicable point in grid order, with margins as in :func:`_finish`;
+    ``details(*args)`` builds that point's details when its report is built.
     """
-    reports = iter(reports)
-    return [c if isinstance(c, CheckReport) else next(reports) for c in checked]
+    columns = lhs, rhs, slack, holds, args = [], [], [], [], []
+    for point_lhs, point_rhs, margins, point_args in rows:
+        point_slack, point_holds = _verdict(point_lhs, point_rhs, margins)
+        lhs.append(point_lhs)
+        rhs.append(point_rhs)
+        slack.append(point_slack)
+        holds.append(point_holds)
+        args.append(point_args)
+    for k, reason in enumerate(reasons):
+        if reason is not None:
+            for column, value in zip(columns, (_NAN, _NAN, _NAN, None, (reason, {}))):
+                column.insert(k, value)
+    return GridReports(name, ps, lhs, rhs, slack, holds, details, args)
 
 
 def grid_sum_subadditivity_proot(
     a: Matrix, b: Matrix, p_grid, tol: Tolerances = DEFAULT_TOL
-) -> list[CheckReport]:
+) -> GridReports:
     """srp(A+B)^(1/p) <= srp(A)^(1/p) + srp(B)^(1/p) for nonzero PSD A, B."""
     name = "sum_subadditivity_proot"
     a = np.asarray(a)
@@ -421,17 +508,20 @@ def grid_sum_subadditivity_proot(
             reason = "requires positive semi-definite matrices"
     if reason is not None:
         return _not_applicable_grid(name, reason, p_grid)
-    checked, ps = _grid_exponents(name, p_grid, finite=True)
-    roots_a = _proot_grid(_psd_sigma(wa), ps)
-    roots_b = _proot_grid(_psd_sigma(wb), ps)
-    roots_sum = _proot_grid(_psd_sigma(hermitian_part_eigenvalues(a + b)), ps)
+    ps, reasons, valid = _grid_exponents(p_grid, finite=True)
+    roots_a = _proot_grid(_psd_sigma(wa), valid)
+    roots_b = _proot_grid(_psd_sigma(wb), valid)
+    roots_sum = _proot_grid(_psd_sigma(hermitian_part_eigenvalues(a + b)), valid)
 
-    def report(p, root_a, root_b, lhs):
-        rhs = root_a + root_b
-        details = {"p": p, "proot_a": root_a, "proot_b": root_b}
-        return _finish(name, lhs, rhs, [rhs - lhs], details)
+    def rows():
+        for p, root_a, root_b, lhs in zip(valid, roots_a, roots_b, roots_sum):
+            rhs = root_a + root_b
+            yield lhs, rhs, (rhs - lhs,), (p, root_a, root_b)
 
-    return _grid_reports(checked, map(report, ps, roots_a, roots_b, roots_sum))
+    def details(p, root_a, root_b):
+        return {"p": p, "proot_a": root_a, "proot_b": root_b}
+
+    return _grid(name, ps, reasons, details, rows())
 
 
 def check_sum_subadditivity_proot(
@@ -446,7 +536,7 @@ def grid_rank1_addition(
     p_grid,
     tol: Tolerances = DEFAULT_TOL,
     rtol: float = DEFAULT_RANK_RTOL,
-) -> list[CheckReport]:
+) -> GridReports:
     """srp(A+B)^(1/p) - srp(A)^(1/p) <= 1 for PSD A and rank-1 PSD B."""
     name = "rank1_addition"
     a = np.asarray(a)
@@ -467,16 +557,19 @@ def grid_rank1_addition(
                 extra = {"rank_b": rank_b}
     if reason is not None:
         return _not_applicable_grid(name, reason, p_grid, **extra)
-    checked, ps = _grid_exponents(name, p_grid, finite=False)
-    roots_a = _proot_grid(_psd_sigma(wa), ps)
-    roots_sum = _proot_grid(_psd_sigma(hermitian_part_eigenvalues(a + b)), ps)
+    ps, reasons, valid = _grid_exponents(p_grid, finite=False)
+    roots_a = _proot_grid(_psd_sigma(wa), valid)
+    roots_sum = _proot_grid(_psd_sigma(hermitian_part_eigenvalues(a + b)), valid)
 
-    def report(p, root_a, root_sum):
-        lhs = root_sum - root_a
-        details = {"p": p, "proot_a": root_a, "proot_sum": root_sum}
-        return _finish(name, lhs, 1.0, [1.0 - lhs], details)
+    def rows():
+        for p, root_a, root_sum in zip(valid, roots_a, roots_sum):
+            lhs = root_sum - root_a
+            yield lhs, 1.0, (1.0 - lhs,), (p, root_a, root_sum)
 
-    return _grid_reports(checked, map(report, ps, roots_a, roots_sum))
+    def details(p, root_a, root_sum):
+        return {"p": p, "proot_a": root_a, "proot_sum": root_sum}
+
+    return _grid(name, ps, reasons, details, rows())
 
 
 def check_rank1_addition(
@@ -495,7 +588,7 @@ def grid_product_kappa(
     p_grid,
     tol: Tolerances = DEFAULT_TOL,
     rtol: float = DEFAULT_RANK_RTOL,
-) -> list[CheckReport]:
+) -> GridReports:
     """srp(B) / kappa2(A)^p <= srp(AB) <= kappa2(A)^p * srp(B), A nonsingular."""
     name = "product_kappa"
     a = np.asarray(a)
@@ -508,16 +601,20 @@ def grid_product_kappa(
     if numerical_rank_from_spectrum(sa, rtol) != a.shape[0]:
         return _not_applicable_grid(name, "A is numerically singular", p_grid)
     kappa = float(sa[0] / sa[-1])
-    checked, ps = _grid_exponents(name, p_grid, finite=True)
-    srps_b = srp_from_sigma(sigma(b), ps).tolist()
-    srps_ab = srp_from_sigma(sigma(a @ b), ps).tolist()
+    ps, reasons, valid = _grid_exponents(p_grid, finite=True)
+    srps_b = srp_from_sigma(sigma(b), valid).tolist()
+    srps_ab = srp_from_sigma(sigma(a @ b), valid).tolist()
 
-    def report(p, srp_b, srp_ab):
-        kappa_p = kappa**p
-        upper = kappa_p * srp_b if srp_b > 0 else 0.0
-        lower = srp_b / kappa_p
-        margins = [upper - srp_ab, srp_ab - lower]
-        details = {
+    def rows():
+        for p, srp_b, srp_ab in zip(valid, srps_b, srps_ab):
+            kappa_p = kappa**p
+            upper = kappa_p * srp_b if srp_b > 0 else 0.0
+            lower = srp_b / kappa_p
+            margins = (upper - srp_ab, srp_ab - lower)
+            yield srp_ab, upper, margins, (p, srp_b, lower, upper, margins)
+
+    def details(p, srp_b, lower, upper, margins):
+        return {
             "p": p,
             "kappa2": kappa,
             "sr_p_b": srp_b,
@@ -526,9 +623,8 @@ def grid_product_kappa(
             "slack_upper": margins[0],
             "slack_lower": margins[1],
         }
-        return _finish(name, srp_ab, upper, margins, details)
 
-    return _grid_reports(checked, map(report, ps, srps_b, srps_ab))
+    return _grid(name, ps, reasons, details, rows())
 
 
 def check_product_kappa(
@@ -541,37 +637,39 @@ def check_product_kappa(
     return grid_product_kappa(a, b, [p], tol, rtol)[0]
 
 
-def grid_cross_product(
-    a: Matrix, p_grid, tol: Tolerances = DEFAULT_TOL
-) -> list[CheckReport]:
+def grid_cross_product(a: Matrix, p_grid, tol: Tolerances = DEFAULT_TOL) -> GridReports:
     """srp(A*A) <= srp(A), srp(AA*) <= srp(A), and srp(A*A) = sr_{2p}(A)."""
     name = "cross_product"
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"cross_product requires a matrix, got shape {a.shape}")
-    checked, ps = _grid_exponents(name, p_grid, finite=False)
-    two_ps = [math.inf if math.isinf(p) else 2.0 * p for p in ps]
-    srps_a = srp_from_sigma(sigma(a), ps + two_ps).tolist()
-    srps_left = srp_from_sigma(sigma(a.conj().T @ a), ps).tolist()
-    srps_right = srp_from_sigma(sigma(a @ a.conj().T), ps).tolist()
+    ps, reasons, valid = _grid_exponents(p_grid, finite=False)
+    two_ps = tuple(math.inf if math.isinf(p) else 2.0 * p for p in valid)
+    srps_a = srp_from_sigma(sigma(a), valid + two_ps).tolist()
+    srps_left = srp_from_sigma(sigma(a.conj().T @ a), valid).tolist()
+    srps_right = srp_from_sigma(sigma(a @ a.conj().T), valid).tolist()
+    k = len(valid)
 
-    def report(p, srp_a, sr_2p_a, gram_left, gram_right):
-        ident_left = -abs(gram_left - sr_2p_a)
-        ident_right = -abs(gram_right - sr_2p_a)
-        margins = [srp_a - gram_left, srp_a - gram_right, ident_left, ident_right]
-        details = {
+    def rows():
+        for p, srp_a, sr_2p_a, gram_left, gram_right in zip(
+            valid, srps_a[:k], srps_a[k:], srps_left, srps_right
+        ):
+            ident_left = -abs(gram_left - sr_2p_a)
+            ident_right = -abs(gram_right - sr_2p_a)
+            margins = (srp_a - gram_left, srp_a - gram_right, ident_left, ident_right)
+            yield gram_left, srp_a, margins, (p, srp_a, sr_2p_a, gram_left, gram_right)
+
+    def details(p, srp_a, sr_2p_a, gram_left, gram_right):
+        return {
             "p": p,
             "sr_p_a": srp_a,
             "sr_p_gram_left": gram_left,
             "sr_p_gram_right": gram_right,
             "sr_2p_a": sr_2p_a,
-            "identity_abs_err": max(-ident_left, -ident_right),
+            "identity_abs_err": max(abs(gram_left - sr_2p_a), abs(gram_right - sr_2p_a)),
         }
-        return _finish(name, gram_left, srp_a, margins, details)
 
-    k = len(ps)
-    reports = map(report, ps, srps_a[:k], srps_a[k:], srps_left, srps_right)
-    return _grid_reports(checked, reports)
+    return _grid(name, ps, reasons, details, rows())
 
 
 def check_cross_product(a: Matrix, p: float, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
@@ -584,7 +682,7 @@ def grid_perturbation(
     p_grid,
     tol: Tolerances = DEFAULT_TOL,
     rtol: float = DEFAULT_RANK_RTOL,
-) -> list[CheckReport]:
+) -> GridReports:
     """Two-sided conditioning bounds for srp(A+E)^(1/p) when eps < 1.
 
     With eps = ||E||_2 / ||A||_2 and r = rank(E):
@@ -615,33 +713,40 @@ def grid_perturbation(
     r = numerical_rank_from_spectrum(sig_e, rtol)
     sig_sum, _ = sigma_and_psd(a + e, tol)
     psd_pair = psd_a and psd_e
-    checked, ps = _grid_exponents(name, p_grid, finite=False)
-    base_roots = _proot_grid(sig_a, ps)
-    actual_roots = _proot_grid(sig_sum, ps)
+    ps, reasons, valid = _grid_exponents(p_grid, finite=False)
+    base_roots = _proot_grid(sig_a, valid)
+    actual_roots = _proot_grid(sig_sum, valid)
 
-    def report(p, x, y):
-        rp = _proot(float(r), p)
-        gen_lower = (x - rp * eps) / (1.0 + eps)
-        gen_upper = (x + rp * eps) / (1.0 - eps)
-        margins = [y - gen_lower, gen_upper - y]
-        details = {
+    def rows():
+        for p, x, y in zip(valid, base_roots, actual_roots):
+            rp = _proot(float(r), p)
+            gen_lower = (x - rp * eps) / (1.0 + eps)
+            gen_upper = (x + rp * eps) / (1.0 - eps)
+            margins = (y - gen_lower, gen_upper - y)
+            bounds = (gen_lower, gen_upper)
+            if psd_pair:
+                psd_lower = x / (1.0 + eps)
+                psd_upper = x + rp * eps
+                margins += (y - psd_lower, psd_upper - y)
+                bounds += (psd_lower, psd_upper)
+            yield y, gen_upper, margins, (p, x, y, bounds)
+
+    def details(p, x, y, bounds):
+        d = {
             "p": p,
             "epsilon": eps,
             "rank_e": r,
             "base_proot": x,
             "actual_proot": y,
-            "gen_lower": gen_lower,
-            "gen_upper": gen_upper,
+            "gen_lower": bounds[0],
+            "gen_upper": bounds[1],
             "psd_pair": psd_pair,
         }
         if psd_pair:
-            psd_lower = x / (1.0 + eps)
-            psd_upper = x + rp * eps
-            margins += [y - psd_lower, psd_upper - y]
-            details.update(psd_lower=psd_lower, psd_upper=psd_upper)
-        return _finish(name, y, gen_upper, margins, details)
+            d.update(psd_lower=bounds[2], psd_upper=bounds[3])
+        return d
 
-    return _grid_reports(checked, map(report, ps, base_roots, actual_roots))
+    return _grid(name, ps, reasons, details, rows())
 
 
 def check_perturbation(

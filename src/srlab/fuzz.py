@@ -8,9 +8,16 @@ before any check runs, which makes every instance reproducible from
 ``(seed, trial)`` alone.
 
 Which trial inputs feed which check is described once, in the ``_CALLS``
-table of ``(check, variant, call)`` rows that :func:`run_trial` walks in
-order. General inputs are drawn through :func:`srlab.matrices.draw_matrix`,
-the one dispatch over the sample kinds.
+table of ``(check, variant, gridded, call)`` rows that :func:`run_trial`
+and the campaign walk in order. General inputs are drawn through
+:func:`srlab.matrices.draw_matrix`, the one dispatch over the sample kinds.
+
+:func:`run_trial` returns every instance's :class:`~srlab.checks.CheckReport`.
+A campaign (:func:`run_fuzz`) does not need them: each chunk folds the
+slack and holds columns of every :class:`~srlab.checks.GridReports` into
+its per-check aggregates directly, and builds a report only for a failing
+point. A replaced check function that returns plain reports is folded
+from their fields.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from . import matrices as mat
 from .checks import (
     CHECKS,
     CheckReport,
+    GridReports,
     canonical_check_name,
     check_block_diag_sr,
     check_block_intdim,
@@ -228,50 +236,57 @@ def run_trial(seed: int, index: int, cfg: FuzzConfig) -> list[TrialResult]:
         return _run_checks(trial_inputs(seed, index, cfg), cfg)
 
 
-# (check, variant, call) in report order. ``call(x, grid)`` yields the
-# ``(p, report)`` pairs of one trial's inputs ``x`` over the p grid. Each call looks its
-# check function up in this module when it runs, so a replaced
-# ``srlab.fuzz.check_*`` or ``grid_*`` attribute is the one that runs.
+# (check, variant, gridded, call) in report order. ``call(x, grid)`` returns the reports
+# of one trial's inputs ``x``: one per grid point where ``gridded`` is set, else at
+# most one. Each call looks its check function up in this module when it runs, so a
+# replaced ``srlab.fuzz.check_*`` or ``grid_*`` attribute is the one that runs.
 _CALLS = (
-    ("weyl", None, lambda x, g: [(None, check_weyl(x["A_psd"], x["B_psd"]))]),
+    ("weyl", None, False, lambda x, g: [check_weyl(x["A_psd"], x["B_psd"])]),
     (
         "intdim_subadditive",
         None,
-        lambda x, g: [(None, check_intdim_subadditive(x["A_psd"], x["B_psd"]))],
+        False,
+        lambda x, g: [check_intdim_subadditive(x["A_psd"], x["B_psd"])],
     ),
     (
         "sum_subadditivity_proot",
         None,
-        lambda x, g: zip(g, grid_sum_subadditivity_proot(x["A_psd"], x["B_psd"], g)),
+        True,
+        lambda x, g: grid_sum_subadditivity_proot(x["A_psd"], x["B_psd"], g),
     ),
-    ("rank1_addition", None, lambda x, g: zip(g, grid_rank1_addition(x["A_psd"], x["B_rank1"], g))),
-    (
-        "product_kappa",
-        None,
-        lambda x, g: zip(g, grid_product_kappa(x["A_nonsing"], x["B_prod"], g)),
-    ),
-    ("cross_product", None, lambda x, g: zip(g, grid_cross_product(x["A_gen"], g))),
-    ("perturbation", "general", lambda x, g: zip(g, grid_perturbation(x["A_gen"], x["E_gen"], g))),
-    ("perturbation", "psd", lambda x, g: zip(g, grid_perturbation(x["A_psd"], x["E_psd"], g))),
-    ("block_diag_sr", None, lambda x, g: [(None, check_block_diag_sr(x["A11"], x["A22"]))]),
+    ("rank1_addition", None, True, lambda x, g: grid_rank1_addition(x["A_psd"], x["B_rank1"], g)),
+    ("product_kappa", None, True, lambda x, g: grid_product_kappa(x["A_nonsing"], x["B_prod"], g)),
+    ("cross_product", None, True, lambda x, g: grid_cross_product(x["A_gen"], g)),
+    ("perturbation", "general", True, lambda x, g: grid_perturbation(x["A_gen"], x["E_gen"], g)),
+    ("perturbation", "psd", True, lambda x, g: grid_perturbation(x["A_psd"], x["E_psd"], g)),
+    ("block_diag_sr", None, False, lambda x, g: [check_block_diag_sr(x["A11"], x["A22"])]),
     (
         "block_intdim",
         None,
+        False,
         # A block split needs n >= 2; smaller trials have no instance.
-        lambda x, g: [(None, check_block_intdim(x["A_psd"], x["split_k"]))] if x["n"] >= 2 else [],
+        lambda x, g: [check_block_intdim(x["A_psd"], x["split_k"])] if x["n"] >= 2 else [],
     ),
-    ("cholesky_intdim", None, lambda x, g: [(None, check_cholesky_intdim(x["A_psd"]))]),
-    ("deletion", None, lambda x, g: [(None, check_deletion(x["A_gen"], x["drop_col"]))]),
+    ("cholesky_intdim", None, False, lambda x, g: [check_cholesky_intdim(x["A_psd"])]),
+    ("deletion", None, False, lambda x, g: [check_deletion(x["A_gen"], x["drop_col"])]),
 )
+
+_NO_EXPONENT = (None,)
+
+
+def _instances(x: dict, cfg: FuzzConfig):
+    """Per enabled call: ``(check, variant, ps, reports)``, with ``reports[i]`` at ``ps[i]``."""
+    enabled = set(cfg.checks)
+    for check, variant, gridded, call in _CALLS:
+        if check in enabled:
+            yield check, variant, cfg.p_grid if gridded else _NO_EXPONENT, call(x, cfg.p_grid)
 
 
 def _run_checks(x: dict, cfg: FuzzConfig) -> list[TrialResult]:
-    enabled = set(cfg.checks)
     return [
         TrialResult(check, variant, p, report)
-        for check, variant, call in _CALLS
-        if check in enabled
-        for p, report in call(x, cfg.p_grid)
+        for check, variant, ps, reports in _instances(x, cfg)
+        for p, report in zip(ps, reports)
     ]
 
 
@@ -285,6 +300,18 @@ def reproduce_check(
     raise ValueError(f"no instance of {check} (variant={variant}, p={p}) in trial {trial}")
 
 
+def _columns(reports) -> tuple:
+    """``(reports, slack, holds)`` of one call; ``holds`` is None where not applicable.
+
+    A :class:`GridReports` gives its columns without building a report.
+    """
+    if isinstance(reports, GridReports):
+        return reports, reports.slack, reports.holds
+    reports = list(reports)
+    holds = [bool(r.holds) if r.preconditions_met else None for r in reports]
+    return reports, [r.slack for r in reports], holds
+
+
 class _Aggregate:
     __slots__ = ("applicable", "passed", "min_slack", "argmin")
 
@@ -294,16 +321,21 @@ class _Aggregate:
         self.min_slack = None
         self.argmin = None
 
-    def update(self, seed, trial, result: TrialResult):
-        report = result.report
-        if not report.preconditions_met:
-            return
-        self.applicable += 1
-        if report.holds:
-            self.passed += 1
-        if self.min_slack is None or report.slack < self.min_slack:
-            self.min_slack = report.slack
-            self.argmin = {"seed": seed, "trial": trial, "variant": result.variant, "p": result.p}
+    def fold(self, seed, trial, variant, ps, slack, holds) -> list[int]:
+        """Add one call's applicable points; return the indices of those that fail."""
+        failing = []
+        for i, (p, point_slack, point_holds) in enumerate(zip(ps, slack, holds)):
+            if point_holds is None:
+                continue
+            self.applicable += 1
+            if point_holds:
+                self.passed += 1
+            else:
+                failing.append(i)
+            if self.min_slack is None or point_slack < self.min_slack:
+                self.min_slack = point_slack
+                self.argmin = {"seed": seed, "trial": trial, "variant": variant, "p": p}
+        return failing
 
     def merge(self, other: "_Aggregate"):
         self.applicable += other.applicable
@@ -316,22 +348,29 @@ class _Aggregate:
 
 
 def _run_chunk(cfg: FuzzConfig, start: int, stop: int):
+    """Fold trials ``[start, stop)`` into per-check aggregates and failure entries.
+
+    Grid checks are folded from their slack and holds columns; a report is
+    built only for a failing point.
+    """
     aggregates = {name: _Aggregate() for name in cfg.checks}
     failures = []
     for trial in range(start, stop):
-        for result in run_trial(cfg.seed, trial, cfg):
-            aggregates[result.check].update(cfg.seed, trial, result)
-            if result.report.preconditions_met and not result.report.holds:
-                failures.append(
-                    {
-                        "check": result.check,
-                        "variant": result.variant,
-                        "p": result.p,
-                        "trial": trial,
-                        "seed": cfg.seed,
-                        "report": result.report.to_json_dict(),
-                    }
-                )
+        with mat.trial_scope():
+            x = trial_inputs(cfg.seed, trial, cfg)
+            for check, variant, ps, reports in _instances(x, cfg):
+                reports, slack, holds = _columns(reports)
+                for i in aggregates[check].fold(cfg.seed, trial, variant, ps, slack, holds):
+                    failures.append(
+                        {
+                            "check": check,
+                            "variant": variant,
+                            "p": ps[i],
+                            "trial": trial,
+                            "seed": cfg.seed,
+                            "report": reports[i].to_json_dict(),
+                        }
+                    )
     return start, aggregates, failures
 
 

@@ -40,6 +40,7 @@ from .ranks import (
     DEFAULT_RANK_RTOL,
     intrinsic_dimension,
     numerical_rank,
+    numerical_rank_from_spectrum,
     p_stable_rank,
     stable_rank,
 )
@@ -320,7 +321,7 @@ def maximizer_multiplier(a: Matrix, rtol: float = DEFAULT_RANK_RTOL) -> FamilyIn
         raise ValueError(f"requires a square matrix, got shape {a.shape}")
     n = a.shape[0]
     s, vh = np.linalg.svd(a)[1:]
-    r = int(np.count_nonzero(s > rtol * s[0])) if s[0] > 0 else 0
+    r = numerical_rank_from_spectrum(s, rtol)
     if r < 1:
         raise PreconditionError("requires a nonzero matrix", rank=r)
     d = np.ones(n)
@@ -350,7 +351,7 @@ def minimizer_multiplier(
         raise ValueError(f"requires a square matrix, got shape {a.shape}")
     n = a.shape[0]
     s, vh = np.linalg.svd(a)[1:]
-    r = int(np.count_nonzero(s > rtol * s[0])) if s[0] > 0 else 0
+    r = numerical_rank_from_spectrum(s, rtol)
     if r < 2:
         raise PreconditionError(f"requires rank >= 2, got {r}", rank=r)
     d = np.ones(n)
@@ -383,7 +384,7 @@ def congruence_maximizer(
     a = np.asarray(a)
     w, v = _psd_eigendecomposition(a, tol)
     n = a.shape[0]
-    r = int(np.count_nonzero(w > rtol * w[0])) if w[0] > 0 else 0
+    r = numerical_rank_from_spectrum(w, rtol)
     if r < 1:
         raise PreconditionError("requires a nonzero matrix", rank=r)
     d = np.ones(n)
@@ -412,7 +413,7 @@ def congruence_minimizer(
     a = np.asarray(a)
     w, v = _psd_eigendecomposition(a, tol)
     n = a.shape[0]
-    r = int(np.count_nonzero(w > rtol * w[0])) if w[0] > 0 else 0
+    r = numerical_rank_from_spectrum(w, rtol)
     if r < 2:
         raise PreconditionError(f"requires rank >= 2, got {r}", rank=r)
     d = np.ones(n)

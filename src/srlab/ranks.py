@@ -28,7 +28,7 @@ from .matrices import (
     psd_intrinsic_dimension,
     singular_values,
 )
-from .schatten import normalized_power_sum, validate_exponent
+from .schatten import is_scalar_exponent, normalized_power_sum, validate_exponent
 
 DEFAULT_RANK_RTOL = 1e-10
 
@@ -65,18 +65,20 @@ def srp_from_sigma(values: np.ndarray, p):
     sum_j (sigma_j / sigma_1) ** p for finite p. ``p`` may also be a 1-D
     array of exponents, as in :func:`srlab.schatten.normalized_power_sum`;
     the result is then an array, each entry equal to the scalar-``p`` value,
-    from one power-sum call over the finite exponents.
+    from one power-sum call.
     """
-    # np.ndim takes microseconds on a float or a list, so those are told apart first.
-    scalar = isinstance(p, (int, float)) or not isinstance(p, (list, tuple)) and np.ndim(p) == 0
+    scalar = is_scalar_exponent(p)
     if len(values) == 0 or values[0] <= 0.0:
         return 0.0 if scalar else np.zeros(len(p))
     if scalar:
         return 1.0 if math.isinf(p) else normalized_power_sum(values, p)
-    exponents = np.asarray(p, dtype=np.float64)
-    finite = np.isfinite(exponents)
-    out = np.ones(len(exponents))
-    out[finite] = normalized_power_sum(values, exponents[finite])
+    # The power sum at p = inf is finite (it counts the entries equal to
+    # sigma_1), and each exponent is summed on its own, so the finite ones
+    # get the same sums as alone; the inf entries are then set to 1.
+    out = normalized_power_sum(values, p)
+    for i, q in enumerate(p):
+        if q == math.inf:
+            out[i] = 1.0
     return out
 
 

@@ -10,6 +10,7 @@ nonzero singular values rather than measuring size; see
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 
@@ -32,11 +33,17 @@ def validate_exponent(p) -> float:
     return p
 
 
+def is_scalar_exponent(p) -> bool:
+    """Whether ``p`` is one exponent rather than a 1-D array of them."""
+    # np.ndim takes microseconds on a float or a list, so those are told apart first.
+    return isinstance(p, (int, float)) or not isinstance(p, (list, tuple)) and np.ndim(p) == 0
+
+
 # For a scalar exponent numpy evaluates ``x ** 2.0`` as ``square(x)``,
 # ``x ** 0.5`` as ``sqrt(x)`` and ``x ** -1.0`` as ``reciprocal(x)``, which
-# can differ from ``power`` in the last bit. The array form keeps these
-# exponents on the scalar path so that both forms agree bit for bit.
-_SCALAR_POWER_SHORTCUTS = (-1.0, 0.5, 2.0)
+# can differ from ``power`` in the last bit. The array form computes these
+# exponents' rows with the same ufuncs so that both forms agree bit for bit.
+_SCALAR_POWER_SHORTCUTS = {-1.0: np.reciprocal, 0.5: np.sqrt, 2.0: np.square}
 
 
 def normalized_power_sum(values: np.ndarray, p):
@@ -50,19 +57,36 @@ def normalized_power_sum(values: np.ndarray, p):
     array with one sum per exponent, each equal to the scalar-``p`` value.
     """
     top = float(values[0]) if len(values) else 0.0
-    if np.ndim(p) == 0:
+    if is_scalar_exponent(p):
         if top == 0.0:
             return 0.0
         return float(np.add.reduce((values / top) ** p))
-    exponents = np.asarray(p, dtype=np.float64)
+    column, shortcuts = _power_rows(tuple(p))
     if top == 0.0:
-        return np.zeros(len(exponents))
+        return np.zeros(len(column))
     ratios = values / top
-    sums = np.add.reduce(ratios ** exponents[:, None], axis=1)
-    for i, q in enumerate(exponents.tolist()):
-        if q in _SCALAR_POWER_SHORTCUTS:
-            sums[i] = np.add.reduce(ratios**q)
-    return sums
+    powers = ratios**column
+    for i, ufunc in shortcuts:
+        ufunc(ratios, out=powers[i])
+    return np.add.reduce(powers, axis=1)
+
+
+@functools.lru_cache(maxsize=64)
+def _power_rows(exponents: tuple) -> tuple[np.ndarray, tuple]:
+    """The exponents as a read-only float64 column, and their shortcut rows.
+
+    A shortcut row is ``(row, ufunc)`` for an exponent that numpy powers
+    through a ufunc. A fuzz campaign passes the same grid in every call, so
+    this is cached.
+    """
+    column = np.array(exponents, dtype=np.float64).reshape(-1, 1)
+    column.setflags(write=False)
+    shortcuts = tuple(
+        (i, _SCALAR_POWER_SHORTCUTS[q])
+        for i, q in enumerate(column[:, 0].tolist())
+        if q in _SCALAR_POWER_SHORTCUTS
+    )
+    return column, shortcuts
 
 
 def schatten_norm_from_spectrum(s, p) -> float:

@@ -24,8 +24,13 @@ from srlab.checks import (
     check_rank1_addition,
     check_sum_subadditivity_proot,
     check_weyl,
+    GridReports,
     encode_json,
     grid_cross_product,
+    grid_perturbation,
+    grid_product_kappa,
+    grid_rank1_addition,
+    grid_sum_subadditivity_proot,
 )
 from srlab.matrices import gaussian_matrix, haar_unitary, projector_matrix, rank1_psd_matrix
 from srlab.ranks import p_stable_rank
@@ -538,3 +543,41 @@ def test_grid_matches_single_calls():
         single = check_cross_product(a, p)
         assert report.slack == single.slack
         assert report.lhs == single.lhs
+
+
+def _grid_cases(rng):
+    a = psd(rng, 4, "complex")
+    e = psd(rng, 4, "complex")
+    e *= 0.3 * np.linalg.norm(a, 2) / np.linalg.norm(e, 2)
+    g = gaussian_matrix(rng, 4, 6)
+    return {
+        "sum_subadditivity_proot": (grid_sum_subadditivity_proot, check_sum_subadditivity_proot, (a, e)),
+        "rank1_addition": (grid_rank1_addition, check_rank1_addition, (a, rank1_psd_matrix(rng, 4))),
+        "product_kappa": (grid_product_kappa, check_product_kappa, (haar_unitary(rng, 4) * 2.0, g)),
+        "cross_product": (grid_cross_product, check_cross_product, (g,)),
+        "perturbation": (grid_perturbation, check_perturbation, (a, e)),
+        "perturbation_zero": (grid_perturbation, check_perturbation, (np.zeros((3, 3)), np.eye(3))),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_grid_cases(np.random.default_rng(0))))
+def test_grid_columns_and_reports_match_single_calls(case):
+    # Points that are not applicable sit between applicable ones, so the
+    # columns must keep every point in grid order.
+    grid_check, single_check, inputs = _grid_cases(np.random.default_rng(3))[case]
+    grid = (0.5, 1.0, 1.5, INF, 2.0, math.nan, 3.0)
+    result = grid_check(*inputs, grid)
+    assert isinstance(result, GridReports)
+    assert len(result) == len(grid)
+    singles = [single_check(*inputs, p) for p in grid]
+    as_json = [json.dumps(r.to_json_dict()) for r in singles]
+    assert [json.dumps(r.to_json_dict()) for r in result] == as_json
+    assert [json.dumps(result[k].to_json_dict()) for k in range(-len(grid), 0)] == as_json
+    assert [json.dumps(r.to_json_dict()) for r in result[1::2]] == as_json[1::2]
+    for k, single in enumerate(singles):
+        assert result.p[k] == single.details["p"] or math.isnan(grid[k])
+        assert result.holds[k] == (single.holds if single.preconditions_met else None)
+        for column, value in ((result.lhs, single.lhs), (result.rhs, single.rhs), (result.slack, single.slack)):
+            assert column[k] == value or (math.isnan(column[k]) and math.isnan(value))
+    with pytest.raises(IndexError):
+        result[len(grid)]

@@ -238,6 +238,26 @@ def test_gallery_matrix_input_family(files, tmp_path):
     assert payload["evaluation"]["intdim_BAB"]["computed"] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize(
+    "family, extra",
+    [
+        ("maximizer_multiplier", []),
+        ("minimizer_multiplier", ["--alpha", "0.25"]),
+        ("congruence_maximizer", []),
+        ("congruence_minimizer", ["--alpha", "0.25"]),
+    ],
+)
+def test_gallery_input_family_rejects_rtol_zero(family, extra, files, tmp_path, capsys):
+    from srlab.cli import main
+
+    path = str(files / "identity5.mtx")
+    argv = ["--rtol", "0", "gallery", family, "--input", path, *extra, "--out", str(tmp_path / "g")]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: rtol must lie in (0, 1)")
+    assert len(err.splitlines()) == 1
+
+
 def test_condition_sweep(files):
     out = run_cli(
         "condition",

@@ -269,3 +269,119 @@ def test_no_scope_after_run_trial_raises(monkeypatch, function):
         run_trial(cfg.seed, trial, cfg)
     assert seen == [True]
     assert not _scope_active()
+
+
+def _fold_of_trial_reports(cfg):
+    """Aggregates and failures as a fold of ``run_trial``'s reports.
+
+    Per check: the applicable and passing counts, the least slack and where
+    it was first reached.
+    """
+    aggregates = {name: [0, 0, None, None] for name in cfg.checks}
+    failures = []
+    for trial in range(cfg.trials):
+        for result in run_trial(cfg.seed, trial, cfg):
+            report = result.report
+            if not report.preconditions_met:
+                continue
+            agg = aggregates[result.check]
+            agg[0] += 1
+            if report.holds:
+                agg[1] += 1
+            else:
+                failures.append((result.check, result.variant, result.p, trial))
+            if agg[2] is None or report.slack < agg[2]:
+                agg[2] = report.slack
+                agg[3] = {"seed": cfg.seed, "trial": trial, "variant": result.variant, "p": result.p}
+    return aggregates, failures
+
+
+@pytest.mark.parametrize(
+    "seed, overrides",
+    [
+        (0, {}),
+        (7, {}),
+        (42, {}),
+        (7, {"checks": ("product_kappa", "perturbation", "weyl", "block_intdim")}),
+        (42, {"p_grid": (0.5, 1.0, 2.0, math.inf)}),
+    ],
+)
+def test_run_chunk_folds_like_trial_reports(seed, overrides):
+    # p = 0.5 is not applicable to any grid check, and inf not to the two
+    # that need a finite p, so that grid marks single points not applicable.
+    cfg = FuzzConfig(trials=40, seed=seed, parallelism=1, **overrides)
+    _, aggregates, failures = fuzz._run_chunk(cfg, 0, cfg.trials)
+    expected, expected_failures = _fold_of_trial_reports(cfg)
+    got = {
+        name: [agg.applicable, agg.passed, agg.min_slack, agg.argmin]
+        for name, agg in aggregates.items()
+    }
+    assert got == expected
+    assert [(f["check"], f["variant"], f["p"], f["trial"]) for f in failures] == expected_failures
+
+
+def _count_grid_reports(monkeypatch):
+    from srlab.checks import GridReports
+
+    built = []
+    real = GridReports._report
+
+    def counted(self, *args):
+        built.append(self.name)
+        return real(self, *args)
+
+    monkeypatch.setattr(GridReports, "_report", counted)
+    return built
+
+
+def test_campaign_builds_no_report_for_a_passing_grid_point(monkeypatch):
+    built = _count_grid_reports(monkeypatch)
+    report = run_fuzz(small_config(trials=20))
+    assert report.failure_count == 0
+    assert sum(agg["applicable_count"] for agg in report.checks.values()) > 0
+    assert built == []
+    run_trial(11, 0, small_config())  # the per-trial path still builds every report
+    assert len(built) == 6 * len(fuzz.DEFAULT_P_GRID)
+
+
+def test_a_failing_grid_point_is_recorded_as_reproduced(monkeypatch):
+    from srlab import checks
+
+    cfg = FuzzConfig(trials=3, seed=5, parallelism=1)
+    target = ("perturbation", "general", 3.0)
+    trial = 1
+    [chosen] = [
+        r.report for r in run_trial(cfg.seed, trial, cfg) if (r.check, r.variant, r.p) == target
+    ]
+    assert chosen.holds is True
+    real = checks._verdict
+
+    def fail_chosen(lhs, rhs, margins):
+        slack, holds = real(lhs, rhs, margins)
+        return slack, holds and not (lhs == chosen.lhs and rhs == chosen.rhs)
+
+    monkeypatch.setattr(checks, "_verdict", fail_chosen)
+    built = _count_grid_reports(monkeypatch)
+    report = run_fuzz(cfg)
+    assert built == ["perturbation"]
+    assert report.failure_count == 1
+    [failure] = report.failures
+    assert (failure["check"], failure["variant"], failure["p"], failure["trial"]) == (*target, trial)
+    assert failure["report"] == reproduce_check(cfg, trial, *target).to_json_dict()
+    assert failure["report"]["holds"] is False
+    agg = report.checks["perturbation"]
+    assert agg["pass_count"] == agg["applicable_count"] - 1
+
+
+def test_a_grid_replacement_returning_plain_reports_is_folded(monkeypatch):
+    def always_fails(a, p_grid, tol=None):
+        return [CheckReport("cross_product", 1.0, 0.0, -1.0, False, True, {"p": p}) for p in p_grid]
+
+    monkeypatch.setattr(fuzz, "grid_cross_product", always_fails)
+    cfg = small_config(trials=3, checks=("cross_product",))
+    report = run_fuzz(cfg)
+    grid = len(cfg.p_grid)
+    assert report.failure_count == 3 * grid
+    assert report.checks["cross_product"]["applicable_count"] == 3 * grid
+    assert report.checks["cross_product"]["pass_count"] == 0
+    assert [f["p"] for f in report.failures[:grid]] == list(cfg.p_grid)
