@@ -41,10 +41,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .matrices import (
-    DEFAULT_TOL,
     DecompositionError,
     Matrix,
-    Tolerances,
     hermitian_part_eigenvalues,
     is_hermitian,
     pivoted_cholesky,
@@ -201,17 +199,17 @@ def _same_square(a: np.ndarray, b: np.ndarray) -> bool:
 # Exponent-independent checkers
 
 
-def check_weyl(a: Matrix, b: Matrix, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+def check_weyl(a: Matrix, b: Matrix) -> CheckReport:
     """lam_1(A+B) >= lam_1(A) + lam_n(B) >= lam_1(A) for PSD A, B."""
     name = "weyl"
     a = np.asarray(a)
     b = np.asarray(b)
     if not _same_square(a, b):
         return _not_applicable(name, "requires two square matrices of equal size")
-    wa = psd_eigenvalues(a, tol)
+    wa = psd_eigenvalues(a)
     if wa is None:
         return _not_applicable(name, "A is not positive semi-definite")
-    wb = psd_eigenvalues(b, tol)
+    wb = psd_eigenvalues(b)
     if wb is None:
         return _not_applicable(name, "B is not positive semi-definite")
     top_sum = float(hermitian_part_eigenvalues(a + b)[0])
@@ -228,9 +226,7 @@ def check_weyl(a: Matrix, b: Matrix, tol: Tolerances = DEFAULT_TOL) -> CheckRepo
     return _finish(name, mid, top_sum, margins, details)
 
 
-def check_intdim_subadditive(
-    a: Matrix, b: Matrix, tol: Tolerances = DEFAULT_TOL
-) -> CheckReport:
+def check_intdim_subadditive(a: Matrix, b: Matrix) -> CheckReport:
     """intdim(A+B) <= intdim(A) + intdim(B) for nonzero PSD A, B."""
     name = "intdim_subadditive"
     a = np.asarray(a)
@@ -239,7 +235,7 @@ def check_intdim_subadditive(
         return _not_applicable(name, "requires two square matrices of equal size")
     if _is_zero(a) or _is_zero(b):
         return _not_applicable(name, "requires nonzero matrices")
-    if psd_eigenvalues(a, tol) is None or psd_eigenvalues(b, tol) is None:
+    if psd_eigenvalues(a) is None or psd_eigenvalues(b) is None:
         return _not_applicable(name, "requires positive semi-definite matrices")
     id_a = psd_intrinsic_dimension(a)
     id_b = psd_intrinsic_dimension(b)
@@ -248,9 +244,7 @@ def check_intdim_subadditive(
     return _finish(name, lhs, rhs, [rhs - lhs], {"intdim_a": id_a, "intdim_b": id_b})
 
 
-def check_block_diag_sr(
-    a11: Matrix, a22: Matrix, tol: Tolerances = DEFAULT_TOL
-) -> CheckReport:
+def check_block_diag_sr(a11: Matrix, a22: Matrix) -> CheckReport:
     """min(sr(A11), sr(A22)) <= sr(diag(A11, A22)) <= sr(A11) + sr(A22)."""
     name = "block_diag_sr"
     a11 = np.asarray(a11)
@@ -280,7 +274,7 @@ def check_block_diag_sr(
     return _finish(name, sr_block, high, margins, details)
 
 
-def check_block_intdim(a: Matrix, k: int, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+def check_block_intdim(a: Matrix, k: int) -> CheckReport:
     """intdim(A) <= intdim(A11) + intdim(A22) for principal blocks of PSD A."""
     name = "block_intdim"
     a = np.asarray(a)
@@ -290,7 +284,7 @@ def check_block_intdim(a: Matrix, k: int, tol: Tolerances = DEFAULT_TOL) -> Chec
     k = int(k)
     if not 1 <= k < n:
         raise ValueError(f"block split k must satisfy 1 <= k < n, got k={k}, n={n}")
-    if psd_eigenvalues(a, tol) is None:
+    if psd_eigenvalues(a) is None:
         return _not_applicable(name, "requires a positive semi-definite matrix")
     id_full = psd_intrinsic_dimension(a)
     id_11 = psd_intrinsic_dimension(a[:k, :k])
@@ -300,12 +294,7 @@ def check_block_intdim(a: Matrix, k: int, tol: Tolerances = DEFAULT_TOL) -> Chec
     return _finish(name, id_full, rhs, [rhs - id_full], details)
 
 
-def check_deletion(
-    a: Matrix,
-    drop_col: int,
-    tol: Tolerances = DEFAULT_TOL,
-    rtol: float = DEFAULT_RANK_RTOL,
-) -> CheckReport:
+def check_deletion(a: Matrix, drop_col: int, rtol: float = DEFAULT_RANK_RTOL) -> CheckReport:
     """rank(A with a column deleted) <= rank(A); stable ranks reported only.
 
     The rank clause must hold; the stable-rank comparison can go either
@@ -336,12 +325,12 @@ def check_deletion(
         "sr_deleted": sr_h,
         "sr_increased": bool(sr_h > sr_a),
     }
-    if psd_eigenvalues(a, tol) is not None:
+    if psd_eigenvalues(a) is not None:
         details["intdim_a"] = psd_intrinsic_dimension(a)
     return _finish(name, float(rank_h), float(rank_a), [float(rank_a - rank_h)], details)
 
 
-def check_cholesky_intdim(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
+def check_cholesky_intdim(a: Matrix) -> CheckReport:
     """intdim(A) <= sr(L) for the pivoted Cholesky factor P*AP = LL*.
 
     The two quantities coincide analytically (trace(A) = ||L||_F^2 and
@@ -355,9 +344,9 @@ def check_cholesky_intdim(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> CheckRepo
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return _not_applicable(name, "requires a square matrix")
-    if psd_eigenvalues(a, tol) is None:
+    if psd_eigenvalues(a) is None:
         return _not_applicable(name, "requires a positive semi-definite matrix")
-    L, perm, rank = pivoted_cholesky(a, tol)
+    L, perm, rank = pivoted_cholesky(a)
     n = a.shape[0]
     permuted = a[np.ix_(perm, perm)]
     residual = float(np.linalg.norm(permuted - L @ L.conj().T))
@@ -377,7 +366,7 @@ def check_cholesky_intdim(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> CheckRepo
     }
     if rank == n and len(sl) and sl[0] > 0.0:
         details["factor_trace_ratio"] = float(np.trace(L).real) / float(sl[0])
-        if is_hermitian(L, tol):
+        if is_hermitian(L):
             intdim_l = psd_intrinsic_dimension(L)
             details["factor_intdim"] = intdim_l
             margins.append(intdim_l - intdim_a)
@@ -491,9 +480,7 @@ def _grid(name: str, ps, reasons, details, rows) -> GridReports:
     return GridReports(name, ps, lhs, rhs, slack, holds, details, args)
 
 
-def grid_sum_subadditivity_proot(
-    a: Matrix, b: Matrix, p_grid, tol: Tolerances = DEFAULT_TOL
-) -> GridReports:
+def grid_sum_subadditivity_proot(a: Matrix, b: Matrix, p_grid) -> GridReports:
     """srp(A+B)^(1/p) <= srp(A)^(1/p) + srp(B)^(1/p) for nonzero PSD A, B."""
     name = "sum_subadditivity_proot"
     a = np.asarray(a)
@@ -504,8 +491,8 @@ def grid_sum_subadditivity_proot(
     elif _is_zero(a) or _is_zero(b):
         reason = "requires nonzero matrices"
     else:
-        wa = psd_eigenvalues(a, tol)
-        wb = psd_eigenvalues(b, tol)
+        wa = psd_eigenvalues(a)
+        wb = psd_eigenvalues(b)
         if wa is None or wb is None:
             reason = "requires positive semi-definite matrices"
     if reason is not None:
@@ -526,18 +513,12 @@ def grid_sum_subadditivity_proot(
     return _grid(name, ps, reasons, details, rows())
 
 
-def check_sum_subadditivity_proot(
-    a: Matrix, b: Matrix, p: float, tol: Tolerances = DEFAULT_TOL
-) -> CheckReport:
-    return grid_sum_subadditivity_proot(a, b, [p], tol)[0]
+def check_sum_subadditivity_proot(a: Matrix, b: Matrix, p: float) -> CheckReport:
+    return grid_sum_subadditivity_proot(a, b, [p])[0]
 
 
 def grid_rank1_addition(
-    a: Matrix,
-    b: Matrix,
-    p_grid,
-    tol: Tolerances = DEFAULT_TOL,
-    rtol: float = DEFAULT_RANK_RTOL,
+    a: Matrix, b: Matrix, p_grid, rtol: float = DEFAULT_RANK_RTOL
 ) -> GridReports:
     """srp(A+B)^(1/p) - srp(A)^(1/p) <= 1 for PSD A and rank-1 PSD B."""
     name = "rank1_addition"
@@ -548,8 +529,8 @@ def grid_rank1_addition(
     if not _same_square(a, b):
         reason = "requires two square matrices of equal size"
     else:
-        wa = psd_eigenvalues(a, tol)
-        wb = psd_eigenvalues(b, tol)
+        wa = psd_eigenvalues(a)
+        wb = psd_eigenvalues(b)
         if wa is None or wb is None:
             reason = "requires positive semi-definite matrices"
         else:
@@ -575,21 +556,13 @@ def grid_rank1_addition(
 
 
 def check_rank1_addition(
-    a: Matrix,
-    b: Matrix,
-    p: float,
-    tol: Tolerances = DEFAULT_TOL,
-    rtol: float = DEFAULT_RANK_RTOL,
+    a: Matrix, b: Matrix, p: float, rtol: float = DEFAULT_RANK_RTOL
 ) -> CheckReport:
-    return grid_rank1_addition(a, b, [p], tol, rtol)[0]
+    return grid_rank1_addition(a, b, [p], rtol=rtol)[0]
 
 
 def grid_product_kappa(
-    a: Matrix,
-    b: Matrix,
-    p_grid,
-    tol: Tolerances = DEFAULT_TOL,
-    rtol: float = DEFAULT_RANK_RTOL,
+    a: Matrix, b: Matrix, p_grid, rtol: float = DEFAULT_RANK_RTOL
 ) -> GridReports:
     """srp(B) / kappa2(A)^p <= srp(AB) <= kappa2(A)^p * srp(B), A nonsingular."""
     name = "product_kappa"
@@ -630,16 +603,12 @@ def grid_product_kappa(
 
 
 def check_product_kappa(
-    a: Matrix,
-    b: Matrix,
-    p: float,
-    tol: Tolerances = DEFAULT_TOL,
-    rtol: float = DEFAULT_RANK_RTOL,
+    a: Matrix, b: Matrix, p: float, rtol: float = DEFAULT_RANK_RTOL
 ) -> CheckReport:
-    return grid_product_kappa(a, b, [p], tol, rtol)[0]
+    return grid_product_kappa(a, b, [p], rtol=rtol)[0]
 
 
-def grid_cross_product(a: Matrix, p_grid, tol: Tolerances = DEFAULT_TOL) -> GridReports:
+def grid_cross_product(a: Matrix, p_grid) -> GridReports:
     """srp(A*A) <= srp(A), srp(AA*) <= srp(A), and srp(A*A) = sr_{2p}(A)."""
     name = "cross_product"
     a = np.asarray(a)
@@ -674,17 +643,11 @@ def grid_cross_product(a: Matrix, p_grid, tol: Tolerances = DEFAULT_TOL) -> Grid
     return _grid(name, ps, reasons, details, rows())
 
 
-def check_cross_product(a: Matrix, p: float, tol: Tolerances = DEFAULT_TOL) -> CheckReport:
-    return grid_cross_product(a, [p], tol)[0]
+def check_cross_product(a: Matrix, p: float) -> CheckReport:
+    return grid_cross_product(a, [p])[0]
 
 
-def grid_perturbation(
-    a: Matrix,
-    e: Matrix,
-    p_grid,
-    tol: Tolerances = DEFAULT_TOL,
-    rtol: float = DEFAULT_RANK_RTOL,
-) -> GridReports:
+def grid_perturbation(a: Matrix, e: Matrix, p_grid, rtol: float = DEFAULT_RANK_RTOL) -> GridReports:
     """Two-sided conditioning bounds for srp(A+E)^(1/p) when eps < 1.
 
     With eps = ||E||_2 / ||A||_2 and r = rank(E):
@@ -703,17 +666,17 @@ def grid_perturbation(
     e = np.asarray(e)
     if a.shape != e.shape or a.ndim != 2:
         return _not_applicable_grid(name, "requires matrices of equal shape", p_grid)
-    sig_a, psd_a = sigma_and_psd(a, tol)
+    sig_a, psd_a = sigma_and_psd(a)
     norm_a = float(sig_a[0])
     if norm_a == 0.0:
         return _not_applicable_grid(name, "A is the zero matrix", p_grid)
-    sig_e, psd_e = sigma_and_psd(e, tol)
+    sig_e, psd_e = sigma_and_psd(e)
     eps = float(sig_e[0]) / norm_a
     if eps >= 1.0:
         reason = f"requires eps < 1, got eps={eps:.6g}"
         return _not_applicable_grid(name, reason, p_grid, epsilon=eps)
     r = numerical_rank_from_spectrum(sig_e, rtol)
-    sig_sum, _ = sigma_and_psd(a + e, tol)
+    sig_sum, _ = sigma_and_psd(a + e)
     psd_pair = psd_a and psd_e
     ps, reasons, valid = _grid_exponents(p_grid, finite=False)
     base_roots = _proot_grid(sig_a, valid)
@@ -752,13 +715,9 @@ def grid_perturbation(
 
 
 def check_perturbation(
-    a: Matrix,
-    e: Matrix,
-    p: float,
-    tol: Tolerances = DEFAULT_TOL,
-    rtol: float = DEFAULT_RANK_RTOL,
+    a: Matrix, e: Matrix, p: float, rtol: float = DEFAULT_RANK_RTOL
 ) -> CheckReport:
-    return grid_perturbation(a, e, [p], tol, rtol)[0]
+    return grid_perturbation(a, e, [p], rtol=rtol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -233,7 +233,7 @@ def cmd_condition(args) -> int:
     with trial_scope():
         for i, eps in enumerate(args.epsilons):
             row = {"epsilon": eps, "applicable": False}
-            if eps >= 1.0 or eps < 0.0:
+            if not 0.0 <= eps < 1.0:
                 row["reason"] = "requires 0 <= eps < 1"
                 rows.append(row)
                 continue

@@ -25,10 +25,9 @@ from fractions import Fraction
 import numpy as np
 
 from .matrices import (
-    DEFAULT_TOL,
     Matrix,
     PreconditionError,
-    Tolerances,
+    _hermitize,
     haar_unitary,
     is_psd,
     prescribed_spectrum_matrix,
@@ -70,9 +69,7 @@ class FamilyInstance:
 
 
 def evaluate(
-    instance: FamilyInstance,
-    tol: Tolerances = DEFAULT_TOL,
-    rtol: float = DEFAULT_RANK_RTOL,
+    instance: FamilyInstance, rtol: float = DEFAULT_RANK_RTOL
 ) -> dict[str, dict[str, float]]:
     """Compute every predicted quantity and report relative errors.
 
@@ -89,7 +86,7 @@ def evaluate(
             if quantity == "sr":
                 computed = stable_rank(a).value
             elif quantity == "intdim":
-                computed = intrinsic_dimension(a, tol).value
+                computed = intrinsic_dimension(a).value
             elif quantity == "srp":
                 computed = p_stable_rank(a, instance.params["p"], rtol).value
             elif quantity == "rank":
@@ -368,21 +365,19 @@ def minimizer_multiplier(
     )
 
 
-def _psd_eigendecomposition(a: np.ndarray, tol: Tolerances):
+def _psd_eigendecomposition(a: np.ndarray):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"requires a square matrix, got shape {a.shape}")
-    if not is_psd(a, tol):
+    if not is_psd(a):
         raise PreconditionError("requires a positive semi-definite matrix")
-    w, v = np.linalg.eigh((a + a.conj().T) / 2)
+    w, v = np.linalg.eigh(_hermitize(a))
     return w[::-1].copy(), v[:, ::-1].copy()
 
 
-def congruence_maximizer(
-    a: Matrix, tol: Tolerances = DEFAULT_TOL, rtol: float = DEFAULT_RANK_RTOL
-) -> FamilyInstance:
+def congruence_maximizer(a: Matrix, rtol: float = DEFAULT_RANK_RTOL) -> FamilyInstance:
     """Congruence B*AB with nonsingular B raising intdim to rank(A)."""
     a = np.asarray(a)
-    w, v = _psd_eigendecomposition(a, tol)
+    w, v = _psd_eigendecomposition(a)
     n = a.shape[0]
     r = numerical_rank_from_spectrum(w, rtol)
     if r < 1:
@@ -401,17 +396,14 @@ def congruence_maximizer(
 
 
 def congruence_minimizer(
-    a: Matrix,
-    alpha: float,
-    tol: Tolerances = DEFAULT_TOL,
-    rtol: float = DEFAULT_RANK_RTOL,
+    a: Matrix, alpha: float, rtol: float = DEFAULT_RANK_RTOL
 ) -> FamilyInstance:
     """Congruence B*AB lowering intdim to 1 + (r-1) alpha, close to 1."""
     alpha = float(alpha)
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     a = np.asarray(a)
-    w, v = _psd_eigendecomposition(a, tol)
+    w, v = _psd_eigendecomposition(a)
     n = a.shape[0]
     r = numerical_rank_from_spectrum(w, rtol)
     if r < 2:

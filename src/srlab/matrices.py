@@ -33,6 +33,13 @@ matrix that several checks share is decomposed once, and the singular
 values of an exactly Hermitian matrix share its eigendecomposition.
 Outside a scope nothing is cached.
 
+Classification uses one fixed pair of relative thresholds, those of
+:data:`DEFAULT_TOL`. A square input is Hermitian when ``max |A - A*|`` is at
+most ``1e-12 * max(1, max |A|)``, and PSD when it is also Hermitian with
+``lambda_min >= -1e-10 * max(1, lambda_max)`` for the eigenvalues of its
+Hermitian part. :func:`pivoted_cholesky` stops and flags a negative pivot
+on the same ``1e-10``.
+
 :func:`pivoted_cholesky` is one call of LAPACK's ``?pstrf``. Where numpy
 bundles an ILP64 OpenBLAS that exports the LAPACKE routine, it is called
 through :mod:`ctypes` and SciPy is not imported; elsewhere it comes from
@@ -83,7 +90,12 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Relative thresholds for spectral comparisons and PSD classification."""
+    """Relative thresholds for spectral comparisons and PSD classification.
+
+    Only :data:`DEFAULT_TOL` is read: the classifier and
+    :func:`pivoted_cholesky` take ``hermitian_asym`` and ``psd_negativity``
+    from it. ``rel_spectral`` is validated with them but read nowhere.
+    """
 
     rel_spectral: float = 1e-10
     hermitian_asym: float = 1e-12
@@ -353,25 +365,24 @@ def hermitian_asymmetry(a: Matrix) -> float:
     return float(np.max(np.abs(a - a.conj().T)))
 
 
-def is_hermitian(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """max |A - A*| within ``tol.hermitian_asym * max(1, max |A|)``.
+def is_hermitian(a: Matrix) -> bool:
+    """max |A - A*| within ``1e-12 * max(1, max |A|)``.
 
     False for any input with a nan or infinite entry.
     """
     a = _require_square(a, "is_hermitian")
-    kind = ("hermitian", tol.hermitian_asym)
-    return _memo(kind, a, lambda a: _is_hermitian(a, tol))
+    return _memo("hermitian", a, _is_hermitian)
 
 
-def _is_hermitian(a: np.ndarray, tol: Tolerances) -> bool:
+def _is_hermitian(a: np.ndarray) -> bool:
     if _exactly_hermitian(a):
         # The asymmetry is 0, or nan where inf - inf meets an infinite entry.
         return bool(np.isfinite(a).all())
-    return hermitian_asymmetry(a) <= _asymmetry_bound(a, tol)
+    return hermitian_asymmetry(a) <= _asymmetry_bound(a)
 
 
-def _asymmetry_bound(a: np.ndarray, tol: Tolerances) -> float:
-    return tol.hermitian_asym * max(1.0, float(np.max(np.abs(a))))
+def _asymmetry_bound(a: np.ndarray) -> float:
+    return DEFAULT_TOL.hermitian_asym * max(1.0, float(np.max(np.abs(a))))
 
 
 def hermitian_part_eigenvalues(a: Matrix) -> np.ndarray:
@@ -391,42 +402,40 @@ def _hermitian_part_eigenvalues(a: np.ndarray) -> np.ndarray:
     return _frozen(w[::-1].copy())
 
 
-def _psd_within(w: np.ndarray, tol: Tolerances) -> bool:
+def _psd_within(w: np.ndarray) -> bool:
     """Descending eigenvalues ``w`` clear the relative negativity floor."""
-    return bool(w[-1] >= -tol.psd_negativity * max(1.0, float(w[0])))
+    return bool(w[-1] >= -DEFAULT_TOL.psd_negativity * max(1.0, float(w[0])))
 
 
-def psd_eigenvalues(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray | None:
-    """Descending eigenvalues if ``a`` is square Hermitian PSD within tol, else None."""
+def psd_eigenvalues(a: Matrix) -> np.ndarray | None:
+    """Descending eigenvalues if ``a`` is square Hermitian PSD (:func:`is_psd`), else None."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return None
-    kind = ("psd", tol.hermitian_asym, tol.psd_negativity)
-    return _memo(kind, a, lambda a: _psd_eigenvalues(a, tol))
+    return _memo("psd", a, _psd_eigenvalues)
 
 
-def _psd_eigenvalues(a: np.ndarray, tol: Tolerances) -> np.ndarray | None:
-    if not is_hermitian(a, tol):
+def _psd_eigenvalues(a: np.ndarray) -> np.ndarray | None:
+    if not is_hermitian(a):
         return None
     w = hermitian_part_eigenvalues(a)
-    return w if _psd_within(w, tol) else None
+    return w if _psd_within(w) else None
 
 
-def sigma_and_psd(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> tuple[np.ndarray, bool]:
+def sigma_and_psd(a: Matrix) -> tuple[np.ndarray, bool]:
     """(descending singular values, PSD flag) from one decomposition.
 
     Hermitian inputs go through the eigenvalue route (singular values are
     the absolute eigenvalues), all others through the SVD.
     """
     a = _require_2d(a, "sigma_and_psd")
-    kind = ("sigma_psd", tol.hermitian_asym, tol.psd_negativity)
-    return _memo(kind, a, lambda a: _sigma_and_psd(a, tol))
+    return _memo("sigma_psd", a, _sigma_and_psd)
 
 
-def _sigma_and_psd(a: np.ndarray, tol: Tolerances) -> tuple[np.ndarray, bool]:
-    if a.shape[0] == a.shape[1] and is_hermitian(a, tol):
+def _sigma_and_psd(a: np.ndarray) -> tuple[np.ndarray, bool]:
+    if a.shape[0] == a.shape[1] and is_hermitian(a):
         w = hermitian_part_eigenvalues(a)
-        return _sigma_from_eigenvalues(w), _psd_within(w, tol)
+        return _sigma_from_eigenvalues(w), _psd_within(w)
     return sigma(a), False
 
 
@@ -443,18 +452,18 @@ def psd_intrinsic_dimension(a: Matrix, w: np.ndarray | None = None) -> float:
     return float(np.trace(a).real) / lam_max
 
 
-def hermitian_eigenvalues(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
+def hermitian_eigenvalues(a: Matrix) -> Spectrum:
     """Descending real eigenvalues of a Hermitian matrix.
 
     The values are those of :func:`hermitian_part_eigenvalues`, so they
     agree with every check that classifies through :func:`is_hermitian`.
-    Raises :class:`PreconditionError` (carrying ``max_asymmetry``) if the
-    input is not Hermitian within ``tol.hermitian_asym``.
+    Raises :class:`PreconditionError` (carrying ``max_asymmetry``) if
+    :func:`is_hermitian` rejects the input.
     """
     a = _require_square(a, "hermitian_eigenvalues")
-    if not is_hermitian(a, tol):
+    if not is_hermitian(a):
         asym = hermitian_asymmetry(a)
-        bound = _asymmetry_bound(a, tol)
+        bound = _asymmetry_bound(a)
         raise PreconditionError(
             f"matrix is not Hermitian: max asymmetry {asym:.6e} exceeds {bound:.6e}",
             max_asymmetry=asym,
@@ -462,10 +471,10 @@ def hermitian_eigenvalues(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> Spectrum:
     return Spectrum(hermitian_part_eigenvalues(a), "hermitian_eigen", a.shape)
 
 
-def is_psd(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Hermitian with smallest eigenvalue above the relative negativity floor."""
+def is_psd(a: Matrix) -> bool:
+    """Hermitian, with ``lambda_min >= -1e-10 * max(1, lambda_max)``."""
     a = _require_square(a, "is_psd")
-    return psd_eigenvalues(a, tol) is not None
+    return psd_eigenvalues(a) is not None
 
 
 def two_norm(a: Matrix) -> float:
@@ -491,19 +500,17 @@ def matmul(a: Matrix, b: Matrix) -> Matrix:
     return a @ b
 
 
-def pivoted_cholesky(
-    a: Matrix, tol: Tolerances = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, int]:
+def pivoted_cholesky(a: Matrix) -> tuple[np.ndarray, np.ndarray, int]:
     """Diagonally pivoted Cholesky factorization of a PSD matrix, by LAPACK ``?pstrf``.
 
     Returns ``(L, perm, rank)`` with ``a[perm][:, perm] ~= L @ L*`` and ``L``
     of shape ``(n, rank)``, lower trapezoidal with a positive diagonal. Only
     the lower triangle of ``a`` is read. Each step pivots on the largest
     remaining diagonal entry of the Schur complement; the factorization
-    stops once that entry is at most ``psd_negativity * trace(a) / n``.
-    Raises :class:`DecompositionError` if the largest diagonal entry of the
-    Schur complement left after ``rank`` steps is below
-    ``-psd_negativity * max(1, trace(a))`` (indefinite input), if ``a`` has
+    stops once that entry is at most ``1e-10 * trace(a) / n``. Raises
+    :class:`DecompositionError` if the largest diagonal entry of the Schur
+    complement left after ``rank`` steps is below
+    ``-1e-10 * max(1, trace(a))`` (indefinite input), if ``a`` has
     a nan or infinite entry, or if LAPACK reports an error.
     :func:`pstrf_provider` says which LAPACK runs.
     """
@@ -517,7 +524,7 @@ def pivoted_cholesky(
         raise DecompositionError("pivoted Cholesky needs finite entries")
     total = max(float(w.trace().real), 0.0)
     _, pstrf = pstrf_provider()
-    w, piv, rank, info = pstrf(w, tol.psd_negativity * total / n)
+    w, piv, rank, info = pstrf(w, DEFAULT_TOL.psd_negativity * total / n)
     if info < 0:
         raise DecompositionError(f"LAPACK ?pstrf rejected argument {-info}")
     perm = piv - 1
@@ -528,7 +535,7 @@ def pivoted_cholesky(
         norms = np.add.reduce((rest * rest.conj()).real, axis=1)
         schur = a.diagonal().real[perm[rank:]] - norms
         pivot = float(schur.max())
-        if pivot < -tol.psd_negativity * max(1.0, total):
+        if pivot < -DEFAULT_TOL.psd_negativity * max(1.0, total):
             raise DecompositionError(f"pivoted Cholesky breakdown: negative pivot {pivot:.6e}")
     return L, perm, rank
 
@@ -554,16 +561,17 @@ def pstrf_provider() -> tuple[str, Callable]:
     "openblas" is the ILP64 LAPACKE routine exported by the OpenBLAS that
     numpy bundles, called through :mod:`ctypes` with no SciPy import;
     "scipy" is :mod:`scipy.linalg.lapack`, taken where numpy bundles no
-    such library. ``routine(w, tol)`` factors the lower triangle of the
+    such library. ``routine(w, stop)`` factors the lower triangle of the
     Fortran-ordered float64 or complex128 square ``w``, which it may
-    overwrite, and returns ``(factor, piv, rank, info)`` with 1-based int64
-    pivots, as LAPACK does.
+    overwrite, until the largest remaining pivot is at most ``stop``, and
+    returns ``(factor, piv, rank, info)`` with 1-based int64 pivots, as
+    LAPACK does.
     """
     routines = _bundled_pstrf()
     if routines is None:
         return "scipy", _scipy_pstrf
 
-    def openblas_pstrf(w: np.ndarray, tol: float):
+    def openblas_pstrf(w: np.ndarray, stop: float):
         routine = routines.get(w.dtype)
         n = w.shape[0]
         if routine is None or w.shape != (n, n) or not (w.flags.f_contiguous and w.flags.writeable):
@@ -573,7 +581,7 @@ def pstrf_provider() -> tuple[str, Callable]:
         piv = np.empty(n, dtype=np.int64)
         rank = ctypes.c_int64()
         info = routine(
-            _LAPACK_COL_MAJOR, b"L", n, w.ctypes.data, n, piv.ctypes.data, ctypes.byref(rank), tol
+            _LAPACK_COL_MAJOR, b"L", n, w.ctypes.data, n, piv.ctypes.data, ctypes.byref(rank), stop
         )
         return w, piv, rank.value, info
 
@@ -616,11 +624,11 @@ def _bundled_pstrf() -> dict | None:
     return None
 
 
-def _scipy_pstrf(w: np.ndarray, tol: float):
+def _scipy_pstrf(w: np.ndarray, stop: float):
     from scipy.linalg import lapack
 
     routine = lapack.zpstrf if w.dtype == np.complex128 else lapack.dpstrf
-    c, piv, rank, info = routine(w, tol=tol, lower=1, overwrite_a=1)
+    c, piv, rank, info = routine(w, tol=stop, lower=1, overwrite_a=1)
     return c, piv.astype(np.int64), rank, info
 
 

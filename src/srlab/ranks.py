@@ -18,11 +18,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .matrices import (
-    DEFAULT_TOL,
     Matrix,
     PreconditionError,
     Spectrum,
-    Tolerances,
     _psd_within,
     hermitian_eigenvalues,
     psd_intrinsic_dimension,
@@ -108,7 +106,7 @@ def stable_rank(a: Matrix) -> RankResult:
     return replace(p_stable_rank(a, 2.0), definition="stable")
 
 
-def intrinsic_dimension(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> RankResult:
+def intrinsic_dimension(a: Matrix) -> RankResult:
     """trace / two-norm of a Hermitian PSD matrix.
 
     The trace is taken directly from the entries, so agreement with the
@@ -119,8 +117,8 @@ def intrinsic_dimension(a: Matrix, tol: Tolerances = DEFAULT_TOL) -> RankResult:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"intrinsic dimension requires a square matrix, got {a.shape}")
-    eigs = hermitian_eigenvalues(a, tol)  # raises with max_asymmetry if not Hermitian
-    if not _psd_within(eigs.values, tol):
+    eigs = hermitian_eigenvalues(a)  # raises with max_asymmetry if not Hermitian
+    if not _psd_within(eigs.values):
         lam_min = float(eigs.values[-1])
         raise PreconditionError(
             f"matrix is not positive semi-definite: lambda_min = {lam_min:.6e}",

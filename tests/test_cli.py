@@ -265,7 +265,7 @@ def test_condition_sweep(files):
         "--perturbation",
         "psd",
         "--epsilons",
-        "0,0.1,0.5,1.5",
+        "0,0.1,0.5,1.5,nan",
         "-p",
         "1",
         "--seed",
@@ -278,6 +278,8 @@ def test_condition_sweep(files):
     assert rows[0]["upper"] == pytest.approx(rows[0]["actual"])
     assert all(r["holds"] for r in rows if r["applicable"])
     assert rows[3]["applicable"] is False
+    assert rows[4]["applicable"] is False
+    assert rows[4]["reason"] == "requires 0 <= eps < 1"
     # PSD input and perturbation: the sharper bounds appear
     assert rows[1]["psd_pair"] is True
     # bound columns are monotone in eps

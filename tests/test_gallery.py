@@ -170,6 +170,19 @@ def test_minimizer_multiplier_formula():
     assert_instance_accurate(flat)
 
 
+def _huge_gram() -> np.ndarray:
+    """A full-rank 5 x 5 PSD Gram whose largest entry is 1.5e308.
+
+    Its largest eigenvalue, about 1.67e308, is still finite, but ``A + A*``
+    overflows.
+    """
+    x = gaussian_matrix(np.random.default_rng(0), 5, 5)
+    gram = x.T @ x
+    gram *= 1.5e308 / np.abs(gram).max()
+    assert is_psd(gram)
+    return gram
+
+
 def test_congruence_maximizer_identity_and_gram():
     inst = gallery.congruence_maximizer(np.eye(5))
     assert inst.predicted["intdim_BAB"] == 5.0
@@ -180,6 +193,9 @@ def test_congruence_maximizer_identity_and_gram():
     inst = gallery.congruence_maximizer(gram)
     assert inst.params["r"] == 3
     assert_instance_accurate(inst, bound=1e-9)
+    inst = gallery.congruence_maximizer(_huge_gram())
+    assert inst.params["r"] == 5
+    assert_instance_accurate(inst)
 
 
 def test_congruence_minimizer_formula():
@@ -188,6 +204,10 @@ def test_congruence_minimizer_formula():
     inst = gallery.congruence_minimizer(x.T @ x, 0.25)
     assert inst.params["r"] == 5
     assert inst.predicted["intdim_BAB"] == pytest.approx(2.0)
+    assert_instance_accurate(inst)
+    inst = gallery.congruence_minimizer(_huge_gram(), 0.5)
+    assert inst.params["r"] == 5
+    assert inst.predicted["intdim_BAB"] == pytest.approx(3.0)
     assert_instance_accurate(inst)
 
 

@@ -472,6 +472,59 @@ def test_classifier_family_matches_spectra():
     )
 
 
+def _near_threshold(threshold: str, factor: float, scale: float) -> np.ndarray:
+    """A 4 x 4 input at ``factor`` times the Hermitian or the PSD threshold.
+
+    "hermitian": a positive diagonal of largest entry ``scale`` with one
+    off-diagonal entry ``factor * 1e-12 * scale``, its asymmetry. "psd": an
+    exactly symmetric matrix with eigenvalues ``scale`` down to
+    ``-factor * 1e-10 * scale``.
+    """
+    if threshold == "hermitian":
+        a = np.diag([1.0, 0.75, 0.5, 0.25]) * scale
+        a[0, 1] = factor * 1e-12 * scale
+        return a
+    q = haar_unitary(np.random.default_rng(17), 4)
+    a = (q * (scale * np.array([1.0, 0.5, 0.25, -factor * 1e-10]))) @ q.T
+    return (a + a.T) / 2
+
+
+@pytest.mark.parametrize("scale", [4.0, 1e6])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+@pytest.mark.parametrize("threshold", ["hermitian", "psd"])
+def test_classification_thresholds_are_fixed(threshold, factor, scale):
+    """Hermitian within 1e-12 * max|A|, PSD down to lambda_min = -1e-10 * lambda_max."""
+    from contextlib import nullcontext
+
+    from srlab.checks import check_weyl
+    from srlab.matrices import psd_eigenvalues, sigma_and_psd, trial_scope
+    from srlab.ranks import intrinsic_dimension
+
+    a = _near_threshold(threshold, factor, scale)
+    assert np.abs(a).max() >= 1.0
+    hermitian = threshold == "psd" or factor < 1.0
+    psd = factor < 1.0
+    for scope in (nullcontext, trial_scope):
+        with scope():
+            assert is_hermitian(a) is hermitian
+            assert is_psd(a) is psd
+            assert (psd_eigenvalues(a) is not None) is psd
+            assert sigma_and_psd(a)[1] is psd
+            if hermitian:
+                hermitian_eigenvalues(a)
+            else:
+                with pytest.raises(PreconditionError) as raised:
+                    hermitian_eigenvalues(a)
+                assert "max_asymmetry" in raised.value.data
+            if psd:
+                intrinsic_dimension(a)
+            else:
+                with pytest.raises(PreconditionError) as raised:
+                    intrinsic_dimension(a)
+                assert ("lambda_min" if hermitian else "max_asymmetry") in raised.value.data
+            assert check_weyl(a, np.eye(4)).preconditions_met is psd
+
+
 # ---------------------------------------------------------------------------
 # Routing of singular values: exactly Hermitian -> eigvalsh, wide -> SVD of a.T
 
