@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -409,6 +408,10 @@ def run_fuzz(cfg: FuzzConfig) -> RunReport:
         for start, stop in chunks:
             results.append(_run_chunk(cfg, start, stop))
     else:
+        # Imported here: it loads multiprocessing, socket and logging, which
+        # a serial run and every other srlab command never need.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             futures = [pool.submit(_run_chunk, cfg, start, stop) for start, stop in chunks]
             results = [f.result() for f in futures]

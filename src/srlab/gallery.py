@@ -28,8 +28,9 @@ from .matrices import (
     Matrix,
     PreconditionError,
     _hermitize,
+    _psd_within,
     haar_unitary,
-    is_psd,
+    is_hermitian,
     prescribed_spectrum_matrix,
     projector_matrix,
     rank1_psd_matrix,
@@ -368,10 +369,13 @@ def minimizer_multiplier(
 def _psd_eigendecomposition(a: np.ndarray):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"requires a square matrix, got shape {a.shape}")
-    if not is_psd(a):
-        raise PreconditionError("requires a positive semi-definite matrix")
-    w, v = np.linalg.eigh(_hermitize(a))
-    return w[::-1].copy(), v[:, ::-1].copy()
+    # Classified from the eigenvalues eigh returns, so the matrix is decomposed once.
+    if is_hermitian(a):
+        w, v = np.linalg.eigh(_hermitize(a))
+        w = w[::-1].copy()
+        if _psd_within(w):
+            return w, v[:, ::-1].copy()
+    raise PreconditionError("requires a positive semi-definite matrix")
 
 
 def congruence_maximizer(a: Matrix, rtol: float = DEFAULT_RANK_RTOL) -> FamilyInstance:

@@ -12,11 +12,11 @@ takes the absolute values of its eigenvalues, sorted descending, from the
 same ``eigvalsh`` that :func:`hermitian_part_eigenvalues` runs. A
 rectangular input whose smaller side k is at least :data:`GRAM_MIN_SIDE`
 and whose larger side is at least :data:`GRAM_MIN_ASPECT` times k takes the
-square roots of the eigenvalues of its k x k Gram matrix, scaled by an
-exact power of two, when an a posteriori bound certifies every value to a
-relative error of at most :data:`SIGMA_RTOL` (1e-8). The bound's Gram
-rounding term is proven; its eigensolver term assumes LAPACK's backward
-error is at most ``k^2 u ||G||_2``. With that, ``||A||_2``
+square roots of the eigenvalues of its k x k Gram matrix when an a
+posteriori bound certifies every value to a relative error of at most
+:data:`SIGMA_RTOL` (1e-8). The bound's Gram rounding term is proven; its
+eigensolver term assumes LAPACK's backward error is at most
+``k^2 u ||G||_2``. With that, ``||A||_2``
 and the Schatten norms are within 1e-8, ``sr_p`` within about 2p * 1e-8 and
 ``sr_p^(1/p)`` within about 2e-8, and the numerical rank is exact unless
 some ``s_j / s_1`` lies within that error of ``rtol``; the README derives
@@ -24,6 +24,17 @@ these bounds. When the bound fails, the input falls back to the SVD. Any
 other wide input (fewer rows than columns) runs the SVD on its transpose,
 which has the same singular values. Every other input runs the SVD as it
 comes.
+
+Where each path copies: an exactly Hermitian input is its own Hermitian
+part, so ``eigvalsh`` gets the input as it is; only a square input that is
+not exactly Hermitian gets a new array, ``A/2 + A*/2``. The Gram route
+forms its Gram from the input as it is, a view or the one float64/complex128
+cast its dtype needs, when the largest real or imaginary part of an entry
+lies in ``[2^-200, 2^200)`` (:data:`GRAM_UNSCALED_EXP`), and from a copy
+scaled by an exact power of two outside it. Both keep ``sigma(2^j A)``
+equal to ``2^j sigma(A)`` bit for bit. A complex Gram conjugates a few rows
+of its input at a time. So O(1) inputs pay for no full-size temporary
+beyond LAPACK's own workspace.
 
 Inside a :func:`trial_scope` the classification and decomposition family
 (:func:`is_hermitian`, :func:`hermitian_part_eigenvalues`, :func:`sigma`,
@@ -118,6 +129,18 @@ DEFAULT_TOL = Tolerances()
 SIGMA_RTOL = 1e-8
 GRAM_MIN_SIDE = 32
 GRAM_MIN_ASPECT = 2
+
+# The Gram route uses the input unscaled, with no copy, when its largest real
+# or imaginary part lies in [2^-GRAM_UNSCALED_EXP, 2^GRAM_UNSCALED_EXP), and
+# scales a copy by a power of two otherwise. LAPACK's ?syevd rescales by a
+# factor that is not a power of two once the largest Gram entry leaves
+# [2^-485, 2^485], and the Gram squares the scale. Inside [2^-200, 2^200) the
+# Gram of 2^j A is 4^j times that of A bit for bit, so scaling commutes with
+# eigvalsh. With a bound of 400, sigma(2^j A) == 2^j sigma(A) failed from
+# |j| = 206-208 on, for Gaussian inputs with max |A| about 4.
+GRAM_UNSCALED_EXP = 200
+# A complex Gram conjugates this many rows of its input at a time.
+_GRAM_CONJ_ROWS = 16
 
 
 def as_matrix(entries) -> Matrix:
@@ -243,6 +266,12 @@ def _frozen(v: np.ndarray) -> np.ndarray:
 
 
 def _hermitize(a: np.ndarray) -> np.ndarray:
+    # An exactly Hermitian input is its own Hermitian part, so it is returned
+    # as it is, with no copy. It differs from the halved sum below only in
+    # the sign of a zero and where an entry lies below 2^-1021, whose halving
+    # rounds.
+    if _exactly_hermitian(a):
+        return a
     # Halve before adding, so entries near the float64 maximum do not overflow.
     return a / 2 + a.conj().T / 2
 
@@ -293,13 +322,16 @@ def _sigma(a: np.ndarray) -> np.ndarray:
 def _certified_gram_sigma(a: np.ndarray) -> np.ndarray | None:
     """Singular values from the eigenvalues of the small Gram matrix, or None.
 
-    The input, in float64 or complex128 whatever its dtype, is scaled by an
-    exact power of two, ``B = 2^-e A`` with ``2^(e-1) <= max |Re b|, |Im b|
-    < 2^e``, so ``sigma(2^j A)`` is ``2^j sigma(A)`` bit for bit and the
-    Gram ``G = B B*`` (on the smaller side) neither overflows nor
-    underflows. The computed eigenvalues are exact for ``G + E``, and
-    ``delta`` bounds ``||E||_2`` as the sum of two terms. The first is
-    proven: the computed
+    The Gram ``G = B B*`` (on the smaller side) is formed from ``B = A``
+    itself, a view of the input or the one float64/complex128 cast its
+    dtype needs, when the largest real or imaginary part of an entry lies in
+    ``[2^-200, 2^200)`` (:data:`GRAM_UNSCALED_EXP` says why). Outside that
+    range ``B`` is a copy scaled by an exact power of two, ``2^-e A`` with
+    ``2^(e-1) <= max |Re a|, |Im a| < 2^e``, so ``G`` neither overflows nor
+    underflows. Either way ``sigma(2^j A)`` is ``2^j sigma(A)`` bit for bit.
+    :func:`_gram` forms ``G`` with no full-size temporary, complex or real.
+    The computed eigenvalues are exact for ``G + E``, and ``delta`` bounds
+    ``||E||_2`` as the sum of two terms. The first is proven: the computed
     Gram differs from ``G`` by at most ``gamma_N ||B||_F^2`` in norm
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     section 3.5), and by ``sqrt(2) gamma_2N ||B||_F^2`` for complex entries,
@@ -314,21 +346,30 @@ def _certified_gram_sigma(a: np.ndarray) -> np.ndarray | None:
     ``sigma_i(B)^2``, so ``sqrt`` of it is within ``delta / (lam - delta)``
     of ``sigma_i(B)``, relatively. Returns None unless that bound, plus the
     rounding of the square root, is at most :data:`SIGMA_RTOL` for every
-    value; the caller then runs the SVD. Scaled entries below 2^-1022 round,
-    by at most 2^-1075 each, which is far inside ``delta >= N u / 4``.
+    value; the caller then runs the SVD. Underflow stays far inside
+    ``delta``: a scaled entry below 2^-1022 rounds by at most 2^-1075,
+    against ``delta >= N u / 4``, and in an unscaled Gram a product below
+    2^-1022 rounds by at most 2^-1075, against ``delta >= N u 2^-400``.
     """
     m, n = a.shape
     k, big = min(m, n), max(m, n)
-    # Wide, in float64 or complex128 (the same bytes for a and a.T), and a
-    # fresh copy that the scaling below may overwrite.
+    # Wide, in float64 or complex128 (the same bytes for a and a.T), and
+    # contiguous, so the matrix products below run in BLAS.
     dtype = np.complex128 if np.iscomplexobj(a) else np.float64
-    b = np.array(a.T if m > n else a, dtype=dtype, order="C")
-    parts = b.view(np.float64)  # real and imaginary parts side by side
-    _, e = math.frexp(max(float(parts.max()), -float(parts.min())))
-    np.ldexp(parts, -e, out=parts)
-    gram = b @ b.conj().T
+    b = a.T if m > n else a
+    if b.dtype != dtype or not (b.flags.c_contiguous or b.flags.f_contiguous):
+        b = np.array(b, dtype=dtype, order="C")
+    parts = b.ravel(order="K").view(np.float64)  # real and imaginary parts side by side
+    top = max(float(parts.max()), -float(parts.min()))
+    e = 0
+    if not 2.0**-GRAM_UNSCALED_EXP <= top < 2.0**GRAM_UNSCALED_EXP:
+        _, e = math.frexp(top)
+        b = np.array(b, order="C")  # a copy to scale in place
+        parts = b.view(np.float64)
+        np.ldexp(parts, -e, out=parts)
+    gram = _gram(b)
     try:
-        lam = np.linalg.eigvalsh(gram)
+        lam = np.linalg.eigvalsh(gram, UPLO="L")
     except np.linalg.LinAlgError:
         return None
     u = np.finfo(np.float64).eps / 2
@@ -343,6 +384,23 @@ def _certified_gram_sigma(a: np.ndarray) -> np.ndarray | None:
     if not (lam_min > delta and delta <= (SIGMA_RTOL - 2 * u) * (lam_min - delta)):
         return None
     return _frozen(np.ldexp(np.sqrt(lam[::-1]), e))
+
+
+def _gram(b: np.ndarray) -> np.ndarray:
+    """``b b*`` for a contiguous wide ``b``, with no temporary of its size.
+
+    A complex ``b`` is conjugated :data:`_GRAM_CONJ_ROWS` rows at a time,
+    and only the lower triangle, the one ``eigvalsh`` reads, is formed; the
+    upper is left at zero. That also halves the multiplications.
+    """
+    if not np.iscomplexobj(b):
+        return b @ b.T
+    k = b.shape[0]
+    gram = np.zeros((k, k), dtype=b.dtype)
+    for i in range(0, k, _GRAM_CONJ_ROWS):
+        rows = slice(i, i + _GRAM_CONJ_ROWS)
+        np.matmul(b[i:], b[rows].conj().T, out=gram[i:, rows])
+    return gram
 
 
 def _exactly_hermitian(a: np.ndarray) -> bool:

@@ -42,10 +42,17 @@ def read_matrix_market(path) -> Matrix:
 
 
 def read_csv(path) -> Matrix:
+    """Read a dense real CSV matrix; a file with no data row is a parse error."""
     try:
-        a = np.loadtxt(path, delimiter=",", ndmin=2)
+        # np.loadtxt warns on a file with no data row before returning an
+        # empty array, so such a file is caught here first.
+        with open(path, "rb") as fh:
+            has_rows = any(line.partition(b"#")[0].strip() for line in fh)
+        a = np.loadtxt(path, delimiter=",", ndmin=2) if has_rows else None
     except Exception as exc:
         raise MatrixParseError(f"{path}: not a readable CSV matrix: {exc}") from exc
+    if a is None:
+        raise MatrixParseError(f"{path}: no matrix entries")
     try:
         return _freeze_fresh(a)
     except ValueError as exc:

@@ -10,9 +10,9 @@ hypothesis.settings.load_profile("fast")
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Record ``(routine, shape)`` for every numpy svd and eigvalsh call."""
+    """Record ``(routine, shape)`` for every numpy svd, eigvalsh and eigh call."""
     calls = []
-    for name in ("svd", "eigvalsh"):
+    for name in ("svd", "eigvalsh", "eigh"):
         real = getattr(np.linalg, name)
 
         def counted(a, *args, _name=name, _real=real, **kwargs):

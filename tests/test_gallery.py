@@ -183,29 +183,38 @@ def _huge_gram() -> np.ndarray:
     return gram
 
 
-def test_congruence_maximizer_identity_and_gram():
-    inst = gallery.congruence_maximizer(np.eye(5))
+def _built_with_one_eigh(lapack_calls, build, *args):
+    """``build(*args)``, asserting that it decomposed its input once, by eigh."""
+    lapack_calls.clear()
+    inst = build(*args)
+    n = args[0].shape[0]
+    assert lapack_calls == [("eigh", (n, n))]
+    return inst
+
+
+def test_congruence_maximizer_identity_and_gram(lapack_calls):
+    inst = _built_with_one_eigh(lapack_calls, gallery.congruence_maximizer, np.eye(5))
     assert inst.predicted["intdim_BAB"] == 5.0
     assert_instance_accurate(inst)
     rng = np.random.default_rng(5)
     x = gaussian_matrix(rng, 3, 6)
     gram = x.T @ x  # rank 3 PSD
-    inst = gallery.congruence_maximizer(gram)
+    inst = _built_with_one_eigh(lapack_calls, gallery.congruence_maximizer, gram)
     assert inst.params["r"] == 3
     assert_instance_accurate(inst, bound=1e-9)
-    inst = gallery.congruence_maximizer(_huge_gram())
+    inst = _built_with_one_eigh(lapack_calls, gallery.congruence_maximizer, _huge_gram())
     assert inst.params["r"] == 5
     assert_instance_accurate(inst)
 
 
-def test_congruence_minimizer_formula():
+def test_congruence_minimizer_formula(lapack_calls):
     rng = np.random.default_rng(6)
     x = gaussian_matrix(rng, 7, 5)
-    inst = gallery.congruence_minimizer(x.T @ x, 0.25)
+    inst = _built_with_one_eigh(lapack_calls, gallery.congruence_minimizer, x.T @ x, 0.25)
     assert inst.params["r"] == 5
     assert inst.predicted["intdim_BAB"] == pytest.approx(2.0)
     assert_instance_accurate(inst)
-    inst = gallery.congruence_minimizer(_huge_gram(), 0.5)
+    inst = _built_with_one_eigh(lapack_calls, gallery.congruence_minimizer, _huge_gram(), 0.5)
     assert inst.params["r"] == 5
     assert inst.predicted["intdim_BAB"] == pytest.approx(3.0)
     assert_instance_accurate(inst)

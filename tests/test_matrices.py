@@ -747,13 +747,60 @@ def test_gram_route_is_exactly_scale_equivariant(lapack_calls, field):
 
     a = gaussian_matrix(np.random.default_rng(24), 40, 100, field)
     base = sigma(a)
-    for j in (-1000, -500, 500, 1000):
+    # max |a| lies in [2, 4), so the Gram is formed unscaled up to j = 198 and down
+    # to j = -201 (GRAM_UNSCALED_EXP = 200), and from a scaled copy beyond.
+    exponents = (-1000, -500, -300, -201, -200, -199, -150, 150, 199, 200, 201, 300, 500, 1000)
+    for j in exponents:
         s = sigma(a * 2.0**j)
         assert np.all(np.isfinite(s))
         np.testing.assert_array_equal(s, base * 2.0**j)
     for c in (1e-200, 1e200):  # the unscaled Gram would underflow or overflow
         np.testing.assert_allclose(sigma(a * c), base * c, rtol=1e-14)
-    assert [name for name, _ in lapack_calls] == ["eigvalsh"] * 7
+    assert [name for name, _ in lapack_calls] == ["eigvalsh"] * (1 + len(exponents) + 2)
+
+
+def test_large_inputs_are_decomposed_without_full_size_copies(lapack_calls):
+    """The Gram route reads a wide float64 or complex128 input as it is, and
+    an exactly symmetric input is its own symmetric part: no call allocates
+    a quarter of its input's bytes."""
+    import tracemalloc
+
+    from srlab.matrices import hermitian_part_eigenvalues, psd_gram_matrix, sigma
+    from srlab.ranks import intrinsic_dimension
+
+    rng = np.random.default_rng(31)
+    psd = psd_gram_matrix(rng, 600, 500)
+    assert matrices._exactly_hermitian(psd)
+    cases = [
+        (sigma, gaussian_matrix(rng, m, 2000, field), m)
+        for m in (200, 400)
+        for field in ("real", "complex")
+    ]
+    cases += [(f, psd, 500) for f in (sigma, hermitian_part_eigenvalues, intrinsic_dimension)]
+    for f, a, k in cases:
+        f(a)  # the first call may allocate once for a whole process
+        lapack_calls.clear()
+        tracemalloc.start()
+        try:
+            f(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 4, (f.__name__, a.shape, a.dtype, peak)
+        assert lapack_calls == [("eigvalsh", (k, k))]
+
+
+def test_exactly_hermitian_input_is_its_own_hermitian_part():
+    from srlab.matrices import hermitian_part_eigenvalues
+
+    rng = np.random.default_rng(32)
+    for field in ("real", "complex"):
+        for n in rng.integers(1, 65, size=20):
+            x = gaussian_matrix(rng, n, n, field)
+            a = x + x.conj().T  # exactly Hermitian
+            # Reference: the Hermitian part formed as the halved sum, with no shortcut.
+            reference = np.linalg.eigvalsh(a / 2 + a.conj().T / 2)[::-1]
+            assert hermitian_part_eigenvalues(a).tobytes() == reference.tobytes(), (field, n)
 
 
 def test_gram_route_on_the_zero_matrix(lapack_calls):

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -84,10 +85,15 @@ def test_missing_file_raises():
 
 
 def test_garbage_raises(tmp_path):
-    path = tmp_path / "bad.csv"
-    path.write_text("this,is,not\na,matrix,either\n")
-    with pytest.raises(MatrixParseError):
-        read_matrix(path)
+    # An empty file is a parse error too, raised without numpy's loadtxt warning.
+    for name, text in [("bad.csv", "this,is,not\na,matrix,either\n"), ("empty.csv", "")]:
+        path = tmp_path / name
+        path.write_text(text)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            with pytest.raises(MatrixParseError):
+                read_matrix(path)
+        assert not seen, [str(w.message) for w in seen]
 
 
 def test_nonfinite_entries_rejected(tmp_path):
@@ -107,6 +113,8 @@ def test_importing_srlab_loads_no_scipy(tmp_path):
         "import srlab, srlab.cli, srlab.fuzz\n"
         "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
         "assert not loaded, loaded\n"
+        "pools = sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent.futures')))\n"
+        "assert not pools, pools\n"
         "a = srlab.mmio.read_matrix(sys.argv[1])\n"
         "assert a.tolist() == [[0.0, 1.0, 2.0], [3.0, 4.0, 5.0]], a\n"
         "assert 'scipy.io' in sys.modules\n"
