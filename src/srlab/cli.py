@@ -72,7 +72,9 @@ def _quantity_value(a, quantity: str, p: float, rtol: float) -> float:
 
 def cmd_compute(args) -> int:
     try:
-        a = read_matrix(args.input)
+        # A coordinate file stays sparse, so a large wide one forms its Gram
+        # with a sparse product; intdim needs a square Hermitian input, dense.
+        a = read_matrix(args.input, sparse=args.quantity != "intdim")
     except MatrixParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -27,10 +27,9 @@ import numpy as np
 from .matrices import (
     Matrix,
     PreconditionError,
-    _hermitize,
+    _hermitian_part_if_hermitian,
     _psd_within,
     haar_unitary,
-    is_hermitian,
     prescribed_spectrum_matrix,
     projector_matrix,
     rank1_psd_matrix,
@@ -370,8 +369,9 @@ def _psd_eigendecomposition(a: np.ndarray):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"requires a square matrix, got shape {a.shape}")
     # Classified from the eigenvalues eigh returns, so the matrix is decomposed once.
-    if is_hermitian(a):
-        w, v = np.linalg.eigh(_hermitize(a))
+    h = _hermitian_part_if_hermitian(a)
+    if h is not None:
+        w, v = np.linalg.eigh(h)
         w = w[::-1].copy()
         if _psd_within(w):
             return w, v[:, ::-1].copy()

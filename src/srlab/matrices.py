@@ -1,4 +1,4 @@
-"""Dense matrix substrate: validated arrays, spectral decompositions,
+"""Matrix substrate: validated arrays, spectral decompositions,
 Hermitian/PSD classification, pivoted Cholesky, and seeded random sampling.
 
 A "matrix" throughout the package is a plain 2-D numpy array of float64 or
@@ -27,14 +27,27 @@ comes.
 
 Where each path copies: an exactly Hermitian input is its own Hermitian
 part, so ``eigvalsh`` gets the input as it is; only a square input that is
-not exactly Hermitian gets a new array, ``A/2 + A*/2``. The Gram route
-forms its Gram from the input as it is, a view or the one float64/complex128
-cast its dtype needs, when the largest real or imaginary part of an entry
-lies in ``[2^-200, 2^200)`` (:data:`GRAM_UNSCALED_EXP`), and from a copy
-scaled by an exact power of two outside it. Both keep ``sigma(2^j A)``
+not exactly Hermitian gets a new array, ``A/2 + A*/2``. The exactness test
+compares a real input with the view ``A.T`` and a complex one a few rows at
+a time, and runs once per call. The Gram route forms its Gram from the
+input as it is, a view or the one float64/complex128 cast its dtype needs,
+when the largest real or imaginary part of an entry lies in
+``[2^-200, 2^200)`` (:data:`GRAM_UNSCALED_EXP`), and from a copy scaled by
+an exact power of two outside it. Both keep ``sigma(2^j A)``
 equal to ``2^j sigma(A)`` bit for bit. A complex Gram conjugates a few rows
 of its input at a time. So O(1) inputs pay for no full-size temporary
 beyond LAPACK's own workspace.
+
+:func:`sigma` and :func:`singular_values` also take a SciPy sparse matrix,
+as ``srlab compute`` reads a coordinate-format MatrixMarket file. One that
+qualifies for the Gram route forms its k x k Gram with SciPy's sparse
+product, at a cost in its nonzeros rather than in ``k N``, scaled on the
+same ``2^±200`` rule, and runs the same ``eigvalsh`` and the same
+certificate. Its values may differ from those of the densified input in the
+last bits, within the same contract. Any other sparse input, or one whose
+certificate fails, is densified and takes the dense routes, bit for bit.
+SciPy is never imported here: a sparse input is recognised only once
+``scipy.sparse`` is loaded, and only where a dense one would not be 2-D.
 
 Inside a :func:`trial_scope` the classification and decomposition family
 (:func:`is_hermitian`, :func:`hermitian_part_eigenvalues`, :func:`sigma`,
@@ -62,6 +75,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import sys
 from collections.abc import Callable
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -161,14 +175,19 @@ def _freeze_fresh(a: np.ndarray) -> Matrix:
     a = np.asarray(a, order="C")
     if a.ndim != 2:
         raise ValueError(f"matrix must be 2-D, got shape {a.shape}")
-    if a.shape[0] < 1 or a.shape[1] < 1:
-        raise ValueError(f"matrix dimensions must be positive, got {a.shape}")
     target = np.complex128 if np.iscomplexobj(a) else np.float64
     a = a.astype(target, copy=False)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must all be finite")
+    _check_entries(a.shape, a)
     a.setflags(write=False)
     return a
+
+
+def _check_entries(shape: tuple[int, int], entries: np.ndarray) -> None:
+    """Raise ``ValueError`` unless both dimensions are positive and all entries finite."""
+    if shape[0] < 1 or shape[1] < 1:
+        raise ValueError(f"matrix dimensions must be positive, got {shape}")
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("matrix entries must all be finite")
 
 
 def scalar_field(a: Matrix) -> str:
@@ -265,15 +284,27 @@ def _frozen(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _hermitize(a: np.ndarray) -> np.ndarray:
+def _hermitize(a: np.ndarray, exact: bool | None = None) -> np.ndarray:
+    """The Hermitian part of square ``a``; ``exact`` is :func:`_exactly_hermitian`
+    of ``a`` where the caller has already tested it."""
     # An exactly Hermitian input is its own Hermitian part, so it is returned
     # as it is, with no copy. It differs from the halved sum below only in
     # the sign of a zero and where an entry lies below 2^-1021, whose halving
     # rounds.
-    if _exactly_hermitian(a):
+    if _exactly_hermitian(a) if exact is None else exact:
         return a
     # Halve before adding, so entries near the float64 maximum do not overflow.
     return a / 2 + a.conj().T / 2
+
+
+def _is_sparse(a) -> bool:
+    """Whether ``a`` is a SciPy sparse matrix or array.
+
+    Told from ``sys.modules``, so this never imports SciPy: no sparse input
+    can exist before ``scipy.sparse`` is loaded.
+    """
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(a)
 
 
 def singular_values(a: Matrix) -> Spectrum:
@@ -286,29 +317,40 @@ def singular_values(a: Matrix) -> Spectrum:
     certified to a relative error of :data:`SIGMA_RTOL`, and otherwise from
     the SVD. Any other wide input runs the SVD on ``a.T``, and any other
     input the SVD on ``a``. The eigenvalue and SVD routes are accurate to
-    rounding relative to sigma_1. Raises :class:`DecompositionError` if the
-    iteration fails to converge.
+    rounding relative to sigma_1. A SciPy sparse input is taken as
+    :func:`sigma` says. Raises :class:`DecompositionError` if the iteration
+    fails to converge.
     """
-    a = _require_2d(a, "singular_values")
+    if not _is_sparse(a):
+        a = _require_2d(a, "singular_values")
     return Spectrum(sigma(a), "singular", a.shape)
 
 
 def sigma(a: Matrix) -> np.ndarray:
-    """:func:`singular_values` as a bare read-only array."""
-    a = _require_2d(a, "sigma")
-    return _memo("sigma", a, _sigma)
+    """:func:`singular_values` as a bare read-only array.
+
+    A SciPy sparse input that qualifies for the Gram route forms its Gram
+    with a sparse product (:func:`_certified_sparse_gram_sigma`). Any other
+    sparse input, or one whose certificate fails, is densified as
+    :func:`srlab.mmio.read_matrix` densifies a coordinate file (a
+    nonfinite entry raises ``ValueError``), and takes the dense route.
+    Sparse inputs are not remembered by a :func:`trial_scope`.
+    """
+    d = np.asarray(a)
+    if d.ndim != 2:
+        # A sparse input is a 0-d object array to numpy, so a 2-D array
+        # reaches the memo below without testing for one.
+        if _is_sparse(a) and a.ndim == 2:
+            return _sparse_sigma(a)
+        raise ValueError(f"sigma requires a 2-D matrix, got shape {getattr(a, 'shape', d.shape)}")
+    return _memo("sigma", d, _sigma)
 
 
 def _sigma(a: np.ndarray) -> np.ndarray:
     m, n = a.shape
     if m == n and _exactly_hermitian(a):
-        return _sigma_from_eigenvalues(hermitian_part_eigenvalues(a))
-    k = min(m, n)
-    if (
-        k >= GRAM_MIN_SIDE
-        and max(m, n) >= GRAM_MIN_ASPECT * k
-        and np.can_cast(a.dtype, np.complex128)
-    ):
+        return _sigma_from_eigenvalues(_memo("eigvalsh", a, _CLASS_EIGENVALUES[_EXACT]))
+    if _gram_route_applies(m, n, a.dtype):
         s = _certified_gram_sigma(a)
         if s is not None:
             return s
@@ -317,6 +359,37 @@ def _sigma(a: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"SVD did not converge: {exc}") from exc
     return _frozen(np.maximum(s, 0.0))
+
+
+def _gram_route_applies(m: int, n: int, dtype) -> bool:
+    k = min(m, n)
+    return (
+        k >= GRAM_MIN_SIDE
+        and max(m, n) >= GRAM_MIN_ASPECT * k
+        and np.can_cast(dtype, np.complex128)
+    )
+
+
+def _sparse_sigma(a) -> np.ndarray:
+    if _gram_route_applies(*a.shape, a.dtype):
+        s = _certified_sparse_gram_sigma(a)
+        if s is not None:
+            return s
+    return sigma(_freeze_fresh(a.toarray()))
+
+
+def _gram_exponent(parts: np.ndarray) -> int:
+    """The ``e`` of the Gram route's ``2^-e`` scaling, 0 for no scaling.
+
+    ``parts`` holds the real and imaginary parts of the entries. ``e`` is 0
+    when the largest of them lies in ``[2^-200, 2^200)``
+    (:data:`GRAM_UNSCALED_EXP`) or is 0, and otherwise has
+    ``2^(e-1) <= max |parts| < 2^e``.
+    """
+    top = max(float(parts.max(initial=0.0)), -float(parts.min(initial=0.0)))
+    if 2.0**-GRAM_UNSCALED_EXP <= top < 2.0**GRAM_UNSCALED_EXP:
+        return 0
+    return math.frexp(top)[1]
 
 
 def _certified_gram_sigma(a: np.ndarray) -> np.ndarray | None:
@@ -329,16 +402,63 @@ def _certified_gram_sigma(a: np.ndarray) -> np.ndarray | None:
     range ``B`` is a copy scaled by an exact power of two, ``2^-e A`` with
     ``2^(e-1) <= max |Re a|, |Im a| < 2^e``, so ``G`` neither overflows nor
     underflows. Either way ``sigma(2^j A)`` is ``2^j sigma(A)`` bit for bit.
-    :func:`_gram` forms ``G`` with no full-size temporary, complex or real.
-    The computed eigenvalues are exact for ``G + E``, and ``delta`` bounds
-    ``||E||_2`` as the sum of two terms. The first is proven: the computed
-    Gram differs from ``G`` by at most ``gamma_N ||B||_F^2`` in norm
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    section 3.5), and by ``sqrt(2) gamma_2N ||B||_F^2`` for complex entries,
-    whose real and imaginary parts are real inner products of length 2N.
-    The second is assumed: LAPACK documents the symmetric eigensolver's
-    backward error only as ``p(k) u ||G||_2`` with an unspecified, modestly
-    growing ``p(k)``; this takes ``p(k) = k^2``, the order of the Householder
+    :func:`_gram` forms ``G`` with no full-size temporary, complex or real,
+    and :func:`_certified_gram_eigenvalues` certifies its eigenvalues.
+    """
+    m, n = a.shape
+    # Wide, in float64 or complex128 (the same bytes for a and a.T), and
+    # contiguous, so the matrix products below run in BLAS.
+    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
+    b = a.T if m > n else a
+    if b.dtype != dtype or not (b.flags.c_contiguous or b.flags.f_contiguous):
+        b = np.array(b, dtype=dtype, order="C")
+    e = _gram_exponent(b.ravel(order="K").view(np.float64))
+    if e:
+        b = np.array(b, order="C")  # a copy to scale in place
+        parts = b.view(np.float64)
+        np.ldexp(parts, -e, out=parts)
+    return _certified_gram_eigenvalues(_gram(b), b.shape[1], e)
+
+
+def _certified_sparse_gram_sigma(a) -> np.ndarray | None:
+    """:func:`_certified_gram_sigma` for a SciPy sparse ``a``.
+
+    ``B`` is a CSR copy of the input on its wide side, with duplicate
+    entries summed and the data cast to float64 or complex128, and scaled
+    by ``2^-e`` on the same rule. ``G = B B*`` comes from SciPy's sparse
+    product, which runs on one thread and costs time in the nonzeros, not
+    in ``k N``. Its inner products are shorter than ``N`` and are summed in
+    another order than BLAS sums them, so the certificate's bound holds as
+    it stands, and the values may differ from the dense route's in the last
+    bits.
+    """
+    m, n = a.shape
+    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
+    b = (a.T if m > n else a).tocsr(copy=True).astype(dtype, copy=False)
+    b.sum_duplicates()
+    parts = b.data.view(np.float64)
+    e = _gram_exponent(parts)
+    if e:
+        np.ldexp(parts, -e, out=parts)
+    gram = (b @ b.conj().T).toarray()
+    return _certified_gram_eigenvalues(gram, b.shape[1], e)
+
+
+def _certified_gram_eigenvalues(gram: np.ndarray, big: int, e: int) -> np.ndarray | None:
+    """Descending ``2^e sqrt(lam)`` for the eigenvalues of ``gram`` when certified, else None.
+
+    ``gram`` is the computed ``G = B B*`` of a wide ``B`` with ``big``
+    columns, of which ``eigvalsh`` reads the lower triangle. The computed
+    eigenvalues are exact for ``G + E``, and ``delta`` bounds ``||E||_2``
+    as the sum of two terms. The first is proven: the computed Gram differs
+    from ``G`` by at most ``gamma_N ||B||_F^2`` in norm (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., section 3.5), and by
+    ``sqrt(2) gamma_2N ||B||_F^2`` for complex entries, whose real and
+    imaginary parts are real inner products of length 2N; this holds for
+    any order of summation and any shorter inner product. The second is
+    assumed: LAPACK documents the symmetric eigensolver's backward error
+    only as ``p(k) u ||G||_2`` with an unspecified, modestly growing
+    ``p(k)``; this takes ``p(k) = k^2``, the order of the Householder
     tridiagonal reduction's normwise bound (Higham, section 19.3). The
     computed eigenvalues are exact for a matrix of 2-norm ``max |lam|``, so
     that term is at most ``k^2 u max |lam| / (1 - k^2 u)``. By Weyl's
@@ -351,29 +471,13 @@ def _certified_gram_sigma(a: np.ndarray) -> np.ndarray | None:
     against ``delta >= N u / 4``, and in an unscaled Gram a product below
     2^-1022 rounds by at most 2^-1075, against ``delta >= N u 2^-400``.
     """
-    m, n = a.shape
-    k, big = min(m, n), max(m, n)
-    # Wide, in float64 or complex128 (the same bytes for a and a.T), and
-    # contiguous, so the matrix products below run in BLAS.
-    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
-    b = a.T if m > n else a
-    if b.dtype != dtype or not (b.flags.c_contiguous or b.flags.f_contiguous):
-        b = np.array(b, dtype=dtype, order="C")
-    parts = b.ravel(order="K").view(np.float64)  # real and imaginary parts side by side
-    top = max(float(parts.max()), -float(parts.min()))
-    e = 0
-    if not 2.0**-GRAM_UNSCALED_EXP <= top < 2.0**GRAM_UNSCALED_EXP:
-        _, e = math.frexp(top)
-        b = np.array(b, order="C")  # a copy to scale in place
-        parts = b.view(np.float64)
-        np.ldexp(parts, -e, out=parts)
-    gram = _gram(b)
+    k = gram.shape[0]
     try:
         lam = np.linalg.eigvalsh(gram, UPLO="L")
     except np.linalg.LinAlgError:
         return None
     u = np.finfo(np.float64).eps / 2
-    complex_entries = np.iscomplexobj(b)
+    complex_entries = np.iscomplexobj(gram)
     inner = 2 * big if complex_entries else big
     gamma = inner * u / (1 - inner * u) * (math.sqrt(2) if complex_entries else 1.0)
     # trace(G) has relative error at most gamma + k u: its terms are nonnegative.
@@ -404,10 +508,21 @@ def _gram(b: np.ndarray) -> np.ndarray:
 
 
 def _exactly_hermitian(a: np.ndarray) -> bool:
-    """``a == a*`` entrywise for square ``a``; one corner pair rejects most inputs."""
+    """``a == a*`` entrywise for square ``a``; one corner pair rejects most inputs.
+
+    A real ``a`` is compared with the view ``a.T``, and a complex one
+    :data:`_GRAM_CONJ_ROWS` rows at a time, so no temporary of its size is
+    built beyond the comparison's own booleans.
+    """
     if a.item(-1, 0) != a.item(0, -1).conjugate():
         return False
-    return bool((a == a.conj().T).all())
+    if not np.iscomplexobj(a):
+        return bool((a == a.T).all())
+    for i in range(0, a.shape[0], _GRAM_CONJ_ROWS):
+        rows = slice(i, i + _GRAM_CONJ_ROWS)
+        if not (a[rows] == a[:, rows].conj().T).all():
+            return False
+    return True
 
 
 def _sigma_from_eigenvalues(w: np.ndarray) -> np.ndarray:
@@ -429,18 +544,34 @@ def is_hermitian(a: Matrix) -> bool:
     False for any input with a nan or infinite entry.
     """
     a = _require_square(a, "is_hermitian")
-    return _memo("hermitian", a, _is_hermitian)
+    return _memo("hermitian", a, _hermitian_class) > 0
 
 
-def _is_hermitian(a: np.ndarray) -> bool:
+# _hermitian_class values: Hermitian within the threshold, and exactly so.
+_NEAR, _EXACT = 1, 2
+
+
+def _hermitian_class(a: np.ndarray) -> int:
+    """:data:`_EXACT` if ``a == a*`` with finite entries, :data:`_NEAR` if
+    :func:`is_hermitian` holds otherwise, and 0 if it does not."""
     if _exactly_hermitian(a):
         # The asymmetry is 0, or nan where inf - inf meets an infinite entry.
-        return bool(np.isfinite(a).all())
-    return hermitian_asymmetry(a) <= _asymmetry_bound(a)
+        return _EXACT if np.isfinite(a).all() else 0
+    return _NEAR if hermitian_asymmetry(a) <= _asymmetry_bound(a) else 0
 
 
 def _asymmetry_bound(a: np.ndarray) -> float:
     return DEFAULT_TOL.hermitian_asym * max(1.0, float(np.max(np.abs(a))))
+
+
+def _hermitian_part_if_hermitian(a: np.ndarray) -> np.ndarray | None:
+    """The Hermitian part of square ``a`` if :func:`is_hermitian`, else None.
+
+    The classification says whether ``a`` is exactly Hermitian, so
+    :func:`_exactly_hermitian` runs once.
+    """
+    cls = _memo("hermitian", a, _hermitian_class)
+    return _hermitize(a, cls == _EXACT) if cls else None
 
 
 def hermitian_part_eigenvalues(a: Matrix) -> np.ndarray:
@@ -452,12 +583,28 @@ def hermitian_part_eigenvalues(a: Matrix) -> np.ndarray:
     return _memo("eigvalsh", a, _hermitian_part_eigenvalues)
 
 
-def _hermitian_part_eigenvalues(a: np.ndarray) -> np.ndarray:
+def _hermitian_part_eigenvalues(a: np.ndarray, exact: bool | None = None) -> np.ndarray:
     try:
-        w = np.linalg.eigvalsh(_hermitize(a))
+        w = np.linalg.eigvalsh(_hermitize(a, exact))
     except np.linalg.LinAlgError as exc:
         raise DecompositionError(f"eigendecomposition did not converge: {exc}") from exc
     return _frozen(w[::-1].copy())
+
+
+# _hermitian_part_eigenvalues of an input whose _hermitian_class is known.
+_CLASS_EIGENVALUES = {
+    _NEAR: functools.partial(_hermitian_part_eigenvalues, exact=False),
+    _EXACT: functools.partial(_hermitian_part_eigenvalues, exact=True),
+}
+
+
+def _eigenvalues_if_hermitian(a: np.ndarray) -> np.ndarray | None:
+    """:func:`hermitian_part_eigenvalues` of square ``a`` if :func:`is_hermitian`, else None.
+
+    Shares the memo entries of both, and runs :func:`_exactly_hermitian` once.
+    """
+    cls = _memo("hermitian", a, _hermitian_class)
+    return _memo("eigvalsh", a, _CLASS_EIGENVALUES[cls]) if cls else None
 
 
 def _psd_within(w: np.ndarray) -> bool:
@@ -474,10 +621,8 @@ def psd_eigenvalues(a: Matrix) -> np.ndarray | None:
 
 
 def _psd_eigenvalues(a: np.ndarray) -> np.ndarray | None:
-    if not is_hermitian(a):
-        return None
-    w = hermitian_part_eigenvalues(a)
-    return w if _psd_within(w) else None
+    w = _eigenvalues_if_hermitian(a)
+    return w if w is not None and _psd_within(w) else None
 
 
 def sigma_and_psd(a: Matrix) -> tuple[np.ndarray, bool]:
@@ -491,9 +636,10 @@ def sigma_and_psd(a: Matrix) -> tuple[np.ndarray, bool]:
 
 
 def _sigma_and_psd(a: np.ndarray) -> tuple[np.ndarray, bool]:
-    if a.shape[0] == a.shape[1] and is_hermitian(a):
-        w = hermitian_part_eigenvalues(a)
-        return _sigma_from_eigenvalues(w), _psd_within(w)
+    if a.shape[0] == a.shape[1]:
+        w = _eigenvalues_if_hermitian(a)
+        if w is not None:
+            return _sigma_from_eigenvalues(w), _psd_within(w)
     return sigma(a), False
 
 
@@ -519,14 +665,15 @@ def hermitian_eigenvalues(a: Matrix) -> Spectrum:
     :func:`is_hermitian` rejects the input.
     """
     a = _require_square(a, "hermitian_eigenvalues")
-    if not is_hermitian(a):
+    w = _eigenvalues_if_hermitian(a)
+    if w is None:
         asym = hermitian_asymmetry(a)
         bound = _asymmetry_bound(a)
         raise PreconditionError(
             f"matrix is not Hermitian: max asymmetry {asym:.6e} exceeds {bound:.6e}",
             max_asymmetry=asym,
         )
-    return Spectrum(hermitian_part_eigenvalues(a), "hermitian_eigen", a.shape)
+    return Spectrum(w, "hermitian_eigen", a.shape)
 
 
 def is_psd(a: Matrix) -> bool:

@@ -4,6 +4,16 @@ Reads MatrixMarket (array or coordinate, real or complex) and plain dense
 CSV (real); always writes MatrixMarket array format with a "general"
 symmetry header and full double precision.
 
+Every reader returns a frozen dense array, and a coordinate file is
+expanded to one, except where the caller passes ``sparse=True``: it then
+gets the parsed SciPy sparse matrix, with its entries checked for nan and
+inf as a dense one's are. ``srlab compute`` asks for that for every
+quantity but ``intdim``, which needs a square Hermitian input, so
+:func:`srlab.matrices.sigma` can form the Gram of a large wide coordinate
+file with a sparse product. On that route the singular values can differ
+from those of the dense copy in the last bits, within the route's 1e-8
+contract; every other shape gets the dense copy's values bit for bit.
+
 MatrixMarket I/O goes through ``scipy.io``, which pulls in ``scipy.sparse``
 and costs more to import than the rest of srlab. Both are imported on the
 first MatrixMarket read or write, not with this module, so ``import srlab``
@@ -17,15 +27,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .matrices import Matrix, _freeze_fresh, as_matrix
+from .matrices import Matrix, _check_entries, _freeze_fresh, as_matrix
 
 
 class MatrixParseError(ValueError):
     """The file could not be parsed as a matrix."""
 
 
-def read_matrix_market(path) -> Matrix:
-    """Read a MatrixMarket file; the parsed array is frozen, not copied again."""
+def read_matrix_market(path, sparse: bool = False):
+    """Read a MatrixMarket file; the parsed array is frozen, not copied again.
+
+    With ``sparse=True`` a coordinate file is returned as SciPy parsed it,
+    not densified; an array file is a dense array either way.
+    """
     import scipy.io
     import scipy.sparse
 
@@ -33,22 +47,29 @@ def read_matrix_market(path) -> Matrix:
         a = scipy.io.mmread(path)
     except Exception as exc:
         raise MatrixParseError(f"{path}: not a readable MatrixMarket file: {exc}") from exc
-    if scipy.sparse.issparse(a):
-        a = a.toarray()
     try:
-        return _freeze_fresh(a)
+        if not scipy.sparse.issparse(a):
+            return _freeze_fresh(a)
+        if sparse:
+            _check_entries(a.shape, a.data)
+            return a
+        return _freeze_fresh(a.toarray())
     except ValueError as exc:
         raise MatrixParseError(f"{path}: {exc}") from exc
 
 
 def read_csv(path) -> Matrix:
-    """Read a dense real CSV matrix; a file with no data row is a parse error."""
+    """Read a dense real CSV matrix; a file with no data row is a parse error.
+
+    Lines that hold only whitespace or a comment are skipped.
+    """
     try:
-        # np.loadtxt warns on a file with no data row before returning an
-        # empty array, so such a file is caught here first.
+        # np.loadtxt reads a whitespace-only line as a row of one empty
+        # field, and warns on a file with no data row before returning an
+        # empty array, so both kinds of line are dropped here first.
         with open(path, "rb") as fh:
-            has_rows = any(line.partition(b"#")[0].strip() for line in fh)
-        a = np.loadtxt(path, delimiter=",", ndmin=2) if has_rows else None
+            rows = [line for line in fh if line.partition(b"#")[0].strip()]
+        a = np.loadtxt(rows, delimiter=",", ndmin=2) if rows else None
     except Exception as exc:
         raise MatrixParseError(f"{path}: not a readable CSV matrix: {exc}") from exc
     if a is None:
@@ -59,15 +80,18 @@ def read_csv(path) -> Matrix:
         raise MatrixParseError(f"{path}: {exc}") from exc
 
 
-def read_matrix(path) -> Matrix:
-    """Sniff the format: MatrixMarket when the header says so, else CSV."""
+def read_matrix(path, sparse: bool = False):
+    """Sniff the format: MatrixMarket when the header says so, else CSV.
+
+    ``sparse`` is passed to :func:`read_matrix_market`.
+    """
     path = Path(path)
     if not path.exists():
         raise MatrixParseError(f"{path}: no such file")
     with open(path, "rb") as fh:
         head = fh.read(14)
     if head.startswith(b"%%MatrixMarket") or path.suffix.lower() in (".mtx", ".mm"):
-        return read_matrix_market(path)
+        return read_matrix_market(path, sparse)
     return read_csv(path)
 
 

@@ -54,6 +54,12 @@ def test_compute_parse_failure_exit_2(files):
     out = run_cli("compute", str(files / "bad.csv"), "-q", "sr")
     assert out.returncode == 2
     assert "error" in out.stderr
+    # A coordinate file, which compute keeps sparse, is checked for nan too.
+    path = files / "nan.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n40 100 2\n1 1 nan\n2 3 1.0\n")
+    out = run_cli("compute", str(path), "-q", "sr")
+    assert out.returncode == 2
+    assert "finite" in out.stderr
 
 
 def test_compute_intdim_non_psd_exit_3(files):
@@ -411,3 +417,46 @@ def test_verify_decomposes_each_input_once(check, tmp_path, lapack_calls, capsys
     assert main(["verify", check, *inputs, *extra]) == 0
     capsys.readouterr()
     assert lapack_calls.count(("eigvalsh", (6, 6))) == 1 + (check == "intdim_subadditive")
+
+
+def test_compute_reads_a_coordinate_file_sparse(tmp_path, lapack_calls, capsys, monkeypatch):
+    """A wide coordinate file takes the sparse Gram route: one eigvalsh of
+    the small Gram, the same rank as its array-format copy and sr within
+    1e-8. intdim reads a coordinate file dense."""
+    import scipy.io
+    import scipy.sparse
+
+    import srlab.cli
+    from srlab.cli import main
+
+    read = []
+    read_matrix = srlab.cli.read_matrix
+    monkeypatch.setattr(
+        srlab.cli, "read_matrix", lambda *a, **k: read.append(read_matrix(*a, **k)) or read[-1]
+    )
+
+    rng = np.random.default_rng(5)
+    a = scipy.sparse.random(64, 4096, density=0.05, format="coo", random_state=rng)
+    scipy.io.mmwrite(str(tmp_path / "coo.mtx"), a, precision=17)
+    write_matrix_market(tmp_path / "array.mtx", a.toarray())
+    values = {}
+    for name in ("coo", "array"):
+        for quantity in ("rank", "sr"):
+            lapack_calls.clear()
+            assert main(["compute", str(tmp_path / f"{name}.mtx"), "-q", quantity]) == 0
+            values[name, quantity] = json.loads(capsys.readouterr().out)["value"]
+            assert lapack_calls == [("eigvalsh", (64, 64))]
+    assert values["coo", "rank"] == values["array", "rank"] == 64.0
+    assert [scipy.sparse.issparse(a) for a in read] == [True, True, False, False]
+    assert values["coo", "sr"] == pytest.approx(values["array", "sr"], rel=1e-8)
+
+    x = scipy.sparse.random(40, 40, density=0.2, format="coo", random_state=rng)
+    g = scipy.sparse.coo_matrix(x @ x.T)
+    scipy.io.mmwrite(str(tmp_path / "psd.mtx"), g, precision=17)
+    write_matrix_market(tmp_path / "psd_array.mtx", g.toarray())
+    out = []
+    for name in ("psd", "psd_array"):
+        assert main(["compute", str(tmp_path / f"{name}.mtx"), "-q", "intdim"]) == 0
+        out.append(capsys.readouterr().out.replace(name, ""))
+    assert out[0] == out[1]
+    assert not any(scipy.sparse.issparse(a) for a in read[4:])

@@ -826,3 +826,168 @@ def test_shapes_below_the_crossover_keep_the_svd(lapack_calls):
     for shape in shapes:
         sigma(gaussian_matrix(rng, *shape))
     assert lapack_calls == [("svd", (max(s), min(s))) for s in shapes]
+
+
+def test_exactly_hermitian_test_runs_once_and_builds_no_copy(monkeypatch, lapack_calls):
+    """A complex exactly Hermitian input is compared a few rows at a time,
+    once per call, and decomposed with no full-size temporary."""
+    import tracemalloc
+
+    from srlab.matrices import (
+        hermitian_part_eigenvalues,
+        psd_eigenvalues,
+        psd_gram_matrix,
+        sigma,
+        sigma_and_psd,
+    )
+    from srlab.ranks import intrinsic_dimension
+
+    g = psd_gram_matrix(np.random.default_rng(33), 600, 500, "complex")
+    assert g.nbytes == 4_000_000
+    calls = []
+    exactly_hermitian = matrices._exactly_hermitian
+    monkeypatch.setattr(
+        matrices, "_exactly_hermitian", lambda a: calls.append(a.shape) or exactly_hermitian(a)
+    )
+    functions = (sigma, hermitian_part_eigenvalues, psd_eigenvalues, sigma_and_psd,
+                 hermitian_eigenvalues, intrinsic_dimension, is_psd)
+    for f in functions:
+        calls.clear()
+        f(g)
+        assert calls == [(500, 500)], f.__name__
+    for f in (sigma, hermitian_part_eigenvalues):
+        lapack_calls.clear()
+        tracemalloc.start()
+        try:
+            f(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000, (f.__name__, peak)
+        assert lapack_calls == [("eigvalsh", (500, 500))]
+
+
+# ---------------------------------------------------------------------------
+# SciPy sparse input: the Gram route with a sparse Gram product
+
+
+def _sparse(rng, shape, nnz, field="real"):
+    import scipy.sparse
+
+    m, n = shape
+    flat = rng.choice(m * n, size=nnz, replace=False)
+    data = gaussian_matrix(rng, 1, nnz, field)[0]
+    return scipy.sparse.coo_matrix((data, (flat // n, flat % n)), shape=shape)
+
+
+def _with_duplicate(a, i, value):
+    """``a`` with one more entry ``value`` at the coordinate of its entry ``i``."""
+    import scipy.sparse
+
+    coords = (np.append(a.row, a.row[i]), np.append(a.col, a.col[i]))
+    return scipy.sparse.coo_matrix((np.append(a.data, value), coords), shape=a.shape)
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_sparse_gram_route_agrees_with_the_dense_one(lapack_calls, field):
+    from srlab.matrices import SIGMA_RTOL, sigma
+    from srlab.ranks import numerical_rank
+
+    wide = _sparse(np.random.default_rng(40), (64, 4096), 16_000, field)
+    for a in (wide, wide.T):
+        dense = a.toarray()
+        lapack_calls.clear()
+        s = sigma(a)
+        assert lapack_calls == [("eigvalsh", (64, 64))]
+        assert not s.flags.writeable and s.shape == (64,) and np.all(np.diff(s) <= 0)
+        assert _within_contract(s, _svd_route(dense))
+        d = sigma(dense)
+        assert np.all(np.abs(s - d) <= 2 * SIGMA_RTOL * d)
+        assert singular_values(a).source_dims == a.shape
+        assert numerical_rank(a) == 64
+
+
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_sparse_gram_route_is_exactly_scale_equivariant(lapack_calls, field):
+    from srlab.matrices import sigma
+
+    a = _sparse(np.random.default_rng(41), (40, 1000), 4000, field).tocsr()
+    base = sigma(a)
+    for j in (-300, -150, 150, 300):
+        np.testing.assert_array_equal(sigma(a * 2.0**j), base * 2.0**j)
+    assert lapack_calls == [("eigvalsh", (40, 40))] * 5
+
+
+def test_sparse_input_off_the_gram_route_is_densified_bit_for_bit():
+    """A sparse input that does not take the sparse Gram route gets the bits
+    of its densified form, as the MatrixMarket reader densifies it."""
+    import scipy.sparse
+
+    from srlab.matrices import sigma
+
+    rng = np.random.default_rng(42)
+    x = _sparse(rng, (50, 50), 600)
+    symmetric = scipy.sparse.coo_matrix(x + x.T)
+    dup = _with_duplicate(_sparse(rng, (20, 60), 300), 0, 0.5)
+    cases = [
+        x,  # square
+        symmetric,  # square, exactly symmetric: the eigenvalue route
+        _sparse(rng, (31, 400), 2000),  # k < 32
+        _sparse(rng, (40, 79), 800, "complex"),  # aspect < 2
+        dup,  # a duplicate entry, summed
+        scipy.sparse.coo_matrix((40, 100)),  # all zero: the certificate fails
+        _sparse(rng, (40, 100), 0),
+        scipy.sparse.coo_matrix(np.ones((64, 2)) @ np.ones((2, 256))),  # rank 2: it fails too
+    ]
+    for a in cases:
+        np.testing.assert_array_equal(sigma(a), sigma(a.toarray()))
+        np.testing.assert_array_equal(singular_values(a).values, sigma(a.toarray()))
+    assert np.count_nonzero(dup.toarray()) == dup.nnz - 1
+    with pytest.raises(ValueError, match=r"2-D matrix, got shape \(5,\)"):
+        sigma(scipy.sparse.coo_array(np.ones(5)))
+
+
+def test_sparse_gram_route_sums_duplicate_entries():
+    import scipy.sparse
+
+    from srlab.matrices import sigma
+
+    dup = _with_duplicate(_sparse(np.random.default_rng(43), (40, 200), 2000), 3, 0.25)
+    summed = scipy.sparse.coo_matrix(dup.toarray())
+    np.testing.assert_array_equal(sigma(dup), sigma(summed))
+    assert _within_contract(sigma(dup), _svd_route(dup.toarray()))
+
+
+def test_sparse_gram_route_on_a_large_input(lapack_calls):
+    """500 x 50,000 with 100k nonzeros: one eigvalsh, no SVD, and a memory
+    peak far below the 200 MB of the dense input."""
+    import tracemalloc
+
+    from srlab.matrices import sigma
+
+    a = _sparse(np.random.default_rng(44), (500, 50_000), 100_000)
+    tracemalloc.start()
+    try:
+        s = sigma(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16_000_000, peak
+    assert lapack_calls == [("eigvalsh", (500, 500))]
+    assert s.shape == (500,) and s[-1] > 0
+
+
+def test_sparse_input_reaches_every_singular_value_quantity():
+    from srlab.ranks import numerical_rank, p_stable_rank, stable_rank
+    from srlab.schatten import schatten_norm
+
+    a = _sparse(np.random.default_rng(45), (48, 300), 3000)
+    d = a.toarray()
+    exact = _svd_route(d)
+    assert numerical_rank(a) == 48
+    assert stable_rank(a).value == pytest.approx(np.sum(exact**2) / exact[0] ** 2, rel=1e-7)
+    srp = np.sum((exact / exact[0]) ** 1.5)
+    assert p_stable_rank(a, 1.5).value == pytest.approx(srp, rel=1e-7)
+    for p in (3.0, np.inf):
+        assert schatten_norm(a, p) == pytest.approx(schatten_norm(d, p), rel=1e-7)
+    assert two_norm(a) == pytest.approx(exact[0], rel=1e-8)

@@ -57,6 +57,11 @@ def test_csv_read(tmp_path):
     a = read_csv(path)
     assert np.array_equal(a, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     assert np.array_equal(read_matrix(path), a)
+    # Lines of only whitespace are skipped, as comment-only lines are.
+    path.write_text("1,2\n3,4\n  \n")
+    assert np.array_equal(read_csv(path), [[1.0, 2.0], [3.0, 4.0]])
+    path.write_text("# c\n1,2\n \t\n  # c\n3,4\n\n")
+    assert np.array_equal(read_csv(path), [[1.0, 2.0], [3.0, 4.0]])
 
 
 def test_single_row_csv(tmp_path):
@@ -101,6 +106,14 @@ def test_nonfinite_entries_rejected(tmp_path):
     path.write_text("1.0,nan\n2.0,3.0\n")
     with pytest.raises(MatrixParseError):
         read_matrix(path)
+    # A coordinate file is checked the same way, also when it is kept sparse.
+    for bad in ("nan", "inf", "-inf"):
+        path = tmp_path / f"{bad}.mtx"
+        header = "%%MatrixMarket matrix coordinate real general\n2 2 2\n"
+        path.write_text(f"{header}1 1 3.0\n2 2 {bad}\n")
+        for sparse in (False, True):
+            with pytest.raises(MatrixParseError, match="finite"):
+                read_matrix(path, sparse=sparse)
 
 
 def test_importing_srlab_loads_no_scipy(tmp_path):
@@ -159,3 +172,19 @@ def test_as_matrix_still_copies_what_the_caller_owns():
     frozen = as_matrix(a)
     assert not np.shares_memory(frozen, a)
     assert a.flags.writeable and not frozen.flags.writeable
+
+
+def test_coordinate_file_read_sparse_on_request(tmp_path):
+    import scipy.sparse
+
+    path = tmp_path / "c.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n2 3 2\n1 1 3.0\n2 3 4.0\n"
+    )
+    a = read_matrix(path, sparse=True)
+    assert scipy.sparse.issparse(a)
+    assert np.array_equal(a.toarray(), [[3.0, 0.0, 0.0], [0.0, 0.0, 4.0]])
+    # An array file is dense whatever the caller asks for.
+    write_matrix_market(tmp_path / "d.mtx", np.eye(2))
+    d = read_matrix(tmp_path / "d.mtx", sparse=True)
+    assert isinstance(d, np.ndarray) and not d.flags.writeable
