@@ -2,10 +2,14 @@
 
 Subcommands: ``compute`` (single quantities), ``verify`` (one inequality
 check on files; the check's signature names its matrix files, and the
-flags ``-p``, ``--k`` and ``--drop-col`` fill the parameters of those
-names), ``gallery`` (emit an example family), ``condition``
+flags ``-p``, ``--k``, ``--drop-col`` and ``--rtol`` fill the parameters of
+those names), ``gallery`` (emit an example family; the builder's signature
+names its flags, and ``--input`` gives its matrix ``a``), ``condition``
 (perturbation-bound sweep), ``fuzz`` (randomized campaign). Reports are
 JSON (schema 1) by default; ``--format csv|text`` flattens them.
+
+``--rtol`` is the one numerical-rank tolerance of ``compute``, ``verify``,
+``gallery`` and ``condition``; ``fuzz`` counts ranks at the fixed 1e-10.
 
 Exit codes: 0 success or not-applicable, 1 a verified inequality failed,
 2 unreadable input or invalid parameters, 3 intrinsic dimension requested
@@ -38,7 +42,7 @@ from .schatten import schatten_norm
 SCHEMA_VERSION = 1
 
 # Check parameters that ``verify`` fills from its flags, not from files.
-_VERIFY_FLAGS = ("p", "k", "drop_col")
+_VERIFY_FLAGS = ("p", "k", "drop_col", "rtol")
 
 
 def _print_json(payload) -> None:
@@ -152,40 +156,31 @@ def cmd_verify(args) -> int:
 
 
 def _build_family(args) -> gal.FamilyInstance:
+    """Call the family's builder with each parameter read from the flag of
+    the same name; ``a`` is the matrix read from ``--input``."""
     name = args.family
-    if name in gal.PARAMETRIC_FAMILIES:
-        builder, param_names = gal.PARAMETRIC_FAMILIES[name]
-        params = {key: getattr(args, key) for key in param_names}
-        for key, value in params.items():
-            if value is None:
-                raise ValueError(f"{name} requires --{key}")
-        return builder(**params, rotate_seed=args.rotate_seed)
-    if name in gal.MATRIX_INPUT_FAMILIES:
-        builder, param_names = gal.MATRIX_INPUT_FAMILIES[name]
-        if args.input is None:
-            raise ValueError(f"{name} requires --input MATRIX_FILE")
-        a = read_matrix(args.input)
-        extra = {}
-        for key in param_names:
-            value = getattr(args, key)
-            if value is None:
-                raise ValueError(f"{name} requires --{key}")
-            extra[key] = value
-        return builder(a, **extra, rtol=args.rtol)
-    if name == "equality_cases":
-        if args.kind is None or args.n is None:
-            raise ValueError("equality_cases requires --kind and --n")
-        return gal.equality_cases(args.kind, args.n, args.p, rank=args.rank, seed=args.seed)
-    raise ValueError(f"unknown family {name!r}; known: {', '.join(gal.ALL_FAMILIES)}")
+    builder = gal.FAMILIES.get(name)
+    if builder is None:
+        raise ValueError(f"unknown family {name!r}; known: {', '.join(gal.FAMILIES)}")
+    kwargs = {}
+    for key, param in inspect.signature(builder).parameters.items():
+        flag = "input" if key == "a" else key
+        value = getattr(args, flag)
+        if value is None:
+            if param.default is param.empty:
+                raise ValueError(f"{name} requires --{flag}")
+            continue
+        kwargs[key] = read_matrix(value) if key == "a" else value
+    return builder(**kwargs)
 
 
 def cmd_gallery(args) -> int:
     try:
         instance = _build_family(args)
-    except (ValueError, PreconditionError, MatrixParseError) as exc:
+        evaluation = gal.evaluate(instance, rtol=args.rtol)
+    except ValueError as exc:  # PreconditionError and MatrixParseError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    evaluation = gal.evaluate(instance, rtol=args.rtol)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -242,7 +237,11 @@ def cmd_condition(args) -> int:
             rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(i,)))
             field = "complex" if np.iscomplexobj(a) else "real"
             e = scaled_perturbation(rng, a, eps, args.perturbation, field)
-            report = check_perturbation(a, e, args.p)
+            try:
+                report = check_perturbation(a, e, args.p, rtol=args.rtol)
+            except ValueError as exc:  # an invalid --rtol
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
             if not report.preconditions_met:
                 row["reason"] = report.details.get("reason", "not applicable")
                 rows.append(row)
@@ -382,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     gallery = sub.add_parser(
         "gallery", help="emit an example family with predictions", parents=[common]
     )
-    gallery.add_argument("family", help=f"one of: {', '.join(gal.ALL_FAMILIES)}")
+    gallery.add_argument("family", help=f"one of: {', '.join(gal.FAMILIES)}")
     gallery.add_argument("--n", type=int)
     gallery.add_argument("--alpha", type=float)
     gallery.add_argument("--beta", type=float)

@@ -9,11 +9,15 @@ cross into the violating regime. Threshold predicates are evaluated with
 :mod:`fractions` so strict inequalities near the boundary are decided
 exactly.
 
-Builders accept ``rotate_seed`` to conjugate the instance by seeded random
-orthogonal matrices: diagonality is destroyed while every predicted value
-is preserved (rotations are similarities wherever a predicted quantity
-requires PSD input, and are shared across related matrices so sums and
-products stay exact).
+:data:`FAMILIES` maps each family's name to its builder. ``srlab gallery``
+reads a builder's parameters from its signature: ``a`` comes from
+``--input`` and every other parameter from the flag of the same name.
+
+A builder's ``rotate_seed``, where it has one, conjugates the instance by
+seeded random orthogonal matrices: diagonality is destroyed while every
+predicted value is preserved (rotations are similarities wherever a
+predicted quantity requires PSD input, and are shared across related
+matrices so sums and products stay exact).
 """
 
 from __future__ import annotations
@@ -49,8 +53,8 @@ GEOMETRIC_NOTE = (
     "sr equals the geometric series (1 - ratio^(2n)) / (1 - ratio^2); "
     "the simpler closed form (4/3)*(1 - 1/n) sometimes quoted for "
     "ratio = 1/2 is not the series value, though the bound sr <= 4/3 "
-    "holds either way. rank_A predicts the numerical rank at the default "
-    "rtol (1e-10): the count of j < n with ratio^j > rtol, which is less "
+    "holds either way. rank_A predicts the numerical rank at rtol (1e-10 "
+    "by default): the count of j < n with ratio^j > rtol, which is less "
     "than n once ratio^(n-1) drops to rtol."
 )
 
@@ -112,8 +116,10 @@ def _orthogonal(rng, n: int) -> np.ndarray:
     return haar_unitary(rng, n, "real")
 
 
-def geometric_decay(n: int, ratio: float, rotate_seed: int | None = None) -> FamilyInstance:
-    """Diagonal matrix with geometrically decaying singular values ratio**j."""
+def geometric_decay(
+    n: int, ratio: float, rotate_seed: int | None = None, rtol: float = DEFAULT_RANK_RTOL
+) -> FamilyInstance:
+    """Diagonal matrix with singular values ratio**j; rank_A is counted at rtol."""
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -126,7 +132,7 @@ def geometric_decay(n: int, ratio: float, rotate_seed: int | None = None) -> Fam
         rng = np.random.default_rng(rotate_seed)
         a = _orthogonal(rng, n) @ a @ _orthogonal(rng, n).T
     sr = float(n) if ratio == 1.0 else (1.0 - ratio ** (2 * n)) / (1.0 - ratio**2)
-    rank = np.count_nonzero(values > DEFAULT_RANK_RTOL)
+    rank = numerical_rank_from_spectrum(values, rtol)
     return FamilyInstance(
         name="geometric_decay",
         matrices=_freeze({"A": a}),
@@ -474,24 +480,17 @@ def equality_cases(
     )
 
 
-# Families constructible from scalar parameters alone (the CLI builds the
-# matrix-input families from a file plus flags).
-PARAMETRIC_FAMILIES = {
-    "geometric_decay": (geometric_decay, ("n", "ratio")),
-    "deletion_family": (deletion_family, ("n", "alpha")),
-    "sum_violation_family": (sum_violation_family, ("n", "alpha")),
-    "rank1_drop_family": (rank1_drop_family, ("n", "beta")),
-    "product_violation_family": (product_violation_family, ("n", "alpha")),
-    "cross_gap_family": (cross_gap_family, ("n", "alpha")),
+# Every family by name, in the order the CLI lists them.
+FAMILIES = {
+    "geometric_decay": geometric_decay,
+    "deletion_family": deletion_family,
+    "sum_violation_family": sum_violation_family,
+    "rank1_drop_family": rank1_drop_family,
+    "product_violation_family": product_violation_family,
+    "cross_gap_family": cross_gap_family,
+    "maximizer_multiplier": maximizer_multiplier,
+    "minimizer_multiplier": minimizer_multiplier,
+    "congruence_maximizer": congruence_maximizer,
+    "congruence_minimizer": congruence_minimizer,
+    "equality_cases": equality_cases,
 }
-
-MATRIX_INPUT_FAMILIES = {
-    "maximizer_multiplier": (maximizer_multiplier, ()),
-    "minimizer_multiplier": (minimizer_multiplier, ("alpha",)),
-    "congruence_maximizer": (congruence_maximizer, ()),
-    "congruence_minimizer": (congruence_minimizer, ("alpha",)),
-}
-
-ALL_FAMILIES = (
-    list(PARAMETRIC_FAMILIES) + list(MATRIX_INPUT_FAMILIES) + ["equality_cases"]
-)

@@ -115,19 +115,17 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Relative thresholds for spectral comparisons and PSD classification.
+    """Relative thresholds for Hermitian and PSD classification.
 
     Only :data:`DEFAULT_TOL` is read: the classifier and
-    :func:`pivoted_cholesky` take ``hermitian_asym`` and ``psd_negativity``
-    from it. ``rel_spectral`` is validated with them but read nowhere.
+    :func:`pivoted_cholesky` take both fields from it.
     """
 
-    rel_spectral: float = 1e-10
     hermitian_asym: float = 1e-12
     psd_negativity: float = 1e-10
 
     def __post_init__(self):
-        for name in ("rel_spectral", "hermitian_asym", "psd_negativity"):
+        for name in ("hermitian_asym", "psd_negativity"):
             value = getattr(self, name)
             if not 0.0 < value < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {value!r}")

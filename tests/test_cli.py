@@ -264,6 +264,139 @@ def test_gallery_input_family_rejects_rtol_zero(family, extra, files, tmp_path, 
     assert len(err.splitlines()) == 1
 
 
+# One case per gallery family, in FAMILIES order: the builder's keyword
+# arguments, with "a" standing for the matrix file passed as --input.
+GALLERY_CASES = {
+    "geometric_decay": {"n": 20, "ratio": 0.5, "rotate_seed": 3},
+    "deletion_family": {"n": 5, "alpha": 2.0},
+    "sum_violation_family": {"n": 6, "alpha": 4.0, "rotate_seed": 1},
+    "rank1_drop_family": {"n": 5, "beta": 3.0},
+    "product_violation_family": {"n": 4, "alpha": 2.0, "rotate_seed": 2},
+    "cross_gap_family": {"n": 4, "alpha": 0.5},
+    "maximizer_multiplier": {"a": "spiked.mtx"},
+    "minimizer_multiplier": {"a": "spiked.mtx", "alpha": 0.25},
+    "congruence_maximizer": {"a": "spiked.mtx"},
+    "congruence_minimizer": {"a": "spiked.mtx", "alpha": 0.25},
+    "equality_cases": {"kind": "projector", "n": 5, "p": 3.0, "rank": 3, "seed": 4},
+}
+
+
+def _gallery_argv(family, kwargs, files, out_dir):
+    argv = ["gallery", family, "--out", str(out_dir)]
+    for key, value in kwargs.items():
+        flag = {"a": "--input", "p": "-p"}.get(key, "--" + key.replace("_", "-"))
+        argv += [flag, str(files / value) if key == "a" else str(value)]
+    return argv
+
+
+def test_gallery_cases_cover_every_family():
+    from srlab import gallery
+
+    assert list(GALLERY_CASES) == list(gallery.FAMILIES)
+    assert all(gallery.FAMILIES[name] is getattr(gallery, name) for name in GALLERY_CASES)
+
+
+@pytest.mark.parametrize("family", list(GALLERY_CASES))
+def test_gallery_cli_matches_builder(family, files, tmp_path, capsys):
+    from srlab import gallery
+    from srlab.checks import encode_json
+    from srlab.cli import main
+    from srlab.mmio import read_matrix
+
+    kwargs = GALLERY_CASES[family]
+    assert main(_gallery_argv(family, kwargs, files, tmp_path / "g")) == 0
+    payload = json.loads(capsys.readouterr().out)
+    direct = {k: read_matrix(files / v) if k == "a" else v for k, v in kwargs.items()}
+    instance = getattr(gallery, family)(**direct)
+    assert payload["params"] == json.loads(json.dumps(encode_json(instance.params)))
+    assert payload["predicted"] == instance.predicted
+
+
+@pytest.mark.parametrize(
+    "family, flag",
+    [
+        ("geometric_decay", "n"),
+        ("geometric_decay", "ratio"),
+        ("deletion_family", "n"),
+        ("deletion_family", "alpha"),
+        ("sum_violation_family", "n"),
+        ("sum_violation_family", "alpha"),
+        ("rank1_drop_family", "n"),
+        ("rank1_drop_family", "beta"),
+        ("product_violation_family", "n"),
+        ("product_violation_family", "alpha"),
+        ("cross_gap_family", "n"),
+        ("cross_gap_family", "alpha"),
+        ("maximizer_multiplier", "input"),
+        ("minimizer_multiplier", "input"),
+        ("minimizer_multiplier", "alpha"),
+        ("congruence_maximizer", "input"),
+        ("congruence_minimizer", "input"),
+        ("congruence_minimizer", "alpha"),
+        ("equality_cases", "kind"),
+        ("equality_cases", "n"),
+    ],
+)
+def test_gallery_missing_flag_exit_2(family, flag, files, tmp_path, capsys):
+    from srlab.cli import main
+
+    key = "a" if flag == "input" else flag
+    kwargs = {k: v for k, v in GALLERY_CASES[family].items() if k != key}
+    assert main(_gallery_argv(family, kwargs, files, tmp_path / "g")) == 2
+    err = capsys.readouterr().err
+    assert f"error: {family} requires --{flag}" in err
+    assert len(err.splitlines()) == 1
+
+
+def _geometric_file(tmp_path):
+    from srlab.gallery import geometric_decay
+
+    path = tmp_path / "geometric.mtx"
+    write_matrix_market(path, geometric_decay(20, 0.5).matrices["A"])
+    return str(path)
+
+
+def test_verify_deletion_counts_rank_at_rtol(tmp_path, capsys):
+    from srlab.cli import main
+
+    path = _geometric_file(tmp_path)
+    assert main(["--rtol", "0.3", "compute", path, "-q", "rank"]) == 0
+    rank = json.loads(capsys.readouterr().out)["value"]
+    assert main(["--rtol", "0.3", "verify", "deletion", path, "--drop-col", "19"]) == 0
+    details = json.loads(capsys.readouterr().out)["details"]
+    assert rank == 2.0
+    assert details["rank_a"] == rank
+
+
+def test_gallery_geometric_predicts_rank_at_rtol(tmp_path, capsys):
+    from srlab.cli import main
+
+    argv = ["--rtol", "1e-3", "gallery", "geometric_decay", "--n", "20", "--ratio", "0.5"]
+    assert main([*argv, "--out", str(tmp_path / "g")]) == 0
+    evaluation = json.loads(capsys.readouterr().out)["evaluation"]
+    assert evaluation["rank_A"]["predicted"] == 10.0
+    assert max(v["rel_err"] for v in evaluation.values()) <= 1e-8
+
+
+def test_condition_counts_rank_e_at_rtol(tmp_path, capsys):
+    from srlab.cli import main
+    from srlab.fuzz import scaled_perturbation
+    from srlab.mmio import read_matrix
+    from srlab.ranks import numerical_rank
+
+    path = _geometric_file(tmp_path)
+    assert main(["--rtol", "0.3", "--seed", "5", "condition", path, "--epsilons", "0.1"]) == 0
+    row = json.loads(capsys.readouterr().out)["rows"][0]
+    # The sweep's perturbation, drawn as cmd_condition draws it.
+    rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0,)))
+    e = scaled_perturbation(rng, read_matrix(path), 0.1, "gaussian", "real")
+    assert row["rank_e"] == numerical_rank(e, 0.3) < numerical_rank(e)
+    assert main(["--rtol", "0", "condition", path, "--epsilons", "0.1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: rtol must lie in (0, 1), got 0.0\n"
+
+
 def test_condition_sweep(files):
     out = run_cli(
         "condition",

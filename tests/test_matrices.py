@@ -201,7 +201,7 @@ def test_spectrum_validation():
 
 def test_tolerances_validation():
     with pytest.raises(ValueError):
-        Tolerances(rel_spectral=0.0)
+        Tolerances(hermitian_asym=0.0)
     with pytest.raises(ValueError):
         Tolerances(psd_negativity=1.5)
 
