@@ -4,7 +4,8 @@ Subcommands: ``compute`` (single quantities), ``verify`` (one inequality
 check on files; the check's signature names its matrix files, and the
 flags ``-p``, ``--k``, ``--drop-col`` and ``--rtol`` fill the parameters of
 those names), ``gallery`` (emit an example family; the builder's signature
-names its flags, and ``--input`` gives its matrix ``a``), ``condition``
+names its flags, ``--input`` gives its matrix ``a``, and a flag the builder
+does not take is an error), ``condition``
 (perturbation-bound sweep), ``fuzz`` (randomized campaign). Reports are
 JSON (schema 1) by default; ``--format csv|text`` flattens them.
 
@@ -155,19 +156,29 @@ def cmd_verify(args) -> int:
     return 1 if report.holds is False else 0
 
 
+# The flags that ``gallery`` fills builder parameters from; ``input`` fills ``a``.
+_GALLERY_FLAGS = ("n", "alpha", "beta", "ratio", "p", "rank", "kind", "rotate_seed", "input")
+
+
 def _build_family(args) -> gal.FamilyInstance:
     """Call the family's builder with each parameter read from the flag of
-    the same name; ``a`` is the matrix read from ``--input``."""
+    the same name; ``a`` is the matrix read from ``--input``. A flag set for
+    a builder without that parameter raises ``ValueError``."""
     name = args.family
     builder = gal.FAMILIES.get(name)
     if builder is None:
         raise ValueError(f"unknown family {name!r}; known: {', '.join(gal.FAMILIES)}")
+    params = inspect.signature(builder).parameters
+    flags = {key: "input" if key == "a" else key for key in params}
+    for flag in _GALLERY_FLAGS:
+        if getattr(args, flag) is not None and flag not in flags.values():
+            option = "-p" if flag == "p" else "--" + flag.replace("_", "-")
+            raise ValueError(f"{name} does not take {option}")
     kwargs = {}
-    for key, param in inspect.signature(builder).parameters.items():
-        flag = "input" if key == "a" else key
+    for key, flag in flags.items():
         value = getattr(args, flag)
         if value is None:
-            if param.default is param.empty:
+            if params[key].default is params[key].empty:
                 raise ValueError(f"{name} requires --{flag}")
             continue
         kwargs[key] = read_matrix(value) if key == "a" else value
@@ -386,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     gallery.add_argument("--alpha", type=float)
     gallery.add_argument("--beta", type=float)
     gallery.add_argument("--ratio", type=float)
-    gallery.add_argument("-p", type=float, default=2.0)
+    gallery.add_argument("-p", type=float)
     gallery.add_argument("--rank", type=int)
     gallery.add_argument("--kind", choices=gal.EQUALITY_KINDS)
     gallery.add_argument("--rotate-seed", type=int, default=None, dest="rotate_seed")

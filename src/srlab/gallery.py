@@ -31,11 +31,10 @@ import numpy as np
 from .matrices import (
     Matrix,
     PreconditionError,
-    _hermitian_part_if_hermitian,
-    _psd_within,
     haar_unitary,
     prescribed_spectrum_matrix,
     projector_matrix,
+    psd_eigendecomposition,
     rank1_psd_matrix,
     trial_scope,
 )
@@ -371,23 +370,10 @@ def minimizer_multiplier(
     )
 
 
-def _psd_eigendecomposition(a: np.ndarray):
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"requires a square matrix, got shape {a.shape}")
-    # Classified from the eigenvalues eigh returns, so the matrix is decomposed once.
-    h = _hermitian_part_if_hermitian(a)
-    if h is not None:
-        w, v = np.linalg.eigh(h)
-        w = w[::-1].copy()
-        if _psd_within(w):
-            return w, v[:, ::-1].copy()
-    raise PreconditionError("requires a positive semi-definite matrix")
-
-
 def congruence_maximizer(a: Matrix, rtol: float = DEFAULT_RANK_RTOL) -> FamilyInstance:
     """Congruence B*AB with nonsingular B raising intdim to rank(A)."""
     a = np.asarray(a)
-    w, v = _psd_eigendecomposition(a)
+    w, v = psd_eigendecomposition(a)
     n = a.shape[0]
     r = numerical_rank_from_spectrum(w, rtol)
     if r < 1:
@@ -413,7 +399,7 @@ def congruence_minimizer(
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     a = np.asarray(a)
-    w, v = _psd_eigendecomposition(a)
+    w, v = psd_eigendecomposition(a)
     n = a.shape[0]
     r = numerical_rank_from_spectrum(w, rtol)
     if r < 2:
@@ -436,7 +422,7 @@ EQUALITY_KINDS = ("rank1", "scaled_unitary", "flat_spectrum", "projector")
 
 
 def equality_cases(
-    kind: str, n: int, p, rank: int | None = None, seed: int = 0
+    kind: str, n: int, p=2.0, rank: int | None = None, seed: int = 0
 ) -> FamilyInstance:
     """Instances where the p-stable rank equals the rank exactly.
 

@@ -50,19 +50,22 @@ SciPy is never imported here: a sparse input is recognised only once
 ``scipy.sparse`` is loaded, and only where a dense one would not be 2-D.
 
 Inside a :func:`trial_scope` the classification and decomposition family
-(:func:`is_hermitian`, :func:`hermitian_part_eigenvalues`, :func:`sigma`,
-:func:`singular_values`, :func:`psd_eigenvalues`, :func:`sigma_and_psd`)
-remembers each result by the input's kind, shape, dtype and bytes, so a
-matrix that several checks share is decomposed once, and the singular
-values of an exactly Hermitian matrix share its eigendecomposition.
+remembers three kinds of result by the input's shape, dtype and bytes: the
+Hermitian class, the eigenvalues of the Hermitian part, and the singular
+values. So a matrix that several checks share is decomposed once, and the
+singular values of an exactly Hermitian matrix share its eigendecomposition.
 Outside a scope nothing is cached.
 
-Classification uses one fixed pair of relative thresholds, those of
-:data:`DEFAULT_TOL`. A square input is Hermitian when ``max |A - A*|`` is at
-most ``1e-12 * max(1, max |A|)``, and PSD when it is also Hermitian with
-``lambda_min >= -1e-10 * max(1, lambda_max)`` for the eigenvalues of its
-Hermitian part. :func:`pivoted_cholesky` stops and flags a negative pivot
-on the same ``1e-10``.
+This module alone decides "Hermitian" and "PSD", on one fixed pair of
+relative thresholds, those of :data:`DEFAULT_TOL`. A square input is
+Hermitian when ``max |A - A*|`` is at most ``1e-12 * max(1, max |A|)``, and
+PSD when it is also Hermitian with ``lambda_min >= -1e-10 * max(1,
+lambda_max)`` for the eigenvalues of its Hermitian part. :func:`is_psd`,
+:func:`psd_eigenvalues`, :func:`sigma_and_psd`, :func:`hermitian_eigenvalues`
+and :func:`psd_spectrum` (the precondition of ``intrinsic_dimension``) read
+one private classifier, and :func:`psd_eigendecomposition` (the gallery's
+congruences) applies its PSD test to the eigenvalues of one ``eigh``.
+:func:`pivoted_cholesky` stops and flags a negative pivot on the same ``1e-10``.
 
 :func:`pivoted_cholesky` is one call of LAPACK's ``?pstrf``. Where numpy
 bundles an ILP64 OpenBLAS that exports the LAPACKE routine, it is called
@@ -266,14 +269,15 @@ def trial_scope():
         _SCOPE.reset(token)
 
 
-def _memo(kind, a: np.ndarray, compute):
+def _memo(kind, a: np.ndarray, compute, *args):
+    """``compute(a, *args)``, remembered by ``kind`` in the current scope."""
     cache = _SCOPE.get()
     if cache is None:
-        return compute(a)
+        return compute(a, *args)
     results = cache.setdefault((a.shape, a.dtype, a.tobytes()), {})
     value = results.get(kind, _MISSING)
     if value is _MISSING:
-        value = results[kind] = compute(a)
+        value = results[kind] = compute(a, *args)
     return value
 
 
@@ -347,7 +351,7 @@ def sigma(a: Matrix) -> np.ndarray:
 def _sigma(a: np.ndarray) -> np.ndarray:
     m, n = a.shape
     if m == n and _exactly_hermitian(a):
-        return _sigma_from_eigenvalues(_memo("eigvalsh", a, _CLASS_EIGENVALUES[_EXACT]))
+        return _sigma_from_eigenvalues(_memo("eigvalsh", a, _hermitian_part_eigenvalues, True))
     if _gram_route_applies(m, n, a.dtype):
         s = _certified_gram_sigma(a)
         if s is not None:
@@ -539,7 +543,7 @@ def hermitian_asymmetry(a: Matrix) -> float:
 def is_hermitian(a: Matrix) -> bool:
     """max |A - A*| within ``1e-12 * max(1, max |A|)``.
 
-    False for any input with a nan or infinite entry.
+    False for any input with a nan or infinite entry. Runs no decomposition.
     """
     a = _require_square(a, "is_hermitian")
     return _memo("hermitian", a, _hermitian_class) > 0
@@ -562,14 +566,13 @@ def _asymmetry_bound(a: np.ndarray) -> float:
     return DEFAULT_TOL.hermitian_asym * max(1.0, float(np.max(np.abs(a))))
 
 
-def _hermitian_part_if_hermitian(a: np.ndarray) -> np.ndarray | None:
-    """The Hermitian part of square ``a`` if :func:`is_hermitian`, else None.
-
-    The classification says whether ``a`` is exactly Hermitian, so
-    :func:`_exactly_hermitian` runs once.
-    """
+def _classify(a: np.ndarray) -> np.ndarray | None:
+    """The classifier: for square ``a``, the descending eigenvalues of its
+    Hermitian part if :func:`is_hermitian`, else None, from the scope's
+    "hermitian" and "eigvalsh" entries; :func:`_exactly_hermitian` runs once.
+    A PSD decision is :func:`_psd_within` of these eigenvalues."""
     cls = _memo("hermitian", a, _hermitian_class)
-    return _hermitize(a, cls == _EXACT) if cls else None
+    return _memo("eigvalsh", a, _hermitian_part_eigenvalues, cls == _EXACT) if cls else None
 
 
 def hermitian_part_eigenvalues(a: Matrix) -> np.ndarray:
@@ -589,22 +592,6 @@ def _hermitian_part_eigenvalues(a: np.ndarray, exact: bool | None = None) -> np.
     return _frozen(w[::-1].copy())
 
 
-# _hermitian_part_eigenvalues of an input whose _hermitian_class is known.
-_CLASS_EIGENVALUES = {
-    _NEAR: functools.partial(_hermitian_part_eigenvalues, exact=False),
-    _EXACT: functools.partial(_hermitian_part_eigenvalues, exact=True),
-}
-
-
-def _eigenvalues_if_hermitian(a: np.ndarray) -> np.ndarray | None:
-    """:func:`hermitian_part_eigenvalues` of square ``a`` if :func:`is_hermitian`, else None.
-
-    Shares the memo entries of both, and runs :func:`_exactly_hermitian` once.
-    """
-    cls = _memo("hermitian", a, _hermitian_class)
-    return _memo("eigvalsh", a, _CLASS_EIGENVALUES[cls]) if cls else None
-
-
 def _psd_within(w: np.ndarray) -> bool:
     """Descending eigenvalues ``w`` clear the relative negativity floor."""
     return bool(w[-1] >= -DEFAULT_TOL.psd_negativity * max(1.0, float(w[0])))
@@ -615,11 +602,7 @@ def psd_eigenvalues(a: Matrix) -> np.ndarray | None:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return None
-    return _memo("psd", a, _psd_eigenvalues)
-
-
-def _psd_eigenvalues(a: np.ndarray) -> np.ndarray | None:
-    w = _eigenvalues_if_hermitian(a)
+    w = _classify(a)
     return w if w is not None and _psd_within(w) else None
 
 
@@ -630,15 +613,10 @@ def sigma_and_psd(a: Matrix) -> tuple[np.ndarray, bool]:
     the absolute eigenvalues), all others through the SVD.
     """
     a = _require_2d(a, "sigma_and_psd")
-    return _memo("sigma_psd", a, _sigma_and_psd)
-
-
-def _sigma_and_psd(a: np.ndarray) -> tuple[np.ndarray, bool]:
-    if a.shape[0] == a.shape[1]:
-        w = _eigenvalues_if_hermitian(a)
-        if w is not None:
-            return _sigma_from_eigenvalues(w), _psd_within(w)
-    return sigma(a), False
+    w = _classify(a) if a.shape[0] == a.shape[1] else None
+    if w is None:
+        return sigma(a), False
+    return _sigma_from_eigenvalues(w), _psd_within(w)
 
 
 def psd_intrinsic_dimension(a: Matrix, w: np.ndarray | None = None) -> float:
@@ -663,12 +641,11 @@ def hermitian_eigenvalues(a: Matrix) -> Spectrum:
     :func:`is_hermitian` rejects the input.
     """
     a = _require_square(a, "hermitian_eigenvalues")
-    w = _eigenvalues_if_hermitian(a)
+    w = _classify(a)
     if w is None:
         asym = hermitian_asymmetry(a)
-        bound = _asymmetry_bound(a)
         raise PreconditionError(
-            f"matrix is not Hermitian: max asymmetry {asym:.6e} exceeds {bound:.6e}",
+            f"matrix is not Hermitian: max asymmetry {asym:.6e} exceeds {_asymmetry_bound(a):.6e}",
             max_asymmetry=asym,
         )
     return Spectrum(w, "hermitian_eigen", a.shape)
@@ -676,8 +653,40 @@ def hermitian_eigenvalues(a: Matrix) -> Spectrum:
 
 def is_psd(a: Matrix) -> bool:
     """Hermitian, with ``lambda_min >= -1e-10 * max(1, lambda_max)``."""
-    a = _require_square(a, "is_psd")
-    return psd_eigenvalues(a) is not None
+    return psd_eigenvalues(_require_square(a, "is_psd")) is not None
+
+
+def psd_spectrum(a: Matrix) -> Spectrum:
+    """:func:`hermitian_eigenvalues` of a Hermitian PSD matrix (:func:`is_psd`).
+
+    Raises :class:`PreconditionError` carrying ``max_asymmetry`` if ``a`` is
+    not Hermitian, and ``lambda_min`` if it is Hermitian but not PSD.
+    """
+    eigs = hermitian_eigenvalues(a)
+    if not _psd_within(eigs.values):
+        lam_min = float(eigs.values[-1])
+        raise PreconditionError(
+            f"matrix is not positive semi-definite: lambda_min = {lam_min:.6e}", lambda_min=lam_min
+        )
+    return eigs
+
+
+def psd_eigendecomposition(a: Matrix) -> tuple[np.ndarray, np.ndarray]:
+    """``(w, v)``: descending eigenvalues and eigenvectors of Hermitian PSD ``a``.
+
+    PSD is decided on the eigenvalues of the one ``eigh`` of the Hermitian
+    part. Raises ``ValueError`` on non-square input and
+    :class:`PreconditionError` unless :func:`is_psd` holds.
+    """
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"requires a square matrix, got shape {a.shape}")
+    cls = _memo("hermitian", a, _hermitian_class)
+    if cls:
+        w, v = np.linalg.eigh(_hermitize(a, cls == _EXACT))
+        if _psd_within(w[::-1]):
+            return w[::-1].copy(), v[:, ::-1].copy()
+    raise PreconditionError("requires a positive semi-definite matrix")
 
 
 def two_norm(a: Matrix) -> float:

@@ -19,11 +19,9 @@ import numpy as np
 
 from .matrices import (
     Matrix,
-    PreconditionError,
     Spectrum,
-    _psd_within,
-    hermitian_eigenvalues,
     psd_intrinsic_dimension,
+    psd_spectrum,
     singular_values,
 )
 from .schatten import is_scalar_exponent, normalized_power_sum, validate_exponent
@@ -111,19 +109,14 @@ def intrinsic_dimension(a: Matrix) -> RankResult:
 
     The trace is taken directly from the entries, so agreement with the
     p = 1 stable rank is a checkable property rather than a definition.
-    Raises :class:`PreconditionError` carrying ``lambda_min`` on non-PSD
-    input.
+    Raises :class:`srlab.matrices.PreconditionError` carrying
+    ``max_asymmetry`` or ``lambda_min`` on non-PSD input, from
+    :func:`srlab.matrices.psd_spectrum`.
     """
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"intrinsic dimension requires a square matrix, got {a.shape}")
-    eigs = hermitian_eigenvalues(a)  # raises with max_asymmetry if not Hermitian
-    if not _psd_within(eigs.values):
-        lam_min = float(eigs.values[-1])
-        raise PreconditionError(
-            f"matrix is not positive semi-definite: lambda_min = {lam_min:.6e}",
-            lambda_min=lam_min,
-        )
+    eigs = psd_spectrum(a)
     value = psd_intrinsic_dimension(a, eigs.values)
     return RankResult(value=value, p=1.0, spectrum_used=eigs, definition="intrinsic_dimension")
 

@@ -348,6 +348,42 @@ def test_gallery_missing_flag_exit_2(family, flag, files, tmp_path, capsys):
     assert len(err.splitlines()) == 1
 
 
+# A value each gallery flag parses, to set it for a family that does not take it.
+_GALLERY_FLAG_VALUES = {
+    "n": "3", "alpha": "0.5", "beta": "2", "ratio": "0.5", "p": "2",
+    "rank": "2", "kind": "rank1", "rotate_seed": "3", "a": "spiked.mtx",
+}
+
+
+@pytest.mark.parametrize("family", list(GALLERY_CASES))
+def test_gallery_rejects_flags_the_family_does_not_take(family, files, tmp_path, capsys):
+    import inspect
+
+    from srlab import gallery
+    from srlab.cli import main
+
+    taken = inspect.signature(gallery.FAMILIES[family]).parameters
+    unused = [key for key in _GALLERY_FLAG_VALUES if key not in taken]
+    assert unused
+    for key in unused:
+        kwargs = {**GALLERY_CASES[family], key: _GALLERY_FLAG_VALUES[key]}
+        assert main(_gallery_argv(family, kwargs, files, tmp_path / "g")) == 2, key
+        option = {"a": "--input", "p": "-p"}.get(key, "--" + key.replace("_", "-"))
+        err = capsys.readouterr().err
+        assert err == f"error: {family} does not take {option}\n"
+
+
+def test_gallery_equality_cases_defaults_p_to_2(files, tmp_path, capsys):
+    from srlab.cli import main
+
+    argv = ["gallery", "equality_cases", "--kind", "rank1", "--n", "4", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "-p", "2"]) == 0
+    assert capsys.readouterr().out == default
+    assert json.loads(default)["params"]["p"] == 2.0
+
+
 def _geometric_file(tmp_path):
     from srlab.gallery import geometric_decay
 

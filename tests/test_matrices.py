@@ -442,6 +442,7 @@ def test_trial_scope_memoizes_read_only_results():
 
 
 def test_trial_scope_keeps_one_copy_of_each_input():
+    from srlab import fuzz
     from srlab import matrices as mat
 
     a = gaussian_matrix(np.random.default_rng(6), 4, 5)
@@ -452,6 +453,12 @@ def test_trial_scope_keeps_one_copy_of_each_input():
             ask(g.copy())
         # The scope keys each distinct input's bytes once, not once per kind.
         assert len(mat._SCOPE.get()) == 2
+    cfg = fuzz.FuzzConfig(trials=1, seed=6)
+    with mat.trial_scope():
+        fuzz._run_checks(fuzz.trial_inputs(cfg.seed, 0, cfg), cfg)
+        # A PSD answer is read from the class and the eigenvalues, never cached apart.
+        kinds = {kind for results in mat._SCOPE.get().values() for kind in results}
+    assert kinds <= {"hermitian", "eigvalsh", "sigma"}, kinds
 
 
 def test_classifier_family_matches_spectra():
@@ -497,6 +504,7 @@ def test_classification_thresholds_are_fixed(threshold, factor, scale):
     from contextlib import nullcontext
 
     from srlab.checks import check_weyl
+    from srlab.gallery import congruence_maximizer
     from srlab.matrices import psd_eigenvalues, sigma_and_psd, trial_scope
     from srlab.ranks import intrinsic_dimension
 
@@ -523,6 +531,12 @@ def test_classification_thresholds_are_fixed(threshold, factor, scale):
                     intrinsic_dimension(a)
                 assert ("lambda_min" if hermitian else "max_asymmetry") in raised.value.data
             assert check_weyl(a, np.eye(4)).preconditions_met is psd
+            # The gallery's congruences classify from their own eigh, at the same threshold.
+            if psd:
+                congruence_maximizer(a)
+            else:
+                with pytest.raises(PreconditionError):
+                    congruence_maximizer(a)
 
 
 # ---------------------------------------------------------------------------
@@ -833,8 +847,10 @@ def test_exactly_hermitian_test_runs_once_and_builds_no_copy(monkeypatch, lapack
     once per call, and decomposed with no full-size temporary."""
     import tracemalloc
 
+    from srlab.gallery import congruence_maximizer
     from srlab.matrices import (
         hermitian_part_eigenvalues,
+        psd_eigendecomposition,
         psd_eigenvalues,
         psd_gram_matrix,
         sigma,
@@ -850,7 +866,7 @@ def test_exactly_hermitian_test_runs_once_and_builds_no_copy(monkeypatch, lapack
         matrices, "_exactly_hermitian", lambda a: calls.append(a.shape) or exactly_hermitian(a)
     )
     functions = (sigma, hermitian_part_eigenvalues, psd_eigenvalues, sigma_and_psd,
-                 hermitian_eigenvalues, intrinsic_dimension, is_psd)
+                 hermitian_eigenvalues, intrinsic_dimension, is_psd, psd_eigendecomposition)
     for f in functions:
         calls.clear()
         f(g)
@@ -865,6 +881,12 @@ def test_exactly_hermitian_test_runs_once_and_builds_no_copy(monkeypatch, lapack
             tracemalloc.stop()
         assert peak < 1_000_000, (f.__name__, peak)
         assert lapack_calls == [("eigvalsh", (500, 500))]
+    # Outside a scope, the PSD precondition and the value share one eigvalsh,
+    # and a congruence classifies from its one eigh.
+    for f, call in ((intrinsic_dimension, "eigvalsh"), (congruence_maximizer, "eigh")):
+        lapack_calls.clear()
+        f(g)
+        assert lapack_calls == [(call, (500, 500))], f.__name__
 
 
 # ---------------------------------------------------------------------------
