@@ -29,7 +29,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "SRLAB_THREADS")
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WIN_SHARE = 0.9
 
 

@@ -14,21 +14,15 @@ from .matrices import (
     DecompositionError,
     Matrix,
     PreconditionError,
-    SampleSpec,
     Spectrum,
     Tolerances,
     as_matrix,
-    conj_transpose,
     hermitian_eigenvalues,
     is_hermitian,
     is_psd,
-    matmul,
     pivoted_cholesky,
-    sample,
     scalar_field,
     singular_values,
-    trace,
-    two_norm,
 )
 from .ranks import (
     RankResult,
@@ -54,27 +48,21 @@ __all__ = [
     "QuasiNormWarning",
     "RankResult",
     "RunReport",
-    "SampleSpec",
     "Spectrum",
     "Tolerances",
     "as_matrix",
-    "conj_transpose",
     "evaluate",
     "hermitian_eigenvalues",
     "intrinsic_dimension",
     "is_hermitian",
     "is_psd",
-    "matmul",
     "numerical_rank",
     "p_stable_rank",
     "pivoted_cholesky",
     "run_fuzz",
-    "sample",
     "scalar_field",
     "schatten_norm",
     "schatten_norm_from_spectrum",
     "singular_values",
     "stable_rank",
-    "trace",
-    "two_norm",
 ]

@@ -59,9 +59,8 @@ CHUNK_SIZE = 128
 class FuzzConfig:
     """Reproducible description of one fuzzing campaign.
 
-    ``parallelism`` (0 = auto, overridable via the SRLAB_THREADS env var)
-    affects execution only, never results, and is therefore left out of
-    report echoes.
+    ``parallelism`` (0 = one worker per CPU) affects execution only, never
+    results, and is therefore left out of report echoes.
     """
 
     trials: int
@@ -117,9 +116,6 @@ class TrialResult(NamedTuple):
 
 
 def resolve_parallelism(requested: int) -> int:
-    env = os.environ.get("SRLAB_THREADS", "").strip()
-    if env:
-        requested = int(env)
     if requested == 0:
         requested = os.cpu_count() or 1
     return max(1, requested)

@@ -44,8 +44,9 @@ qualifies for the Gram route forms its k x k Gram with SciPy's sparse
 product, at a cost in its nonzeros rather than in ``k N``, scaled on the
 same ``2^±200`` rule, and runs the same ``eigvalsh`` and the same
 certificate. Its values may differ from those of the densified input in the
-last bits, within the same contract. Any other sparse input, or one whose
-certificate fails, is densified and takes the dense routes, bit for bit.
+last bits, within the same contract. One whose certificate fails is
+densified and runs the SVD, with no second Gram. Any other sparse input is
+densified and takes the dense routes, bit for bit.
 SciPy is never imported here: a sparse input is recognised only once
 ``scipy.sparse`` is loaded, and only where a dense one would not be 2-D.
 
@@ -89,7 +90,6 @@ import numpy as np
 
 Matrix = np.ndarray
 
-SCALAR_FIELDS = ("real", "complex")
 SAMPLE_KINDS = (
     "gaussian",
     "psd_gram",
@@ -333,9 +333,10 @@ def sigma(a: Matrix) -> np.ndarray:
 
     A SciPy sparse input that qualifies for the Gram route forms its Gram
     with a sparse product (:func:`_certified_sparse_gram_sigma`). Any other
-    sparse input, or one whose certificate fails, is densified as
-    :func:`srlab.mmio.read_matrix` densifies a coordinate file (a
-    nonfinite entry raises ``ValueError``), and takes the dense route.
+    sparse input is densified as :func:`srlab.mmio.read_matrix` densifies
+    a coordinate file (a nonfinite entry raises ``ValueError``), and takes
+    the dense route; one whose certificate fails is densified the same way
+    and runs the SVD.
     Sparse inputs are not remembered by a :func:`trial_scope`.
     """
     d = np.asarray(a)
@@ -356,6 +357,11 @@ def _sigma(a: np.ndarray) -> np.ndarray:
         s = _certified_gram_sigma(a)
         if s is not None:
             return s
+    return _svd_sigma(a)
+
+
+def _svd_sigma(a: np.ndarray) -> np.ndarray:
+    m, n = a.shape
     try:
         s = np.linalg.svd(a.T if m < n else a, compute_uv=False)
     except np.linalg.LinAlgError as exc:
@@ -373,11 +379,10 @@ def _gram_route_applies(m: int, n: int, dtype) -> bool:
 
 
 def _sparse_sigma(a) -> np.ndarray:
-    if _gram_route_applies(*a.shape, a.dtype):
-        s = _certified_sparse_gram_sigma(a)
-        if s is not None:
-            return s
-    return sigma(_freeze_fresh(a.toarray()))
+    if not _gram_route_applies(*a.shape, a.dtype):
+        return sigma(_freeze_fresh(a.toarray()))
+    s = _certified_sparse_gram_sigma(a)
+    return _svd_sigma(_freeze_fresh(a.toarray())) if s is None else s
 
 
 def _gram_exponent(parts: np.ndarray) -> int:
@@ -689,29 +694,6 @@ def psd_eigendecomposition(a: Matrix) -> tuple[np.ndarray, np.ndarray]:
     raise PreconditionError("requires a positive semi-definite matrix")
 
 
-def two_norm(a: Matrix) -> float:
-    """Largest singular value."""
-    return float(singular_values(a).values[0])
-
-
-def trace(a: Matrix):
-    a = _require_square(a, "trace")
-    t = np.trace(a)
-    return complex(t) if np.iscomplexobj(a) else float(t)
-
-
-def conj_transpose(a: Matrix) -> Matrix:
-    return np.conj(np.asarray(a)).T
-
-
-def matmul(a: Matrix, b: Matrix) -> Matrix:
-    a = _require_2d(a, "matmul")
-    b = _require_2d(b, "matmul")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch for matmul: {a.shape} @ {b.shape}")
-    return a @ b
-
-
 def pivoted_cholesky(a: Matrix) -> tuple[np.ndarray, np.ndarray, int]:
     """Diagonally pivoted Cholesky factorization of a PSD matrix, by LAPACK ``?pstrf``.
 
@@ -848,42 +830,6 @@ def _scipy_pstrf(w: np.ndarray, stop: float):
 # Seeded sampling
 
 
-@dataclass(frozen=True)
-class SampleSpec:
-    """Recipe for one deterministic random matrix draw."""
-
-    kind: str
-    dims: tuple[int, int]
-    spectrum: tuple[float, ...] | None = None
-    rank: int | None = None
-    seed: int = 0
-    scalar_field: str = "real"
-
-    def __post_init__(self):
-        if self.kind not in SAMPLE_KINDS:
-            raise ValueError(f"unknown sample kind {self.kind!r}")
-        if self.scalar_field not in SCALAR_FIELDS:
-            raise ValueError(f"unknown scalar field {self.scalar_field!r}")
-        m, n = self.dims
-        if m < 1 or n < 1:
-            raise ValueError(f"dims must be positive, got {self.dims}")
-        if self.spectrum is not None:
-            object.__setattr__(self, "spectrum", tuple(float(s) for s in self.spectrum))
-        if self.kind == "prescribed_spectrum":
-            s = self.spectrum
-            if s is None or len(s) == 0:
-                raise ValueError("prescribed_spectrum requires a nonempty spectrum")
-            if len(s) > min(m, n):
-                raise ValueError("spectrum longer than min(dims)")
-            if any(x < 0 for x in s) or any(s[i] < s[i + 1] for i in range(len(s) - 1)):
-                raise ValueError("spectrum must be nonnegative and sorted descending")
-        if self.kind in ("rank1_psd", "orthogonal_projector") and m != n:
-            raise ValueError(f"{self.kind} requires square dims, got {self.dims}")
-        if self.kind == "orthogonal_projector":
-            if self.rank is None or not 1 <= self.rank <= n:
-                raise ValueError("orthogonal_projector requires 1 <= rank <= n")
-
-
 def gaussian_matrix(rng: np.random.Generator, m: int, n: int, field: str = "real") -> np.ndarray:
     if field == "complex":
         return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
@@ -950,11 +896,3 @@ def draw_matrix(
     if kind == "rank1_psd":
         return rank1_psd_matrix(rng, n, field)
     return projector_matrix(rng, n, rank, field)
-
-
-def sample(spec: SampleSpec) -> Matrix:
-    """Draw the matrix described by ``spec``; bit-identical for equal specs."""
-    rng = np.random.default_rng(spec.seed)
-    a = draw_matrix(rng, spec.kind, *spec.dims, spec.scalar_field, spec.spectrum, spec.rank)
-    a.setflags(write=False)
-    return a

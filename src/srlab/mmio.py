@@ -22,7 +22,6 @@ and work that touches no MatrixMarket file load no SciPy module.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 import numpy as np
@@ -100,11 +99,3 @@ def write_matrix_market(path, a: Matrix) -> None:
 
     a = as_matrix(a)
     scipy.io.mmwrite(str(path), a, symmetry="general", precision=17)
-
-
-def matrix_to_market_string(a: Matrix) -> str:
-    import scipy.io
-
-    buf = io.BytesIO()
-    scipy.io.mmwrite(buf, as_matrix(a), symmetry="general", precision=17)
-    return buf.getvalue().decode()

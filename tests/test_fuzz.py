@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -157,12 +158,10 @@ def test_subset_of_checks_runs_only_those():
     assert set(report.checks) == {"cross_product", "deletion"}
 
 
-def test_env_var_overrides_parallelism(monkeypatch):
+def test_resolve_parallelism_reads_no_env_var(monkeypatch):
     monkeypatch.setenv("SRLAB_THREADS", "3")
-    assert resolve_parallelism(1) == 3
-    monkeypatch.setenv("SRLAB_THREADS", "0")
-    assert resolve_parallelism(5) >= 1
-    monkeypatch.delenv("SRLAB_THREADS")
+    assert resolve_parallelism(0) == (os.cpu_count() or 1)
+    assert resolve_parallelism(1) == 1
     assert resolve_parallelism(2) == 2
 
 

@@ -9,7 +9,6 @@ import pytest
 
 from srlab.mmio import (
     MatrixParseError,
-    matrix_to_market_string,
     read_csv,
     read_matrix,
     read_matrix_market,
@@ -45,9 +44,8 @@ def test_header_is_general_even_for_symmetric(tmp_path):
 
 def test_market_string_parses_back(tmp_path):
     a = np.diag([1.0, 2.0])
-    text = matrix_to_market_string(a)
-    path = tmp_path / "from_string.mtx"
-    path.write_text(text)
+    path = tmp_path / "diag.mtx"
+    write_matrix_market(path, a)
     assert np.array_equal(read_matrix(path), a)
 
 
@@ -71,8 +69,10 @@ def test_single_row_csv(tmp_path):
 
 
 def test_sniffing_prefers_market_header(tmp_path):
+    written = tmp_path / "eye.mtx"
+    write_matrix_market(written, np.eye(2))
     path = tmp_path / "weird.txt"
-    path.write_text(matrix_to_market_string(np.eye(2)))
+    path.write_text(written.read_text())
     assert np.array_equal(read_matrix(path), np.eye(2))
 
 
