@@ -10,12 +10,10 @@ from .checks import CHECKS, CheckReport
 from .fuzz import FuzzConfig, RunReport, run_fuzz
 from .gallery import FamilyInstance, evaluate
 from .matrices import (
-    DEFAULT_TOL,
     DecompositionError,
     Matrix,
     PreconditionError,
     Spectrum,
-    Tolerances,
     as_matrix,
     hermitian_eigenvalues,
     is_hermitian,
@@ -38,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CHECKS",
     "CheckReport",
-    "DEFAULT_TOL",
     "DecompositionError",
     "FamilyInstance",
     "FuzzConfig",
@@ -49,7 +46,6 @@ __all__ = [
     "RankResult",
     "RunReport",
     "Spectrum",
-    "Tolerances",
     "as_matrix",
     "evaluate",
     "hermitian_eigenvalues",

@@ -7,7 +7,10 @@ those names), ``gallery`` (emit an example family; the builder's signature
 names its flags, ``--input`` gives its matrix ``a``, and a flag the builder
 does not take is an error), ``condition``
 (perturbation-bound sweep), ``fuzz`` (randomized campaign). Reports are
-JSON (schema 1) by default; ``--format csv|text`` flattens them.
+JSON (schema 1) by default; ``--format csv|text`` flattens them. Every
+subcommand prints its report through one printer, :func:`_print_report`,
+and its errors through one helper, :func:`_error`, which writes
+``error: ...`` to stderr and returns the exit code.
 
 ``--rtol`` is the one numerical-rank tolerance of ``compute``, ``verify``,
 ``gallery`` and ``condition``; ``fuzz`` counts ranks at the fixed 1e-10.
@@ -46,17 +49,25 @@ SCHEMA_VERSION = 1
 _VERIFY_FLAGS = ("p", "k", "drop_col", "rtol")
 
 
-def _print_json(payload) -> None:
-    print(json.dumps(encode_json(payload), indent=2, sort_keys=True))
+def _print_report(fmt: str, payload: dict, rows: list[dict], lines: list[str]) -> None:
+    """Print ``payload`` as JSON, ``rows`` as CSV under the first row's keys,
+    or ``lines`` as text, as ``fmt`` (``--format``) says."""
+    if fmt == "json":
+        print(json.dumps(encode_json(payload), indent=2, sort_keys=True))
+    elif fmt == "csv" and rows:
+        keys = list(rows[0])
+        print(",".join(keys))
+        for row in rows:
+            print(",".join(str(encode_json(row.get(k, ""))) for k in keys))
+    elif fmt == "text":
+        for line in lines:
+            print(line)
 
 
-def _print_csv(rows: list[dict]) -> None:
-    if not rows:
-        return
-    keys = list(rows[0])
-    print(",".join(keys))
-    for row in rows:
-        print(",".join(str(encode_json(row.get(k, ""))) for k in keys))
+def _error(message, code: int) -> int:
+    """Print ``error: message`` to stderr and return the exit code ``code``."""
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def _parse_float_list(text: str) -> list[float]:
@@ -81,16 +92,13 @@ def cmd_compute(args) -> int:
         # with a sparse product; intdim needs a square Hermitian input, dense.
         a = read_matrix(args.input, sparse=args.quantity != "intdim")
     except MatrixParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     try:
         value = _quantity_value(a, args.quantity, args.p, args.rtol)
     except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _error(exc, 3)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     record = {
         "schema": SCHEMA_VERSION,
         "kind": "compute",
@@ -99,12 +107,8 @@ def cmd_compute(args) -> int:
         "p": args.p if args.quantity in ("srp", "schatten") else None,
         "value": value,
     }
-    if args.format == "json":
-        _print_json(record)
-    elif args.format == "csv":
-        _print_csv([{k: record[k] for k in ("quantity", "p", "value")}])
-    else:
-        print(value)
+    rows = [{k: record[k] for k in ("quantity", "p", "value")}]
+    _print_report(args.format, record, rows, [str(value)])
     return 0
 
 
@@ -118,41 +122,24 @@ def cmd_verify(args) -> int:
         if param.default is param.empty and key not in _VERIFY_FLAGS
     ]
     if len(args.inputs) != len(matrix_slots):
-        print(
-            f"error: {name} needs {len(matrix_slots)} matrix file(s): "
-            f"{', '.join(matrix_slots)}",
-            file=sys.stderr,
+        return _error(
+            f"{name} needs {len(matrix_slots)} matrix file(s): {', '.join(matrix_slots)}", 2
         )
-        return 2
     try:
         matrices = [read_matrix(path) for path in args.inputs]
     except MatrixParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     flags = {key: getattr(args, key) for key in _VERIFY_FLAGS if key in params}
     try:
         with trial_scope():
             report = check(*matrices, **flags)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     payload = {"schema": SCHEMA_VERSION, "kind": "verify", **report.to_json_dict()}
-    if args.format == "json":
-        _print_json(payload)
-    elif args.format == "csv":
-        _print_csv(
-            [
-                {
-                    "name": report.name,
-                    "status": report.status,
-                    "lhs": report.lhs,
-                    "rhs": report.rhs,
-                    "slack": report.slack,
-                }
-            ]
-        )
-    else:
-        print(f"{report.name}: {report.status} (slack={report.slack})")
+    row = {key: getattr(report, key) for key in ("name", "status", "lhs", "rhs", "slack")}
+    _print_report(
+        args.format, payload, [row], [f"{report.name}: {report.status} (slack={report.slack})"]
+    )
     return 1 if report.holds is False else 0
 
 
@@ -190,8 +177,7 @@ def cmd_gallery(args) -> int:
         instance = _build_family(args)
         evaluation = gal.evaluate(instance, rtol=args.rtol)
     except ValueError as exc:  # PreconditionError and MatrixParseError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -211,18 +197,12 @@ def cmd_gallery(args) -> int:
         "notes": instance.notes,
         "files": files,
     }
-    if args.format == "json":
-        _print_json(payload)
-    elif args.format == "csv":
-        rows = [
-            {"key": k, "predicted": v["predicted"], "computed": v["computed"], "rel_err": v["rel_err"]}
-            for k, v in evaluation.items()
-        ]
-        _print_csv(rows)
-    else:
-        print(f"{instance.name}: threshold_met={instance.threshold_met}")
-        for key, v in evaluation.items():
-            print(f"  {key}: predicted={v['predicted']} computed={v['computed']}")
+    rows = [{"key": key, **v} for key, v in evaluation.items()]
+    lines = [f"{instance.name}: threshold_met={instance.threshold_met}"] + [
+        f"  {key}: predicted={v['predicted']} computed={v['computed']}"
+        for key, v in evaluation.items()
+    ]
+    _print_report(args.format, payload, rows, lines)
     return 0
 
 
@@ -230,11 +210,9 @@ def cmd_condition(args) -> int:
     try:
         a = read_matrix(args.input)
     except MatrixParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     if args.perturbation == "psd" and a.shape[0] != a.shape[1]:
-        print("error: PSD perturbations need a square input matrix", file=sys.stderr)
-        return 2
+        return _error("PSD perturbations need a square input matrix", 2)
     rows = []
     any_failure = False
     # One scope for the sweep: the input is decomposed once, not per epsilon.
@@ -251,8 +229,7 @@ def cmd_condition(args) -> int:
             try:
                 report = check_perturbation(a, e, args.p, rtol=args.rtol)
             except ValueError as exc:  # an invalid --rtol
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+                return _error(exc, 2)
             if not report.preconditions_met:
                 row["reason"] = report.details.get("reason", "not applicable")
                 rows.append(row)
@@ -284,19 +261,13 @@ def cmd_condition(args) -> int:
         "seed": args.seed,
         "rows": rows,
     }
-    if args.format == "json":
-        _print_json(payload)
-    elif args.format == "csv":
-        _print_csv(rows)
-    else:
-        for row in rows:
-            if row["applicable"]:
-                print(
-                    f"eps={row['epsilon']}: {row['lower']:.6g} <= "
-                    f"{row['actual']:.6g} <= {row['upper']:.6g}"
-                )
-            else:
-                print(f"eps={row['epsilon']}: not applicable ({row.get('reason')})")
+    lines = [
+        f"eps={row['epsilon']}: {row['lower']:.6g} <= {row['actual']:.6g} <= {row['upper']:.6g}"
+        if row["applicable"]
+        else f"eps={row['epsilon']}: not applicable ({row.get('reason')})"
+        for row in rows
+    ]
+    _print_report(args.format, payload, rows, lines)
     return 1 if any_failure else 0
 
 
@@ -317,32 +288,23 @@ def cmd_fuzz(args) -> int:
             **overrides,
         )
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc, 2)
     report = run_fuzz(cfg)
     payload = report.to_json_dict()
     if args.out:
         Path(args.out).write_text(json.dumps(encode_json(payload), indent=2, sort_keys=True))
-    if args.format == "json":
-        _print_json(payload)
-    elif args.format == "csv":
-        rows = [
-            {
-                "check": name,
-                "applicable_count": agg["applicable_count"],
-                "pass_count": agg["pass_count"],
-                "min_slack": agg["min_slack"],
-            }
-            for name, agg in payload["checks"].items()
-        ]
-        _print_csv(rows)
-    else:
-        for name, agg in payload["checks"].items():
-            print(
-                f"{name}: {agg['pass_count']}/{agg['applicable_count']} passed, "
-                f"min_slack={agg['min_slack']}"
-            )
-        print(f"failures: {len(payload['failures'])}")
+    checks = payload["checks"]
+    rows = [
+        {"check": name, **{k: agg[k] for k in ("applicable_count", "pass_count", "min_slack")}}
+        for name, agg in checks.items()
+    ]
+    lines = [
+        f"{name}: {agg['pass_count']}/{agg['applicable_count']} passed, "
+        f"min_slack={agg['min_slack']}"
+        for name, agg in checks.items()
+    ]
+    lines.append(f"failures: {len(payload['failures'])}")
+    _print_report(args.format, payload, rows, lines)
     return 1 if report.failure_count else 0
 
 

@@ -66,7 +66,7 @@ class FamilyInstance:
     matrices: dict[str, Matrix]
     params: dict
     predicted: dict[str, float]
-    threshold_met: bool | None
+    threshold_met: bool | None = None
     thresholds: dict[str, bool] = field(default_factory=dict)
     notes: str = ""
 
@@ -115,16 +115,63 @@ def _orthogonal(rng, n: int) -> np.ndarray:
     return haar_unitary(rng, n, "real")
 
 
+def _rotated(rotate_seed: int | None, *matrices: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Each matrix as ``q @ m @ q.T`` for one orthogonal ``q`` seeded by
+    ``rotate_seed``, or unchanged when it is None."""
+    if rotate_seed is None:
+        return matrices
+    q = _orthogonal(np.random.default_rng(rotate_seed), matrices[0].shape[0])
+    return tuple(q @ m @ q.T for m in matrices)
+
+
+def _at_least(name: str, value, least):
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _in_unit_interval(name: str, value: float) -> float:
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"{name} must lie in (0, 1], got {value}")
+    return value
+
+
+def _svd_rank(a: Matrix, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``(a, s, vh, r)``: square ``a`` cast to float64 or complex128, its
+    singular values and right singular vectors, and its rank at ``rtol``."""
+    a = np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"requires a square matrix, got shape {a.shape}")
+    s, vh = np.linalg.svd(a)[1:]
+    return a, s, vh, numerical_rank_from_spectrum(s, rtol)
+
+
+def _multiplied(a: np.ndarray, vh: np.ndarray, d: np.ndarray) -> dict[str, np.ndarray]:
+    """``A``, ``B = V diag(d)`` and ``AB``, frozen."""
+    b = vh.conj().T * d
+    return _freeze({"A": a.copy(), "B": b, "AB": a @ b})
+
+
+def _psd_rank(a: Matrix, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``(a, w, v, r)``: PSD ``a``, its descending eigenvalues and
+    eigenvectors, and its rank at ``rtol``."""
+    a = np.asarray(a)
+    w, v = psd_eigendecomposition(a)
+    return a, w, v, numerical_rank_from_spectrum(w, rtol)
+
+
+def _congruence(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> dict[str, np.ndarray]:
+    """``A``, ``B = V diag(d) V*`` and ``B*AB``, frozen."""
+    b = (v * d) @ v.conj().T
+    return _freeze({"A": np.array(a), "B": b, "BAB": b.conj().T @ a @ b})
+
+
 def geometric_decay(
     n: int, ratio: float, rotate_seed: int | None = None, rtol: float = DEFAULT_RANK_RTOL
 ) -> FamilyInstance:
     """Diagonal matrix with singular values ratio**j; rank_A is counted at rtol."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    ratio = float(ratio)
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError(f"ratio must lie in (0, 1], got {ratio}")
+    n = _at_least("n", int(n), 1)
+    ratio = _in_unit_interval("ratio", float(ratio))
     values = ratio ** np.arange(n)
     a = _diag(values)
     if rotate_seed is not None:
@@ -137,7 +184,6 @@ def geometric_decay(
         matrices=_freeze({"A": a}),
         params={"n": n, "ratio": ratio},
         predicted={"sr_A": sr, "rank_A": float(rank)},
-        threshold_met=None,
         notes=GEOMETRIC_NOTE,
     )
 
@@ -147,12 +193,8 @@ def deletion_family(n: int, alpha: float, rotate_seed: int | None = None) -> Fam
     column) raises the stable rank once alpha crosses sqrt((n-1)/(n-2)),
     and the intrinsic dimension once alpha crosses (n-1)/(n-2).
     """
-    n = int(n)
-    if n < 3:
-        raise ValueError(f"n must be >= 3, got {n}")
-    alpha = float(alpha)
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    n = _at_least("n", int(n), 3)
+    alpha = _at_least("alpha", float(alpha), 1)
     a = _diag([1.0] * (n - 1) + [alpha])
     a_hat_col = np.delete(a, n - 1, axis=1)
     a_hat_rowcol = np.eye(n - 1)
@@ -185,18 +227,13 @@ def sum_violation_family(n: int, alpha: float, rotate_seed: int | None = None) -
     """A = diag(alpha, 2I), B = diag(-alpha, -I): the stable rank of A+B
     exceeds sr(A) + sr(B) once alpha^2 crosses 5(n-1)/(n-3).
     """
-    n = int(n)
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
+    n = _at_least("n", int(n), 4)
     alpha = float(alpha)
     if abs(alpha) < 2.0:
         raise ValueError(f"|alpha| must be >= 2, got {alpha}")
     a = _diag([alpha] + [2.0] * (n - 1))
     b = _diag([-alpha] + [-1.0] * (n - 1))
-    if rotate_seed is not None:
-        q = _orthogonal(np.random.default_rng(rotate_seed), n)
-        a = q @ a @ q.T
-        b = q @ b @ q.T
+    a, b = _rotated(rotate_seed, a, b)
     s = a + b
     thresholds = {"sr_sum": Fraction(alpha) ** 2 > Fraction(5 * (n - 1), n - 3)}
     return FamilyInstance(
@@ -219,18 +256,11 @@ def rank1_drop_family(n: int, beta: float, rotate_seed: int | None = None) -> Fa
     lowers the intrinsic dimension by more than one once beta crosses
     (n-1)/(n-3).
     """
-    n = int(n)
-    if n < 4:
-        raise ValueError(f"n must be >= 4, got {n}")
-    beta = float(beta)
-    if beta < 1.0:
-        raise ValueError(f"beta must be >= 1, got {beta}")
+    n = _at_least("n", int(n), 4)
+    beta = _at_least("beta", float(beta), 1)
     a = _diag([0.0] + [1.0] * (n - 1))
     b = _diag([beta] + [0.0] * (n - 1))
-    if rotate_seed is not None:
-        q = _orthogonal(np.random.default_rng(rotate_seed), n)
-        a = q @ a @ q.T
-        b = q @ b @ q.T
+    a, b = _rotated(rotate_seed, a, b)
     thresholds = {"intdim_drop": Fraction(beta) > Fraction(n - 1, n - 3)}
     return FamilyInstance(
         name="rank1_drop_family",
@@ -251,18 +281,11 @@ def product_violation_family(n: int, alpha: float, rotate_seed: int | None = Non
     """A = diag(I, alpha), B = diag(I, 1/alpha): AB = I has larger stable
     rank and intrinsic dimension than either factor whenever alpha > 1.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    alpha = float(alpha)
-    if alpha < 1.0:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    n = _at_least("n", int(n), 2)
+    alpha = _at_least("alpha", float(alpha), 1)
     a = _diag([1.0] * (n - 1) + [alpha])
     b = _diag([1.0] * (n - 1) + [1.0 / alpha])
-    if rotate_seed is not None:
-        q = _orthogonal(np.random.default_rng(rotate_seed), n)
-        a = q @ a @ q.T
-        b = q @ b @ q.T
+    a, b = _rotated(rotate_seed, a, b)
     ab = a @ b
     # AB = I exactly; symmetrizing keeps the rotated product exactly
     # symmetric, so it is classified and decomposed like the other inputs.
@@ -289,16 +312,9 @@ def cross_gap_family(n: int, alpha: float, rotate_seed: int | None = None) -> Fa
     """diag(1, alpha I): the Gram matrix A*A has strictly smaller stable
     rank and intrinsic dimension than A for alpha < 1.
     """
-    n = int(n)
-    if n < 2:
-        raise ValueError(f"n must be >= 2, got {n}")
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    a = _diag([1.0] + [alpha] * (n - 1))
-    if rotate_seed is not None:
-        q = _orthogonal(np.random.default_rng(rotate_seed), n)
-        a = q @ a @ q.T
+    n = _at_least("n", int(n), 2)
+    alpha = _in_unit_interval("alpha", float(alpha))
+    (a,) = _rotated(rotate_seed, _diag([1.0] + [alpha] * (n - 1)))
     gram = a.conj().T @ a
     thresholds = {"strict_gap": alpha < 1.0}
     return FamilyInstance(
@@ -318,24 +334,17 @@ def cross_gap_family(n: int, alpha: float, rotate_seed: int | None = None) -> Fa
 
 def maximizer_multiplier(a: Matrix, rtol: float = DEFAULT_RANK_RTOL) -> FamilyInstance:
     """Nonsingular B built from the SVD of A so that sr(AB) = rank(A)."""
-    a = np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"requires a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    s, vh = np.linalg.svd(a)[1:]
-    r = numerical_rank_from_spectrum(s, rtol)
+    a, s, vh, r = _svd_rank(a, rtol)
     if r < 1:
         raise PreconditionError("requires a nonzero matrix", rank=r)
+    n = len(s)
     d = np.ones(n)
     d[:r] = 1.0 / s[:r]
-    b = vh.conj().T * d
-    ab = a @ b
     return FamilyInstance(
         name="maximizer_multiplier",
-        matrices=_freeze({"A": a.copy(), "B": b, "AB": ab}),
+        matrices=_multiplied(a, vh, d),
         params={"n": n, "r": r},
         predicted={"sr_AB": float(r), "rank_AB": float(r)},
-        threshold_met=None,
     )
 
 
@@ -345,49 +354,35 @@ def minimizer_multiplier(
     """Nonsingular B shrinking all but the top singular value of AB by
     alpha, so that sr(AB) = 1 + (r-1) alpha^2 approaches 1 as alpha -> 0.
     """
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    a = np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"requires a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    s, vh = np.linalg.svd(a)[1:]
-    r = numerical_rank_from_spectrum(s, rtol)
+    alpha = _in_unit_interval("alpha", float(alpha))
+    a, s, vh, r = _svd_rank(a, rtol)
     if r < 2:
         raise PreconditionError(f"requires rank >= 2, got {r}", rank=r)
+    n = len(s)
     d = np.ones(n)
     d[0] = 1.0 / s[0]
     d[1:r] = alpha / s[1:r]
-    b = vh.conj().T * d
-    ab = a @ b
     return FamilyInstance(
         name="minimizer_multiplier",
-        matrices=_freeze({"A": a.copy(), "B": b, "AB": ab}),
+        matrices=_multiplied(a, vh, d),
         params={"n": n, "r": r, "alpha": alpha},
         predicted={"sr_AB": 1.0 + (r - 1) * alpha**2},
-        threshold_met=None,
     )
 
 
 def congruence_maximizer(a: Matrix, rtol: float = DEFAULT_RANK_RTOL) -> FamilyInstance:
     """Congruence B*AB with nonsingular B raising intdim to rank(A)."""
-    a = np.asarray(a)
-    w, v = psd_eigendecomposition(a)
-    n = a.shape[0]
-    r = numerical_rank_from_spectrum(w, rtol)
+    a, w, v, r = _psd_rank(a, rtol)
     if r < 1:
         raise PreconditionError("requires a nonzero matrix", rank=r)
+    n = len(w)
     d = np.ones(n)
     d[:r] = 1.0 / np.sqrt(w[:r])
-    b = (v * d) @ v.conj().T
-    bab = b.conj().T @ a @ b
     return FamilyInstance(
         name="congruence_maximizer",
-        matrices=_freeze({"A": np.array(a), "B": b, "BAB": bab}),
+        matrices=_congruence(a, v, d),
         params={"n": n, "r": r},
         predicted={"intdim_BAB": float(r)},
-        threshold_met=None,
     )
 
 
@@ -395,26 +390,19 @@ def congruence_minimizer(
     a: Matrix, alpha: float, rtol: float = DEFAULT_RANK_RTOL
 ) -> FamilyInstance:
     """Congruence B*AB lowering intdim to 1 + (r-1) alpha, close to 1."""
-    alpha = float(alpha)
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
-    a = np.asarray(a)
-    w, v = psd_eigendecomposition(a)
-    n = a.shape[0]
-    r = numerical_rank_from_spectrum(w, rtol)
+    alpha = _in_unit_interval("alpha", float(alpha))
+    a, w, v, r = _psd_rank(a, rtol)
     if r < 2:
         raise PreconditionError(f"requires rank >= 2, got {r}", rank=r)
+    n = len(w)
     d = np.ones(n)
     d[0] = np.sqrt(1.0 / w[0])
     d[1:r] = np.sqrt(alpha / w[1:r])
-    b = (v * d) @ v.conj().T
-    bab = b.conj().T @ a @ b
     return FamilyInstance(
         name="congruence_minimizer",
-        matrices=_freeze({"A": np.array(a), "B": b, "BAB": bab}),
+        matrices=_congruence(a, v, d),
         params={"n": n, "r": r, "alpha": alpha},
         predicted={"intdim_BAB": 1.0 + (r - 1) * alpha},
-        threshold_met=None,
     )
 
 
@@ -431,9 +419,7 @@ def equality_cases(
     """
     if kind not in EQUALITY_KINDS:
         raise ValueError(f"unknown kind {kind!r}; known: {', '.join(EQUALITY_KINDS)}")
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    n = _at_least("n", int(n), 1)
     p = validate_exponent(p)
     if kind != "rank1" and math.isinf(p):
         raise ValueError("sr_p equals the rank at p = inf only in the rank-1 case")
@@ -462,7 +448,6 @@ def equality_cases(
         matrices=_freeze({"A": a}),
         params={"kind": kind, "n": n, "p": p, "rank": rank, "seed": int(seed)},
         predicted=predicted,
-        threshold_met=None,
     )
 
 

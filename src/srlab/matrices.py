@@ -58,10 +58,11 @@ singular values of an exactly Hermitian matrix share its eigendecomposition.
 Outside a scope nothing is cached.
 
 This module alone decides "Hermitian" and "PSD", on one fixed pair of
-relative thresholds, those of :data:`DEFAULT_TOL`. A square input is
-Hermitian when ``max |A - A*|`` is at most ``1e-12 * max(1, max |A|)``, and
-PSD when it is also Hermitian with ``lambda_min >= -1e-10 * max(1,
-lambda_max)`` for the eigenvalues of its Hermitian part. :func:`is_psd`,
+relative thresholds, :data:`HERMITIAN_ASYM_RTOL` and :data:`PSD_NEGATIVITY_RTOL`.
+A square input is Hermitian when ``max |A - A*|`` is at most
+``1e-12 * max(1, max |A|)``, and PSD when it is also Hermitian with
+``lambda_min >= -1e-10 * max(1, lambda_max)`` for the eigenvalues of its
+Hermitian part. :func:`is_psd`,
 :func:`psd_eigenvalues`, :func:`sigma_and_psd`, :func:`hermitian_eigenvalues`
 and :func:`psd_spectrum` (the precondition of ``intrinsic_dimension``) read
 one private classifier, and :func:`psd_eigendecomposition` (the gallery's
@@ -116,25 +117,10 @@ class PreconditionError(ValueError):
         self.data = data
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Relative thresholds for Hermitian and PSD classification.
-
-    Only :data:`DEFAULT_TOL` is read: the classifier and
-    :func:`pivoted_cholesky` take both fields from it.
-    """
-
-    hermitian_asym: float = 1e-12
-    psd_negativity: float = 1e-10
-
-    def __post_init__(self):
-        for name in ("hermitian_asym", "psd_negativity"):
-            value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {value!r}")
-
-
-DEFAULT_TOL = Tolerances()
+# The relative thresholds of Hermitian and PSD classification, read by the
+# classifier and by pivoted_cholesky.
+HERMITIAN_ASYM_RTOL = 1e-12
+PSD_NEGATIVITY_RTOL = 1e-10
 
 # The Gram-eigenvalue route for singular values (see _certified_gram_sigma)
 # certifies each value to this relative error, and serves inputs whose
@@ -568,7 +554,7 @@ def _hermitian_class(a: np.ndarray) -> int:
 
 
 def _asymmetry_bound(a: np.ndarray) -> float:
-    return DEFAULT_TOL.hermitian_asym * max(1.0, float(np.max(np.abs(a))))
+    return HERMITIAN_ASYM_RTOL * max(1.0, float(np.max(np.abs(a))))
 
 
 def _classify(a: np.ndarray) -> np.ndarray | None:
@@ -599,7 +585,7 @@ def _hermitian_part_eigenvalues(a: np.ndarray, exact: bool | None = None) -> np.
 
 def _psd_within(w: np.ndarray) -> bool:
     """Descending eigenvalues ``w`` clear the relative negativity floor."""
-    return bool(w[-1] >= -DEFAULT_TOL.psd_negativity * max(1.0, float(w[0])))
+    return bool(w[-1] >= -PSD_NEGATIVITY_RTOL * max(1.0, float(w[0])))
 
 
 def psd_eigenvalues(a: Matrix) -> np.ndarray | None:
@@ -718,7 +704,7 @@ def pivoted_cholesky(a: Matrix) -> tuple[np.ndarray, np.ndarray, int]:
         raise DecompositionError("pivoted Cholesky needs finite entries")
     total = max(float(w.trace().real), 0.0)
     _, pstrf = pstrf_provider()
-    w, piv, rank, info = pstrf(w, DEFAULT_TOL.psd_negativity * total / n)
+    w, piv, rank, info = pstrf(w, PSD_NEGATIVITY_RTOL * total / n)
     if info < 0:
         raise DecompositionError(f"LAPACK ?pstrf rejected argument {-info}")
     perm = piv - 1
@@ -729,7 +715,7 @@ def pivoted_cholesky(a: Matrix) -> tuple[np.ndarray, np.ndarray, int]:
         norms = np.add.reduce((rest * rest.conj()).real, axis=1)
         schur = a.diagonal().real[perm[rank:]] - norms
         pivot = float(schur.max())
-        if pivot < -DEFAULT_TOL.psd_negativity * max(1.0, total):
+        if pivot < -PSD_NEGATIVITY_RTOL * max(1.0, total):
             raise DecompositionError(f"pivoted Cholesky breakdown: negative pivot {pivot:.6e}")
     return L, perm, rank
 

@@ -95,7 +95,19 @@ def read_matrix(path, sparse: bool = False):
 
 
 def write_matrix_market(path, a: Matrix) -> None:
+    """Write ``a`` to ``path`` as named.
+
+    ``scipy.io.mmwrite`` adds ``.mtx`` to a file name that lacks it, so it
+    gets such a file opened here. A name that ends in ``.mtx`` goes to it
+    as it is, because writing to a named file is faster than to a stream;
+    both write the same bytes.
+    """
     import scipy.io
 
     a = as_matrix(a)
-    scipy.io.mmwrite(str(path), a, symmetry="general", precision=17)
+    path = str(path)
+    if path.endswith(".mtx"):
+        scipy.io.mmwrite(path, a, symmetry="general", precision=17)
+        return
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, a, symmetry="general", precision=17)

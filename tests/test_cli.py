@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: outputs, formats, exit codes, determinism."""
 
 import json
+import re
 import subprocess
 import sys
 
@@ -559,18 +560,38 @@ def test_fuzz_cli_bad_config_exit_2(files):
 
 
 def test_text_and_csv_formats_do_not_crash(files):
-    for fmt in ("text", "csv"):
-        out = run_cli("compute", str(files / "identity5.mtx"), "-q", "sr", "--format", fmt)
-        assert out.returncode == 0
-        out = run_cli(
-            "verify",
-            "check_weyl",
-            str(files / "identity5.mtx"),
-            str(files / "identity5.mtx"),
-            "--format",
-            fmt,
-        )
-        assert out.returncode == 0
+    eye = str(files / "identity5.mtx")
+    # argv -> (CSV header row, pattern of the first text line)
+    cases = {
+        ("compute", eye, "-q", "sr"): ("quantity,p,value", r"5\.0"),
+        ("verify", "check_weyl", eye, eye): (
+            "name,status,lhs,rhs,slack",
+            r"weyl: pass \(slack=0\.0\)",
+        ),
+        ("gallery", "deletion_family", "--n", "5", "--alpha", "2", "--out", str(files / "g")): (
+            "key,predicted,computed,rel_err",
+            "deletion_family: threshold_met=True",
+        ),
+        ("condition", eye, "--epsilons", "0.1,2"): (
+            "epsilon,applicable,p,rank_e,lower,actual,upper,"
+            "slack_lower,slack_upper,psd_pair,holds",
+            r"eps=0\.1: [\d.]+ <= [\d.]+ <= [\d.]+",
+        ),
+        ("fuzz", "--trials", "4", "--seed", "1", "--parallelism", "1"): (
+            "check,applicable_count,pass_count,min_slack",
+            r"weyl: 4/4 passed, min_slack=\S+",
+        ),
+    }
+    printed = {}
+    for argv, (header, text) in cases.items():
+        for fmt in ("csv", "text"):
+            out = run_cli(*argv, "--format", fmt)
+            assert out.returncode == 0, (argv, fmt, out.stderr)
+            printed[argv[0], fmt] = out.stdout.splitlines()
+        assert printed[argv[0], "csv"][0] == header, argv
+        assert re.fullmatch(text, printed[argv[0], "text"][0]), argv
+    assert printed["condition", "csv"][2] == "2.0,False,,,,,,,,,"
+    assert printed["condition", "text"][1] == "eps=2.0: not applicable (requires 0 <= eps < 1)"
 
 
 @pytest.mark.parametrize("check", ["cholesky_intdim", "intdim_subadditive", "block_intdim"])

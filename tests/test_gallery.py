@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -249,13 +250,24 @@ def test_equality_cases_all_kinds():
     assert_instance_accurate(inst)
 
 
+def exactly(message):
+    """A ``pytest.raises`` pattern that matches ``message`` and nothing more."""
+    return f"^{re.escape(message)}$"
+
+
 def test_equality_cases_validation():
-    with pytest.raises(ValueError):
+    at_inf = "sr_p equals the rank at p = inf only in the rank-1 case"
+    with pytest.raises(ValueError, match=exactly(at_inf)):
         gallery.equality_cases("projector", 6, INF, rank=3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exactly("flat_spectrum requires 1 <= rank <= n")):
         gallery.equality_cases("flat_spectrum", 4, 2.0, rank=9)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=exactly("projector requires 1 <= rank <= n")):
+        gallery.equality_cases("projector", 4, 2.0)
+    known = "rank1, scaled_unitary, flat_spectrum, projector"
+    with pytest.raises(ValueError, match=exactly(f"unknown kind 'nope'; known: {known}")):
         gallery.equality_cases("nope", 4, 2.0)
+    with pytest.raises(ValueError, match=exactly("n must be >= 1, got 0")):
+        gallery.equality_cases("rank1", 0)
 
 
 @pytest.mark.parametrize(
@@ -286,22 +298,53 @@ def test_rotation_deterministic():
 
 
 def test_param_validation_errors():
-    with pytest.raises(ValueError):
-        gallery.deletion_family(2, 2.0)
-    with pytest.raises(ValueError):
-        gallery.deletion_family(5, 0.5)
-    with pytest.raises(ValueError):
-        gallery.sum_violation_family(3, 4.0)
-    with pytest.raises(ValueError):
-        gallery.sum_violation_family(5, 1.0)
-    with pytest.raises(ValueError):
-        gallery.rank1_drop_family(3, 3.0)
-    with pytest.raises(ValueError):
-        gallery.product_violation_family(3, 0.9)
-    with pytest.raises(ValueError):
-        gallery.cross_gap_family(3, 1.5)
-    with pytest.raises(ValueError):
-        gallery.geometric_decay(3, 0.0)
+    # Each builder checks its parameters in signature order, so the first
+    # invalid one names the error.
+    cases = [
+        (lambda: gallery.geometric_decay(0, 0.5), "n must be >= 1, got 0"),
+        (lambda: gallery.geometric_decay(3, 0.0), "ratio must lie in (0, 1], got 0.0"),
+        (lambda: gallery.geometric_decay(3, 1.5), "ratio must lie in (0, 1], got 1.5"),
+        (lambda: gallery.deletion_family(2, 2.0), "n must be >= 3, got 2"),
+        (lambda: gallery.deletion_family(2, 0.5), "n must be >= 3, got 2"),
+        (lambda: gallery.deletion_family(5, 0.5), "alpha must be >= 1, got 0.5"),
+        (lambda: gallery.sum_violation_family(3, 4.0), "n must be >= 4, got 3"),
+        (lambda: gallery.sum_violation_family(5, 1.0), "|alpha| must be >= 2, got 1.0"),
+        (lambda: gallery.sum_violation_family(5, -1.5), "|alpha| must be >= 2, got -1.5"),
+        (lambda: gallery.rank1_drop_family(3, 3.0), "n must be >= 4, got 3"),
+        (lambda: gallery.rank1_drop_family(5, 0.5), "beta must be >= 1, got 0.5"),
+        (lambda: gallery.product_violation_family(1, 2.0), "n must be >= 2, got 1"),
+        (lambda: gallery.product_violation_family(3, 0.9), "alpha must be >= 1, got 0.9"),
+        (lambda: gallery.cross_gap_family(1, 0.5), "n must be >= 2, got 1"),
+        (lambda: gallery.cross_gap_family(3, 1.5), "alpha must lie in (0, 1], got 1.5"),
+        (lambda: gallery.cross_gap_family(3, 0.0), "alpha must lie in (0, 1], got 0.0"),
+        (
+            lambda: gallery.maximizer_multiplier(np.ones((2, 3))),
+            "requires a square matrix, got shape (2, 3)",
+        ),
+        (
+            lambda: gallery.minimizer_multiplier(np.eye(3), 0.0),
+            "alpha must lie in (0, 1], got 0.0",
+        ),
+        (
+            lambda: gallery.minimizer_multiplier(np.ones(3), 1.5),
+            "alpha must lie in (0, 1], got 1.5",
+        ),
+        (
+            lambda: gallery.minimizer_multiplier(np.ones(3), 0.5),
+            "requires a square matrix, got shape (3,)",
+        ),
+        (
+            lambda: gallery.congruence_minimizer(np.eye(3), 2.0),
+            "alpha must lie in (0, 1], got 2.0",
+        ),
+        (
+            lambda: gallery.congruence_maximizer(np.ones((2, 3))),
+            "requires a square matrix, got shape (2, 3)",
+        ),
+    ]
+    for build, message in cases:
+        with pytest.raises(ValueError, match=exactly(message)):
+            build()
 
 
 def test_threshold_predicates_are_exact():

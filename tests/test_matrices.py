@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from srlab import matrices
 from srlab.matrices import (
+    PSD_NEGATIVITY_RTOL,
     DecompositionError,
     PreconditionError,
     Spectrum,
-    Tolerances,
     as_matrix,
     draw_matrix,
     gaussian_matrix,
@@ -191,13 +191,6 @@ def test_spectrum_validation():
         Spectrum(np.array([1.0, 0.0]), "hermitian_eigen", (2, 3))
 
 
-def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        Tolerances(hermitian_asym=0.0)
-    with pytest.raises(ValueError):
-        Tolerances(psd_negativity=1.5)
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 
@@ -349,12 +342,12 @@ def test_pstrf_providers_agree():
             assert np.linalg.norm(a[np.ix_(perm, perm)] - L @ L.conj().T) <= bound, provider
 
 
-def _loop_pivoted_cholesky(a, tol=Tolerances()):
+def _loop_pivoted_cholesky(a):
     """The Python elimination loop that ``?pstrf`` replaced, as a reference."""
     n = a.shape[0]
     w = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
     perm = np.arange(n)
-    threshold = tol.psd_negativity * max(float(np.trace(w).real), 0.0) / n
+    threshold = PSD_NEGATIVITY_RTOL * max(float(np.trace(w).real), 0.0) / n
     for i in range(n):
         d = np.real(np.diagonal(w))
         j = i + int(np.argmax(d[i:]))

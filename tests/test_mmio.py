@@ -76,6 +76,23 @@ def test_sniffing_prefers_market_header(tmp_path):
     assert np.array_equal(read_matrix(path), np.eye(2))
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_write_goes_to_the_given_path(tmp_path, field):
+    a = np.arange(6.0).reshape(2, 3) / 7
+    if field == "complex":
+        a = a - 1j * a[::-1]
+    path = tmp_path / "w.txt"
+    write_matrix_market(path, a)
+    assert path.exists()
+    assert not (tmp_path / "w.txt.mtx").exists()
+    back = read_matrix(path)
+    assert back.dtype == a.dtype
+    assert back.tobytes() == a.tobytes()
+    # A name that ends in .mtx is written by name; the bytes are the same.
+    write_matrix_market(tmp_path / "w.mtx", a)
+    assert (tmp_path / "w.mtx").read_bytes() == path.read_bytes()
+
+
 def test_coordinate_format_densified(tmp_path):
     path = tmp_path / "c.mtx"
     path.write_text(
