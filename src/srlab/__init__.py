@@ -13,23 +13,15 @@ from .matrices import (
     DecompositionError,
     Matrix,
     PreconditionError,
-    Spectrum,
     as_matrix,
     hermitian_eigenvalues,
     is_hermitian,
     is_psd,
     pivoted_cholesky,
-    scalar_field,
-    singular_values,
+    sigma,
 )
-from .ranks import (
-    RankResult,
-    intrinsic_dimension,
-    numerical_rank,
-    p_stable_rank,
-    stable_rank,
-)
-from .schatten import INF, QuasiNormWarning, schatten_norm, schatten_norm_from_spectrum
+from .ranks import intrinsic_dimension, numerical_rank, p_stable_rank, stable_rank
+from .schatten import QuasiNormWarning, schatten_norm, schatten_norm_from_spectrum
 
 __version__ = "0.1.0"
 
@@ -39,13 +31,10 @@ __all__ = [
     "DecompositionError",
     "FamilyInstance",
     "FuzzConfig",
-    "INF",
     "Matrix",
     "PreconditionError",
     "QuasiNormWarning",
-    "RankResult",
     "RunReport",
-    "Spectrum",
     "as_matrix",
     "evaluate",
     "hermitian_eigenvalues",
@@ -56,9 +45,8 @@ __all__ = [
     "p_stable_rank",
     "pivoted_cholesky",
     "run_fuzz",
-    "scalar_field",
     "schatten_norm",
     "schatten_norm_from_spectrum",
-    "singular_values",
+    "sigma",
     "stable_rank",
 ]

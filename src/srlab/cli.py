@@ -13,7 +13,9 @@ and its errors through one helper, :func:`_error`, which writes
 ``error: ...`` to stderr and returns the exit code.
 
 ``--rtol`` is the one numerical-rank tolerance of ``compute``, ``verify``,
-``gallery`` and ``condition``; ``fuzz`` counts ranks at the fixed 1e-10.
+``gallery`` and ``condition``, by default
+:data:`srlab.ranks.DEFAULT_RANK_RTOL` (1e-10); ``fuzz`` counts ranks at
+that fixed value.
 
 Exit codes: 0 success or not-applicable, 1 a verified inequality failed,
 2 unreadable input or invalid parameters, 3 intrinsic dimension requested
@@ -40,7 +42,13 @@ from .checks import CHECKS, canonical_check_name, check_perturbation, encode_jso
 from .fuzz import FuzzConfig, run_fuzz, scaled_perturbation
 from .matrices import PreconditionError, trial_scope
 from .mmio import MatrixParseError, read_matrix, write_matrix_market
-from .ranks import intrinsic_dimension, numerical_rank, p_stable_rank, stable_rank
+from .ranks import (
+    DEFAULT_RANK_RTOL,
+    intrinsic_dimension,
+    numerical_rank,
+    p_stable_rank,
+    stable_rank,
+)
 from .schatten import schatten_norm
 
 SCHEMA_VERSION = 1
@@ -50,12 +58,12 @@ _VERIFY_FLAGS = ("p", "k", "drop_col", "rtol")
 
 
 def _print_report(fmt: str, payload: dict, rows: list[dict], lines: list[str]) -> None:
-    """Print ``payload`` as JSON, ``rows`` as CSV under the first row's keys,
-    or ``lines`` as text, as ``fmt`` (``--format``) says."""
+    """Print ``payload`` as JSON, ``rows`` as CSV under the keys of all rows
+    in first-seen order, or ``lines`` as text, as ``fmt`` (``--format``) says."""
     if fmt == "json":
         print(json.dumps(encode_json(payload), indent=2, sort_keys=True))
     elif fmt == "csv" and rows:
-        keys = list(rows[0])
+        keys = list(dict.fromkeys(key for row in rows for key in row))
         print(",".join(keys))
         for row in rows:
             print(",".join(str(encode_json(row.get(k, ""))) for k in keys))
@@ -76,11 +84,11 @@ def _parse_float_list(text: str) -> list[float]:
 
 def _quantity_value(a, quantity: str, p: float, rtol: float) -> float:
     if quantity == "sr":
-        return stable_rank(a).value
+        return stable_rank(a)
     if quantity == "srp":
-        return p_stable_rank(a, p, rtol).value
+        return p_stable_rank(a, p, rtol)
     if quantity == "intdim":
-        return intrinsic_dimension(a).value
+        return intrinsic_dimension(a)
     if quantity == "rank":
         return float(numerical_rank(a, rtol))
     return schatten_norm(a, p)
@@ -113,7 +121,10 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    name = canonical_check_name(args.check)
+    try:
+        name = canonical_check_name(args.check)
+    except ValueError as exc:
+        return _error(exc, 2)
     check = CHECKS[name]
     params = inspect.signature(check).parameters
     matrix_slots = [
@@ -319,7 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Stable rank, intrinsic dimension, and Schatten p-norm toolkit",
     )
     parser.add_argument("--format", choices=("json", "csv", "text"), default="json")
-    parser.add_argument("--rtol", type=float, default=1e-10, help="numerical rank tolerance")
+    parser.add_argument(
+        "--rtol", type=float, default=DEFAULT_RANK_RTOL, help="numerical rank tolerance"
+    )
     parser.add_argument("--seed", type=int, default=0, help="base seed for randomized commands")
     # The same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level.

@@ -87,11 +87,11 @@ def evaluate(
             quantity, _, mat_key = key.partition("_")
             a = instance.matrices[mat_key]
             if quantity == "sr":
-                computed = stable_rank(a).value
+                computed = stable_rank(a)
             elif quantity == "intdim":
-                computed = intrinsic_dimension(a).value
+                computed = intrinsic_dimension(a)
             elif quantity == "srp":
-                computed = p_stable_rank(a, instance.params["p"], rtol).value
+                computed = p_stable_rank(a, instance.params["p"], rtol)
             elif quantity == "rank":
                 computed = float(numerical_rank(a, rtol))
             else:

@@ -5,6 +5,9 @@ A "matrix" throughout the package is a plain 2-D numpy array of float64 or
 complex128 entries, validated and frozen by :func:`as_matrix`. Every function
 here is pure and all returned arrays are read-only, so values can be shared
 freely across threads. Sampling is a deterministic function of the seed.
+A spectrum is a plain descending 1-D array: :func:`sigma` returns the
+singular values, and :func:`hermitian_eigenvalues` and :func:`psd_spectrum`
+the classifier's eigenvalues of the Hermitian part.
 
 Singular values come from the cheapest LAPACK route for the input. An
 exactly Hermitian input (``a == a*`` entrywise, not within a tolerance)
@@ -38,15 +41,15 @@ equal to ``2^j sigma(A)`` bit for bit. A complex Gram conjugates a few rows
 of its input at a time. So O(1) inputs pay for no full-size temporary
 beyond LAPACK's own workspace.
 
-:func:`sigma` and :func:`singular_values` also take a SciPy sparse matrix,
-as ``srlab compute`` reads a coordinate-format MatrixMarket file. One that
-qualifies for the Gram route forms its k x k Gram with SciPy's sparse
-product, at a cost in its nonzeros rather than in ``k N``, scaled on the
-same ``2^±200`` rule, and runs the same ``eigvalsh`` and the same
-certificate. Its values may differ from those of the densified input in the
-last bits, within the same contract. One whose certificate fails is
-densified and runs the SVD, with no second Gram. Any other sparse input is
-densified and takes the dense routes, bit for bit.
+:func:`sigma` also takes a SciPy sparse matrix, as ``srlab compute``
+reads a coordinate-format MatrixMarket file. One that qualifies for the
+Gram route forms its k x k Gram with SciPy's sparse product, at a cost in
+its nonzeros rather than in ``k N``, scaled on the same ``2^±200`` rule,
+and runs the same ``eigvalsh`` and the same certificate. Its values may
+differ from those of the densified input in the last bits, within the same
+contract. One whose certificate fails is densified and runs the SVD, with
+no second Gram. Any other sparse input is densified and takes the dense
+routes, bit for bit.
 SciPy is never imported here: a sparse input is recognised only once
 ``scipy.sparse`` is loaded, and only where a dense one would not be 2-D.
 
@@ -84,7 +87,6 @@ import sys
 from collections.abc import Callable
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -98,7 +100,6 @@ SAMPLE_KINDS = (
     "rank1_psd",
     "orthogonal_projector",
 )
-SPECTRUM_KINDS = ("singular", "hermitian_eigen")
 
 
 class DecompositionError(RuntimeError):
@@ -175,46 +176,6 @@ def _check_entries(shape: tuple[int, int], entries: np.ndarray) -> None:
         raise ValueError(f"matrix dimensions must be positive, got {shape}")
     if not np.all(np.isfinite(entries)):
         raise ValueError("matrix entries must all be finite")
-
-
-def scalar_field(a: Matrix) -> str:
-    return "complex" if np.iscomplexobj(a) else "real"
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """A descending sequence of singular values or Hermitian eigenvalues.
-
-    ``kind`` is "singular" (values nonnegative, length min of the source
-    dims) or "hermitian_eigen" (real values, length equal to the square
-    source dimension).
-    """
-
-    values: np.ndarray
-    kind: str
-    source_dims: tuple[int, int]
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 1:
-            raise ValueError("spectrum values must be a 1-D sequence")
-        if self.kind not in SPECTRUM_KINDS:
-            raise ValueError(f"unknown spectrum kind {self.kind!r}")
-        m, n = self.source_dims
-        expected = min(m, n) if self.kind == "singular" else m
-        if self.kind == "hermitian_eigen" and m != n:
-            raise ValueError("hermitian_eigen spectra require square source dims")
-        if len(v) != expected:
-            raise ValueError(
-                f"spectrum length {len(v)} does not match source dims {self.source_dims}"
-            )
-        if np.any(np.diff(v) > 0):
-            raise ValueError("spectrum values must be sorted non-increasing")
-        if self.kind == "singular" and len(v) and v[-1] < 0:
-            raise ValueError("singular values must be nonnegative")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "source_dims", (int(m), int(n)))
 
 
 def _require_2d(a, op: str) -> np.ndarray:
@@ -295,8 +256,8 @@ def _is_sparse(a) -> bool:
     return sparse is not None and sparse.issparse(a)
 
 
-def singular_values(a: Matrix) -> Spectrum:
-    """Descending singular values via LAPACK, clamped at zero.
+def sigma(a: Matrix) -> np.ndarray:
+    """Descending singular values via LAPACK, clamped at zero, read-only.
 
     An exactly Hermitian input (``a == a*`` entrywise) takes them as the
     sorted absolute eigenvalues from ``eigvalsh``. A rectangular input of
@@ -305,17 +266,8 @@ def singular_values(a: Matrix) -> Spectrum:
     certified to a relative error of :data:`SIGMA_RTOL`, and otherwise from
     the SVD. Any other wide input runs the SVD on ``a.T``, and any other
     input the SVD on ``a``. The eigenvalue and SVD routes are accurate to
-    rounding relative to sigma_1. A SciPy sparse input is taken as
-    :func:`sigma` says. Raises :class:`DecompositionError` if the iteration
-    fails to converge.
-    """
-    if not _is_sparse(a):
-        a = _require_2d(a, "singular_values")
-    return Spectrum(sigma(a), "singular", a.shape)
-
-
-def sigma(a: Matrix) -> np.ndarray:
-    """:func:`singular_values` as a bare read-only array.
+    rounding relative to sigma_1. Raises :class:`DecompositionError` if the
+    iteration fails to converge.
 
     A SciPy sparse input that qualifies for the Gram route forms its Gram
     with a sparse product (:func:`_certified_sparse_gram_sigma`). Any other
@@ -623,8 +575,8 @@ def psd_intrinsic_dimension(a: Matrix, w: np.ndarray | None = None) -> float:
     return float(np.trace(a).real) / lam_max
 
 
-def hermitian_eigenvalues(a: Matrix) -> Spectrum:
-    """Descending real eigenvalues of a Hermitian matrix.
+def hermitian_eigenvalues(a: Matrix) -> np.ndarray:
+    """Descending real eigenvalues of a Hermitian matrix, read-only.
 
     The values are those of :func:`hermitian_part_eigenvalues`, so they
     agree with every check that classifies through :func:`is_hermitian`.
@@ -639,7 +591,7 @@ def hermitian_eigenvalues(a: Matrix) -> Spectrum:
             f"matrix is not Hermitian: max asymmetry {asym:.6e} exceeds {_asymmetry_bound(a):.6e}",
             max_asymmetry=asym,
         )
-    return Spectrum(w, "hermitian_eigen", a.shape)
+    return w
 
 
 def is_psd(a: Matrix) -> bool:
@@ -647,19 +599,19 @@ def is_psd(a: Matrix) -> bool:
     return psd_eigenvalues(_require_square(a, "is_psd")) is not None
 
 
-def psd_spectrum(a: Matrix) -> Spectrum:
+def psd_spectrum(a: Matrix) -> np.ndarray:
     """:func:`hermitian_eigenvalues` of a Hermitian PSD matrix (:func:`is_psd`).
 
     Raises :class:`PreconditionError` carrying ``max_asymmetry`` if ``a`` is
     not Hermitian, and ``lambda_min`` if it is Hermitian but not PSD.
     """
-    eigs = hermitian_eigenvalues(a)
-    if not _psd_within(eigs.values):
-        lam_min = float(eigs.values[-1])
+    w = hermitian_eigenvalues(a)
+    if not _psd_within(w):
+        lam_min = float(w[-1])
         raise PreconditionError(
             f"matrix is not positive semi-definite: lambda_min = {lam_min:.6e}", lambda_min=lam_min
         )
-    return eigs
+    return w
 
 
 def psd_eigendecomposition(a: Matrix) -> tuple[np.ndarray, np.ndarray]:

@@ -7,43 +7,27 @@ powered norms, which cancels sigma_1 exactly and cannot overflow.
 :func:`srp_from_sigma` is the one map from singular values to sr_p; the
 p-stable ranks here and every check in :mod:`srlab.checks` go through it.
 The intrinsic dimension is the PSD classification and the trace ratio of
-:mod:`srlab.matrices`.
+:mod:`srlab.matrices`. Each quantity is a plain number: a ``float``, or an
+``int`` for :func:`numerical_rank`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .matrices import (
-    Matrix,
-    Spectrum,
-    psd_intrinsic_dimension,
-    psd_spectrum,
-    singular_values,
-)
+from .matrices import Matrix, psd_intrinsic_dimension, psd_spectrum, sigma
 from .schatten import is_scalar_exponent, normalized_power_sum, validate_exponent
 
 DEFAULT_RANK_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class RankResult:
-    """A computed rank surrogate plus the spectrum it was derived from."""
-
-    value: float
-    p: float
-    spectrum_used: Spectrum
-    definition: str
 
 
 def numerical_rank_from_spectrum(s, rtol: float = DEFAULT_RANK_RTOL) -> int:
     """Count spectrum entries exceeding rtol times the leading one."""
     if not 0.0 < rtol < 1.0:
         raise ValueError(f"rtol must lie in (0, 1), got {rtol!r}")
-    values = s.values if isinstance(s, Spectrum) else np.asarray(s, dtype=np.float64)
+    values = np.asarray(s, dtype=np.float64)
     if len(values) == 0 or values[0] <= 0.0:
         return 0
     return int(np.count_nonzero(values > rtol * values[0]))
@@ -51,7 +35,7 @@ def numerical_rank_from_spectrum(s, rtol: float = DEFAULT_RANK_RTOL) -> int:
 
 def numerical_rank(a: Matrix, rtol: float = DEFAULT_RANK_RTOL) -> int:
     """Number of singular values above ``rtol * sigma_1``; 0 for the zero matrix."""
-    return numerical_rank_from_spectrum(singular_values(a), rtol)
+    return numerical_rank_from_spectrum(sigma(a), rtol)
 
 
 def srp_from_sigma(values: np.ndarray, p):
@@ -78,33 +62,24 @@ def srp_from_sigma(values: np.ndarray, p):
     return out
 
 
-def p_stable_rank_from_spectrum(
-    s: Spectrum, p, rtol: float = DEFAULT_RANK_RTOL
-) -> RankResult:
-    """p-stable rank evaluated from a precomputed singular spectrum."""
-    p = validate_exponent(p)
-    if s.kind != "singular":
-        raise ValueError("p-stable ranks need a singular spectrum")
-    value = float(numerical_rank_from_spectrum(s, rtol)) if p == 0.0 else srp_from_sigma(s.values, p)
-    return RankResult(value=value, p=p, spectrum_used=s, definition="p_stable")
-
-
-def p_stable_rank(a: Matrix, p, rtol: float = DEFAULT_RANK_RTOL) -> RankResult:
+def p_stable_rank(a: Matrix, p, rtol: float = DEFAULT_RANK_RTOL) -> float:
     """Ratio of the p-th powers of the Schatten p-norm and the two-norm.
 
     Equals sum_j (sigma_j / sigma_1) ** p for finite p > 0; 1 for p = inf
-    on nonzero input; the numerical rank count for p = 0; and 0 for the
-    zero matrix.
+    on nonzero input; the numerical rank count at ``rtol`` for p = 0; and 0
+    for the zero matrix.
     """
-    return p_stable_rank_from_spectrum(singular_values(a), p, rtol)
+    p = validate_exponent(p)
+    s = sigma(a)
+    return float(numerical_rank_from_spectrum(s, rtol)) if p == 0.0 else srp_from_sigma(s, p)
 
 
-def stable_rank(a: Matrix) -> RankResult:
+def stable_rank(a: Matrix) -> float:
     """Squared Frobenius norm over squared two-norm (the p = 2 case)."""
-    return replace(p_stable_rank(a, 2.0), definition="stable")
+    return srp_from_sigma(sigma(a), 2.0)
 
 
-def intrinsic_dimension(a: Matrix) -> RankResult:
+def intrinsic_dimension(a: Matrix) -> float:
     """trace / two-norm of a Hermitian PSD matrix.
 
     The trace is taken directly from the entries, so agreement with the
@@ -116,18 +91,14 @@ def intrinsic_dimension(a: Matrix) -> RankResult:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"intrinsic dimension requires a square matrix, got {a.shape}")
-    eigs = psd_spectrum(a)
-    value = psd_intrinsic_dimension(a, eigs.values)
-    return RankResult(value=value, p=1.0, spectrum_used=eigs, definition="intrinsic_dimension")
+    return psd_intrinsic_dimension(a, psd_spectrum(a))
 
 
 __all__ = [
     "DEFAULT_RANK_RTOL",
-    "RankResult",
     "numerical_rank",
     "numerical_rank_from_spectrum",
     "p_stable_rank",
-    "p_stable_rank_from_spectrum",
     "srp_from_sigma",
     "stable_rank",
     "intrinsic_dimension",

@@ -5,7 +5,9 @@ p > 0 the usual p-norm of the singular value vector. Exponents in (0, 1)
 are quasi-norms (the triangle inequality can fail) and trip a
 :class:`QuasiNormWarning`. p = 0 is rejected here because it counts
 nonzero singular values rather than measuring size; see
-:func:`srlab.ranks.numerical_rank`.
+:func:`srlab.ranks.numerical_rank`. A norm is computed from a matrix or,
+through :func:`schatten_norm_from_spectrum`, from the plain array of its
+singular values that :func:`srlab.matrices.sigma` returns.
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ import warnings
 
 import numpy as np
 
-from .matrices import Matrix, Spectrum, singular_values
-
-INF = math.inf
+from .matrices import Matrix, sigma
 
 
 class QuasiNormWarning(UserWarning):
@@ -89,11 +89,12 @@ def _power_rows(exponents: tuple) -> tuple[np.ndarray, tuple]:
     return column, shortcuts
 
 
-def schatten_norm_from_spectrum(s, p) -> float:
-    """Schatten p-norm evaluated from a precomputed singular spectrum.
+def schatten_norm_from_spectrum(values, p) -> float:
+    """Schatten p-norm evaluated from precomputed singular values.
 
-    Accepts a :class:`Spectrum` of kind "singular" or a raw descending
-    nonnegative sequence; lets one decomposition serve many exponents.
+    ``values`` is a descending nonnegative sequence, such as
+    :func:`srlab.matrices.sigma` returns; one decomposition then serves many
+    exponents.
     """
     p = validate_exponent(p)
     if p == 0.0:
@@ -101,12 +102,7 @@ def schatten_norm_from_spectrum(s, p) -> float:
             "p = 0 counts nonzero singular values rather than measuring size; "
             "use srlab.ranks.numerical_rank"
         )
-    if isinstance(s, Spectrum):
-        if s.kind != "singular":
-            raise ValueError("schatten norms need a singular spectrum")
-        values = s.values
-    else:
-        values = np.asarray(s, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
     if p < 1.0:
         warnings.warn(
             f"p={p} gives a quasi-norm: the triangle inequality may fail",
@@ -128,4 +124,4 @@ def schatten_norm(a: Matrix, p) -> float:
     operator two-norm. Evaluation normalizes by the top singular value
     before powering, so large p cannot overflow.
     """
-    return schatten_norm_from_spectrum(singular_values(a), p)
+    return schatten_norm_from_spectrum(sigma(a), p)

@@ -34,7 +34,6 @@ from srlab.checks import (
 )
 from srlab.matrices import gaussian_matrix, haar_unitary, projector_matrix, rank1_psd_matrix
 from srlab.ranks import p_stable_rank
-from srlab.schatten import INF
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 small_dims = st.integers(min_value=2, max_value=8)
@@ -145,7 +144,7 @@ def test_sum_subadditivity_random(seed, n, p):
 
 def test_sum_subadditivity_rejects_indefinite_and_bad_p():
     assert check_sum_subadditivity_proot(np.diag([1.0, -1.0]), np.eye(2), 2.0).holds is None
-    assert check_sum_subadditivity_proot(np.eye(2), np.eye(2), INF).holds is None
+    assert check_sum_subadditivity_proot(np.eye(2), np.eye(2), math.inf).holds is None
     assert check_sum_subadditivity_proot(np.eye(2), np.eye(2), 0.5).holds is None
 
 
@@ -172,7 +171,7 @@ def test_rank1_addition_large_drop_is_one_sided():
     assert drop > 1.0
 
 
-@given(seed=seeds, n=small_dims, p=st.sampled_from([1.0, 2.0, 10.0, INF]))
+@given(seed=seeds, n=small_dims, p=st.sampled_from([1.0, 2.0, 10.0, math.inf]))
 def test_rank1_addition_random(seed, n, p):
     rng = np.random.default_rng(seed)
     r = check_rank1_addition(psd(rng, n), rank1_psd_matrix(rng, n), p)
@@ -220,7 +219,7 @@ def test_product_kappa_random(seed, n, p):
 def test_product_kappa_rejects_singular_and_infinite_p():
     singular = np.diag([1.0, 0.0])
     assert check_product_kappa(singular, np.eye(2), 2.0).holds is None
-    assert check_product_kappa(np.eye(2), np.eye(2), INF).holds is None
+    assert check_product_kappa(np.eye(2), np.eye(2), math.inf).holds is None
     with pytest.raises(ValueError):
         check_product_kappa(np.eye(2), np.eye(3), 2.0)
 
@@ -251,7 +250,7 @@ def test_cross_product_strict_gap_frozen_values():
 def test_cross_product_random(seed, m, n, field):
     rng = np.random.default_rng(seed)
     a = gaussian_matrix(rng, m, n, field)
-    for p in (1.0, 2.0, INF):
+    for p in (1.0, 2.0, math.inf):
         r = check_cross_product(a, p)
         assert r.holds
         assert r.details["identity_abs_err"] <= 1e-10 * max(1.0, r.details["sr_p_a"])
@@ -261,7 +260,7 @@ def test_cross_product_identity_matches_library_value():
     rng = np.random.default_rng(12)
     a = gaussian_matrix(rng, 5, 4)
     r = check_cross_product(a, 1.5)
-    assert r.details["sr_2p_a"] == pytest.approx(p_stable_rank(a, 3.0).value, rel=1e-12)
+    assert r.details["sr_2p_a"] == pytest.approx(p_stable_rank(a, 3.0), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +293,7 @@ def test_perturbation_scaled_psd_slack_formula():
     )
 
 
-@given(seed=seeds, n=small_dims, p=st.sampled_from([1.0, 2.0, INF]))
+@given(seed=seeds, n=small_dims, p=st.sampled_from([1.0, 2.0, math.inf]))
 def test_perturbation_random_psd_pair(seed, n, p):
     rng = np.random.default_rng(seed)
     a = psd(rng, n)
@@ -458,7 +457,7 @@ def collect_sample_reports():
         check_cross_product(gaussian_matrix(rng, 3, 5), 2.0),
         check_product_kappa(np.eye(3), np.eye(3), 2.0),
         check_cholesky_intdim(a),
-        check_perturbation(a, 0.2 * b, INF),
+        check_perturbation(a, 0.2 * b, math.inf),
     ]
 
 
@@ -516,7 +515,7 @@ def test_encode_json_of_verify_payloads_is_unchanged():
     ]
     # A report nested in a payload encodes as its JSON dict, not as the
     # list its tuple base would give; plain tuples still become lists.
-    assert encode_json({"r": passed, "t": (1.0, INF)}) == {
+    assert encode_json({"r": passed, "t": (1.0, math.inf)}) == {
         "r": passed.to_json_dict(),
         "t": [1.0, "inf"],
     }
@@ -538,7 +537,7 @@ def test_registry_consistency():
 def test_grid_matches_single_calls():
     rng = np.random.default_rng(21)
     a = gaussian_matrix(rng, 5, 4)
-    grid = (1.0, 2.0, INF)
+    grid = (1.0, 2.0, math.inf)
     for p, report in zip(grid, grid_cross_product(a, grid)):
         single = check_cross_product(a, p)
         assert report.slack == single.slack
@@ -565,7 +564,7 @@ def test_grid_columns_and_reports_match_single_calls(case):
     # Points that are not applicable sit between applicable ones, so the
     # columns must keep every point in grid order.
     grid_check, single_check, inputs = _grid_cases(np.random.default_rng(3))[case]
-    grid = (0.5, 1.0, 1.5, INF, 2.0, math.nan, 3.0)
+    grid = (0.5, 1.0, 1.5, math.inf, 2.0, math.nan, 3.0)
     result = grid_check(*inputs, grid)
     assert isinstance(result, GridReports)
     assert len(result) == len(grid)

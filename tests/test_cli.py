@@ -157,8 +157,12 @@ def test_verify_wrong_arity_names_the_slots(check, files, capsys):
 
 
 def test_verify_unknown_check_errors(files):
-    out = run_cli("verify", "nope", str(files / "identity5.mtx"))
-    assert out.returncode != 0
+    # A usage error (exit 2) with one error line, not a traceback and exit 1.
+    out = run_cli("verify", "nosuch", str(files / "identity5.mtx"))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: unknown check 'nosuch'; known: ")
+    assert out.stderr.count("\n") == 1
 
 
 def test_gallery_deletion_writes_files_and_json(files, tmp_path):
@@ -574,7 +578,7 @@ def test_text_and_csv_formats_do_not_crash(files):
         ),
         ("condition", eye, "--epsilons", "0.1,2"): (
             "epsilon,applicable,p,rank_e,lower,actual,upper,"
-            "slack_lower,slack_upper,psd_pair,holds",
+            "slack_lower,slack_upper,psd_pair,holds,reason",
             r"eps=0\.1: [\d.]+ <= [\d.]+ <= [\d.]+",
         ),
         ("fuzz", "--trials", "4", "--seed", "1", "--parallelism", "1"): (
@@ -590,8 +594,27 @@ def test_text_and_csv_formats_do_not_crash(files):
             printed[argv[0], fmt] = out.stdout.splitlines()
         assert printed[argv[0], "csv"][0] == header, argv
         assert re.fullmatch(text, printed[argv[0], "text"][0]), argv
-    assert printed["condition", "csv"][2] == "2.0,False,,,,,,,,,"
+    assert printed["condition", "csv"][2] == "2.0,False,,,,,,,,,,requires 0 <= eps < 1"
     assert printed["condition", "text"][1] == "eps=2.0: not applicable (requires 0 <= eps < 1)"
+
+
+def test_csv_header_holds_the_keys_of_every_row(files, capsys):
+    """A not-applicable first row does not drop the columns of later rows."""
+    from srlab.cli import main
+
+    argv = ["condition", str(files / "identity5.mtx"), "--epsilons", "2,0.1", "--format", "csv"]
+    assert main(argv) == 0
+    header, skipped, applied = capsys.readouterr().out.splitlines()
+    keys = header.split(",")
+    assert keys == [
+        "epsilon", "applicable", "reason", "p", "rank_e", "lower", "actual", "upper",
+        "slack_lower", "slack_upper", "psd_pair", "holds",
+    ]
+    assert skipped == "2.0,False,requires 0 <= eps < 1,,,,,,,,,"
+    row = dict(zip(keys, applied.split(",")))
+    assert row["epsilon"] == "0.1" and row["applicable"] == "True" and row["reason"] == ""
+    assert float(row["lower"]) <= float(row["actual"]) <= float(row["upper"])
+    assert row["holds"] == "True"
 
 
 @pytest.mark.parametrize("check", ["cholesky_intdim", "intdim_subadditive", "block_intdim"])

@@ -13,7 +13,6 @@ from srlab.matrices import (
     PSD_NEGATIVITY_RTOL,
     DecompositionError,
     PreconditionError,
-    Spectrum,
     as_matrix,
     draw_matrix,
     gaussian_matrix,
@@ -23,8 +22,7 @@ from srlab.matrices import (
     is_psd,
     pivoted_cholesky,
     prescribed_spectrum_matrix,
-    scalar_field,
-    singular_values,
+    sigma,
 )
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
@@ -42,34 +40,34 @@ def test_as_matrix_validates():
         as_matrix([[np.inf, 0.0]])
     with pytest.raises(ValueError):
         as_matrix(np.zeros((0, 3)))
-    assert scalar_field(as_matrix([[1j]])) == "complex"
+    assert as_matrix([[1j]]).dtype == np.complex128
 
 
 def test_singular_values_diagonal():
-    s = singular_values(np.diag([3.0, 4.0]))
-    assert np.allclose(s.values, [4.0, 3.0])
-    assert s.kind == "singular"
-    assert s.source_dims == (2, 2)
+    s = sigma(np.diag([3.0, 4.0]))
+    assert np.allclose(s, [4.0, 3.0])
+    assert s.shape == (2,) and not s.flags.writeable
 
 
 def test_singular_values_zero_matrix():
-    s = singular_values(np.zeros((2, 3)))
-    assert np.array_equal(s.values, [0.0, 0.0])
+    s = sigma(np.zeros((2, 3)))
+    assert np.array_equal(s, [0.0, 0.0])
 
 
 def test_singular_values_identity_plus_spike():
     # oracle for a diagonal matrix: absolute diagonal entries, sorted
     diag = [1.0, 1.0, 1.0, 1.0, 2.0]
     expected = np.sort(np.abs(diag))[::-1]
-    s = singular_values(np.diag(diag))
-    assert np.allclose(s.values, expected, rtol=1e-14)
+    s = sigma(np.diag(diag))
+    assert np.allclose(s, expected, rtol=1e-14)
     assert np.array_equal(expected, [2.0, 1.0, 1.0, 1.0, 1.0])
 
 
 def test_hermitian_eigenvalues_examples():
     s = hermitian_eigenvalues(np.diag([1.0, 2.0, 3.0]))
-    assert np.allclose(s.values, [3.0, 2.0, 1.0])
-    assert np.allclose(hermitian_eigenvalues(np.eye(4)).values, np.ones(4))
+    assert np.allclose(s, [3.0, 2.0, 1.0])
+    assert s.shape == (3,) and not s.flags.writeable
+    assert np.allclose(hermitian_eigenvalues(np.eye(4)), np.ones(4))
 
 
 def test_rank1_gram_eigenvalues_trace_oracle():
@@ -78,7 +76,7 @@ def test_rank1_gram_eigenvalues_trace_oracle():
     a = np.outer(v, v)
     assert float(np.trace(a)) == 5.0
     s = hermitian_eigenvalues(a)
-    assert np.allclose(s.values, [5.0, 0.0], atol=1e-12)
+    assert np.allclose(s, [5.0, 0.0], atol=1e-12)
 
 
 def test_hermitian_eigenvalues_rejects_asymmetric():
@@ -143,8 +141,8 @@ def test_unitary_invariance_of_singular_values(seed, m, n, field):
     a = gaussian_matrix(rng, m, n, field)
     u = haar_unitary(rng, m, field)
     v = haar_unitary(rng, n, field)
-    s0 = singular_values(a).values
-    s1 = singular_values(u @ a @ v).values
+    s0 = sigma(a)
+    s1 = sigma(u @ a @ v)
     assert np.allclose(s1, s0, rtol=1e-10, atol=1e-10 * max(1.0, s0[0]))
 
 
@@ -153,8 +151,8 @@ def test_psd_eigenvalues_match_singular_values(seed, n, field):
     rng = np.random.default_rng(seed)
     x = gaussian_matrix(rng, n + 1, n, field)
     a = x.conj().T @ x
-    ev = hermitian_eigenvalues(a).values
-    sv = singular_values(a).values
+    ev = hermitian_eigenvalues(a)
+    sv = sigma(a)
     assert np.allclose(ev, sv, rtol=1e-10, atol=1e-10 * max(1.0, sv[0]))
 
 
@@ -165,9 +163,9 @@ def test_weyl_monotonicity_of_top_eigenvalue(seed, n):
     b = gaussian_matrix(rng, n, n)
     a = a @ a.T
     b = b @ b.T
-    la = hermitian_eigenvalues(a).values
-    lb = hermitian_eigenvalues(b).values
-    lab = hermitian_eigenvalues(a + b).values
+    la = hermitian_eigenvalues(a)
+    lb = hermitian_eigenvalues(b)
+    lab = hermitian_eigenvalues(a + b)
     tol = 1e-10 * max(1.0, lab[0])
     assert lab[0] >= la[0] + lb[-1] - tol
     assert la[0] + lb[-1] >= la[0] - tol
@@ -180,17 +178,6 @@ def test_haar_unitary_is_unitary():
         assert np.allclose(q.conj().T @ q, np.eye(6), atol=1e-12)
 
 
-def test_spectrum_validation():
-    with pytest.raises(ValueError):
-        Spectrum(np.array([1.0, 2.0]), "singular", (2, 2))  # increasing
-    with pytest.raises(ValueError):
-        Spectrum(np.array([1.0, -0.5]), "singular", (2, 2))  # negative singular
-    with pytest.raises(ValueError):
-        Spectrum(np.array([1.0]), "singular", (2, 2))  # wrong length
-    with pytest.raises(ValueError):
-        Spectrum(np.array([1.0, 0.0]), "hermitian_eigen", (2, 3))
-
-
 # ---------------------------------------------------------------------------
 # Sampling
 
@@ -198,13 +185,13 @@ def test_spectrum_validation():
 def test_prescribed_spectrum_round_trip():
     rng = np.random.default_rng(7)
     a = draw_matrix(rng, "prescribed_spectrum", 5, 5, spectrum=(2.0, 1.0, 1.0, 1.0, 1.0))
-    s = singular_values(a).values
+    s = sigma(a)
     assert np.allclose(s, [2.0, 1.0, 1.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_rank1_sample_has_rank_one():
     a = draw_matrix(np.random.default_rng(3), "rank1_psd", 6, 6)
-    s = singular_values(a).values
+    s = sigma(a)
     assert s[0] > 0
     assert np.all(s[1:] <= 1e-12 * s[0])
 
@@ -231,7 +218,7 @@ def test_psd_gram_sample_is_psd():
 def test_sampled_spectra_are_sorted_nonnegative(seed):
     kind = ["gaussian", "psd_gram", "rank1_psd", "orthogonal_projector"][seed % 4]
     a = draw_matrix(np.random.default_rng(seed), kind, 5, 5, rank=2)
-    s = singular_values(a).values
+    s = sigma(a)
     assert np.all(np.diff(s) <= 0)
     assert np.all(s >= 0)
 
@@ -439,9 +426,9 @@ def test_classifier_family_matches_spectra():
     assert psd_eigenvalues(np.zeros((2, 3))) is None
     sig, psd = sigma_and_psd(-g)
     assert not psd
-    np.testing.assert_allclose(sig, singular_values(g).values, rtol=1e-12)
+    np.testing.assert_allclose(sig, sigma(g), rtol=1e-12)
     np.testing.assert_allclose(
-        hermitian_part_eigenvalues(g), hermitian_eigenvalues(g).values, rtol=1e-12
+        hermitian_part_eigenvalues(g), hermitian_eigenvalues(g), rtol=1e-12
     )
 
 
@@ -616,7 +603,7 @@ def test_sigma_accuracy_on_rank_deficient_projectors(field, scale):
         p = projector_matrix(rng, n, r, field) * scale
         _assert_sigma_accurate(p)
         assert numerical_rank(p) == r
-        assert stable_rank(p).value == pytest.approx(r, rel=1e-12)
+        assert stable_rank(p) == pytest.approx(r, rel=1e-12)
 
 
 def test_hermitian_part_does_not_overflow_near_the_float_maximum():
@@ -794,7 +781,7 @@ def test_gram_route_on_the_zero_matrix(lapack_calls):
         np.testing.assert_array_equal(s, np.zeros(40))
         assert not s.flags.writeable
         assert lapack_calls == [("eigvalsh", (40, 40)), ("svd", (100, 40))]
-        assert numerical_rank(z) == 0 and stable_rank(z).value == 0.0
+        assert numerical_rank(z) == 0 and stable_rank(z) == 0.0
 
 
 def test_shapes_below_the_crossover_keep_the_svd(lapack_calls):
@@ -891,7 +878,6 @@ def test_sparse_gram_route_agrees_with_the_dense_one(lapack_calls, field):
         assert _within_contract(s, _svd_route(dense))
         d = sigma(dense)
         assert np.all(np.abs(s - d) <= 2 * SIGMA_RTOL * d)
-        assert singular_values(a).source_dims == a.shape
         assert numerical_rank(a) == 64
 
 
@@ -929,7 +915,6 @@ def test_sparse_input_off_the_gram_route_is_densified_bit_for_bit():
     ]
     for a in cases:
         np.testing.assert_array_equal(sigma(a), sigma(a.toarray()))
-        np.testing.assert_array_equal(singular_values(a).values, sigma(a.toarray()))
     assert np.count_nonzero(dup.toarray()) == dup.nnz - 1
     with pytest.raises(ValueError, match=r"2-D matrix, got shape \(5,\)"):
         sigma(scipy.sparse.coo_array(np.ones(5)))
@@ -987,9 +972,9 @@ def test_sparse_input_reaches_every_singular_value_quantity():
     d = a.toarray()
     exact = _svd_route(d)
     assert numerical_rank(a) == 48
-    assert stable_rank(a).value == pytest.approx(np.sum(exact**2) / exact[0] ** 2, rel=1e-7)
+    assert stable_rank(a) == pytest.approx(np.sum(exact**2) / exact[0] ** 2, rel=1e-7)
     srp = np.sum((exact / exact[0]) ** 1.5)
-    assert p_stable_rank(a, 1.5).value == pytest.approx(srp, rel=1e-7)
+    assert p_stable_rank(a, 1.5) == pytest.approx(srp, rel=1e-7)
     for p in (3.0, np.inf):
         assert schatten_norm(a, p) == pytest.approx(schatten_norm(d, p), rel=1e-7)
-    assert singular_values(a).values[0] == pytest.approx(exact[0], rel=1e-8)
+    assert sigma(a)[0] == pytest.approx(exact[0], rel=1e-8)

@@ -22,7 +22,6 @@ from srlab.ranks import (
     srp_from_sigma,
     stable_rank,
 )
-from srlab.schatten import INF
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 small_dims = st.integers(min_value=2, max_value=8)
@@ -41,20 +40,20 @@ def direct_srp(values, p):
 
 def test_identity_has_full_p_stable_rank():
     for p in FINITE_P:
-        assert p_stable_rank(np.eye(6), p).value == pytest.approx(6.0, rel=1e-14)
+        assert p_stable_rank(np.eye(6), p) == pytest.approx(6.0, rel=1e-14)
 
 
 def test_rank_one_matrix_has_rank_one():
     a = np.outer([1.0, 2.0, 3.0], [4.0, 5.0])
-    for p in FINITE_P + (INF,):
-        assert p_stable_rank(a, p).value == pytest.approx(1.0, rel=1e-12)
+    for p in FINITE_P + (math.inf,):
+        assert p_stable_rank(a, p) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_projector_p_stable_rank_equals_rank():
     rng = np.random.default_rng(9)
     a = projector_matrix(rng, 7, 3)
     for p in FINITE_P:
-        assert p_stable_rank(a, p).value == pytest.approx(3.0, rel=1e-12)
+        assert p_stable_rank(a, p) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_spiked_identity_matches_formula_and_oracle():
@@ -62,13 +61,13 @@ def test_spiked_identity_matches_formula_and_oracle():
     a = np.diag([1.0, 1.0, 1.0, 1.0, 2.0])
     expected = 1.0 + 4.0 / 4.0
     assert expected == direct_srp([1.0, 1.0, 1.0, 1.0, 2.0], 2)
-    assert p_stable_rank(a, 2).value == pytest.approx(expected, rel=1e-14)
+    assert p_stable_rank(a, 2) == pytest.approx(expected, rel=1e-14)
 
 
 def test_stable_rank_of_scaled_unitary():
     rng = np.random.default_rng(3)
     u = 2.5 * haar_unitary(rng, 6)
-    assert stable_rank(u).value == pytest.approx(6.0, rel=1e-12)
+    assert stable_rank(u) == pytest.approx(6.0, rel=1e-12)
 
 
 def test_stable_rank_geometric_series():
@@ -77,35 +76,35 @@ def test_stable_rank_geometric_series():
     a = np.diag(sigma)
     expected = (4.0 / 3.0) * (1.0 - 4.0 ** (-n))  # geometric series oracle
     assert expected == pytest.approx(direct_srp(sigma, 2), rel=1e-15)
-    assert stable_rank(a).value == pytest.approx(expected, rel=1e-13)
-    assert stable_rank(a).value <= 4.0 / 3.0
+    assert stable_rank(a) == pytest.approx(expected, rel=1e-13)
+    assert stable_rank(a) <= 4.0 / 3.0
 
 
 def test_zero_matrix_has_zero_rank_surrogates():
     z = np.zeros((3, 4))
-    assert stable_rank(z).value == 0.0
-    for p in FINITE_P + (INF, 0.0):
-        assert p_stable_rank(z, p).value == 0.0
-    assert intrinsic_dimension(np.zeros((3, 3))).value == 0.0
+    assert stable_rank(z) == 0.0
+    for p in FINITE_P + (math.inf, 0.0):
+        assert p_stable_rank(z, p) == 0.0
+    assert intrinsic_dimension(np.zeros((3, 3))) == 0.0
     assert numerical_rank(z) == 0
 
 
 def test_srp_from_sigma_inf_and_zero_spectrum():
     values = np.array([2.0, 1.0, 0.5])
-    assert srp_from_sigma(values, INF) == 1.0
-    assert srp_from_sigma(np.zeros(3), INF) == 0.0
+    assert srp_from_sigma(values, math.inf) == 1.0
+    assert srp_from_sigma(np.zeros(3), math.inf) == 0.0
     assert srp_from_sigma(np.zeros(3), 2.0) == 0.0
     assert srp_from_sigma(np.zeros(0), 2.0) == 0.0
-    grid = np.array([INF, 2.0, INF])
+    grid = np.array([math.inf, 2.0, math.inf])
     assert srp_from_sigma(values, grid).tolist() == [1.0, 1.3125, 1.0]
     assert srp_from_sigma(np.zeros(3), grid).tolist() == [0.0, 0.0, 0.0]
     assert srp_from_sigma(np.zeros(0), grid).tolist() == [0.0, 0.0, 0.0]
-    assert srp_from_sigma(values, np.array([INF])).tolist() == [1.0]
+    assert srp_from_sigma(values, np.array([math.inf])).tolist() == [1.0]
 
 
 def test_srp_from_sigma_array_matches_scalar_bit_for_bit():
     rng = np.random.default_rng(8)
-    grid = (1.0, 1.5, 2.0, 3.0, 10.0, 0.5, INF)
+    grid = (1.0, 1.5, 2.0, 3.0, 10.0, 0.5, math.inf)
     for _ in range(200):
         n = int(rng.integers(1, 30))
         values = np.sort(np.exp(rng.uniform(-20.0, 5.0, n)))[::-1]
@@ -114,18 +113,50 @@ def test_srp_from_sigma_array_matches_scalar_bit_for_bit():
         assert together == [srp_from_sigma(values, p) for p in grid]
 
 
+def test_quantities_are_plain_numbers_from_the_spectrum_path():
+    """Each quantity is a float (numerical_rank an int), bit for bit the value
+    of the spectrum path it is defined by, on dense and sparse, real and
+    complex input."""
+    import scipy.sparse
+
+    from srlab.matrices import psd_eigenvalues, psd_intrinsic_dimension, sigma
+    from srlab.ranks import numerical_rank_from_spectrum
+
+    rng = np.random.default_rng(19)
+    inputs = []
+    for field in ("real", "complex"):
+        dense = gaussian_matrix(rng, 5, 7, field)
+        wide = gaussian_matrix(rng, 40, 90, field)
+        wide[np.abs(wide) < 1.0] = 0.0
+        inputs += [dense, scipy.sparse.coo_matrix(dense), scipy.sparse.csr_matrix(wide)]
+    for a in inputs:
+        s = sigma(a)
+        assert type(stable_rank(a)) is float and stable_rank(a) == srp_from_sigma(s, 2.0)
+        for p in (0.0, 0.5, 1.0, 3.0, math.inf):
+            expected = float(numerical_rank_from_spectrum(s)) if p == 0.0 else srp_from_sigma(s, p)
+            assert type(p_stable_rank(a, p)) is float and p_stable_rank(a, p) == expected
+        assert p_stable_rank(a, 0.0, rtol=0.5) == float(numerical_rank_from_spectrum(s, 0.5))
+        assert type(numerical_rank(a)) is int and numerical_rank(a) == numerical_rank_from_spectrum(s)
+    for field in ("real", "complex"):
+        x = gaussian_matrix(rng, 6, 6, field)
+        for g in (x.conj().T @ x, np.zeros((3, 3))):
+            w = psd_eigenvalues(g)
+            assert type(intrinsic_dimension(g)) is float
+            assert intrinsic_dimension(g) == psd_intrinsic_dimension(g, w)
+
+
 def test_intdim_scaled_identity():
-    assert intrinsic_dimension(3.7 * np.eye(5)).value == pytest.approx(5.0, rel=1e-14)
+    assert intrinsic_dimension(3.7 * np.eye(5)) == pytest.approx(5.0, rel=1e-14)
 
 
 def test_intdim_rank_one():
-    assert intrinsic_dimension(np.diag([2.0, 0.0, 0.0])).value == pytest.approx(1.0)
+    assert intrinsic_dimension(np.diag([2.0, 0.0, 0.0])) == pytest.approx(1.0)
 
 
 def test_intdim_spiked_identity():
     # diag(3, I_4): trace / lambda_max = 7/3 = 1 + (n-1)/beta at n=5, beta=3
     a = np.diag([3.0, 1.0, 1.0, 1.0, 1.0])
-    assert intrinsic_dimension(a).value == pytest.approx(1.0 + 4.0 / 3.0, rel=1e-14)
+    assert intrinsic_dimension(a) == pytest.approx(1.0 + 4.0 / 3.0, rel=1e-14)
 
 
 def test_intdim_rejects_indefinite():
@@ -150,14 +181,13 @@ def test_numerical_rank_examples():
 
 def test_p_zero_counts_rank():
     a = np.diag([1.0, 0.5, 0.0])
-    r = p_stable_rank(a, 0.0)
-    assert r.value == 2.0
+    assert p_stable_rank(a, 0.0) == 2.0
 
 
 def test_p_inf_is_one_for_nonzero():
     rng = np.random.default_rng(1)
     a = gaussian_matrix(rng, 4, 6)
-    assert p_stable_rank(a, INF).value == 1.0
+    assert p_stable_rank(a, math.inf) == 1.0
 
 
 @given(seed=seeds, n=small_dims, field=fields)
@@ -167,7 +197,7 @@ def test_range_and_monotonicity_in_p(seed, n, field):
     r = int(rng.integers(1, n + 1))
     sigma = np.sort(rng.uniform(0.05, 1.0, r))[::-1]
     a = prescribed_spectrum_matrix(rng, n, n, sigma, field)
-    values = [p_stable_rank(a, p).value for p in FINITE_P]
+    values = [p_stable_rank(a, p) for p in FINITE_P]
     tol = 1e-10 * r
     assert all(v >= 1.0 - tol for v in values)
     assert all(v <= r + tol for v in values)
@@ -182,9 +212,9 @@ def test_unitary_and_scale_invariance(seed, m, n, field):
     u = haar_unitary(rng, m, field)
     v = haar_unitary(rng, n, field)
     for p in (1.0, 2.0, 3.0):
-        base = p_stable_rank(a, p).value
-        rotated = p_stable_rank(u @ a @ v, p).value
-        scaled = p_stable_rank(-2.5 * a, p).value
+        base = p_stable_rank(a, p)
+        rotated = p_stable_rank(u @ a @ v, p)
+        scaled = p_stable_rank(-2.5 * a, p)
         assert rotated == pytest.approx(base, rel=1e-10)
         assert scaled == pytest.approx(base, rel=1e-12)
 
@@ -195,9 +225,9 @@ def test_cross_product_identities(seed, m, n, field):
     rng = np.random.default_rng(seed)
     a = gaussian_matrix(rng, m, n, field)
     for p in (1.0, 2.0, 3.0):
-        left = p_stable_rank(a.conj().T @ a, p).value
-        right = p_stable_rank(a @ a.conj().T, p).value
-        both = p_stable_rank(a, 2 * p).value
+        left = p_stable_rank(a.conj().T @ a, p)
+        right = p_stable_rank(a @ a.conj().T, p)
+        both = p_stable_rank(a, 2 * p)
         assert left == pytest.approx(both, rel=1e-10, abs=1e-10)
         assert right == pytest.approx(both, rel=1e-10, abs=1e-10)
 
@@ -211,8 +241,8 @@ def test_psd_square_root_identity(seed, n):
     w, v = np.linalg.eigh(a)
     root = (v * np.sqrt(np.maximum(w, 0.0))) @ v.T
     for p in (1.0, 2.0):
-        assert p_stable_rank(root, 2 * p).value == pytest.approx(
-            p_stable_rank(a, p).value, rel=1e-10
+        assert p_stable_rank(root, 2 * p) == pytest.approx(
+            p_stable_rank(a, p), rel=1e-10
         )
 
 
@@ -222,31 +252,27 @@ def test_intdim_consistency_with_stable_rank(seed, n):
     rng = np.random.default_rng(seed)
     a = gaussian_matrix(rng, n, n)
     gram = a.T @ a
-    assert intrinsic_dimension(gram).value == pytest.approx(
-        stable_rank(a).value, rel=1e-10
+    assert intrinsic_dimension(gram) == pytest.approx(
+        stable_rank(a), rel=1e-10
     )
-    assert intrinsic_dimension(gram).value == pytest.approx(
-        p_stable_rank(gram, 1.0).value, rel=1e-10
+    assert intrinsic_dimension(gram) == pytest.approx(
+        p_stable_rank(gram, 1.0), rel=1e-10
     )
 
 
 @given(seed=seeds, n=small_dims, field=fields)
-def test_rank_result_bounds(seed, n, field):
+def test_rank1_p_stable_rank_bounds(seed, n, field):
     rng = np.random.default_rng(seed)
     a = rank1_psd_matrix(rng, n, field)
-    result = p_stable_rank(a, 2.0)
-    assert 0.0 <= result.value <= n
-    assert result.definition == "p_stable"
-    assert result.spectrum_used.kind == "singular"
+    assert 0.0 <= p_stable_rank(a, 2.0) <= n
 
 
 def test_intdim_agrees_with_the_check_path_on_near_hermitian_grams():
-    from srlab.matrices import hermitian_part_eigenvalues, psd_intrinsic_dimension
+    from srlab.matrices import hermitian_part_eigenvalues, psd_intrinsic_dimension, psd_spectrum
 
     rng = np.random.default_rng(17)
     for _ in range(200):
         x = gaussian_matrix(rng, 6, 6)
         g = x @ x.T + 1e-13 * rng.standard_normal((6, 6))
-        result = intrinsic_dimension(g)
-        assert result.value == psd_intrinsic_dimension(g)
-        np.testing.assert_array_equal(result.spectrum_used.values, hermitian_part_eigenvalues(g))
+        assert intrinsic_dimension(g) == psd_intrinsic_dimension(g)
+        np.testing.assert_array_equal(psd_spectrum(g), hermitian_part_eigenvalues(g))
