@@ -20,10 +20,18 @@ applicable. It is a sequence of reports, but builds a point's
 iterated, so a caller that reads only the columns (the fuzz campaign)
 builds none. ``check_*`` is the single-exponent grid, indexed. Every sr_p
 comes from :func:`srlab.ranks.srp_from_sigma`, and every intrinsic
-dimension from :func:`srlab.matrices.psd_intrinsic_dimension`. Every
-classification and decomposition goes through the :mod:`srlab.matrices`
-family, so inside a :func:`srlab.matrices.trial_scope` (one fuzz trial)
-each input is decomposed once across all checks, not once per check.
+dimension from :func:`srlab.matrices.psd_intrinsic_dimension`.
+
+Singular values are taken one of two ways. A PSD-gated check evaluates
+the inequality on the spectrum the classifier decided on: the eigenvalues
+from :func:`srlab.matrices.psd_eigenvalues`, mapped through
+:func:`srlab.matrices.sigma_from_eigenvalues`, so it runs no second
+decomposition of an input that is Hermitian only within the threshold.
+Every other spectrum is :func:`srlab.matrices.sigma`. On an exactly
+Hermitian input the two give the same bits. Every classification and
+decomposition goes through the :mod:`srlab.matrices` family, so inside a
+:func:`srlab.matrices.trial_scope` (one fuzz trial) each input is
+decomposed once across all checks, not once per check.
 
 :data:`CHECKS` maps each check's name to its ``check_*`` function, whose
 signature is the whole description the CLI needs: the parameters without
@@ -49,7 +57,7 @@ from .matrices import (
     psd_eigenvalues,
     psd_intrinsic_dimension,
     sigma,
-    sigma_and_psd,
+    sigma_from_eigenvalues,
 )
 from .ranks import DEFAULT_RANK_RTOL, numerical_rank_from_spectrum, srp_from_sigma
 
@@ -91,30 +99,12 @@ class CheckReport(NamedTuple):
             "details": encode_json(self.details),
         }
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "CheckReport":
-        return CheckReport(
-            name=d["name"],
-            lhs=_decode(d["lhs"]),
-            rhs=_decode(d["rhs"]),
-            slack=_decode(d["slack"]),
-            holds=d["holds"],
-            preconditions_met=d["preconditions_met"],
-            details=_decode(d["details"]),
-        )
-
 
 def encode_json(v):
-    """JSON-safe encoding: non-finite floats become sentinel strings.
-
-    A :class:`CheckReport` becomes its :meth:`~CheckReport.to_json_dict`,
-    not the list its tuple base would give.
-    """
+    """JSON-safe encoding: non-finite floats become sentinel strings."""
     if isinstance(v, dict):
         return {k: encode_json(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
-        if isinstance(v, CheckReport):
-            return v.to_json_dict()
         return [encode_json(x) for x in v]
     if isinstance(v, (bool, np.bool_)):
         return bool(v)
@@ -127,20 +117,6 @@ def encode_json(v):
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
         return v
-    return v
-
-
-def _decode(v):
-    if isinstance(v, dict):
-        return {k: _decode(x) for k, x in v.items()}
-    if isinstance(v, list):
-        return [_decode(x) for x in v]
-    if v == "nan":
-        return float("nan")
-    if v == "inf":
-        return float("inf")
-    if v == "-inf":
-        return float("-inf")
     return v
 
 
@@ -180,11 +156,6 @@ def _proot(x: float, p: float) -> float:
 def _proot_grid(values: np.ndarray, ps) -> list[float]:
     """srp(values)^(1/p) for every p in ``ps``, with one power-sum call."""
     return [_proot(x, p) for x, p in zip(srp_from_sigma(values, ps).tolist(), ps)]
-
-
-def _psd_sigma(w: np.ndarray) -> np.ndarray:
-    """Singular values of a PSD matrix from its descending eigenvalues."""
-    return np.maximum(w, 0.0)
 
 
 def _is_zero(a: np.ndarray) -> bool:
@@ -498,9 +469,9 @@ def grid_sum_subadditivity_proot(a: Matrix, b: Matrix, p_grid) -> GridReports:
     if reason is not None:
         return _not_applicable_grid(name, reason, p_grid)
     ps, reasons, valid = _grid_exponents(p_grid, finite=True)
-    roots_a = _proot_grid(_psd_sigma(wa), valid)
-    roots_b = _proot_grid(_psd_sigma(wb), valid)
-    roots_sum = _proot_grid(_psd_sigma(hermitian_part_eigenvalues(a + b)), valid)
+    roots_a = _proot_grid(sigma_from_eigenvalues(wa), valid)
+    roots_b = _proot_grid(sigma_from_eigenvalues(wb), valid)
+    roots_sum = _proot_grid(sigma_from_eigenvalues(hermitian_part_eigenvalues(a + b)), valid)
 
     def rows():
         for p, root_a, root_b, lhs in zip(valid, roots_a, roots_b, roots_sum):
@@ -534,15 +505,15 @@ def grid_rank1_addition(
         if wa is None or wb is None:
             reason = "requires positive semi-definite matrices"
         else:
-            rank_b = numerical_rank_from_spectrum(_psd_sigma(wb), rtol)
+            rank_b = numerical_rank_from_spectrum(sigma_from_eigenvalues(wb), rtol)
             if rank_b != 1:
                 reason = f"requires rank(B) = 1, got {rank_b}"
                 extra = {"rank_b": rank_b}
     if reason is not None:
         return _not_applicable_grid(name, reason, p_grid, **extra)
     ps, reasons, valid = _grid_exponents(p_grid, finite=False)
-    roots_a = _proot_grid(_psd_sigma(wa), valid)
-    roots_sum = _proot_grid(_psd_sigma(hermitian_part_eigenvalues(a + b)), valid)
+    roots_a = _proot_grid(sigma_from_eigenvalues(wa), valid)
+    roots_sum = _proot_grid(sigma_from_eigenvalues(hermitian_part_eigenvalues(a + b)), valid)
 
     def rows():
         for p, root_a, root_sum in zip(valid, roots_a, roots_sum):
@@ -666,21 +637,20 @@ def grid_perturbation(a: Matrix, e: Matrix, p_grid, rtol: float = DEFAULT_RANK_R
     e = np.asarray(e)
     if a.shape != e.shape or a.ndim != 2:
         return _not_applicable_grid(name, "requires matrices of equal shape", p_grid)
-    sig_a, psd_a = sigma_and_psd(a)
+    sig_a = sigma(a)
     norm_a = float(sig_a[0])
     if norm_a == 0.0:
         return _not_applicable_grid(name, "A is the zero matrix", p_grid)
-    sig_e, psd_e = sigma_and_psd(e)
+    sig_e = sigma(e)
     eps = float(sig_e[0]) / norm_a
     if eps >= 1.0:
         reason = f"requires eps < 1, got eps={eps:.6g}"
         return _not_applicable_grid(name, reason, p_grid, epsilon=eps)
     r = numerical_rank_from_spectrum(sig_e, rtol)
-    sig_sum, _ = sigma_and_psd(a + e)
-    psd_pair = psd_a and psd_e
+    psd_pair = psd_eigenvalues(a) is not None and psd_eigenvalues(e) is not None
     ps, reasons, valid = _grid_exponents(p_grid, finite=False)
     base_roots = _proot_grid(sig_a, valid)
-    actual_roots = _proot_grid(sig_sum, valid)
+    actual_roots = _proot_grid(sigma(a + e), valid)
 
     def rows():
         for p, x, y in zip(valid, base_roots, actual_roots):

@@ -97,8 +97,8 @@ def _quantity_value(a, quantity: str, p: float, rtol: float) -> float:
 def cmd_compute(args) -> int:
     try:
         # A coordinate file stays sparse, so a large wide one forms its Gram
-        # with a sparse product; intdim needs a square Hermitian input, dense.
-        a = read_matrix(args.input, sparse=args.quantity != "intdim")
+        # with a sparse product.
+        a = read_matrix(args.input, sparse=True)
     except MatrixParseError as exc:
         return _error(exc, 2)
     try:

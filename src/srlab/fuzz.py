@@ -366,7 +366,7 @@ def _run_chunk(cfg: FuzzConfig, start: int, stop: int):
                             "report": reports[i].to_json_dict(),
                         }
                     )
-    return start, aggregates, failures
+    return aggregates, failures
 
 
 @dataclass(frozen=True)
@@ -399,10 +399,10 @@ def run_fuzz(cfg: FuzzConfig) -> RunReport:
     workers = resolve_parallelism(cfg.parallelism)
     starts = list(range(0, cfg.trials, CHUNK_SIZE))
     chunks = [(s, min(s + CHUNK_SIZE, cfg.trials)) for s in starts]
-    results = []
+    # Chunk results are kept in chunk order, so the report does not depend
+    # on which worker finishes first.
     if workers == 1 or len(chunks) == 1:
-        for start, stop in chunks:
-            results.append(_run_chunk(cfg, start, stop))
+        results = [_run_chunk(cfg, start, stop) for start, stop in chunks]
     else:
         # Imported here: it loads multiprocessing, socket and logging, which
         # a serial run and every other srlab command never need.
@@ -411,10 +411,9 @@ def run_fuzz(cfg: FuzzConfig) -> RunReport:
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             futures = [pool.submit(_run_chunk, cfg, start, stop) for start, stop in chunks]
             results = [f.result() for f in futures]
-    results.sort(key=lambda r: r[0])
     aggregates = {name: _Aggregate() for name in cfg.checks}
     failures = []
-    for _, chunk_agg, chunk_failures in results:
+    for chunk_agg, chunk_failures in results:
         for name, agg in chunk_agg.items():
             aggregates[name].merge(agg)
         failures.extend(chunk_failures)

@@ -8,6 +8,8 @@ freely across threads. Sampling is a deterministic function of the seed.
 A spectrum is a plain descending 1-D array: :func:`sigma` returns the
 singular values, and :func:`hermitian_eigenvalues` and :func:`psd_spectrum`
 the classifier's eigenvalues of the Hermitian part.
+:func:`sigma_from_eigenvalues` maps eigenvalues to singular values as
+:func:`sigma` does for an exactly Hermitian input.
 
 Singular values come from the cheapest LAPACK route for the input. An
 exactly Hermitian input (``a == a*`` entrywise, not within a tolerance)
@@ -49,7 +51,8 @@ and runs the same ``eigvalsh`` and the same certificate. Its values may
 differ from those of the densified input in the last bits, within the same
 contract. One whose certificate fails is densified and runs the SVD, with
 no second Gram. Any other sparse input is densified and takes the dense
-routes, bit for bit.
+routes, bit for bit. ``intrinsic_dimension`` densifies a sparse input the
+same way (:func:`_densified`).
 SciPy is never imported here: a sparse input is recognised only once
 ``scipy.sparse`` is loaded, and only where a dense one would not be 2-D.
 
@@ -66,8 +69,8 @@ A square input is Hermitian when ``max |A - A*|`` is at most
 ``1e-12 * max(1, max |A|)``, and PSD when it is also Hermitian with
 ``lambda_min >= -1e-10 * max(1, lambda_max)`` for the eigenvalues of its
 Hermitian part. :func:`is_psd`,
-:func:`psd_eigenvalues`, :func:`sigma_and_psd`, :func:`hermitian_eigenvalues`
-and :func:`psd_spectrum` (the precondition of ``intrinsic_dimension``) read
+:func:`psd_eigenvalues`, :func:`hermitian_eigenvalues` and
+:func:`psd_spectrum` (the precondition of ``intrinsic_dimension``) read
 one private classifier, and :func:`psd_eigendecomposition` (the gallery's
 congruences) applies its PSD test to the eigenvalues of one ``eigh``.
 :func:`pivoted_cholesky` stops and flags a negative pivot on the same ``1e-10``.
@@ -178,15 +181,10 @@ def _check_entries(shape: tuple[int, int], entries: np.ndarray) -> None:
         raise ValueError("matrix entries must all be finite")
 
 
-def _require_2d(a, op: str) -> np.ndarray:
+def _require_square(a, op: str) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"{op} requires a 2-D matrix, got shape {a.shape}")
-    return a
-
-
-def _require_square(a, op: str) -> np.ndarray:
-    a = _require_2d(a, op)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"{op} requires a square matrix, got shape {a.shape}")
     return a
@@ -256,6 +254,13 @@ def _is_sparse(a) -> bool:
     return sparse is not None and sparse.issparse(a)
 
 
+def _densified(a) -> np.ndarray:
+    """``np.asarray(a)``, with a SciPy sparse ``a`` densified as :func:`sigma`
+    densifies one it does not route: a nonfinite entry raises ``ValueError``."""
+    d = np.asarray(a)
+    return _freeze_fresh(a.toarray()) if d.ndim != 2 and _is_sparse(a) else d
+
+
 def sigma(a: Matrix) -> np.ndarray:
     """Descending singular values via LAPACK, clamped at zero, read-only.
 
@@ -290,7 +295,7 @@ def sigma(a: Matrix) -> np.ndarray:
 def _sigma(a: np.ndarray) -> np.ndarray:
     m, n = a.shape
     if m == n and _exactly_hermitian(a):
-        return _sigma_from_eigenvalues(_memo("eigvalsh", a, _hermitian_part_eigenvalues, True))
+        return sigma_from_eigenvalues(_memo("eigvalsh", a, _hermitian_part_eigenvalues, True))
     if _gram_route_applies(m, n, a.dtype):
         s = _certified_gram_sigma(a)
         if s is not None:
@@ -470,8 +475,12 @@ def _exactly_hermitian(a: np.ndarray) -> bool:
     return True
 
 
-def _sigma_from_eigenvalues(w: np.ndarray) -> np.ndarray:
-    """Singular values of a Hermitian matrix from its eigenvalues."""
+def sigma_from_eigenvalues(w: np.ndarray) -> np.ndarray:
+    """Singular values of a Hermitian matrix from its eigenvalues, read-only.
+
+    The absolute values, sorted descending: the map :func:`sigma` applies to
+    an exactly Hermitian input, so on one it gives the same bits.
+    """
     return _frozen(np.sort(np.abs(w))[::-1])
 
 
@@ -547,19 +556,6 @@ def psd_eigenvalues(a: Matrix) -> np.ndarray | None:
         return None
     w = _classify(a)
     return w if w is not None and _psd_within(w) else None
-
-
-def sigma_and_psd(a: Matrix) -> tuple[np.ndarray, bool]:
-    """(descending singular values, PSD flag) from one decomposition.
-
-    Hermitian inputs go through the eigenvalue route (singular values are
-    the absolute eigenvalues), all others through the SVD.
-    """
-    a = _require_2d(a, "sigma_and_psd")
-    w = _classify(a) if a.shape[0] == a.shape[1] else None
-    if w is None:
-        return sigma(a), False
-    return _sigma_from_eigenvalues(w), _psd_within(w)
 
 
 def psd_intrinsic_dimension(a: Matrix, w: np.ndarray | None = None) -> float:

@@ -8,11 +8,11 @@ Every reader returns a frozen dense array, and a coordinate file is
 expanded to one, except where the caller passes ``sparse=True``: it then
 gets the parsed SciPy sparse matrix, with its entries checked for nan and
 inf as a dense one's are. ``srlab compute`` asks for that for every
-quantity but ``intdim``, which needs a square Hermitian input, so
-:func:`srlab.matrices.sigma` can form the Gram of a large wide coordinate
-file with a sparse product. On that route the singular values can differ
-from those of the dense copy in the last bits, within the route's 1e-8
-contract; every other shape gets the dense copy's values bit for bit.
+quantity, so :func:`srlab.matrices.sigma` can form the Gram of a large
+wide coordinate file with a sparse product; ``intdim`` densifies it. On
+that route the singular values can differ from those of the dense copy in
+the last bits, within the route's 1e-8 contract; every other shape gets
+the dense copy's values bit for bit.
 
 MatrixMarket I/O goes through ``scipy.io``, which pulls in ``scipy.sparse``
 and costs more to import than the rest of srlab. Both are imported on the

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from .matrices import Matrix, psd_intrinsic_dimension, psd_spectrum, sigma
+from .matrices import Matrix, _densified, psd_intrinsic_dimension, psd_spectrum, sigma
 from .schatten import is_scalar_exponent, normalized_power_sum, validate_exponent
 
 DEFAULT_RANK_RTOL = 1e-10
@@ -86,9 +86,9 @@ def intrinsic_dimension(a: Matrix) -> float:
     p = 1 stable rank is a checkable property rather than a definition.
     Raises :class:`srlab.matrices.PreconditionError` carrying
     ``max_asymmetry`` or ``lambda_min`` on non-PSD input, from
-    :func:`srlab.matrices.psd_spectrum`.
+    :func:`srlab.matrices.psd_spectrum`. A SciPy sparse input is densified.
     """
-    a = np.asarray(a)
+    a = _densified(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"intrinsic dimension requires a square matrix, got {a.shape}")
     return psd_intrinsic_dimension(a, psd_spectrum(a))

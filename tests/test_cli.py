@@ -635,7 +635,8 @@ def test_verify_decomposes_each_input_once(check, tmp_path, lapack_calls, capsys
 def test_compute_reads_a_coordinate_file_sparse(tmp_path, lapack_calls, capsys, monkeypatch):
     """A wide coordinate file takes the sparse Gram route: one eigvalsh of
     the small Gram, the same rank as its array-format copy and sr within
-    1e-8. intdim reads a coordinate file dense."""
+    1e-8. intdim reads a coordinate file sparse as well, and prints the
+    value of its array-format copy."""
     import scipy.io
     import scipy.sparse
 
@@ -672,4 +673,4 @@ def test_compute_reads_a_coordinate_file_sparse(tmp_path, lapack_calls, capsys, 
         assert main(["compute", str(tmp_path / f"{name}.mtx"), "-q", "intdim"]) == 0
         out.append(capsys.readouterr().out.replace(name, ""))
     assert out[0] == out[1]
-    assert not any(scipy.sparse.issparse(a) for a in read[4:])
+    assert [scipy.sparse.issparse(a) for a in read[4:]] == [True, False]

@@ -309,7 +309,7 @@ def test_run_chunk_folds_like_trial_reports(seed, overrides):
     # p = 0.5 is not applicable to any grid check, and inf not to the two
     # that need a finite p, so that grid marks single points not applicable.
     cfg = FuzzConfig(trials=40, seed=seed, parallelism=1, **overrides)
-    _, aggregates, failures = fuzz._run_chunk(cfg, 0, cfg.trials)
+    aggregates, failures = fuzz._run_chunk(cfg, 0, cfg.trials)
     expected, expected_failures = _fold_of_trial_reports(cfg)
     got = {
         name: [agg.applicable, agg.passed, agg.min_slack, agg.argmin]

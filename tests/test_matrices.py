@@ -376,7 +376,7 @@ def test_run_trial_loads_no_scipy():
 
 
 def test_trial_scope_memoizes_read_only_results():
-    from srlab.matrices import psd_eigenvalues, sigma, sigma_and_psd, trial_scope
+    from srlab.matrices import psd_eigenvalues, sigma, trial_scope
 
     a = gaussian_matrix(np.random.default_rng(5), 4, 4)
     g = a.T @ a
@@ -387,8 +387,7 @@ def test_trial_scope_memoizes_read_only_results():
         w = psd_eigenvalues(g)
         assert psd_eigenvalues(g.copy()) is w
         assert not w.flags.writeable
-        sig, psd = sigma_and_psd(g)
-        assert psd and not sig.flags.writeable
+        assert not sigma(g).flags.writeable
         assert sigma(a.astype(np.complex128)) is not s1  # dtype is part of the key
     assert sigma(a) is not sigma(a)
     np.testing.assert_array_equal(sigma(a), s1)
@@ -402,7 +401,7 @@ def test_trial_scope_keeps_one_copy_of_each_input():
     g = a @ a.T
     with mat.trial_scope():
         mat.sigma(a)
-        for ask in (mat.sigma_and_psd, mat.sigma, mat.is_hermitian, mat.psd_eigenvalues):
+        for ask in (mat.sigma, mat.is_hermitian, mat.psd_eigenvalues):
             ask(g.copy())
         # The scope keys each distinct input's bytes once, not once per kind.
         assert len(mat._SCOPE.get()) == 2
@@ -415,7 +414,7 @@ def test_trial_scope_keeps_one_copy_of_each_input():
 
 
 def test_classifier_family_matches_spectra():
-    from srlab.matrices import hermitian_part_eigenvalues, psd_eigenvalues, sigma_and_psd
+    from srlab.matrices import hermitian_part_eigenvalues, psd_eigenvalues
 
     rng = np.random.default_rng(8)
     x = gaussian_matrix(rng, 5, 5, "complex")
@@ -424,9 +423,7 @@ def test_classifier_family_matches_spectra():
     assert psd_eigenvalues(-g) is None
     assert psd_eigenvalues(x) is None
     assert psd_eigenvalues(np.zeros((2, 3))) is None
-    sig, psd = sigma_and_psd(-g)
-    assert not psd
-    np.testing.assert_allclose(sig, sigma(g), rtol=1e-12)
+    np.testing.assert_allclose(sigma(-g), sigma(g), rtol=1e-12)
     np.testing.assert_allclose(
         hermitian_part_eigenvalues(g), hermitian_eigenvalues(g), rtol=1e-12
     )
@@ -458,7 +455,7 @@ def test_classification_thresholds_are_fixed(threshold, factor, scale):
 
     from srlab.checks import check_weyl
     from srlab.gallery import congruence_maximizer
-    from srlab.matrices import psd_eigenvalues, sigma_and_psd, trial_scope
+    from srlab.matrices import psd_eigenvalues, trial_scope
     from srlab.ranks import intrinsic_dimension
 
     a = _near_threshold(threshold, factor, scale)
@@ -470,7 +467,6 @@ def test_classification_thresholds_are_fixed(threshold, factor, scale):
             assert is_hermitian(a) is hermitian
             assert is_psd(a) is psd
             assert (psd_eigenvalues(a) is not None) is psd
-            assert sigma_and_psd(a)[1] is psd
             if hermitian:
                 hermitian_eigenvalues(a)
             else:
@@ -539,15 +535,17 @@ def test_sigma_is_bit_identical_under_transpose(field):
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_sigma_of_exact_hermitian_matches_sigma_and_psd(field):
-    from srlab.matrices import sigma, sigma_and_psd
+def test_sigma_of_exact_hermitian_matches_sigma_from_eigenvalues(field):
+    from srlab.matrices import hermitian_part_eigenvalues, sigma, sigma_from_eigenvalues
 
     rng = np.random.default_rng(13)
     for n in range(1, 16):
         h = _hermitian(rng, n, field)
         g = _hermitian_psd(rng, n, field)
         for x in (h, g, -g):  # indefinite, PSD and NSD
-            np.testing.assert_array_equal(sigma(x), sigma_and_psd(x)[0])
+            np.testing.assert_array_equal(
+                sigma(x), sigma_from_eigenvalues(hermitian_part_eigenvalues(x))
+            )
 
 
 def test_sigma_shares_the_eigendecomposition_in_scope(lapack_calls):
@@ -807,7 +805,6 @@ def test_exactly_hermitian_test_runs_once_and_builds_no_copy(monkeypatch, lapack
         psd_eigenvalues,
         psd_gram_matrix,
         sigma,
-        sigma_and_psd,
     )
     from srlab.ranks import intrinsic_dimension
 
@@ -818,8 +815,8 @@ def test_exactly_hermitian_test_runs_once_and_builds_no_copy(monkeypatch, lapack
     monkeypatch.setattr(
         matrices, "_exactly_hermitian", lambda a: calls.append(a.shape) or exactly_hermitian(a)
     )
-    functions = (sigma, hermitian_part_eigenvalues, psd_eigenvalues, sigma_and_psd,
-                 hermitian_eigenvalues, intrinsic_dimension, is_psd, psd_eigendecomposition)
+    functions = (sigma, hermitian_part_eigenvalues, psd_eigenvalues, hermitian_eigenvalues,
+                 intrinsic_dimension, is_psd, psd_eigendecomposition)
     for f in functions:
         calls.clear()
         f(g)

@@ -145,6 +145,27 @@ def test_quantities_are_plain_numbers_from_the_spectrum_path():
             assert intrinsic_dimension(g) == psd_intrinsic_dimension(g, w)
 
 
+def test_intdim_accepts_a_sparse_input():
+    """A SciPy sparse input is densified, as sigma densifies one: the value
+    is that of the dense copy bit for bit, and a nonfinite entry is refused."""
+    import scipy.sparse
+
+    rng = np.random.default_rng(21)
+    for field in ("real", "complex"):
+        x = gaussian_matrix(rng, 4, 6, field)
+        x[np.abs(x) < 0.5] = 0.0
+        g = x.conj().T @ x
+        for sparse in (scipy.sparse.csr_matrix(g), scipy.sparse.coo_array(g)):
+            assert intrinsic_dimension(sparse) == intrinsic_dimension(g)
+    assert intrinsic_dimension(scipy.sparse.csr_matrix(np.eye(3))) == 3.0
+    with pytest.raises(ValueError, match="finite"):
+        intrinsic_dimension(scipy.sparse.csr_matrix(np.diag([1.0, np.inf])))
+    with pytest.raises(ValueError, match=r"square matrix, got \(2, 3\)"):
+        intrinsic_dimension(scipy.sparse.csr_matrix(np.ones((2, 3))))
+    with pytest.raises(PreconditionError):
+        intrinsic_dimension(scipy.sparse.csr_matrix(np.diag([1.0, -1.0])))
+
+
 def test_intdim_scaled_identity():
     assert intrinsic_dimension(3.7 * np.eye(5)) == pytest.approx(5.0, rel=1e-14)
 
