@@ -16,9 +16,11 @@ whole exponent grid in one pass, with one power-sum call per spectrum, into
 a :class:`GridReports`: plain-float columns of lhs, rhs, slack and holds,
 one entry per grid point, with ``holds`` None where a point is not
 applicable. It is a sequence of reports, but builds a point's
-:class:`CheckReport`, details included, only when that point is indexed or
-iterated, so a caller that reads only the columns (the fuzz campaign)
-builds none. ``check_*`` is the single-exponent grid, indexed. Every sr_p
+:class:`CheckReport` only when that point is indexed or iterated, so a
+caller that reads only the columns (the fuzz campaign) builds none. A grid
+point's details are the check's detail names, one tuple per grid, with the
+point's values, one tuple per point, made into a dict only when its report
+is built. ``check_*`` is the single-exponent grid, indexed. Every sr_p
 comes from :func:`srlab.ranks.srp_from_sigma`, and every intrinsic
 dimension from :func:`srlab.matrices.psd_intrinsic_dimension`.
 
@@ -359,19 +361,19 @@ class GridReports(Sequence):
     so a caller that reads only the columns builds no report.
     """
 
-    __slots__ = ("name", "p", "lhs", "rhs", "slack", "holds", "_details", "_args")
+    __slots__ = ("name", "p", "lhs", "rhs", "slack", "holds", "_keys", "_values")
 
-    def __init__(self, name, p, lhs, rhs, slack, holds, details, args):
+    def __init__(self, name, p, lhs, rhs, slack, holds, keys, values):
         self.name = name
         self.p = p
         self.lhs = lhs
         self.rhs = rhs
         self.slack = slack
         self.holds = holds
-        # Per point: the arguments of ``details`` for an applicable point,
-        # or (reason, extra details) for a point that is not.
-        self._details = details
-        self._args = args
+        # The check's detail names, and per point their values for an
+        # applicable point, or (reason, extra details) for a point that is not.
+        self._keys = keys
+        self._values = values
 
     def __len__(self) -> int:
         return len(self.holds)
@@ -380,47 +382,36 @@ class GridReports(Sequence):
         if isinstance(k, slice):
             return [self[i] for i in range(len(self.holds))[k]]
         return self._report(
-            self.p[k], self.lhs[k], self.rhs[k], self.slack[k], self.holds[k], self._args[k]
+            self.p[k], self.lhs[k], self.rhs[k], self.slack[k], self.holds[k], self._values[k]
         )
 
     def __iter__(self):
-        return map(self._report, self.p, self.lhs, self.rhs, self.slack, self.holds, self._args)
+        return map(self._report, self.p, self.lhs, self.rhs, self.slack, self.holds, self._values)
 
-    def _report(self, p, lhs, rhs, slack, holds, args) -> CheckReport:
+    def _report(self, p, lhs, rhs, slack, holds, values) -> CheckReport:
         """One grid point's report, from its entries in the columns."""
         if holds is None:
-            reason, extra = args
+            reason, extra = values
             return _not_applicable(self.name, reason, p=p, **extra)
-        return CheckReport(self.name, lhs, rhs, slack, holds, True, self._details(*args))
+        return CheckReport(self.name, lhs, rhs, slack, holds, True, dict(zip(self._keys, values)))
 
     def __repr__(self) -> str:
         return f"GridReports({list(self)!r})"
 
 
-def _not_applicable_grid(name: str, reason: str, p_grid, **extra) -> GridReports:
-    ps = tuple(float(p) for p in p_grid)
-    nans = [_NAN] * len(ps)
-    return GridReports(
-        name, ps, nans, nans, nans, [None] * len(ps), None, [(reason, extra)] * len(ps)
-    )
-
-
-def _grid_exponents(p_grid, finite: bool) -> tuple[tuple, tuple, tuple]:
-    """The grid as floats, per point None or why it is not applicable, and the valid exponents.
+@functools.lru_cache(maxsize=64)
+def _grid_exponents(p_grid: tuple, finite: bool) -> tuple[tuple, tuple, tuple]:
+    """The grid as floats, per point None or (why it is not applicable, {}),
+    and the valid exponents.
 
     An exponent must be at least 1, and finite where ``finite`` is set.
     """
-    return _checked_exponents(tuple(p_grid), finite)
-
-
-@functools.lru_cache(maxsize=64)
-def _checked_exponents(p_grid: tuple, finite: bool) -> tuple[tuple, tuple, tuple]:
     # A fuzz campaign passes the same grid to every check of every trial;
     # validating it in every call cost about 1.5% of a campaign trial.
     need = "finite p" if finite else "p"
     ps = tuple(float(p) for p in p_grid)
     reasons = tuple(
-        f"requires {need} >= 1, got p={p}"
+        (f"requires {need} >= 1, got p={p}", {})
         if math.isnan(p) or p < 1.0 or (finite and math.isinf(p))
         else None
         for p in ps
@@ -428,27 +419,35 @@ def _checked_exponents(p_grid: tuple, finite: bool) -> tuple[tuple, tuple, tuple
     return ps, reasons, tuple(p for p, reason in zip(ps, reasons) if reason is None)
 
 
-def _grid(name: str, ps, reasons, details, rows) -> GridReports:
+def _grid(name: str, ps, reasons, keys, rows) -> GridReports:
     """Columns over the grid ``ps``.
 
-    ``reasons`` holds, per grid point, None or why the point is not
-    applicable. ``rows`` yields ``(lhs, rhs, margins, args)`` for each
-    applicable point in grid order, with margins as in :func:`_finish`;
-    ``details(*args)`` builds that point's details when its report is built.
+    ``reasons`` holds, per grid point, None or (why the point is not
+    applicable, extra details). ``rows`` yields ``(lhs, rhs, margins,
+    values)`` for each applicable point in grid order, with margins as in
+    :func:`_finish` and ``values`` the point's details named by ``keys``.
     """
-    columns = lhs, rhs, slack, holds, args = [], [], [], [], []
-    for point_lhs, point_rhs, margins, point_args in rows:
-        point_slack, point_holds = _verdict(point_lhs, point_rhs, margins)
+    rows = iter(rows)
+    lhs, rhs, slack, holds, values = [], [], [], [], []
+    for reason in reasons:
+        if reason is None:
+            point_lhs, point_rhs, margins, point_values = next(rows)
+            point_slack, point_holds = _verdict(point_lhs, point_rhs, margins)
+        else:
+            point_lhs = point_rhs = point_slack = _NAN
+            point_holds = None
+            point_values = reason
         lhs.append(point_lhs)
         rhs.append(point_rhs)
         slack.append(point_slack)
         holds.append(point_holds)
-        args.append(point_args)
-    for k, reason in enumerate(reasons):
-        if reason is not None:
-            for column, value in zip(columns, (_NAN, _NAN, _NAN, None, (reason, {}))):
-                column.insert(k, value)
-    return GridReports(name, ps, lhs, rhs, slack, holds, details, args)
+        values.append(point_values)
+    return GridReports(name, ps, lhs, rhs, slack, holds, keys, values)
+
+
+def _not_applicable_grid(name: str, reason: str, p_grid, **extra) -> GridReports:
+    ps = tuple(float(p) for p in p_grid)
+    return _grid(name, ps, [(reason, extra)] * len(ps), (), ())
 
 
 def grid_sum_subadditivity_proot(a: Matrix, b: Matrix, p_grid) -> GridReports:
@@ -456,19 +455,15 @@ def grid_sum_subadditivity_proot(a: Matrix, b: Matrix, p_grid) -> GridReports:
     name = "sum_subadditivity_proot"
     a = np.asarray(a)
     b = np.asarray(b)
-    reason = None
     if not _same_square(a, b):
-        reason = "requires two square matrices of equal size"
-    elif _is_zero(a) or _is_zero(b):
-        reason = "requires nonzero matrices"
-    else:
-        wa = psd_eigenvalues(a)
-        wb = psd_eigenvalues(b)
-        if wa is None or wb is None:
-            reason = "requires positive semi-definite matrices"
-    if reason is not None:
-        return _not_applicable_grid(name, reason, p_grid)
-    ps, reasons, valid = _grid_exponents(p_grid, finite=True)
+        return _not_applicable_grid(name, "requires two square matrices of equal size", p_grid)
+    if _is_zero(a) or _is_zero(b):
+        return _not_applicable_grid(name, "requires nonzero matrices", p_grid)
+    wa = psd_eigenvalues(a)
+    wb = psd_eigenvalues(b)
+    if wa is None or wb is None:
+        return _not_applicable_grid(name, "requires positive semi-definite matrices", p_grid)
+    ps, reasons, valid = _grid_exponents(tuple(p_grid), finite=True)
     roots_a = _proot_grid(sigma_from_eigenvalues(wa), valid)
     roots_b = _proot_grid(sigma_from_eigenvalues(wb), valid)
     roots_sum = _proot_grid(sigma_from_eigenvalues(hermitian_part_eigenvalues(a + b)), valid)
@@ -478,10 +473,7 @@ def grid_sum_subadditivity_proot(a: Matrix, b: Matrix, p_grid) -> GridReports:
             rhs = root_a + root_b
             yield lhs, rhs, (rhs - lhs,), (p, root_a, root_b)
 
-    def details(p, root_a, root_b):
-        return {"p": p, "proot_a": root_a, "proot_b": root_b}
-
-    return _grid(name, ps, reasons, details, rows())
+    return _grid(name, ps, reasons, ("p", "proot_a", "proot_b"), rows())
 
 
 def check_sum_subadditivity_proot(a: Matrix, b: Matrix, p: float) -> CheckReport:
@@ -495,23 +487,17 @@ def grid_rank1_addition(
     name = "rank1_addition"
     a = np.asarray(a)
     b = np.asarray(b)
-    reason = None
-    extra: dict = {}
     if not _same_square(a, b):
-        reason = "requires two square matrices of equal size"
-    else:
-        wa = psd_eigenvalues(a)
-        wb = psd_eigenvalues(b)
-        if wa is None or wb is None:
-            reason = "requires positive semi-definite matrices"
-        else:
-            rank_b = numerical_rank_from_spectrum(sigma_from_eigenvalues(wb), rtol)
-            if rank_b != 1:
-                reason = f"requires rank(B) = 1, got {rank_b}"
-                extra = {"rank_b": rank_b}
-    if reason is not None:
-        return _not_applicable_grid(name, reason, p_grid, **extra)
-    ps, reasons, valid = _grid_exponents(p_grid, finite=False)
+        return _not_applicable_grid(name, "requires two square matrices of equal size", p_grid)
+    wa = psd_eigenvalues(a)
+    wb = psd_eigenvalues(b)
+    if wa is None or wb is None:
+        return _not_applicable_grid(name, "requires positive semi-definite matrices", p_grid)
+    rank_b = numerical_rank_from_spectrum(sigma_from_eigenvalues(wb), rtol)
+    if rank_b != 1:
+        reason = f"requires rank(B) = 1, got {rank_b}"
+        return _not_applicable_grid(name, reason, p_grid, rank_b=rank_b)
+    ps, reasons, valid = _grid_exponents(tuple(p_grid), finite=False)
     roots_a = _proot_grid(sigma_from_eigenvalues(wa), valid)
     roots_sum = _proot_grid(sigma_from_eigenvalues(hermitian_part_eigenvalues(a + b)), valid)
 
@@ -520,10 +506,7 @@ def grid_rank1_addition(
             lhs = root_sum - root_a
             yield lhs, 1.0, (1.0 - lhs,), (p, root_a, root_sum)
 
-    def details(p, root_a, root_sum):
-        return {"p": p, "proot_a": root_a, "proot_sum": root_sum}
-
-    return _grid(name, ps, reasons, details, rows())
+    return _grid(name, ps, reasons, ("p", "proot_a", "proot_sum"), rows())
 
 
 def check_rank1_addition(
@@ -547,7 +530,7 @@ def grid_product_kappa(
     if numerical_rank_from_spectrum(sa, rtol) != a.shape[0]:
         return _not_applicable_grid(name, "A is numerically singular", p_grid)
     kappa = float(sa[0] / sa[-1])
-    ps, reasons, valid = _grid_exponents(p_grid, finite=True)
+    ps, reasons, valid = _grid_exponents(tuple(p_grid), finite=True)
     srps_b = srp_from_sigma(sigma(b), valid).tolist()
     srps_ab = srp_from_sigma(sigma(a @ b), valid).tolist()
 
@@ -557,20 +540,10 @@ def grid_product_kappa(
             upper = kappa_p * srp_b if srp_b > 0 else 0.0
             lower = srp_b / kappa_p
             margins = (upper - srp_ab, srp_ab - lower)
-            yield srp_ab, upper, margins, (p, srp_b, lower, upper, margins)
+            yield srp_ab, upper, margins, (p, kappa, srp_b, lower, upper, *margins)
 
-    def details(p, srp_b, lower, upper, margins):
-        return {
-            "p": p,
-            "kappa2": kappa,
-            "sr_p_b": srp_b,
-            "lower_bound": lower,
-            "upper_bound": upper,
-            "slack_upper": margins[0],
-            "slack_lower": margins[1],
-        }
-
-    return _grid(name, ps, reasons, details, rows())
+    keys = ("p", "kappa2", "sr_p_b", "lower_bound", "upper_bound", "slack_upper", "slack_lower")
+    return _grid(name, ps, reasons, keys, rows())
 
 
 def check_product_kappa(
@@ -585,7 +558,7 @@ def grid_cross_product(a: Matrix, p_grid) -> GridReports:
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"cross_product requires a matrix, got shape {a.shape}")
-    ps, reasons, valid = _grid_exponents(p_grid, finite=False)
+    ps, reasons, valid = _grid_exponents(tuple(p_grid), finite=False)
     two_ps = tuple(math.inf if math.isinf(p) else 2.0 * p for p in valid)
     srps_a = srp_from_sigma(sigma(a), valid + two_ps).tolist()
     srps_left = srp_from_sigma(sigma(a.conj().T @ a), valid).tolist()
@@ -596,22 +569,14 @@ def grid_cross_product(a: Matrix, p_grid) -> GridReports:
         for p, srp_a, sr_2p_a, gram_left, gram_right in zip(
             valid, srps_a[:k], srps_a[k:], srps_left, srps_right
         ):
-            ident_left = -abs(gram_left - sr_2p_a)
-            ident_right = -abs(gram_right - sr_2p_a)
-            margins = (srp_a - gram_left, srp_a - gram_right, ident_left, ident_right)
-            yield gram_left, srp_a, margins, (p, srp_a, sr_2p_a, gram_left, gram_right)
+            err_left = abs(gram_left - sr_2p_a)
+            err_right = abs(gram_right - sr_2p_a)
+            margins = (srp_a - gram_left, srp_a - gram_right, -err_left, -err_right)
+            values = (p, srp_a, gram_left, gram_right, sr_2p_a, max(err_left, err_right))
+            yield gram_left, srp_a, margins, values
 
-    def details(p, srp_a, sr_2p_a, gram_left, gram_right):
-        return {
-            "p": p,
-            "sr_p_a": srp_a,
-            "sr_p_gram_left": gram_left,
-            "sr_p_gram_right": gram_right,
-            "sr_2p_a": sr_2p_a,
-            "identity_abs_err": max(abs(gram_left - sr_2p_a), abs(gram_right - sr_2p_a)),
-        }
-
-    return _grid(name, ps, reasons, details, rows())
+    keys = ("p", "sr_p_a", "sr_p_gram_left", "sr_p_gram_right", "sr_2p_a", "identity_abs_err")
+    return _grid(name, ps, reasons, keys, rows())
 
 
 def check_cross_product(a: Matrix, p: float) -> CheckReport:
@@ -648,7 +613,7 @@ def grid_perturbation(a: Matrix, e: Matrix, p_grid, rtol: float = DEFAULT_RANK_R
         return _not_applicable_grid(name, reason, p_grid, epsilon=eps)
     r = numerical_rank_from_spectrum(sig_e, rtol)
     psd_pair = psd_eigenvalues(a) is not None and psd_eigenvalues(e) is not None
-    ps, reasons, valid = _grid_exponents(p_grid, finite=False)
+    ps, reasons, valid = _grid_exponents(tuple(p_grid), finite=False)
     base_roots = _proot_grid(sig_a, valid)
     actual_roots = _proot_grid(sigma(a + e), valid)
 
@@ -658,30 +623,18 @@ def grid_perturbation(a: Matrix, e: Matrix, p_grid, rtol: float = DEFAULT_RANK_R
             gen_lower = (x - rp * eps) / (1.0 + eps)
             gen_upper = (x + rp * eps) / (1.0 - eps)
             margins = (y - gen_lower, gen_upper - y)
-            bounds = (gen_lower, gen_upper)
+            values = (p, eps, r, x, y, gen_lower, gen_upper, psd_pair)
             if psd_pair:
                 psd_lower = x / (1.0 + eps)
                 psd_upper = x + rp * eps
                 margins += (y - psd_lower, psd_upper - y)
-                bounds += (psd_lower, psd_upper)
-            yield y, gen_upper, margins, (p, x, y, bounds)
+                values += (psd_lower, psd_upper)
+            yield y, gen_upper, margins, values
 
-    def details(p, x, y, bounds):
-        d = {
-            "p": p,
-            "epsilon": eps,
-            "rank_e": r,
-            "base_proot": x,
-            "actual_proot": y,
-            "gen_lower": bounds[0],
-            "gen_upper": bounds[1],
-            "psd_pair": psd_pair,
-        }
-        if psd_pair:
-            d.update(psd_lower=bounds[2], psd_upper=bounds[3])
-        return d
-
-    return _grid(name, ps, reasons, details, rows())
+    keys = ("p", "epsilon", "rank_e", "base_proot", "actual_proot", "gen_lower", "gen_upper", "psd_pair")
+    if psd_pair:
+        keys += ("psd_lower", "psd_upper")
+    return _grid(name, ps, reasons, keys, rows())
 
 
 def check_perturbation(

@@ -286,8 +286,8 @@ def cmd_fuzz(args) -> int:
     overrides = {}
     if args.distributions:
         overrides["distributions"] = tuple(args.distributions.split(","))
-    if args.p_grid:
-        overrides["p_grid"] = tuple(_parse_float_list(args.p_grid))
+    if args.p_grid is not None:
+        overrides["p_grid"] = tuple(args.p_grid)
     if args.checks:
         overrides["checks"] = tuple(args.checks.split(","))
     try:
@@ -397,7 +397,9 @@ def build_parser() -> argparse.ArgumentParser:
     fuzz.add_argument("--trials", type=int, required=True)
     fuzz.add_argument("--dims-max", type=int, default=20, dest="dims_max")
     fuzz.add_argument("--distributions", default=None, help="comma-separated sample kinds")
-    fuzz.add_argument("--p-grid", default=None, dest="p_grid", help="comma-separated exponents")
+    fuzz.add_argument(
+        "--p-grid", type=_parse_float_list, dest="p_grid", help="comma-separated exponents"
+    )
     fuzz.add_argument("--checks", default=None, help="comma-separated check names")
     fuzz.add_argument("--parallelism", type=int, default=0, help="0 = auto")
     fuzz.add_argument("--out", default=None, help="also write the JSON report here")

@@ -148,8 +148,7 @@ def _psd_matrix(rng, kind, n, dims_max, field):
         lam = np.zeros(n)
         lam[:k] = _descending_spectrum(rng, k)
         v = mat.haar_unitary(rng, n, field)
-        g = (v * lam) @ v.conj().T
-        return (g + g.conj().T) / 2
+        return mat._hermitize((v * lam) @ v.conj().T)
     return _general_matrix(rng, kind, n, n, field)  # rank-1 PSD or a projector
 
 

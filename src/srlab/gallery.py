@@ -31,6 +31,7 @@ import numpy as np
 from .matrices import (
     Matrix,
     PreconditionError,
+    _hermitize,
     haar_unitary,
     prescribed_spectrum_matrix,
     projector_matrix,
@@ -286,10 +287,9 @@ def product_violation_family(n: int, alpha: float, rotate_seed: int | None = Non
     a = _diag([1.0] * (n - 1) + [alpha])
     b = _diag([1.0] * (n - 1) + [1.0 / alpha])
     a, b = _rotated(rotate_seed, a, b)
-    ab = a @ b
     # AB = I exactly; symmetrizing keeps the rotated product exactly
     # symmetric, so it is classified and decomposed like the other inputs.
-    ab = (ab + ab.T) / 2
+    ab = _hermitize(a @ b)
     thresholds = {"product": Fraction(alpha) > 1}
     return FamilyInstance(
         name="product_violation_family",

@@ -338,6 +338,30 @@ def test_perturbation_takes_every_spectrum_from_sigma():
     assert near > 0
 
 
+@pytest.mark.parametrize(
+    "noise, decompositions",
+    [(0.0, ["eigvalsh"] * 3), (1e-14, ["svd", "eigvalsh", "eigvalsh", "svd"])],
+)
+def test_perturbation_decomposition_count(noise, decompositions, lapack_calls):
+    """What one check costs in a trial scope, as ``srlab verify`` runs it.
+
+    An exactly symmetric A: sigma(A), sigma(E) and sigma(A + E) are each one
+    eigvalsh, and the PSD pair reuses them. An A that is Hermitian only within
+    the threshold: sigma(A) and sigma(A + E) are SVDs, so the PSD pair needs
+    its own eigvalsh of A's Hermitian part.
+    """
+    from srlab.matrices import trial_scope
+
+    rng = np.random.default_rng(31)
+    a = psd(rng, 30)
+    a = a + noise * rng.standard_normal(a.shape)
+    assert np.array_equal(a, a.T) == (noise == 0.0)
+    with trial_scope():
+        report = check_perturbation(a, 0.1 * np.eye(30), 2.0)
+    assert report.holds and report.details["psd_pair"]
+    assert [name for name, _ in lapack_calls] == decompositions
+
+
 def test_psd_gated_proots_match_p_stable_rank_on_exact_hermitian_input():
     """On exactly Hermitian, rank-deficient PSD inputs, every p-root of
     sum_subadditivity_proot and rank1_addition equals srp^(1/p) bit for bit."""
@@ -574,6 +598,50 @@ def test_encode_json_of_verify_payloads_is_unchanged():
         '{"details": {"reason": "A is not positive semi-definite"}, "holds": null, '
         '"kind": "verify", "lhs": "nan", "name": "weyl", "preconditions_met": false, '
         '"rhs": "nan", "schema": 1, "slack": "nan", "status": "not-applicable"}',
+    ]
+    # One applicable point of each grid check, details in key order, and the
+    # perturbation check with and without its PSD pair. Diagonal inputs at
+    # p = 1 (and kappa2^p = 2^2), so no value depends on how pow rounds.
+    d = np.diag
+    grid_points = [
+        check_sum_subadditivity_proot(d([2.0, 1.0]), d([1.0, 0.5]), 1.0),
+        check_rank1_addition(d([2.0, 1.0]), d([1.0, 0.0]), 1.0),
+        check_product_kappa(d([2.0, 1.0]), d([1.0, 0.5]), 2.0),
+        check_cross_product(d([2.0, 1.0]), 1.0),
+        check_perturbation(d([2.0, 1.0]), d([0.5, 0.5]), 1.0),
+        check_perturbation(d([2.0, 1.0]), d([0.5, -0.5]), 1.0),
+    ]
+    assert [
+        json.dumps(encode_json({"schema": 1, "kind": "verify", **r.to_json_dict()}))
+        for r in grid_points
+    ] == [
+        '{"schema": 1, "kind": "verify", "name": "sum_subadditivity_proot", "lhs": 1.5, '
+        '"rhs": 3.0, "slack": 1.5, "holds": true, "preconditions_met": true, '
+        '"status": "pass", "details": {"p": 1.0, "proot_a": 1.5, "proot_b": 1.5}}',
+        '{"schema": 1, "kind": "verify", "name": "rank1_addition", '
+        '"lhs": -0.16666666666666674, "rhs": 1.0, "slack": 1.1666666666666667, '
+        '"holds": true, "preconditions_met": true, "status": "pass", "details": {"p": 1.0, '
+        '"proot_a": 1.5, "proot_sum": 1.3333333333333333}}',
+        '{"schema": 1, "kind": "verify", "name": "product_kappa", "lhs": 1.0625, '
+        '"rhs": 5.0, "slack": 0.75, "holds": true, "preconditions_met": true, '
+        '"status": "pass", "details": {"p": 2.0, "kappa2": 2.0, "sr_p_b": 1.25, '
+        '"lower_bound": 0.3125, "upper_bound": 5.0, "slack_upper": 3.9375, '
+        '"slack_lower": 0.75}}',
+        '{"schema": 1, "kind": "verify", "name": "cross_product", "lhs": 1.25, "rhs": 1.5, '
+        '"slack": -0.0, "holds": true, "preconditions_met": true, "status": "pass", '
+        '"details": {"p": 1.0, "sr_p_a": 1.5, "sr_p_gram_left": 1.25, '
+        '"sr_p_gram_right": 1.25, "sr_2p_a": 1.25, "identity_abs_err": 0.0}}',
+        '{"schema": 1, "kind": "verify", "name": "perturbation", "lhs": 1.6, '
+        '"rhs": 2.6666666666666665, "slack": 0.3999999999999999, "holds": true, '
+        '"preconditions_met": true, "status": "pass", "details": {"p": 1.0, '
+        '"epsilon": 0.25, "rank_e": 2, "base_proot": 1.5, "actual_proot": 1.6, '
+        '"gen_lower": 0.8, "gen_upper": 2.6666666666666665, "psd_pair": true, '
+        '"psd_lower": 1.2, "psd_upper": 2.0}}',
+        '{"schema": 1, "kind": "verify", "name": "perturbation", "lhs": 1.2, '
+        '"rhs": 2.6666666666666665, "slack": 0.3999999999999999, "holds": true, '
+        '"preconditions_met": true, "status": "pass", "details": {"p": 1.0, '
+        '"epsilon": 0.25, "rank_e": 2, "base_proot": 1.5, "actual_proot": 1.2, '
+        '"gen_lower": 0.8, "gen_upper": 2.6666666666666665, "psd_pair": false}}',
     ]
     # A report's JSON dict nested in a payload is kept as it is; tuples become lists.
     assert encode_json({"r": passed.to_json_dict(), "t": (1.0, math.inf)}) == {

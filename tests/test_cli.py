@@ -563,6 +563,22 @@ def test_fuzz_cli_bad_config_exit_2(files):
     assert out.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("abc", "error: argument --p-grid: invalid"),
+        ("", "error: p_grid must be nonempty"),
+    ],
+    ids=["abc", "empty"],
+)
+def test_fuzz_cli_bad_p_grid_exit_2(grid, message):
+    # A grid that is not a list of numbers is a usage error, not a failure found (exit 1).
+    out = run_cli("fuzz", "--trials", "1", "--parallelism", "1", "--p-grid", grid)
+    assert out.returncode == 2
+    assert message in out.stderr.splitlines()[-1]
+    assert "Traceback" not in out.stderr
+
+
 def test_text_and_csv_formats_do_not_crash(files):
     eye = str(files / "identity5.mtx")
     # argv -> (CSV header row, pattern of the first text line)
