@@ -8,9 +8,7 @@ names its flags, ``--input`` gives its matrix ``a``, and a flag the builder
 does not take is an error), ``condition``
 (perturbation-bound sweep), ``fuzz`` (randomized campaign). Reports are
 JSON (schema 1) by default; ``--format csv|text`` flattens them. Every
-subcommand prints its report through one printer, :func:`_print_report`,
-and its errors through one helper, :func:`_error`, which writes
-``error: ...`` to stderr and returns the exit code.
+subcommand prints its report through one printer, :func:`_print_report`.
 
 ``--rtol`` is the one numerical-rank tolerance of ``compute``, ``verify``,
 ``gallery`` and ``condition``, by default
@@ -19,7 +17,10 @@ that fixed value.
 
 Exit codes: 0 success or not-applicable, 1 a verified inequality failed,
 2 unreadable input or invalid parameters, 3 intrinsic dimension requested
-for a non-PSD matrix.
+for a non-PSD matrix. Errors map to exit codes in :func:`main`, not in each
+command: a ``ValueError`` or an ``OSError`` (a path that cannot be read or
+written) prints ``error: ...`` to stderr and exits 2; ``compute`` alone
+maps its quantity's ``PreconditionError`` to 3.
 
 The argument parser is built once per process and shared by every
 :func:`main` call, so repeated in-process calls skip argparse's set-up.
@@ -41,7 +42,7 @@ from . import gallery as gal
 from .checks import CHECKS, canonical_check_name, check_perturbation, encode_json
 from .fuzz import FuzzConfig, run_fuzz, scaled_perturbation
 from .matrices import PreconditionError, trial_scope
-from .mmio import MatrixParseError, read_matrix, write_matrix_market
+from .mmio import read_matrix, write_matrix_market
 from .ranks import (
     DEFAULT_RANK_RTOL,
     intrinsic_dimension,
@@ -78,8 +79,26 @@ def _error(message, code: int) -> int:
     return code
 
 
-def _parse_float_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
+def _list_of(convert, what: str):
+    """An argparse ``type``: the nonblank comma-separated items through
+    ``convert``, as a tuple; a rejected item reads ``invalid value 'TEXT'``."""
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(convert(item) for item in text.split(",") if item.strip())
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid value {text!r}: expected comma-separated {what}"
+            ) from None
+
+    return parse
+
+
+def _seed(text: str) -> int:
+    """The argparse ``type`` of ``--seed``: numpy seeds from nonnegative integers only."""
+    if not text.strip().isdecimal():
+        raise argparse.ArgumentTypeError(f"invalid value {text!r}: expected a nonnegative integer")
+    return int(text)
 
 
 def _quantity_value(a, quantity: str, p: float, rtol: float) -> float:
@@ -95,18 +114,13 @@ def _quantity_value(a, quantity: str, p: float, rtol: float) -> float:
 
 
 def cmd_compute(args) -> int:
-    try:
-        # A coordinate file stays sparse, so a large wide one forms its Gram
-        # with a sparse product.
-        a = read_matrix(args.input, sparse=True)
-    except MatrixParseError as exc:
-        return _error(exc, 2)
+    # A coordinate file stays sparse, so a large wide one forms its Gram
+    # with a sparse product.
+    a = read_matrix(args.input, sparse=True)
     try:
         value = _quantity_value(a, args.quantity, args.p, args.rtol)
     except PreconditionError as exc:
         return _error(exc, 3)
-    except ValueError as exc:
-        return _error(exc, 2)
     record = {
         "schema": SCHEMA_VERSION,
         "kind": "compute",
@@ -121,10 +135,7 @@ def cmd_compute(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        name = canonical_check_name(args.check)
-    except ValueError as exc:
-        return _error(exc, 2)
+    name = canonical_check_name(args.check)
     check = CHECKS[name]
     params = inspect.signature(check).parameters
     matrix_slots = [
@@ -133,19 +144,13 @@ def cmd_verify(args) -> int:
         if param.default is param.empty and key not in _VERIFY_FLAGS
     ]
     if len(args.inputs) != len(matrix_slots):
-        return _error(
-            f"{name} needs {len(matrix_slots)} matrix file(s): {', '.join(matrix_slots)}", 2
+        raise ValueError(
+            f"{name} needs {len(matrix_slots)} matrix file(s): {', '.join(matrix_slots)}"
         )
-    try:
-        matrices = [read_matrix(path) for path in args.inputs]
-    except MatrixParseError as exc:
-        return _error(exc, 2)
+    matrices = [read_matrix(path) for path in args.inputs]
     flags = {key: getattr(args, key) for key in _VERIFY_FLAGS if key in params}
-    try:
-        with trial_scope():
-            report = check(*matrices, **flags)
-    except ValueError as exc:
-        return _error(exc, 2)
+    with trial_scope():
+        report = check(*matrices, **flags)
     payload = {"schema": SCHEMA_VERSION, "kind": "verify", **report.to_json_dict()}
     row = {key: getattr(report, key) for key in ("name", "status", "lhs", "rhs", "slack")}
     _print_report(
@@ -184,11 +189,8 @@ def _build_family(args) -> gal.FamilyInstance:
 
 
 def cmd_gallery(args) -> int:
-    try:
-        instance = _build_family(args)
-        evaluation = gal.evaluate(instance, rtol=args.rtol)
-    except ValueError as exc:  # PreconditionError and MatrixParseError included
-        return _error(exc, 2)
+    instance = _build_family(args)
+    evaluation = gal.evaluate(instance, rtol=args.rtol)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = {}
@@ -218,12 +220,11 @@ def cmd_gallery(args) -> int:
 
 
 def cmd_condition(args) -> int:
-    try:
-        a = read_matrix(args.input)
-    except MatrixParseError as exc:
-        return _error(exc, 2)
+    if not args.epsilons:
+        raise ValueError("epsilons must be nonempty")
+    a = read_matrix(args.input)
     if args.perturbation == "psd" and a.shape[0] != a.shape[1]:
-        return _error("PSD perturbations need a square input matrix", 2)
+        raise ValueError("PSD perturbations need a square input matrix")
     rows = []
     any_failure = False
     # One scope for the sweep: the input is decomposed once, not per epsilon.
@@ -237,10 +238,7 @@ def cmd_condition(args) -> int:
             rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(i,)))
             field = "complex" if np.iscomplexobj(a) else "real"
             e = scaled_perturbation(rng, a, eps, args.perturbation, field)
-            try:
-                report = check_perturbation(a, e, args.p, rtol=args.rtol)
-            except ValueError as exc:  # an invalid --rtol
-                return _error(exc, 2)
+            report = check_perturbation(a, e, args.p, rtol=args.rtol)
             if not report.preconditions_met:
                 row["reason"] = report.details.get("reason", "not applicable")
                 rows.append(row)
@@ -283,24 +281,11 @@ def cmd_condition(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    overrides = {}
-    if args.distributions:
-        overrides["distributions"] = tuple(args.distributions.split(","))
-    if args.p_grid is not None:
-        overrides["p_grid"] = tuple(args.p_grid)
-    if args.checks:
-        overrides["checks"] = tuple(args.checks.split(","))
-    try:
-        cfg = FuzzConfig(
-            trials=args.trials,
-            seed=args.seed,
-            dims_max=args.dims_max,
-            parallelism=args.parallelism,
-            **overrides,
-        )
-    except ValueError as exc:
-        return _error(exc, 2)
-    report = run_fuzz(cfg)
+    # FuzzConfig's fields are the flags of the same names; a list flag left
+    # out keeps its default.
+    fields = ("trials", "seed", "dims_max", "parallelism", "distributions", "p_grid", "checks")
+    given = {key: getattr(args, key) for key in fields if getattr(args, key) is not None}
+    report = run_fuzz(FuzzConfig(**given))
     payload = report.to_json_dict()
     if args.out:
         Path(args.out).write_text(json.dumps(encode_json(payload), indent=2, sort_keys=True))
@@ -333,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--rtol", type=float, default=DEFAULT_RANK_RTOL, help="numerical rank tolerance"
     )
-    parser.add_argument("--seed", type=int, default=0, help="base seed for randomized commands")
+    parser.add_argument("--seed", type=_seed, default=0, help="base seed for randomized commands")
     # The same flags are accepted after the subcommand; SUPPRESS keeps the
     # subparser from clobbering values parsed at the top level.
     common = argparse.ArgumentParser(add_help=False)
@@ -341,8 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("json", "csv", "text"), default=argparse.SUPPRESS
     )
     common.add_argument("--rtol", type=float, default=argparse.SUPPRESS)
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    common.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
     sub = parser.add_subparsers(dest="command", required=True)
+    numbers, names = _list_of(float, "numbers"), _list_of(str, "names")
 
     compute = sub.add_parser(
         "compute", help="compute one scalar quantity for a matrix file", parents=[common]
@@ -385,9 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     condition.add_argument("input")
     condition.add_argument("--perturbation", choices=("gaussian", "psd"), default="gaussian")
-    condition.add_argument(
-        "--epsilons", type=_parse_float_list, default=(0.01, 0.05, 0.1, 0.3, 0.5)
-    )
+    condition.add_argument("--epsilons", type=numbers, default=(0.01, 0.05, 0.1, 0.3, 0.5))
     condition.add_argument("-p", type=float, default=2.0)
     condition.set_defaults(func=cmd_condition)
 
@@ -396,11 +380,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument("--trials", type=int, required=True)
     fuzz.add_argument("--dims-max", type=int, default=20, dest="dims_max")
-    fuzz.add_argument("--distributions", default=None, help="comma-separated sample kinds")
-    fuzz.add_argument(
-        "--p-grid", type=_parse_float_list, dest="p_grid", help="comma-separated exponents"
-    )
-    fuzz.add_argument("--checks", default=None, help="comma-separated check names")
+    fuzz.add_argument("--distributions", type=names, help="comma-separated sample kinds")
+    fuzz.add_argument("--p-grid", type=numbers, dest="p_grid", help="comma-separated exponents")
+    fuzz.add_argument("--checks", type=names, help="comma-separated check names")
     fuzz.add_argument("--parallelism", type=int, default=0, help="0 = auto")
     fuzz.add_argument("--out", default=None, help="also write the JSON report here")
     fuzz.set_defaults(func=cmd_fuzz)
@@ -410,7 +392,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        return _error(exc, 2)
 
 
 if __name__ == "__main__":

@@ -82,13 +82,15 @@ def read_csv(path) -> Matrix:
 def read_matrix(path, sparse: bool = False):
     """Sniff the format: MatrixMarket when the header says so, else CSV.
 
-    ``sparse`` is passed to :func:`read_matrix_market`.
+    ``sparse`` is passed to :func:`read_matrix_market`. A path that cannot
+    be opened (missing, a directory, unreadable) is a parse error naming it.
     """
     path = Path(path)
-    if not path.exists():
-        raise MatrixParseError(f"{path}: no such file")
-    with open(path, "rb") as fh:
-        head = fh.read(14)
+    try:
+        with open(path, "rb") as fh:
+            head = fh.read(14)
+    except OSError as exc:
+        raise MatrixParseError(f"{path}: {exc.strerror or exc}") from exc
     if head.startswith(b"%%MatrixMarket") or path.suffix.lower() in (".mtx", ".mm"):
         return read_matrix_market(path, sparse)
     return read_csv(path)

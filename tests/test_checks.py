@@ -3,12 +3,14 @@ handling, and report serialization."""
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import srlab.checks
 from srlab.checks import (
     CHECKS,
     CheckReport,
@@ -661,6 +663,68 @@ def test_registry_consistency():
     assert canonical_check_name("deletion") == "deletion"
     with pytest.raises(ValueError):
         canonical_check_name("nope")
+
+
+# A check's unmet precondition: (check, inputs, keyword arguments, and the
+# not-applicable reason, or the ValueError that the check raises).
+_RECT = np.ones((2, 3))
+_EYE = np.eye(2)
+_INDEFINITE = np.diag([1.0, -1.0])
+_VECTOR = np.ones(3)
+_UNEQUAL = "requires two square matrices of equal size"
+PRECONDITION_CASES = {
+    "weyl_not_square": ("weyl", (_RECT, _RECT), {}, _UNEQUAL),
+    "weyl_b_not_psd": ("weyl", (_EYE, _INDEFINITE), {}, "B is not positive semi-definite"),
+    "intdim_subadditive_not_square": ("intdim_subadditive", (_RECT, _RECT), {}, _UNEQUAL),
+    "intdim_subadditive_not_psd": (
+        "intdim_subadditive", (_EYE, _INDEFINITE), {}, "requires positive semi-definite matrices"
+    ),
+    "block_intdim_not_square": ("block_intdim", (_RECT,), {"k": 1}, "requires a square matrix"),
+    "cholesky_intdim_not_square": ("cholesky_intdim", (_RECT,), {}, "requires a square matrix"),
+    "sum_subadditivity_proot_not_square": ("sum_subadditivity_proot", (_RECT, _RECT), {}, _UNEQUAL),
+    "sum_subadditivity_proot_zero": (
+        "sum_subadditivity_proot", (np.zeros((2, 2)), _EYE), {}, "requires nonzero matrices"
+    ),
+    "rank1_addition_not_square": ("rank1_addition", (_RECT, _RECT), {}, _UNEQUAL),
+    "rank1_addition_not_psd": (
+        "rank1_addition", (_EYE, _INDEFINITE), {}, "requires positive semi-definite matrices"
+    ),
+    "product_kappa_a_not_square": ("product_kappa", (_RECT, _RECT.T), {}, "requires square A"),
+    "perturbation_unequal_shapes": (
+        "perturbation", (_EYE, _RECT), {}, "requires matrices of equal shape"
+    ),
+    "block_diag_sr_vector": (
+        "block_diag_sr", (_VECTOR, _EYE), {}, ValueError("block_diag_sr requires two matrices")
+    ),
+    "deletion_vector": (
+        "deletion", (_VECTOR,), {"drop_col": 0}, ValueError("deletion requires a matrix")
+    ),
+    "cross_product_vector": (
+        "cross_product", (_VECTOR,), {}, ValueError("cross_product requires a matrix, got shape (3,)")
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PRECONDITION_CASES))
+def test_unmet_preconditions(case):
+    name, inputs, kwargs, expected = PRECONDITION_CASES[case]
+    check = CHECKS[name]
+    grid_check = getattr(srlab.checks, f"grid_{name}", None)
+    if grid_check is not None:
+        kwargs = {**kwargs, "p": 2.0}
+    if isinstance(expected, ValueError):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected))}$"):
+            check(*inputs, **kwargs)
+        return
+    report = check(*inputs, **kwargs)
+    assert report.status == "not-applicable"
+    assert report.details["reason"] == expected
+    if grid_check is not None:
+        grid = (0.5, 1.0, 2.0, math.inf)
+        reports = list(grid_check(*inputs, grid))
+        assert len(reports) == len(grid)
+        assert all(r.status == "not-applicable" for r in reports)
+        assert all(r.details["reason"] == expected for r in reports)
 
 
 def test_grid_matches_single_calls():

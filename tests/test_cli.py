@@ -24,6 +24,7 @@ def run_cli(*args, cwd=None):
 def files(tmp_path):
     write_matrix_market(tmp_path / "identity5.mtx", np.eye(5))
     write_matrix_market(tmp_path / "zero.mtx", np.zeros((3, 3)))
+    write_matrix_market(tmp_path / "rank1.mtx", np.diag([2.0, 0.0, 0.0]))
     write_matrix_market(tmp_path / "indefinite.mtx", np.diag([1.0, -1.0]))
     write_matrix_market(tmp_path / "spiked.mtx", np.diag([1.0, 1.0, 1.0, 1.0, 2.0]))
     write_matrix_market(tmp_path / "sumA.mtx", np.diag([4.0, 2.0, 2.0, 2.0, 2.0]))
@@ -563,20 +564,78 @@ def test_fuzz_cli_bad_config_exit_2(files):
     assert out.returncode == 2
 
 
-@pytest.mark.parametrize(
-    "grid, message",
-    [
-        ("abc", "error: argument --p-grid: invalid"),
-        ("", "error: p_grid must be nonempty"),
-    ],
-    ids=["abc", "empty"],
-)
-def test_fuzz_cli_bad_p_grid_exit_2(grid, message):
-    # A grid that is not a list of numbers is a usage error, not a failure found (exit 1).
-    out = run_cli("fuzz", "--trials", "1", "--parallelism", "1", "--p-grid", grid)
-    assert out.returncode == 2
+def assert_usage_error(out, message):
+    """Exit 2 with ``message`` in the last stderr line, and no traceback."""
+    assert out.returncode == 2, out.stderr
     assert message in out.stderr.splitlines()[-1]
     assert "Traceback" not in out.stderr
+    assert "_parse_float_list" not in out.stderr
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--p-grid", "abc"], "error: argument --p-grid: invalid"),
+        (["--p-grid", ""], "error: p_grid must be nonempty"),
+        (["--p-grid", "1,x"], "error: argument --p-grid: invalid value '1,x': expected comma"),
+        (["--checks", ""], "error: checks must be nonempty"),
+        (["--distributions", ""], "error: distributions must be nonempty"),
+        (["--out", "{d}/missing/r.json"], "{d}/missing/r.json"),
+    ],
+    ids=["abc", "empty", "one_bad", "checks_empty", "distributions_empty", "out_unwritable"],
+)
+def test_fuzz_cli_bad_p_grid_exit_2(flags, message, tmp_path):
+    # A grid that is not a list of numbers is a usage error, not a failure found
+    # (exit 1); so are an empty list flag and an --out that cannot be written.
+    flags = [flag.format(d=tmp_path) for flag in flags]
+    out = run_cli("fuzz", "--trials", "1", "--parallelism", "1", *flags)
+    assert_usage_error(out, message.format(d=tmp_path))
+
+
+# "{d}" stands for the directory of the files fixture.
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["compute", "{d}/adir", "-q", "sr"], "error: {d}/adir: "),
+        (["compute", "{d}/missing.mtx", "-q", "sr"], "error: {d}/missing.mtx: "),
+        (["--seed", "-1", "condition", "{d}/identity5.mtx"], "argument --seed: invalid value '-1'"),
+        (["condition", "{d}/identity5.mtx", "--epsilons", ""], "error: epsilons must be nonempty"),
+        (["condition", "{d}/identity5.mtx", "--epsilons", "abc"], "argument --epsilons: invalid"),
+        (
+            ["gallery", "deletion_family", "--n", "5", "--alpha", "2", "--out", "{d}/zero.mtx"],
+            "{d}/zero.mtx",
+        ),
+        (
+            ["gallery", "maximizer_multiplier", "--input", "{d}/zero.mtx"],
+            "error: requires a nonzero matrix",
+        ),
+        (
+            ["gallery", "congruence_maximizer", "--input", "{d}/zero.mtx"],
+            "error: requires a nonzero matrix",
+        ),
+        (
+            ["gallery", "congruence_minimizer", "--input", "{d}/rank1.mtx", "--alpha", "0.5"],
+            "error: requires rank >= 2, got 1",
+        ),
+    ],
+    ids=[
+        "compute_directory",
+        "compute_missing",
+        "negative_seed",
+        "epsilons_empty",
+        "epsilons_abc",
+        "gallery_out_is_a_file",
+        "maximizer_multiplier_zero",
+        "congruence_maximizer_zero",
+        "congruence_minimizer_rank1",
+    ],
+)
+def test_input_errors_exit_2(argv, message, files):
+    # None of these reaches a verdict, so none prints a report.
+    (files / "adir").mkdir()
+    out = run_cli(*[arg.format(d=files) for arg in argv])
+    assert_usage_error(out, message.format(d=files))
+    assert out.stdout == ""
 
 
 def test_text_and_csv_formats_do_not_crash(files):

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,16 @@ def test_config_validation():
         FuzzConfig(trials=1, seed=1, p_grid=())
     with pytest.raises(ValueError):
         FuzzConfig(trials=1, seed=1, checks=("bogus",))
+    # The remaining field checks, each by its message.
+    for overrides, message in [
+        ({"seed": -1}, "seed must be nonnegative, got -1"),
+        ({"dims_max": 0}, "dims_max must be >= 1, got 0"),
+        ({"parallelism": -1}, "parallelism must be >= 0, got -1"),
+        ({"distributions": ()}, "distributions must be nonempty"),
+        ({"checks": ()}, "checks must be nonempty"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FuzzConfig(**{"trials": 1, "seed": 1, **overrides})
 
 
 def test_trial_inputs_deterministic():
