@@ -236,8 +236,7 @@ def cmd_condition(args) -> int:
                 rows.append(row)
                 continue
             rng = np.random.default_rng(np.random.SeedSequence(args.seed, spawn_key=(i,)))
-            field = "complex" if np.iscomplexobj(a) else "real"
-            e = scaled_perturbation(rng, a, eps, args.perturbation, field)
+            e = scaled_perturbation(rng, a, eps, args.perturbation)
             report = check_perturbation(a, e, args.p, rtol=args.rtol)
             if not report.preconditions_met:
                 row["reason"] = report.details.get("reason", "not applicable")
@@ -285,7 +284,10 @@ def cmd_fuzz(args) -> int:
     # out keeps its default.
     fields = ("trials", "seed", "dims_max", "parallelism", "distributions", "p_grid", "checks")
     given = {key: getattr(args, key) for key in fields if getattr(args, key) is not None}
-    report = run_fuzz(FuzzConfig(**given))
+    cfg = FuzzConfig(**given)
+    if args.out:  # created before any trial runs, so a path that cannot be written fails at once
+        Path(args.out).write_text("")
+    report = run_fuzz(cfg)
     payload = report.to_json_dict()
     if args.out:
         Path(args.out).write_text(json.dumps(encode_json(payload), indent=2, sort_keys=True))

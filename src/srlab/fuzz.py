@@ -8,9 +8,11 @@ before any check runs, which makes every instance reproducible from
 ``(seed, trial)`` alone.
 
 Which trial inputs feed which check is described once, in the ``_CALLS``
-table of ``(check, variant, gridded, call)`` rows that :func:`run_trial`
-and the campaign walk in order. General inputs are drawn through
-:func:`srlab.matrices.draw_matrix`, the one dispatch over the sample kinds.
+table of ``(check, variant, gridded, call)`` rows that :func:`run_trial`,
+:func:`reproduce_check` and the campaign walk in order. The draws of a trial
+are written once: :func:`trial_inputs`, and one function per input slot that
+calls the :mod:`srlab.matrices` builder of each of the :data:`SAMPLE_KINDS`.
+A new draw goes after the existing ones, so recorded trials still replay.
 
 :func:`run_trial` returns every instance's :class:`~srlab.checks.CheckReport`.
 A campaign (:func:`run_fuzz`) does not need them: each chunk folds the
@@ -53,6 +55,13 @@ from .schatten import validate_exponent
 
 DEFAULT_P_GRID = (1.0, 1.5, 2.0, 3.0, 10.0, math.inf)
 CHUNK_SIZE = 128
+SAMPLE_KINDS = (
+    "gaussian",
+    "psd_gram",
+    "prescribed_spectrum",
+    "rank1_psd",
+    "orthogonal_projector",
+)
 
 
 @dataclass(frozen=True)
@@ -66,7 +75,7 @@ class FuzzConfig:
     trials: int
     seed: int
     dims_max: int = 20
-    distributions: tuple[str, ...] = mat.SAMPLE_KINDS
+    distributions: tuple[str, ...] = SAMPLE_KINDS
     p_grid: tuple[float, ...] = DEFAULT_P_GRID
     checks: tuple[str, ...] = tuple(CHECKS)
     parallelism: int = 0
@@ -84,7 +93,7 @@ class FuzzConfig:
         if not dists:
             raise ValueError("distributions must be nonempty")
         for kind in dists:
-            if kind not in mat.SAMPLE_KINDS:
+            if kind not in SAMPLE_KINDS:
                 raise ValueError(f"unknown distribution {kind!r}")
         object.__setattr__(self, "distributions", dists)
         grid = tuple(validate_exponent(p) for p in self.p_grid)
@@ -121,22 +130,22 @@ def resolve_parallelism(requested: int) -> int:
     return max(1, requested)
 
 
-def _loguniform(rng, low, high, size):
-    return np.exp(rng.uniform(np.log(low), np.log(high), size))
-
-
 def _descending_spectrum(rng, length, low=1e-4, high=1.0):
-    return np.sort(_loguniform(rng, low, high, length))[::-1]
+    return np.sort(np.exp(rng.uniform(np.log(low), np.log(high), length)))[::-1]
 
 
 def _general_matrix(rng, kind, m, n, field):
-    # The spectrum and the rank come off the stream before the matrix, so recorded trials replay.
-    spectrum = rank = None
+    # A spectrum or a rank comes off the stream just before its matrix, so recorded trials replay.
+    if kind == "gaussian":
+        return mat.gaussian_matrix(rng, m, n, field)
+    if kind == "psd_gram":
+        return mat.psd_gram_matrix(rng, m, n, field)
     if kind == "prescribed_spectrum":
         spectrum = _descending_spectrum(rng, int(rng.integers(1, min(m, n) + 1)))
-    elif kind == "orthogonal_projector":
-        rank = int(rng.integers(1, n + 1))
-    return mat.draw_matrix(rng, kind, m, n, field, spectrum, rank)
+        return mat.prescribed_spectrum_matrix(rng, m, n, spectrum, field)
+    if kind == "rank1_psd":
+        return mat.rank1_psd_matrix(rng, n, field)
+    return mat.projector_matrix(rng, n, int(rng.integers(1, n + 1)), field)
 
 
 def _psd_matrix(rng, kind, n, dims_max, field):
@@ -152,13 +161,14 @@ def _psd_matrix(rng, kind, n, dims_max, field):
     return _general_matrix(rng, kind, n, n, field)  # rank-1 PSD or a projector
 
 
-def scaled_perturbation(rng, base, eps, kind, field):
-    """Perturbation with two-norm exactly eps times that of ``base``.
+def scaled_perturbation(rng, base, eps, kind):
+    """Perturbation of ``base``'s field with two-norm exactly eps times that of ``base``.
 
     Both two-norms come from :func:`srlab.matrices.sigma`, so inside a
     trial scope the checks reuse the decomposition of ``base``.
     """
     m, n = base.shape
+    field = "complex" if np.iscomplexobj(base) else "real"
     if kind == "psd":
         rows = int(rng.integers(1, max(m, n) + 1))
         g = mat.psd_gram_matrix(rng, rows, n, field)
@@ -192,9 +202,9 @@ def trial_inputs(seed: int, index: int, cfg: FuzzConfig) -> dict:
     k_prod = int(rng.integers(1, dmax + 1))
     b_prod = mat.gaussian_matrix(rng, n, k_prod, field)
     eps_gen = float(rng.uniform(0.05, 0.9))
-    e_gen = scaled_perturbation(rng, a_gen, eps_gen, "gaussian", field)
+    e_gen = scaled_perturbation(rng, a_gen, eps_gen, "gaussian")
     eps_psd = float(rng.uniform(0.05, 0.9))
-    e_psd = scaled_perturbation(rng, a_psd, eps_psd, "psd", field)
+    e_psd = scaled_perturbation(rng, a_psd, eps_psd, "psd")
     k1 = int(rng.integers(1, dmax + 1))
     k2 = int(rng.integers(1, dmax + 1))
     a11 = mat.gaussian_matrix(rng, k1, k1, field)
@@ -287,10 +297,14 @@ def _run_checks(x: dict, cfg: FuzzConfig) -> list[TrialResult]:
 def reproduce_check(
     cfg: FuzzConfig, trial: int, check: str, variant: str | None, p: float | None
 ) -> CheckReport:
-    """Re-run a single recorded instance from its reproduction seed."""
-    for result in run_trial(cfg.seed, trial, cfg):
-        if result.check == check and result.variant == variant and result.p == p:
-            return result.report
+    """Re-run one recorded instance: only its ``_CALLS`` row, a grid row at ``p`` alone."""
+    for name, row_variant, gridded, call in _CALLS:
+        ps = cfg.p_grid if gridded else _NO_EXPONENT
+        if check in cfg.checks and (name, row_variant) == (check, variant) and p in ps:
+            with mat.trial_scope():
+                reports = call(trial_inputs(cfg.seed, trial, cfg), (ps[ps.index(p)],))
+            if reports:  # block_intdim has no instance at n < 2
+                return reports[0]
     raise ValueError(f"no instance of {check} (variant={variant}, p={p}) in trial {trial}")
 
 

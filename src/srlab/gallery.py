@@ -112,16 +112,12 @@ def _diag(values) -> np.ndarray:
     return np.diag(np.asarray(values, dtype=np.float64))
 
 
-def _orthogonal(rng, n: int) -> np.ndarray:
-    return haar_unitary(rng, n, "real")
-
-
 def _rotated(rotate_seed: int | None, *matrices: np.ndarray) -> tuple[np.ndarray, ...]:
     """Each matrix as ``q @ m @ q.T`` for one orthogonal ``q`` seeded by
     ``rotate_seed``, or unchanged when it is None."""
     if rotate_seed is None:
         return matrices
-    q = _orthogonal(np.random.default_rng(rotate_seed), matrices[0].shape[0])
+    q = haar_unitary(np.random.default_rng(rotate_seed), matrices[0].shape[0])
     return tuple(q @ m @ q.T for m in matrices)
 
 
@@ -177,7 +173,7 @@ def geometric_decay(
     a = _diag(values)
     if rotate_seed is not None:
         rng = np.random.default_rng(rotate_seed)
-        a = _orthogonal(rng, n) @ a @ _orthogonal(rng, n).T
+        a = haar_unitary(rng, n) @ a @ haar_unitary(rng, n).T
     sr = float(n) if ratio == 1.0 else (1.0 - ratio ** (2 * n)) / (1.0 - ratio**2)
     rank = numerical_rank_from_spectrum(values, rtol)
     return FamilyInstance(
@@ -201,9 +197,9 @@ def deletion_family(n: int, alpha: float, rotate_seed: int | None = None) -> Fam
     a_hat_rowcol = np.eye(n - 1)
     if rotate_seed is not None:
         rng = np.random.default_rng(rotate_seed)
-        q = _orthogonal(rng, n)
+        q = haar_unitary(rng, n)
         a = q @ a @ q.T
-        a_hat_col = _orthogonal(rng, n) @ a_hat_col @ _orthogonal(rng, n - 1).T
+        a_hat_col = haar_unitary(rng, n) @ a_hat_col @ haar_unitary(rng, n - 1).T
     thresholds = {
         "sr": Fraction(alpha) ** 2 > Fraction(n - 1, n - 2),
         "intdim": Fraction(alpha) > Fraction(n - 1, n - 2),
@@ -415,7 +411,8 @@ def equality_cases(
     """Instances where the p-stable rank equals the rank exactly.
 
     For kinds other than rank1 the exponent must be finite (at p = inf the
-    p-stable rank of any nonzero matrix is 1).
+    p-stable rank of any nonzero matrix is 1). rank1 and scaled_unitary fix
+    the rank (1 and n); a ``rank`` given for them must equal it.
     """
     if kind not in EQUALITY_KINDS:
         raise ValueError(f"unknown kind {kind!r}; known: {', '.join(EQUALITY_KINDS)}")
@@ -423,26 +420,24 @@ def equality_cases(
     p = validate_exponent(p)
     if kind != "rank1" and math.isinf(p):
         raise ValueError("sr_p equals the rank at p = inf only in the rank-1 case")
+    fixed = {"rank1": 1, "scaled_unitary": n}.get(kind, rank)  # the rank a kind fixes
+    if rank not in (None, fixed):
+        raise ValueError(f"{kind} has rank {fixed}, got rank {rank}")
+    rank = fixed
+    if rank is None or not 1 <= rank <= n:
+        raise ValueError(f"{kind} requires 1 <= rank <= n")
     rng = np.random.default_rng(seed)
-    predicted: dict[str, float]
     if kind == "rank1":
         a = rank1_psd_matrix(rng, n)
-        predicted = {"srp_A": 1.0, "rank_A": 1.0}
-        rank = 1
     elif kind == "scaled_unitary":
         a = 2.0 * haar_unitary(rng, n)
-        predicted = {"srp_A": float(n), "rank_A": float(n)}
-        rank = n
     elif kind == "flat_spectrum":
-        if rank is None or not 1 <= rank <= n:
-            raise ValueError("flat_spectrum requires 1 <= rank <= n")
         a = prescribed_spectrum_matrix(rng, n, n, [1.5] * rank)
-        predicted = {"srp_A": float(rank), "rank_A": float(rank)}
     else:
-        if rank is None or not 1 <= rank <= n:
-            raise ValueError("projector requires 1 <= rank <= n")
         a = projector_matrix(rng, n, rank)
-        predicted = {"srp_A": float(rank), "rank_A": float(rank), "intdim_A": float(rank)}
+    predicted = {"srp_A": float(rank), "rank_A": float(rank)}
+    if kind == "projector":
+        predicted["intdim_A"] = float(rank)
     return FamilyInstance(
         name="equality_cases",
         matrices=_freeze({"A": a}),

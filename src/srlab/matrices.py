@@ -4,7 +4,8 @@ Hermitian/PSD classification, pivoted Cholesky, and seeded random sampling.
 A "matrix" throughout the package is a plain 2-D numpy array of float64 or
 complex128 entries, validated and frozen by :func:`as_matrix`. Every function
 here is pure and all returned arrays are read-only, so values can be shared
-freely across threads. Sampling is a deterministic function of the seed.
+freely across threads. A sampling builder is a deterministic function of its
+generator; :mod:`srlab.fuzz` decides which one each sample kind calls.
 A spectrum is a plain descending 1-D array: :func:`sigma` returns the
 singular values, and :func:`hermitian_eigenvalues` and :func:`psd_spectrum`
 the classifier's eigenvalues of the Hermitian part.
@@ -95,14 +96,6 @@ from pathlib import Path
 import numpy as np
 
 Matrix = np.ndarray
-
-SAMPLE_KINDS = (
-    "gaussian",
-    "psd_gram",
-    "prescribed_spectrum",
-    "rank1_psd",
-    "orthogonal_projector",
-)
 
 
 class DecompositionError(RuntimeError):
@@ -805,28 +798,3 @@ def projector_matrix(rng: np.random.Generator, n: int, r: int, field: str = "rea
     q, _ = np.linalg.qr(gaussian_matrix(rng, n, r, field))
     return _hermitize(q @ q.conj().T)
 
-
-def draw_matrix(
-    rng: np.random.Generator,
-    kind: str,
-    m: int,
-    n: int,
-    field: str = "real",
-    spectrum=None,
-    rank: int | None = None,
-) -> np.ndarray:
-    """One matrix of sample kind ``kind`` drawn from ``rng``.
-
-    ``spectrum`` (the singular values of "prescribed_spectrum") and ``rank``
-    (that of "orthogonal_projector") are used only by their kind; the
-    "rank1_psd" and "orthogonal_projector" kinds are n x n.
-    """
-    if kind == "gaussian":
-        return gaussian_matrix(rng, m, n, field)
-    if kind == "psd_gram":
-        return psd_gram_matrix(rng, m, n, field)
-    if kind == "prescribed_spectrum":
-        return prescribed_spectrum_matrix(rng, m, n, spectrum, field)
-    if kind == "rank1_psd":
-        return rank1_psd_matrix(rng, n, field)
-    return projector_matrix(rng, n, rank, field)

@@ -431,7 +431,7 @@ def test_condition_counts_rank_e_at_rtol(tmp_path, capsys):
     row = json.loads(capsys.readouterr().out)["rows"][0]
     # The sweep's perturbation, drawn as cmd_condition draws it.
     rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0,)))
-    e = scaled_perturbation(rng, read_matrix(path), 0.1, "gaussian", "real")
+    e = scaled_perturbation(rng, read_matrix(path), 0.1, "gaussian")
     assert row["rank_e"] == numerical_rank(e, 0.3) < numerical_rank(e)
     assert main(["--rtol", "0", "condition", path, "--epsilons", "0.1"]) == 2
     captured = capsys.readouterr()
@@ -592,6 +592,20 @@ def test_fuzz_cli_bad_p_grid_exit_2(flags, message, tmp_path):
     assert_usage_error(out, message.format(d=tmp_path))
 
 
+def test_fuzz_cli_unwritable_out_fails_before_the_campaign(tmp_path, capsys, monkeypatch):
+    from srlab import cli
+
+    def no_campaign(cfg):
+        raise AssertionError("the campaign ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_fuzz", no_campaign)
+    path = tmp_path / "missing" / "r.json"
+    assert cli.main(["fuzz", "--trials", "1", "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err
+
+
 # "{d}" stands for the directory of the files fixture.
 @pytest.mark.parametrize(
     "argv, message",
@@ -617,6 +631,16 @@ def test_fuzz_cli_bad_p_grid_exit_2(flags, message, tmp_path):
             ["gallery", "congruence_minimizer", "--input", "{d}/rank1.mtx", "--alpha", "0.5"],
             "error: requires rank >= 2, got 1",
         ),
+        (
+            ["gallery", "equality_cases", "--kind", "rank1", "--n", "4", "--rank", "3"]
+            + ["--out", "{d}/g"],
+            "error: rank1 has rank 1, got rank 3",
+        ),
+        (
+            ["gallery", "equality_cases", "--kind", "scaled_unitary", "--n", "5", "--rank", "2"]
+            + ["--out", "{d}/g"],
+            "error: scaled_unitary has rank 5, got rank 2",
+        ),
     ],
     ids=[
         "compute_directory",
@@ -628,6 +652,8 @@ def test_fuzz_cli_bad_p_grid_exit_2(flags, message, tmp_path):
         "maximizer_multiplier_zero",
         "congruence_maximizer_zero",
         "congruence_minimizer_rank1",
+        "equality_rank1_other_rank",
+        "equality_scaled_unitary_other_rank",
     ],
 )
 def test_input_errors_exit_2(argv, message, files):

@@ -1,5 +1,6 @@
 """Fuzz harness: determinism, reproduction, aggregation, failure capture."""
 
+import hashlib
 import json
 import math
 import os
@@ -77,6 +78,75 @@ def test_trials_differ():
     assert a.shape != b.shape or not np.array_equal(a, b)
 
 
+# (seed, trial, m, n, field, split_k, drop_col, A_gen shape, k_prod, k1, k2, sha256 of the
+# bytes of A11, A22 and B_prod). The comment above each names the kinds of A_gen, A_psd and B_psd.
+_PINNED_TRIALS = [
+    # gaussian, gaussian, projector
+    (7, 0, 7, 16, "real", 4, 8, (7, 16), 9, 11, 13,
+     "5cc0c8ac973622ffe6e260e13643b71401b22cd53e33de93c7df285fa95aa1da"),
+    # spectrum, gaussian, gram
+    (7, 2, 8, 13, "complex", 5, 12, (8, 13), 5, 5, 9,
+     "20c115dc2d0bea3fdb41631d61d8119470216f2480303681e60eb6788a8ebbb1"),
+    # gram, gram, gram
+    (7, 5, 10, 13, "real", 8, 3, (13, 13), 3, 1, 14,
+     "66fe74e869ec1d1e4164de8210974ead55d3db202eb521888118ec368d1b3e62"),
+    # rank-1, gaussian, projector
+    (7, 6, 9, 2, "real", 1, 0, (2, 2), 2, 19, 5,
+     "4eae4b7218a66c5b005c38de54fea0ebebb5fdd96b97815b9e57c9479c02c3d7"),
+    # projector, gram, rank-1
+    (7, 22, 1, 9, "complex", 8, 1, (9, 9), 14, 15, 2,
+     "e1941e4297be86a5e8f0e52758cb7443c698b64cd6f1f779ccd546521e830cb0"),
+    # rank-1, gram, spectrum
+    (42, 0, 10, 19, "complex", 13, 6, (19, 19), 15, 17, 1,
+     "407d482574aa7aff15db19d4e342f7f84179fd23a252f380a25d0d431ff170d3"),
+    # gaussian, projector, spectrum
+    (42, 1, 2, 10, "real", 9, 5, (2, 10), 14, 19, 8,
+     "2ff75ede691a76aa874b88662cd1593988be5f731a3d033f31e8daa4268cae1d"),
+    # rank-1, gram, gaussian
+    (42, 4, 20, 1, "complex", 0, 0, (1, 1), 10, 16, 14,
+     "ca3ad53e19a800579037688035e99ed79ae3edf9a857d5309116dc1e716f4354"),
+    # spectrum, spectrum, projector
+    (42, 6, 19, 13, "complex", 7, 2, (19, 13), 16, 2, 7,
+     "0388394ccf93461aad73c4ef3c8380ce1729d18620a40639662a6893722f80c0"),
+    # gaussian, gram, gram
+    (42, 7, 13, 1, "real", 0, 0, (13, 1), 19, 16, 5,
+     "795703216851467bba9ec009a96ebac99157159b7632759775fee156389425c6"),
+]
+
+
+@pytest.mark.parametrize("pinned", _PINNED_TRIALS, ids=lambda t: f"{t[0]}-{t[1]}")
+def test_trial_draw_order_is_pinned(pinned):
+    """Recorded trials replay only while every draw keeps its place in the stream.
+
+    A11, A22 and B_prod come from ``standard_normal`` alone, so their bytes do
+    not depend on the BLAS; they are drawn last, so they pin every draw
+    before them. A new draw must come after these, at the end of
+    :func:`srlab.fuzz.trial_inputs`.
+    """
+    seed, trial, m, n, field, split_k, drop_col, gen_shape, k_prod, k1, k2, digest = pinned
+    x = trial_inputs(seed, trial, FuzzConfig(trials=1, seed=seed))
+    assert (x["m"], x["n"], x["field"]) == (m, n, field)
+    assert (x["split_k"], x["drop_col"]) == (split_k, drop_col)
+    shapes = {key: value.shape for key, value in x.items() if isinstance(value, np.ndarray)}
+    square = (n, n)
+    assert shapes == {
+        "A_gen": gen_shape,
+        "A_psd": square,
+        "B_psd": square,
+        "B_rank1": square,
+        "A_nonsing": square,
+        "B_prod": (n, k_prod),
+        "E_gen": gen_shape,
+        "E_psd": square,
+        "A11": (k1, k1),
+        "A22": (k2, k2),
+    }
+    h = hashlib.sha256()
+    for key in ("A11", "A22", "B_prod"):
+        h.update(x[key].tobytes())
+    assert h.hexdigest() == digest
+
+
 def test_run_fuzz_no_failures_and_consistent_counts():
     report = run_fuzz(small_config(trials=60))
     assert report.failure_count == 0
@@ -98,16 +168,42 @@ def test_parallelism_does_not_change_results():
     assert json.dumps(d1, sort_keys=True) == json.dumps(d3, sort_keys=True)
 
 
-def test_reproduce_check_matches_recorded_slack():
+def test_reproduce_check_matches_recorded_slack(monkeypatch):
+    def not_this_one(*args, **kwargs):
+        raise AssertionError("reproduce_check ran another check")
+
     cfg = small_config(trials=8)
     for trial in (0, 5):
         for result in run_trial(cfg.seed, trial, cfg):
-            again = reproduce_check(cfg, trial, result.check, result.variant, result.p)
+            # Only the named check runs: every other check function raises.
+            with monkeypatch.context() as mp:
+                for function in FUZZ_CHECK_FUNCTIONS:
+                    if function.split("_", 1)[1] != result.check:
+                        mp.setattr(fuzz, function, not_this_one)
+                again = reproduce_check(cfg, trial, result.check, result.variant, result.p)
             if math.isnan(result.report.slack):
                 assert math.isnan(again.slack)
             else:
                 assert abs(again.slack - result.report.slack) <= 1e-14
                 assert again.slack == result.report.slack  # bit identical
+            assert json.dumps(encode_json(again.to_json_dict())) == json.dumps(
+                encode_json(result.report.to_json_dict())
+            )
+    # An instance that the trial does not hold is an error.
+    cfg = small_config(checks=("weyl", "perturbation", "block_intdim"))
+    tiny = next(i for i in range(cfg.trials) if trial_inputs(cfg.seed, i, cfg)["n"] < 2)
+    for trial, target in [
+        (0, ("deletion", None, None)),  # not among cfg.checks
+        (0, ("perturbation", "general", 4.0)),  # p not in the grid
+        (0, ("perturbation", "general", None)),
+        (0, ("perturbation", "other", 2.0)),
+        (0, ("weyl", None, 2.0)),  # a scalar check has no p
+        (tiny, ("block_intdim", None, None)),  # no block split at n < 2
+    ]:
+        check, variant, p = target
+        message = f"no instance of {check} (variant={variant}, p={p}) in trial {trial}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reproduce_check(cfg, trial, *target)
 
 
 def test_argmin_instance_regenerates():

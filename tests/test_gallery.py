@@ -267,6 +267,13 @@ def test_equality_cases_validation():
         gallery.equality_cases("nope", 4, 2.0)
     with pytest.raises(ValueError, match=exactly("n must be >= 1, got 0")):
         gallery.equality_cases("rank1", 0)
+    # rank1 and scaled_unitary fix the rank: another one is an error, not ignored.
+    with pytest.raises(ValueError, match=exactly("rank1 has rank 1, got rank 3")):
+        gallery.equality_cases("rank1", 4, rank=3)
+    with pytest.raises(ValueError, match=exactly("scaled_unitary has rank 5, got rank 2")):
+        gallery.equality_cases("scaled_unitary", 5, rank=2)
+    assert gallery.equality_cases("rank1", 4, rank=1).params["rank"] == 1
+    assert gallery.equality_cases("scaled_unitary", 5, rank=5).params["rank"] == 5
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from srlab.matrices import (
     DecompositionError,
     PreconditionError,
     as_matrix,
-    draw_matrix,
     gaussian_matrix,
     haar_unitary,
     hermitian_eigenvalues,
@@ -22,6 +21,9 @@ from srlab.matrices import (
     is_psd,
     pivoted_cholesky,
     prescribed_spectrum_matrix,
+    projector_matrix,
+    psd_gram_matrix,
+    rank1_psd_matrix,
     sigma,
 )
 
@@ -184,40 +186,45 @@ def test_haar_unitary_is_unitary():
 
 def test_prescribed_spectrum_round_trip():
     rng = np.random.default_rng(7)
-    a = draw_matrix(rng, "prescribed_spectrum", 5, 5, spectrum=(2.0, 1.0, 1.0, 1.0, 1.0))
+    a = prescribed_spectrum_matrix(rng, 5, 5, (2.0, 1.0, 1.0, 1.0, 1.0))
     s = sigma(a)
     assert np.allclose(s, [2.0, 1.0, 1.0, 1.0, 1.0], atol=1e-12)
 
 
 def test_rank1_sample_has_rank_one():
-    a = draw_matrix(np.random.default_rng(3), "rank1_psd", 6, 6)
+    a = rank1_psd_matrix(np.random.default_rng(3), 6)
     s = sigma(a)
     assert s[0] > 0
     assert np.all(s[1:] <= 1e-12 * s[0])
 
 
 def test_projector_trace_equals_rank():
-    a = draw_matrix(np.random.default_rng(5), "orthogonal_projector", 7, 7, rank=3)
+    a = projector_matrix(np.random.default_rng(5), 7, 3)
     assert np.trace(a).real == pytest.approx(3.0, abs=1e-10)
     assert is_psd(a)
 
 
 def test_sample_determinism_bit_identical():
-    a = draw_matrix(np.random.default_rng(123), "gaussian", 4, 6, "complex")
-    b = draw_matrix(np.random.default_rng(123), "gaussian", 4, 6, "complex")
+    a = gaussian_matrix(np.random.default_rng(123), 4, 6, "complex")
+    b = gaussian_matrix(np.random.default_rng(123), 4, 6, "complex")
     assert a.tobytes() == b.tobytes()
 
 
 def test_psd_gram_sample_is_psd():
-    a = draw_matrix(np.random.default_rng(2), "psd_gram", 9, 4)
+    a = psd_gram_matrix(np.random.default_rng(2), 9, 4)
     assert a.shape == (4, 4)
     assert is_psd(a)
 
 
 @given(seed=seeds)
 def test_sampled_spectra_are_sorted_nonnegative(seed):
-    kind = ["gaussian", "psd_gram", "rank1_psd", "orthogonal_projector"][seed % 4]
-    a = draw_matrix(np.random.default_rng(seed), kind, 5, 5, rank=2)
+    build, args = [
+        (gaussian_matrix, (5, 5)),
+        (psd_gram_matrix, (5, 5)),
+        (rank1_psd_matrix, (5,)),
+        (projector_matrix, (5, 2)),
+    ][seed % 4]
+    a = build(np.random.default_rng(seed), *args)
     s = sigma(a)
     assert np.all(np.diff(s) <= 0)
     assert np.all(s >= 0)
