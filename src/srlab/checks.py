@@ -37,8 +37,8 @@ decomposed once across all checks, not once per check.
 
 :data:`CHECKS` maps each check's name to its ``check_*`` function, whose
 signature is the whole description the CLI needs: the parameters without
-defaults are its inputs. Which fuzz-trial inputs feed which check is
-described in :mod:`srlab.fuzz`.
+defaults are its matrix inputs, and the others its flags. Which fuzz-trial
+inputs feed which check is described in :mod:`srlab.fuzz`.
 """
 
 from __future__ import annotations
@@ -247,7 +247,7 @@ def check_block_diag_sr(a11: Matrix, a22: Matrix) -> CheckReport:
     return _finish(name, sr_block, high, margins, details)
 
 
-def check_block_intdim(a: Matrix, k: int) -> CheckReport:
+def check_block_intdim(a: Matrix, k: int = 1) -> CheckReport:
     """intdim(A) <= intdim(A11) + intdim(A22) for principal blocks of PSD A."""
     name = "block_intdim"
     a = np.asarray(a)
@@ -267,7 +267,7 @@ def check_block_intdim(a: Matrix, k: int) -> CheckReport:
     return _finish(name, id_full, rhs, [rhs - id_full], details)
 
 
-def check_deletion(a: Matrix, drop_col: int, rtol: float = DEFAULT_RANK_RTOL) -> CheckReport:
+def check_deletion(a: Matrix, drop_col: int = 0, rtol: float = DEFAULT_RANK_RTOL) -> CheckReport:
     """rank(A with a column deleted) <= rank(A); stable ranks reported only.
 
     The rank clause must hold; the stable-rank comparison can go either
@@ -476,7 +476,7 @@ def grid_sum_subadditivity_proot(a: Matrix, b: Matrix, p_grid) -> GridReports:
     return _grid(name, ps, reasons, ("p", "proot_a", "proot_b"), rows())
 
 
-def check_sum_subadditivity_proot(a: Matrix, b: Matrix, p: float) -> CheckReport:
+def check_sum_subadditivity_proot(a: Matrix, b: Matrix, p: float = 2.0) -> CheckReport:
     return grid_sum_subadditivity_proot(a, b, [p])[0]
 
 
@@ -510,7 +510,7 @@ def grid_rank1_addition(
 
 
 def check_rank1_addition(
-    a: Matrix, b: Matrix, p: float, rtol: float = DEFAULT_RANK_RTOL
+    a: Matrix, b: Matrix, p: float = 2.0, rtol: float = DEFAULT_RANK_RTOL
 ) -> CheckReport:
     return grid_rank1_addition(a, b, [p], rtol=rtol)[0]
 
@@ -547,7 +547,7 @@ def grid_product_kappa(
 
 
 def check_product_kappa(
-    a: Matrix, b: Matrix, p: float, rtol: float = DEFAULT_RANK_RTOL
+    a: Matrix, b: Matrix, p: float = 2.0, rtol: float = DEFAULT_RANK_RTOL
 ) -> CheckReport:
     return grid_product_kappa(a, b, [p], rtol=rtol)[0]
 
@@ -579,7 +579,7 @@ def grid_cross_product(a: Matrix, p_grid) -> GridReports:
     return _grid(name, ps, reasons, keys, rows())
 
 
-def check_cross_product(a: Matrix, p: float) -> CheckReport:
+def check_cross_product(a: Matrix, p: float = 2.0) -> CheckReport:
     return grid_cross_product(a, [p])[0]
 
 
@@ -638,7 +638,7 @@ def grid_perturbation(a: Matrix, e: Matrix, p_grid, rtol: float = DEFAULT_RANK_R
 
 
 def check_perturbation(
-    a: Matrix, e: Matrix, p: float, rtol: float = DEFAULT_RANK_RTOL
+    a: Matrix, e: Matrix, p: float = 2.0, rtol: float = DEFAULT_RANK_RTOL
 ) -> CheckReport:
     return grid_perturbation(a, e, [p], rtol=rtol)[0]
 

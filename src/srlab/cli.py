@@ -1,13 +1,12 @@
 """Command-line front end.
 
 Subcommands: ``compute`` (single quantities), ``verify`` (one inequality
-check on files; the check's signature names its matrix files, and the
-flags ``-p``, ``--k``, ``--drop-col`` and ``--rtol`` fill the parameters of
-those names), ``gallery`` (emit an example family; the builder's signature
-names its flags, ``--input`` gives its matrix ``a``, and a flag the builder
-does not take is an error), ``condition``
-(perturbation-bound sweep), ``fuzz`` (randomized campaign). Reports are
-JSON (schema 1) by default; ``--format csv|text`` flattens them. Every
+check on files), ``gallery`` (emit an example family; ``--input`` gives
+the builder's matrix ``a``), ``condition`` (perturbation-bound sweep),
+``fuzz`` (randomized campaign). All but ``condition`` call their function
+through :func:`_call`: each parameter takes the flag of its name, and a
+command's own flag that the function does not take is an error. Reports
+are JSON (schema 1) by default; ``--format csv|text`` flattens them. Every
 subcommand prints its report through one printer, :func:`_print_report`.
 
 ``--rtol`` is the one numerical-rank tolerance of ``compute``, ``verify``,
@@ -16,11 +15,12 @@ subcommand prints its report through one printer, :func:`_print_report`.
 that fixed value.
 
 Exit codes: 0 success or not-applicable, 1 a verified inequality failed,
-2 unreadable input or invalid parameters, 3 intrinsic dimension requested
-for a non-PSD matrix. Errors map to exit codes in :func:`main`, not in each
-command: a ``ValueError`` or an ``OSError`` (a path that cannot be read or
-written) prints ``error: ...`` to stderr and exits 2; ``compute`` alone
-maps its quantity's ``PreconditionError`` to 3.
+2 unreadable input, invalid parameters or a failed decomposition, 3
+intrinsic dimension requested for a non-PSD matrix. Errors map to exit
+codes in :func:`main`, not in each command: a ``ValueError``, ``OSError``
+(a path that cannot be read or written) or ``DecompositionError`` prints
+``error: ...`` to stderr and exits 2; ``compute`` alone maps its
+quantity's ``PreconditionError`` to 3.
 
 The argument parser is built once per process and shared by every
 :func:`main` call, so repeated in-process calls skip argparse's set-up.
@@ -30,6 +30,7 @@ Its defaults are immutable, so no call can change what the next one sees.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import inspect
 import json
@@ -41,7 +42,7 @@ import numpy as np
 from . import gallery as gal
 from .checks import CHECKS, canonical_check_name, check_perturbation, encode_json
 from .fuzz import FuzzConfig, run_fuzz, scaled_perturbation
-from .matrices import PreconditionError, trial_scope
+from .matrices import DecompositionError, PreconditionError, trial_scope
 from .mmio import read_matrix, write_matrix_market
 from .ranks import (
     DEFAULT_RANK_RTOL,
@@ -54,9 +55,6 @@ from .schatten import schatten_norm
 
 SCHEMA_VERSION = 1
 
-# Check parameters that ``verify`` fills from its flags, not from files.
-_VERIFY_FLAGS = ("p", "k", "drop_col", "rtol")
-
 
 def _print_report(fmt: str, payload: dict, rows: list[dict], lines: list[str]) -> None:
     """Print ``payload`` as JSON, ``rows`` as CSV under the keys of all rows
@@ -65,9 +63,9 @@ def _print_report(fmt: str, payload: dict, rows: list[dict], lines: list[str]) -
         print(json.dumps(encode_json(payload), indent=2, sort_keys=True))
     elif fmt == "csv" and rows:
         keys = list(dict.fromkeys(key for row in rows for key in row))
-        print(",".join(keys))
-        for row in rows:
-            print(",".join(str(encode_json(row.get(k, ""))) for k in keys))
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(keys)
+        writer.writerows([str(encode_json(row.get(k, ""))) for k in keys] for row in rows)
     elif fmt == "text":
         for line in lines:
             print(line)
@@ -101,24 +99,40 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _quantity_value(a, quantity: str, p: float, rtol: float) -> float:
-    if quantity == "sr":
-        return stable_rank(a)
-    if quantity == "srp":
-        return p_stable_rank(a, p, rtol)
-    if quantity == "intdim":
-        return intrinsic_dimension(a)
-    if quantity == "rank":
-        return float(numerical_rank(a, rtol))
-    return schatten_norm(a, p)
+def _option(key: str) -> str:
+    """The option that sets parameter ``key``, as in ``-p`` or ``--drop-col``."""
+    return "-p" if key == "p" else "--" + key.replace("_", "-")
+
+
+def _call(fn, params, name: str, args, flags: tuple, matrices=()):
+    """``fn(*matrices, **kwargs)``, each later parameter of ``params`` (``fn``'s)
+    set from the flag of its name if that is not None, else left at its default.
+    One with neither, or a set flag of ``flags`` that ``fn`` lacks, is a ``ValueError``."""
+    for flag in flags:
+        if getattr(args, flag) is not None and flag not in params:
+            raise ValueError(f"{name} does not take {_option(flag)}")
+    kwargs = {}
+    for key in list(params)[len(matrices):]:
+        value = getattr(args, key, None)
+        if value is not None:
+            kwargs[key] = value
+        elif params[key].default is params[key].empty:
+            raise ValueError(f"{name} requires {_option(key)}")
+    return fn(*matrices, **kwargs)
 
 
 def cmd_compute(args) -> int:
     # A coordinate file stays sparse, so a large wide one forms its Gram
     # with a sparse product.
     a = read_matrix(args.input, sparse=True)
+    # Built per call, so a quantity function replaced in this module is called.
+    quantity = {
+        "sr": stable_rank, "srp": p_stable_rank, "intdim": intrinsic_dimension,
+        "rank": numerical_rank, "schatten": schatten_norm,
+    }[args.quantity]
+    params = inspect.signature(quantity).parameters
     try:
-        value = _quantity_value(a, args.quantity, args.p, args.rtol)
+        value = float(_call(quantity, params, args.quantity, args, (), [a]))
     except PreconditionError as exc:
         return _error(exc, 3)
     record = {
@@ -126,7 +140,7 @@ def cmd_compute(args) -> int:
         "kind": "compute",
         "input": str(args.input),
         "quantity": args.quantity,
-        "p": args.p if args.quantity in ("srp", "schatten") else None,
+        "p": args.p if "p" in params else None,
         "value": value,
     }
     rows = [{k: record[k] for k in ("quantity", "p", "value")}]
@@ -138,19 +152,12 @@ def cmd_verify(args) -> int:
     name = canonical_check_name(args.check)
     check = CHECKS[name]
     params = inspect.signature(check).parameters
-    matrix_slots = [
-        key.upper()
-        for key, param in params.items()
-        if param.default is param.empty and key not in _VERIFY_FLAGS
-    ]
-    if len(args.inputs) != len(matrix_slots):
-        raise ValueError(
-            f"{name} needs {len(matrix_slots)} matrix file(s): {', '.join(matrix_slots)}"
-        )
+    slots = [key.upper() for key, param in params.items() if param.default is param.empty]
+    if len(args.inputs) != len(slots):
+        raise ValueError(f"{name} needs {len(slots)} matrix file(s): {', '.join(slots)}")
     matrices = [read_matrix(path) for path in args.inputs]
-    flags = {key: getattr(args, key) for key in _VERIFY_FLAGS if key in params}
     with trial_scope():
-        report = check(*matrices, **flags)
+        report = _call(check, params, name, args, ("p", "k", "drop_col"), matrices)
     payload = {"schema": SCHEMA_VERSION, "kind": "verify", **report.to_json_dict()}
     row = {key: getattr(report, key) for key in ("name", "status", "lhs", "rhs", "slack")}
     _print_report(
@@ -159,33 +166,22 @@ def cmd_verify(args) -> int:
     return 1 if report.holds is False else 0
 
 
-# The flags that ``gallery`` fills builder parameters from; ``input`` fills ``a``.
-_GALLERY_FLAGS = ("n", "alpha", "beta", "ratio", "p", "rank", "kind", "rotate_seed", "input")
+# The builder flags of ``gallery``, apart from ``--input``, which gives ``a``.
+_GALLERY_FLAGS = ("n", "alpha", "beta", "ratio", "p", "rank", "kind", "rotate_seed")
 
 
 def _build_family(args) -> gal.FamilyInstance:
-    """Call the family's builder with each parameter read from the flag of
-    the same name; ``a`` is the matrix read from ``--input``. A flag set for
-    a builder without that parameter raises ``ValueError``."""
+    """Call the family's builder through :func:`_call`, ``a`` read from ``--input``."""
     name = args.family
     builder = gal.FAMILIES.get(name)
     if builder is None:
         raise ValueError(f"unknown family {name!r}; known: {', '.join(gal.FAMILIES)}")
     params = inspect.signature(builder).parameters
-    flags = {key: "input" if key == "a" else key for key in params}
-    for flag in _GALLERY_FLAGS:
-        if getattr(args, flag) is not None and flag not in flags.values():
-            option = "-p" if flag == "p" else "--" + flag.replace("_", "-")
-            raise ValueError(f"{name} does not take {option}")
-    kwargs = {}
-    for key, flag in flags.items():
-        value = getattr(args, flag)
-        if value is None:
-            if params[key].default is params[key].empty:
-                raise ValueError(f"{name} requires --{flag}")
-            continue
-        kwargs[key] = read_matrix(value) if key == "a" else value
-    return builder(**kwargs)
+    takes_a = "a" in params
+    if takes_a != (args.input is not None):
+        raise ValueError(f"{name} {'requires' if takes_a else 'does not take'} --input")
+    matrices = [read_matrix(args.input)] if takes_a else []
+    return _call(builder, params, name, args, _GALLERY_FLAGS, matrices)
 
 
 def cmd_gallery(args) -> int:
@@ -282,9 +278,7 @@ def cmd_condition(args) -> int:
 def cmd_fuzz(args) -> int:
     # FuzzConfig's fields are the flags of the same names; a list flag left
     # out keeps its default.
-    fields = ("trials", "seed", "dims_max", "parallelism", "distributions", "p_grid", "checks")
-    given = {key: getattr(args, key) for key in fields if getattr(args, key) is not None}
-    cfg = FuzzConfig(**given)
+    cfg = _call(FuzzConfig, inspect.signature(FuzzConfig).parameters, "fuzz", args, ())
     if args.out:  # created before any trial runs, so a path that cannot be written fails at once
         Path(args.out).write_text("")
     report = run_fuzz(cfg)
@@ -347,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument("check", help=f"one of: {', '.join(CHECKS)}")
     verify.add_argument("inputs", nargs="*")
-    verify.add_argument("-p", type=float, default=2.0)
-    verify.add_argument("--k", type=int, default=1, help="block split for block_intdim")
-    verify.add_argument("--drop-col", type=int, default=0, dest="drop_col")
+    verify.add_argument("-p", type=float)
+    verify.add_argument("--k", type=int, help="block split for block_intdim")
+    verify.add_argument("--drop-col", type=int, dest="drop_col")
     verify.set_defaults(func=cmd_verify)
 
     gallery = sub.add_parser(
@@ -396,7 +390,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, DecompositionError) as exc:
         return _error(exc, 2)
 
 

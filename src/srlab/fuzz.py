@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -107,14 +107,8 @@ class FuzzConfig:
         object.__setattr__(self, "checks", ordered)
 
     def config_echo(self) -> dict:
-        return {
-            "trials": self.trials,
-            "seed": self.seed,
-            "dims_max": self.dims_max,
-            "distributions": list(self.distributions),
-            "p_grid": [encode_json(p) for p in self.p_grid],
-            "checks": list(self.checks),
-        }
+        echoed = [f.name for f in fields(self) if f.name != "parallelism"]
+        return encode_json({name: getattr(self, name) for name in echoed})
 
 
 class TrialResult(NamedTuple):

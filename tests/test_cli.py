@@ -77,6 +77,15 @@ def test_compute_schatten_and_rank(files):
     assert json.loads(out.stdout)["value"] == 5.0
 
 
+@pytest.mark.parametrize("quantity", ["sr", "intdim", "rank"])
+def test_compute_accepts_p_for_every_quantity(quantity, files, capsys):
+    # A quantity without an exponent ignores -p rather than rejecting it.
+    from srlab.cli import main
+
+    assert main(["compute", str(files / "spiked.mtx"), "-q", quantity, "-p", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["p"] is None
+
+
 def test_verify_weyl_pass_exit_0(files):
     out = run_cli(
         "verify", "check_weyl", str(files / "identity5.mtx"), str(files / "identity5.mtx")
@@ -155,6 +164,63 @@ def test_verify_wrong_arity_names_the_slots(check, files, capsys):
         assert main(["verify", check, *inputs]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {check} needs {count} matrix file(s): {slots}\n"
+
+
+# Each verify flag, as a check parameter: its option, a value to set it to,
+# and the value a check takes when the flag is left out.
+VERIFY_FLAGS = {"p": ("-p", "3", "2"), "k": ("--k", "3", "1"), "drop_col": ("--drop-col", "1", "0")}
+
+
+@pytest.mark.parametrize("check", sorted(VERIFY_SLOTS))
+def test_verify_rejects_flags_the_check_does_not_take(check, files, capsys):
+    import inspect
+
+    from srlab.checks import CHECKS
+    from srlab.cli import main
+
+    taken = inspect.signature(CHECKS[check]).parameters
+    inputs = [str(files / "spiked.mtx")] * (VERIFY_SLOTS[check].count(",") + 1)
+    for key, (option, value, _) in VERIFY_FLAGS.items():
+        if key not in taken:
+            assert main(["verify", check, *inputs, option, value]) == 2, option
+            assert capsys.readouterr().err == f"error: {check} does not take {option}\n"
+
+
+@pytest.mark.parametrize("check", sorted(VERIFY_SLOTS))
+def test_verify_flag_defaults_match_the_cli_defaults(check, files, capsys):
+    """A flag left out gives the report of p = 2, k = 1 or drop_col = 0."""
+    import inspect
+
+    from srlab.checks import CHECKS
+    from srlab.cli import main
+
+    taken = inspect.signature(CHECKS[check]).parameters
+    inputs = [str(files / "spiked.mtx")] * (VERIFY_SLOTS[check].count(",") + 1)
+    code = main(["verify", check, *inputs])
+    default = capsys.readouterr()
+    assert default.err == ""
+    for key, (option, _, value) in VERIFY_FLAGS.items():
+        if key in taken:
+            assert main(["verify", check, *inputs, option, value]) == code, option
+            assert capsys.readouterr() == default, option
+
+
+def test_verify_decomposition_failure_exits_2(files, capsys, monkeypatch):
+    """A decomposition that fails is one error line and exit 2, not a
+    traceback and the exit 1 of a failed inequality."""
+    from srlab import checks
+    from srlab.cli import main
+    from srlab.matrices import DecompositionError
+
+    def diverges(a, b):
+        raise DecompositionError("eigendecomposition did not converge")
+
+    monkeypatch.setitem(checks.CHECKS, "weyl", diverges)
+    path = str(files / "spiked.mtx")
+    assert main(["verify", "weyl", path, path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: eigendecomposition did not converge\n"
 
 
 def test_verify_unknown_check_errors(files):
@@ -716,6 +782,19 @@ def test_csv_header_holds_the_keys_of_every_row(files, capsys):
     assert row["epsilon"] == "0.1" and row["applicable"] == "True" and row["reason"] == ""
     assert float(row["lower"]) <= float(row["actual"]) <= float(row["upper"])
     assert row["holds"] == "True"
+
+
+def test_csv_quotes_a_field_that_holds_a_comma(files, capsys):
+    import csv
+
+    from srlab.cli import main
+
+    argv = ["--format", "csv", "condition", str(files / "identity5.mtx"), "-p", "0.5"]
+    assert main([*argv, "--epsilons", "0.1"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    reason = "requires p >= 1, got p=0.5"
+    assert rows == [["epsilon", "applicable", "reason"], ["0.1", "False", reason]]
+    assert all(len(row) == len(rows[0]) for row in rows)
 
 
 @pytest.mark.parametrize("check", ["cholesky_intdim", "intdim_subadditive", "block_intdim"])
