@@ -524,8 +524,8 @@ def grid_product_kappa(
     b = np.asarray(b)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return _not_applicable_grid(name, "requires square A", p_grid)
-    if b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"shape mismatch: {a.shape} @ {b.shape}")
+    if b.ndim != 2 or b.shape[0] != a.shape[0]:
+        return _not_applicable_grid(name, "requires B with as many rows as A", p_grid)
     sa = sigma(a)
     if numerical_rank_from_spectrum(sa, rtol) != a.shape[0]:
         return _not_applicable_grid(name, "A is numerically singular", p_grid)

@@ -18,10 +18,26 @@ MatrixMarket I/O goes through ``scipy.io``, which pulls in ``scipy.sparse``
 and costs more to import than the rest of srlab. Both are imported on the
 first MatrixMarket read or write, not with this module, so ``import srlab``
 and work that touches no MatrixMarket file load no SciPy module.
+
+SciPy (1.12 and later) parses and formats MatrixMarket text on a pool of
+``scipy.io._fast_matrix_market.PARALLELISM`` threads, 0 meaning one per
+core, and starts that pool on every call. For the small files srlab
+mostly handles, starting the pool costs more than the text. So every read,
+and every write of less than :data:`THREADED_WRITE_BYTES` of text, sets
+that attribute to 1 for the length of the call and then restores it;
+larger writes keep SciPy's setting, because formatting is where threads
+pay. Overlapping srlab calls share the change, and the last to finish
+restores the value found by the first, so no srlab call leaves the
+setting changed; a SciPy MatrixMarket call made outside srlab while one is
+running may run on one thread. The threads change speed only: the parsed
+arrays and the written bytes are the same. A SciPy without that module
+(its older pure-Python reader) is called as it is.
 """
 
 from __future__ import annotations
 
+import threading
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +45,51 @@ import numpy as np
 from .matrices import Matrix, _check_entries, _freeze_fresh, as_matrix
 
 
+# A write of at least this many bytes of text keeps SciPy's threads, which
+# pay from about 500 KB on a 2-core Xeon. Reads run on one thread at any
+# size: a threaded read slows the small calls after it. The README's "CLI"
+# section has the measurements.
+THREADED_WRITE_BYTES = 2**18
+# The most text one number takes at precision 17, "-1.2345678901234567e-100"
+# and a separator; a write's text is bounded by this times its numbers.
+_NUMBER_TEXT_BYTES = 25
+
+_parallelism_lock = threading.Lock()
+_one_thread_calls = 0
+_saved_parallelism = None
+
+
 class MatrixParseError(ValueError):
     """The file could not be parsed as a matrix."""
+
+
+@contextmanager
+def _one_parser_thread():
+    """Run SciPy's MatrixMarket code in the block on one thread.
+
+    The first of overlapping blocks saves SciPy's ``PARALLELISM`` and the
+    last restores it.
+    """
+    global _one_thread_calls, _saved_parallelism
+    try:
+        from scipy.io import _fast_matrix_market as fmm
+    except ImportError:
+        fmm = None
+    if not hasattr(fmm, "PARALLELISM"):
+        yield
+        return
+    with _parallelism_lock:
+        if _one_thread_calls == 0:
+            _saved_parallelism = fmm.PARALLELISM
+            fmm.PARALLELISM = 1
+        _one_thread_calls += 1
+    try:
+        yield
+    finally:
+        with _parallelism_lock:
+            _one_thread_calls -= 1
+            if _one_thread_calls == 0:
+                fmm.PARALLELISM = _saved_parallelism
 
 
 def read_matrix_market(path, sparse: bool = False):
@@ -43,7 +102,8 @@ def read_matrix_market(path, sparse: bool = False):
     import scipy.sparse
 
     try:
-        a = scipy.io.mmread(path)
+        with _one_parser_thread():
+            a = scipy.io.mmread(path)
     except Exception as exc:
         raise MatrixParseError(f"{path}: not a readable MatrixMarket file: {exc}") from exc
     try:
@@ -102,14 +162,18 @@ def write_matrix_market(path, a: Matrix) -> None:
     ``scipy.io.mmwrite`` adds ``.mtx`` to a file name that lacks it, so it
     gets such a file opened here. A name that ends in ``.mtx`` goes to it
     as it is, because writing to a named file is faster than to a stream;
-    both write the same bytes.
+    both write the same bytes. A write of less than
+    :data:`THREADED_WRITE_BYTES` of text runs on one thread.
     """
     import scipy.io
 
     a = as_matrix(a)
     path = str(path)
-    if path.endswith(".mtx"):
-        scipy.io.mmwrite(path, a, symmetry="general", precision=17)
-        return
-    with open(path, "wb") as fh:
-        scipy.io.mmwrite(fh, a, symmetry="general", precision=17)
+    numbers = a.size * (2 if np.iscomplexobj(a) else 1)
+    small = numbers * _NUMBER_TEXT_BYTES < THREADED_WRITE_BYTES
+    with _one_parser_thread() if small else nullcontext():
+        if path.endswith(".mtx"):
+            scipy.io.mmwrite(path, a, symmetry="general", precision=17)
+            return
+        with open(path, "wb") as fh:
+            scipy.io.mmwrite(fh, a, symmetry="general", precision=17)

@@ -222,8 +222,10 @@ def test_product_kappa_rejects_singular_and_infinite_p():
     singular = np.diag([1.0, 0.0])
     assert check_product_kappa(singular, np.eye(2), 2.0).holds is None
     assert check_product_kappa(np.eye(2), np.eye(2), math.inf).holds is None
-    with pytest.raises(ValueError):
-        check_product_kappa(np.eye(2), np.eye(3), 2.0)
+    # B's rows must match A's order: otherwise not applicable, as for weyl.
+    unequal = check_product_kappa(np.eye(2), np.eye(3), 2.0)
+    assert unequal.status == "not-applicable"
+    assert unequal.details["reason"] == "requires B with as many rows as A"
 
 
 # ---------------------------------------------------------------------------
@@ -690,6 +692,12 @@ PRECONDITION_CASES = {
         "rank1_addition", (_EYE, _INDEFINITE), {}, "requires positive semi-definite matrices"
     ),
     "product_kappa_a_not_square": ("product_kappa", (_RECT, _RECT.T), {}, "requires square A"),
+    "product_kappa_b_rows": (
+        "product_kappa", (np.eye(5), np.eye(3)), {}, "requires B with as many rows as A"
+    ),
+    "product_kappa_b_vector": (
+        "product_kappa", (_EYE, np.ones(2)), {}, "requires B with as many rows as A"
+    ),
     "perturbation_unequal_shapes": (
         "perturbation", (_EYE, _RECT), {}, "requires matrices of equal shape"
     ),

@@ -112,6 +112,17 @@ def test_verify_not_applicable_exits_0(files):
     assert payload["holds"] is None
 
 
+def test_verify_product_kappa_unequal_orders_not_applicable(files):
+    # B's 3 rows do not match A's order 5: not applicable, not a usage error.
+    out = run_cli(
+        "verify", "product_kappa", str(files / "identity5.mtx"), str(files / "zero.mtx")
+    )
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert payload["status"] == "not-applicable"
+    assert payload["details"]["reason"] == "requires B with as many rows as A"
+
+
 def test_verify_cross_product_single_input(files):
     out = run_cli("verify", "cross_product", str(files / "spiked.mtx"), "-p", "2")
     assert out.returncode == 0

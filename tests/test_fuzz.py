@@ -267,9 +267,58 @@ def test_subset_of_checks_runs_only_those():
 
 def test_resolve_parallelism_reads_no_env_var(monkeypatch):
     monkeypatch.setenv("SRLAB_THREADS", "3")
-    assert resolve_parallelism(0) == (os.cpu_count() or 1)
+    if hasattr(os, "sched_getaffinity"):
+        usable = len(os.sched_getaffinity(0))
+    else:
+        usable = os.cpu_count() or 1
+    assert resolve_parallelism(0) == usable
     assert resolve_parallelism(1) == 1
     assert resolve_parallelism(2) == 2
+
+
+def test_resolve_parallelism_counts_the_cpus_the_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert resolve_parallelism(0) == 2
+    assert resolve_parallelism(3) == 3
+    # Without an affinity mask the CPU count is used.
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert resolve_parallelism(0) == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_parallelism(0) == 1
+
+
+@pytest.mark.parametrize("trials, workers", [(1, 4), (20, 2), (100, 1), (512, 2), (10_000, 3)])
+def test_chunks_cover_the_trials_in_order(trials, workers):
+    chunks = fuzz._chunks(trials, workers)
+    assert [start for start, _ in chunks] == [0] + [stop for _, stop in chunks[:-1]]
+    assert chunks[-1][1] == trials
+    sizes = [stop - start for start, stop in chunks]
+    assert max(sizes) <= fuzz.CHUNK_SIZE
+    assert min(sizes[:-1], default=fuzz.MIN_CHUNK_SIZE) >= fuzz.MIN_CHUNK_SIZE
+    assert sizes == sorted(sizes, reverse=True)
+
+
+def test_small_campaign_is_shared_among_workers(monkeypatch):
+    import concurrent.futures
+
+    submitted = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def submit(self, fn, *args):
+            submitted.append(args[1:])
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    trials = fuzz.CHUNK_SIZE // 2
+    serial = run_fuzz(small_config(trials=trials, parallelism=1)).to_json_dict()
+    assert submitted == []
+    pooled = run_fuzz(small_config(trials=trials, parallelism=2)).to_json_dict()
+    assert len(submitted) > 1
+    assert submitted == fuzz._chunks(trials, 2)
+    serial.pop("wall_time")
+    pooled.pop("wall_time")
+    assert json.dumps(serial, sort_keys=True) == json.dumps(pooled, sort_keys=True)
 
 
 def test_report_json_is_schema_one():

@@ -205,3 +205,165 @@ def test_coordinate_file_read_sparse_on_request(tmp_path):
     write_matrix_market(tmp_path / "d.mtx", np.eye(2))
     d = read_matrix(tmp_path / "d.mtx", sparse=True)
     assert isinstance(d, np.ndarray) and not d.flags.writeable
+
+
+# SciPy 1.12 and later parse MatrixMarket text on PARALLELISM threads;
+# srlab.mmio runs reads and small writes on one.
+
+
+@pytest.fixture
+def fmm():
+    return pytest.importorskip("scipy.io._fast_matrix_market")
+
+
+def _real(n):
+    return np.random.default_rng(n).standard_normal((n, n))
+
+
+def _complex(n):
+    rng = np.random.default_rng(n)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+def test_parser_threads_are_restored(monkeypatch, tmp_path, fmm):
+    monkeypatch.setattr(fmm, "PARALLELISM", 3)
+    path = tmp_path / "a.mtx"
+    write_matrix_market(path, np.eye(3))
+    assert fmm.PARALLELISM == 3
+    read_matrix_market(path)
+    assert fmm.PARALLELISM == 3
+    bad = tmp_path / "bad.mtx"
+    bad.write_text("%%MatrixMarket matrix array real general\n2 2\n1.0\n")
+    with pytest.raises(MatrixParseError):
+        read_matrix_market(bad)
+    assert fmm.PARALLELISM == 3
+
+
+def test_reads_and_small_writes_run_on_one_parser_thread(monkeypatch, tmp_path, fmm):
+    import scipy.io
+
+    from srlab.mmio import THREADED_WRITE_BYTES
+
+    seen = []
+
+    def spy(real):
+        def call(*args, **kwargs):
+            seen.append(fmm.PARALLELISM)
+            return real(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(scipy.io, "mmread", spy(scipy.io.mmread))
+    monkeypatch.setattr(scipy.io, "mmwrite", spy(scipy.io.mmwrite))
+    default = fmm.PARALLELISM
+    small, large = tmp_path / "small.mtx", tmp_path / "large"
+    write_matrix_market(small, _real(20))
+    write_matrix_market(large, _real(120))
+    assert large.stat().st_size >= THREADED_WRITE_BYTES
+    read_matrix_market(small)
+    read_matrix_market(large)
+    assert seen == [1, default, 1, 1]
+    assert fmm.PARALLELISM == default
+
+
+# 120 x 120 real and 90 x 90 complex entries take more than 2^18 bytes.
+@pytest.mark.parametrize("build, n", [(_real, 20), (_complex, 20), (_real, 120), (_complex, 90)])
+def test_one_parser_thread_writes_and_reads_scipys_bytes(tmp_path, fmm, build, n):
+    import scipy.io
+
+    a = build(n)
+    ours, theirs = tmp_path / "ours.mtx", tmp_path / "theirs.mtx"
+    write_matrix_market(ours, a)
+    scipy.io.mmwrite(str(theirs), a, symmetry="general", precision=17)
+    assert ours.read_bytes() == theirs.read_bytes()
+    got = read_matrix_market(ours)
+    assert got.tobytes() == scipy.io.mmread(str(theirs)).tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["symmetric", "coordinate"])
+def test_one_parser_thread_reads_scipys_arrays(tmp_path, fmm, fmt):
+    import scipy.io
+    import scipy.sparse
+
+    a = _real(30)
+    path = tmp_path / "a.mtx"
+    if fmt == "symmetric":
+        scipy.io.mmwrite(str(path), a + a.T, symmetry="symmetric", precision=17)
+    else:
+        scipy.io.mmwrite(str(path), scipy.sparse.random(30, 40, density=0.2, random_state=1))
+    assert fmt in path.read_text().splitlines()[0]
+    expected = scipy.io.mmread(str(path))
+    dense = expected.toarray() if scipy.sparse.issparse(expected) else expected
+    assert read_matrix_market(path).tobytes() == dense.tobytes()
+    if fmt == "coordinate":
+        sparse = read_matrix_market(path, sparse=True)
+        assert (sparse != expected).nnz == 0
+
+
+def test_matrix_market_io_without_the_threaded_module(monkeypatch, tmp_path):
+    # SciPy before 1.12 has no scipy.io._fast_matrix_market, and its
+    # scipy.io reader and writer are the pure-Python ones of scipy.io._mmio.
+    import builtins
+
+    import scipy.io
+    import scipy.io._mmio
+
+    real_import = builtins.__import__
+
+    def no_threaded_module(name, globals=None, locals=None, fromlist=(), level=0):
+        if name == "scipy.io" and fromlist and "_fast_matrix_market" in fromlist:
+            raise ImportError("no scipy.io._fast_matrix_market")
+        return real_import(name, globals, locals, fromlist, level)
+
+    monkeypatch.setattr(builtins, "__import__", no_threaded_module)
+    monkeypatch.setattr(scipy.io, "mmread", scipy.io._mmio.mmread)
+    monkeypatch.setattr(scipy.io, "mmwrite", scipy.io._mmio.mmwrite)
+    a = _complex(5)
+    path = tmp_path / "a.mtx"
+    write_matrix_market(path, a)
+    assert np.array_equal(read_matrix_market(path), a)
+
+
+def test_overlapping_calls_restore_the_parser_threads(monkeypatch, tmp_path, fmm):
+    # More threads than cores, switching often: every srlab call runs on one
+    # parser thread, and the caller's setting is back once all have ended.
+    import threading
+
+    import scipy.io
+
+    seen = set()
+    real_mmread = scipy.io.mmread
+
+    def mmread(*args, **kwargs):
+        seen.add(fmm.PARALLELISM)
+        return real_mmread(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.io, "mmread", mmread)
+    monkeypatch.setattr(fmm, "PARALLELISM", 3)
+    a = _real(6)
+    errors = []
+
+    def work(k):
+        path = tmp_path / f"{k}.mtx"
+        try:
+            for _ in range(30):
+                write_matrix_market(path, a)
+                if not np.array_equal(read_matrix_market(path), a):
+                    errors.append(f"thread {k} read back another matrix")
+        except Exception as exc:
+            errors.append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert seen == {1}
+    assert fmm.PARALLELISM == 3
