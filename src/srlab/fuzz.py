@@ -19,11 +19,8 @@ A campaign (:func:`run_fuzz`) does not need them: each chunk folds the
 slack and holds columns of every :class:`~srlab.checks.GridReports` into
 its per-check aggregates directly, and builds a report only for a failing
 point. A replaced check function that returns plain reports is folded
-from their fields. The chunks are planned from the trial and worker
-counts (guided self-scheduling, :func:`_chunks`), so a campaign of fewer
-than :data:`CHUNK_SIZE` trials is still shared among the workers; they are
-merged in trial order, so the plan never changes the report.
-``parallelism=0`` sizes the pool to the CPUs this process may run on.
+from their fields. ``parallelism=0`` sizes the pool to the CPUs this
+process may run on.
 """
 
 from __future__ import annotations
@@ -58,10 +55,7 @@ from .checks import (
 from .schatten import validate_exponent
 
 DEFAULT_P_GRID = (1.0, 1.5, 2.0, 3.0, 10.0, math.inf)
-# A campaign's chunks hold at most CHUNK_SIZE and at least MIN_CHUNK_SIZE
-# trials (or what is left); see _chunks.
 CHUNK_SIZE = 128
-MIN_CHUNK_SIZE = 8
 SAMPLE_KINDS = (
     "gaussian",
     "psd_gram",
@@ -416,31 +410,14 @@ class RunReport:
         }
 
 
-def _chunks(trials: int, workers: int) -> list[tuple[int, int]]:
-    """The campaign's chunks ``(start, stop)``, in trial order.
-
-    Guided self-scheduling: each chunk takes ``ceil(remaining / (2 *
-    workers))`` trials, at most :data:`CHUNK_SIZE` and at least
-    :data:`MIN_CHUNK_SIZE`. So a campaign of a few hundred trials still
-    gives every worker work, and the chunks shrink towards the end, where
-    a large one would leave the other workers idle.
-    """
-    chunks = []
-    start = 0
-    while start < trials:
-        size = min(CHUNK_SIZE, max(MIN_CHUNK_SIZE, -(-(trials - start) // (2 * workers))))
-        chunks.append((start, min(start + size, trials)))
-        start += size
-    return chunks
-
-
 def run_fuzz(cfg: FuzzConfig) -> RunReport:
     """Execute the campaign; deterministic given the seed at any parallelism."""
     t0 = time.perf_counter()
     workers = resolve_parallelism(cfg.parallelism)
-    chunks = _chunks(cfg.trials, workers)
-    # Chunk results are merged in chunk order, so the report depends neither
-    # on the chunk plan nor on which worker finishes first.
+    starts = list(range(0, cfg.trials, CHUNK_SIZE))
+    chunks = [(s, min(s + CHUNK_SIZE, cfg.trials)) for s in starts]
+    # Chunk results are kept in chunk order, so the report does not depend
+    # on which worker finishes first.
     if workers == 1 or len(chunks) == 1:
         results = [_run_chunk(cfg, start, stop) for start, stop in chunks]
     else:

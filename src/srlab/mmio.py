@@ -22,22 +22,20 @@ and work that touches no MatrixMarket file load no SciPy module.
 SciPy (1.12 and later) parses and formats MatrixMarket text on a pool of
 ``scipy.io._fast_matrix_market.PARALLELISM`` threads, 0 meaning one per
 core, and starts that pool on every call. For the small files srlab
-mostly handles, starting the pool costs more than the text. So every read,
-and every write of less than :data:`THREADED_WRITE_BYTES` of text, sets
-that attribute to 1 for the length of the call and then restores it;
-larger writes keep SciPy's setting, because formatting is where threads
-pay. Overlapping srlab calls share the change, and the last to finish
-restores the value found by the first, so no srlab call leaves the
-setting changed; a SciPy MatrixMarket call made outside srlab while one is
-running may run on one thread. The threads change speed only: the parsed
-arrays and the written bytes are the same. A SciPy without that module
-(its older pure-Python reader) is called as it is.
+mostly handles, starting the pool costs more than the text. So every read
+and every write sets that attribute to 1 for the length of the call and
+then restores it, holding one lock throughout: srlab calls made at the
+same moment from threads of one process run one after another, and none
+leaves the setting changed. A SciPy MatrixMarket call made outside srlab
+while one is running may run on one thread. The threads change speed
+only: the parsed arrays and the written bytes are the same. A SciPy
+without that module (its older pure-Python reader) is called as it is.
 """
 
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -45,18 +43,7 @@ import numpy as np
 from .matrices import Matrix, _check_entries, _freeze_fresh, as_matrix
 
 
-# A write of at least this many bytes of text keeps SciPy's threads, which
-# pay from about 500 KB on a 2-core Xeon. Reads run on one thread at any
-# size: a threaded read slows the small calls after it. The README's "CLI"
-# section has the measurements.
-THREADED_WRITE_BYTES = 2**18
-# The most text one number takes at precision 17, "-1.2345678901234567e-100"
-# and a separator; a write's text is bounded by this times its numbers.
-_NUMBER_TEXT_BYTES = 25
-
 _parallelism_lock = threading.Lock()
-_one_thread_calls = 0
-_saved_parallelism = None
 
 
 class MatrixParseError(ValueError):
@@ -67,10 +54,9 @@ class MatrixParseError(ValueError):
 def _one_parser_thread():
     """Run SciPy's MatrixMarket code in the block on one thread.
 
-    The first of overlapping blocks saves SciPy's ``PARALLELISM`` and the
-    last restores it.
+    The block holds a module lock, so blocks in different threads run one
+    at a time and each restores the ``PARALLELISM`` it found.
     """
-    global _one_thread_calls, _saved_parallelism
     try:
         from scipy.io import _fast_matrix_market as fmm
     except ImportError:
@@ -79,17 +65,12 @@ def _one_parser_thread():
         yield
         return
     with _parallelism_lock:
-        if _one_thread_calls == 0:
-            _saved_parallelism = fmm.PARALLELISM
-            fmm.PARALLELISM = 1
-        _one_thread_calls += 1
-    try:
-        yield
-    finally:
-        with _parallelism_lock:
-            _one_thread_calls -= 1
-            if _one_thread_calls == 0:
-                fmm.PARALLELISM = _saved_parallelism
+        saved = fmm.PARALLELISM
+        fmm.PARALLELISM = 1
+        try:
+            yield
+        finally:
+            fmm.PARALLELISM = saved
 
 
 def read_matrix_market(path, sparse: bool = False):
@@ -162,16 +143,13 @@ def write_matrix_market(path, a: Matrix) -> None:
     ``scipy.io.mmwrite`` adds ``.mtx`` to a file name that lacks it, so it
     gets such a file opened here. A name that ends in ``.mtx`` goes to it
     as it is, because writing to a named file is faster than to a stream;
-    both write the same bytes. A write of less than
-    :data:`THREADED_WRITE_BYTES` of text runs on one thread.
+    both write the same bytes.
     """
     import scipy.io
 
     a = as_matrix(a)
     path = str(path)
-    numbers = a.size * (2 if np.iscomplexobj(a) else 1)
-    small = numbers * _NUMBER_TEXT_BYTES < THREADED_WRITE_BYTES
-    with _one_parser_thread() if small else nullcontext():
+    with _one_parser_thread():
         if path.endswith(".mtx"):
             scipy.io.mmwrite(path, a, symmetry="general", precision=17)
             return

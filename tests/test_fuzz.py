@@ -288,39 +288,6 @@ def test_resolve_parallelism_counts_the_cpus_the_process_may_use(monkeypatch):
     assert resolve_parallelism(0) == 1
 
 
-@pytest.mark.parametrize("trials, workers", [(1, 4), (20, 2), (100, 1), (512, 2), (10_000, 3)])
-def test_chunks_cover_the_trials_in_order(trials, workers):
-    chunks = fuzz._chunks(trials, workers)
-    assert [start for start, _ in chunks] == [0] + [stop for _, stop in chunks[:-1]]
-    assert chunks[-1][1] == trials
-    sizes = [stop - start for start, stop in chunks]
-    assert max(sizes) <= fuzz.CHUNK_SIZE
-    assert min(sizes[:-1], default=fuzz.MIN_CHUNK_SIZE) >= fuzz.MIN_CHUNK_SIZE
-    assert sizes == sorted(sizes, reverse=True)
-
-
-def test_small_campaign_is_shared_among_workers(monkeypatch):
-    import concurrent.futures
-
-    submitted = []
-
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, fn, *args):
-            submitted.append(args[1:])
-            return super().submit(fn, *args)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    trials = fuzz.CHUNK_SIZE // 2
-    serial = run_fuzz(small_config(trials=trials, parallelism=1)).to_json_dict()
-    assert submitted == []
-    pooled = run_fuzz(small_config(trials=trials, parallelism=2)).to_json_dict()
-    assert len(submitted) > 1
-    assert submitted == fuzz._chunks(trials, 2)
-    serial.pop("wall_time")
-    pooled.pop("wall_time")
-    assert json.dumps(serial, sort_keys=True) == json.dumps(pooled, sort_keys=True)
-
-
 def test_report_json_is_schema_one():
     payload = run_fuzz(small_config(trials=3)).to_json_dict()
     assert payload["schema"] == 1
