@@ -121,8 +121,14 @@ def _rotated(rotate_seed: int | None, *matrices: np.ndarray) -> tuple[np.ndarray
     return tuple(q @ m @ q.T for m in matrices)
 
 
+def _finite(name: str, value):
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    return value
+
+
 def _at_least(name: str, value, least):
-    if value < least:
+    if _finite(name, value) < least:
         raise ValueError(f"{name} must be >= {least}, got {value}")
     return value
 
@@ -225,7 +231,7 @@ def sum_violation_family(n: int, alpha: float, rotate_seed: int | None = None) -
     exceeds sr(A) + sr(B) once alpha^2 crosses 5(n-1)/(n-3).
     """
     n = _at_least("n", int(n), 4)
-    alpha = float(alpha)
+    alpha = _finite("alpha", float(alpha))
     if abs(alpha) < 2.0:
         raise ValueError(f"|alpha| must be >= 2, got {alpha}")
     a = _diag([alpha] + [2.0] * (n - 1))

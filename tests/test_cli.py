@@ -709,6 +709,18 @@ def test_fuzz_cli_unwritable_out_fails_before_the_campaign(tmp_path, capsys, mon
             "error: requires rank >= 2, got 1",
         ),
         (
+            ["gallery", "congruence_maximizer", "--input", "{d}/indefinite.mtx"],
+            "error: requires a positive semi-definite matrix",
+        ),
+        (
+            ["gallery", "deletion_family", "--n", "5", "--alpha", "inf"],
+            "error: alpha must be finite, got inf",
+        ),
+        (
+            ["gallery", "sum_violation_family", "--n", "5", "--alpha", "nan"],
+            "error: alpha must be finite, got nan",
+        ),
+        (
             ["gallery", "equality_cases", "--kind", "rank1", "--n", "4", "--rank", "3"]
             + ["--out", "{d}/g"],
             "error: rank1 has rank 1, got rank 3",
@@ -729,6 +741,9 @@ def test_fuzz_cli_unwritable_out_fails_before_the_campaign(tmp_path, capsys, mon
         "maximizer_multiplier_zero",
         "congruence_maximizer_zero",
         "congruence_minimizer_rank1",
+        "congruence_maximizer_indefinite",
+        "deletion_alpha_inf",
+        "sum_violation_alpha_nan",
         "equality_rank1_other_rank",
         "equality_scaled_unitary_other_rank",
     ],
@@ -741,7 +756,9 @@ def test_input_errors_exit_2(argv, message, files):
     assert out.stdout == ""
 
 
-def test_text_and_csv_formats_do_not_crash(files):
+def test_text_and_csv_formats_do_not_crash(files, capsys):
+    from srlab.cli import main
+
     eye = str(files / "identity5.mtx")
     # argv -> (CSV header row, pattern of the first text line)
     cases = {
@@ -754,26 +771,31 @@ def test_text_and_csv_formats_do_not_crash(files):
             "key,predicted,computed,rel_err",
             "deletion_family: threshold_met=True",
         ),
-        ("condition", eye, "--epsilons", "0.1,2"): (
+        ("condition", eye, "--epsilons", "0.1,2,nan"): (
             "epsilon,applicable,p,rank_e,lower,actual,upper,"
             "slack_lower,slack_upper,psd_pair,holds,reason",
             r"eps=0\.1: [\d.]+ <= [\d.]+ <= [\d.]+",
         ),
-        ("fuzz", "--trials", "4", "--seed", "1", "--parallelism", "1"): (
+        ("fuzz", "--trials", "20", "--seed", "1", "--parallelism", "2"): (
             "check,applicable_count,pass_count,min_slack",
-            r"weyl: 4/4 passed, min_slack=\S+",
+            r"weyl: 20/20 passed, min_slack=\S+",
         ),
     }
     printed = {}
     for argv, (header, text) in cases.items():
         for fmt in ("csv", "text"):
-            out = run_cli(*argv, "--format", fmt)
-            assert out.returncode == 0, (argv, fmt, out.stderr)
-            printed[argv[0], fmt] = out.stdout.splitlines()
+            assert main([*argv, "--format", fmt]) == 0, (argv, fmt)
+            captured = capsys.readouterr()
+            assert captured.err == "", (argv, fmt)
+            printed[argv[0], fmt] = captured.out.splitlines()
         assert printed[argv[0], "csv"][0] == header, argv
         assert re.fullmatch(text, printed[argv[0], "text"][0]), argv
-    assert printed["condition", "csv"][2] == "2.0,False,,,,,,,,,,requires 0 <= eps < 1"
-    assert printed["condition", "text"][1] == "eps=2.0: not applicable (requires 0 <= eps < 1)"
+    # An epsilon outside [0, 1), nan included, is a not-applicable row.
+    for line, eps in ((2, "2.0"), (3, "nan")):
+        assert printed["condition", "csv"][line] == f"{eps},False,,,,,,,,,,requires 0 <= eps < 1"
+        assert printed["condition", "text"][line - 1] == (
+            f"eps={eps}: not applicable (requires 0 <= eps < 1)"
+        )
 
 
 def test_csv_header_holds_the_keys_of_every_row(files, capsys):
@@ -808,25 +830,35 @@ def test_csv_quotes_a_field_that_holds_a_comma(files, capsys):
     assert all(len(row) == len(rows[0]) for row in rows)
 
 
-@pytest.mark.parametrize("check", ["cholesky_intdim", "intdim_subadditive", "block_intdim"])
-def test_verify_decomposes_each_input_once(check, tmp_path, lapack_calls, capsys):
+# A 300 x 300 input is wider than the 64-column block of LAPACK's ?pstrf.
+@pytest.mark.parametrize(
+    "check, n",
+    [
+        ("cholesky_intdim", 6),
+        ("intdim_subadditive", 6),
+        ("block_intdim", 6),
+        ("cholesky_intdim", 300),
+    ],
+    ids=["cholesky_intdim", "intdim_subadditive", "block_intdim", "cholesky_intdim_300"],
+)
+def test_verify_decomposes_each_input_once(check, n, tmp_path, lapack_calls, capsys):
     from srlab.cli import main
 
-    x = np.random.default_rng(3).standard_normal((6, 6))
+    x = np.random.default_rng(3).standard_normal((n, n))
     g = x @ x.T
     path = tmp_path / "g.mtx"
     write_matrix_market(path, g / 2 + g.T / 2)
     inputs = [str(path)] * (2 if check == "intdim_subadditive" else 1)
     extra = ["--k", "3"] if check == "block_intdim" else []
     assert main(["verify", check, *inputs, *extra]) == 0
-    capsys.readouterr()
-    assert lapack_calls.count(("eigvalsh", (6, 6))) == 1 + (check == "intdim_subadditive")
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert lapack_calls.count(("eigvalsh", (n, n))) == 1 + (check == "intdim_subadditive")
 
 
 def test_compute_reads_a_coordinate_file_sparse(tmp_path, lapack_calls, capsys, monkeypatch):
     """A wide coordinate file takes the sparse Gram route: one eigvalsh of
-    the small Gram, the same rank as its array-format copy and sr within
-    1e-8. intdim reads a coordinate file sparse as well, and prints the
+    the small Gram, the same rank as its array-format copy and sr and sr_1
+    within 1e-8. intdim reads a coordinate file sparse as well, and prints the
     value of its array-format copy."""
     import scipy.io
     import scipy.sparse
@@ -846,14 +878,16 @@ def test_compute_reads_a_coordinate_file_sparse(tmp_path, lapack_calls, capsys, 
     write_matrix_market(tmp_path / "array.mtx", a.toarray())
     values = {}
     for name in ("coo", "array"):
-        for quantity in ("rank", "sr"):
+        for quantity in ("rank", "sr", "srp"):
             lapack_calls.clear()
-            assert main(["compute", str(tmp_path / f"{name}.mtx"), "-q", quantity]) == 0
+            argv = ["compute", str(tmp_path / f"{name}.mtx"), "-q", quantity, "-p", "1"]
+            assert main(argv) == 0
             values[name, quantity] = json.loads(capsys.readouterr().out)["value"]
             assert lapack_calls == [("eigvalsh", (64, 64))]
     assert values["coo", "rank"] == values["array", "rank"] == 64.0
-    assert [scipy.sparse.issparse(a) for a in read] == [True, True, False, False]
-    assert values["coo", "sr"] == pytest.approx(values["array", "sr"], rel=1e-8)
+    assert [scipy.sparse.issparse(a) for a in read] == [True] * 3 + [False] * 3
+    for quantity in ("sr", "srp"):
+        assert values["coo", quantity] == pytest.approx(values["array", quantity], rel=1e-8)
 
     x = scipy.sparse.random(40, 40, density=0.2, format="coo", random_state=rng)
     g = scipy.sparse.coo_matrix(x @ x.T)
@@ -864,4 +898,4 @@ def test_compute_reads_a_coordinate_file_sparse(tmp_path, lapack_calls, capsys, 
         assert main(["compute", str(tmp_path / f"{name}.mtx"), "-q", "intdim"]) == 0
         out.append(capsys.readouterr().out.replace(name, ""))
     assert out[0] == out[1]
-    assert [scipy.sparse.issparse(a) for a in read[4:]] == [True, False]
+    assert [scipy.sparse.issparse(a) for a in read[6:]] == [True, False]

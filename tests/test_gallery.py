@@ -353,6 +353,23 @@ def test_param_validation_errors():
             build()
 
 
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda v: gallery.deletion_family(5, v), "alpha"),
+        (lambda v: gallery.sum_violation_family(5, v), "alpha"),
+        (lambda v: gallery.rank1_drop_family(5, v), "beta"),
+        (lambda v: gallery.product_violation_family(3, v), "alpha"),
+    ],
+    ids=["deletion", "sum_violation", "rank1_drop", "product_violation"],
+)
+def test_non_finite_params_are_rejected(build, name, value):
+    # Not an OverflowError from Fraction(inf), nor Fraction(nan)'s message.
+    with pytest.raises(ValueError, match=exactly(f"{name} must be finite, got {value}")):
+        build(value)
+
+
 def test_threshold_predicates_are_exact():
     # comparisons go through Fraction, so ties at the exact boundary are
     # decided by the true rational value of the float parameter
@@ -452,3 +469,18 @@ def test_exact_families_meet_the_sigma_contract_above_the_crossover(lapack_calls
         p = {"sr": 2.0, "srp": instance.params.get("p"), "rank": 0.0}[quantity]
         bound = rho**p - 1 + 1e-12
         assert abs(computed - predicted) <= bound * predicted, (instance.name, key, computed)
+
+
+def test_reproduce_families_script_prints_every_family_accurately(capsys):
+    """scripts/reproduce_families.py prints a predicted-vs-computed row for
+    every family it builds, each within the bound of assert_instance_accurate."""
+    import runpy
+    from pathlib import Path
+
+    script = Path(__file__).parents[1] / "scripts" / "reproduce_families.py"
+    runpy.run_path(str(script), run_name="__main__")
+    blocks = capsys.readouterr().out.strip().split("\n\n")
+    assert {block.split()[0] for block in blocks} == set(gallery.FAMILIES)
+    for block in blocks:
+        errors = [float(e) for e in re.findall(r" rel_err=(\S+)$", block, re.M)]
+        assert errors and max(errors) <= 1e-10, block

@@ -20,9 +20,10 @@ def test_real_round_trip_exact(tmp_path):
     rng = np.random.default_rng(0)
     a = rng.standard_normal((4, 6))
     path = tmp_path / "a.mtx"
-    write_matrix_market(path, a)
-    b = read_matrix(path)
-    assert np.array_equal(a, b)
+    # Entries up to 1.5e308, and scaled by 2^±300, come back bit for bit too.
+    for scaled in (a, a * (1.5e308 / np.abs(a).max()), np.ldexp(a, 300), np.ldexp(a, -300)):
+        write_matrix_market(path, scaled)
+        assert np.array_equal(scaled, read_matrix(path))
 
 
 def test_complex_round_trip_exact(tmp_path):
