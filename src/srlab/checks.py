@@ -13,16 +13,13 @@ Conventions shared by every checker:
 
 Exponent-dependent checks also come in ``grid_*`` form, which evaluates a
 whole exponent grid in one pass, with one power-sum call per spectrum, into
-a :class:`GridReports`: plain-float columns of lhs, rhs, slack and holds,
-one entry per grid point, with ``holds`` None where a point is not
-applicable. It is a sequence of reports, but builds a point's
-:class:`CheckReport` only when that point is indexed or iterated, so a
-caller that reads only the columns (the fuzz campaign) builds none. A grid
-point's details are the check's detail names, one tuple per grid, with the
-point's values, one tuple per point, made into a dict only when its report
-is built. ``check_*`` is the single-exponent grid, indexed. Every sr_p
-comes from :func:`srlab.ranks.srp_from_sigma`, and every intrinsic
-dimension from :func:`srlab.matrices.psd_intrinsic_dimension`.
+a list of :class:`CheckReport`, one per grid point in grid order, with a
+not-applicable report where a point's exponent is out of range. Every
+applicable report is built by :func:`_finish` and every not-applicable one
+by :func:`_not_applicable`, grid or not. ``check_*`` is the
+single-exponent grid, indexed. Every sr_p comes from
+:func:`srlab.ranks.srp_from_sigma`, and every intrinsic dimension from
+:func:`srlab.matrices.psd_intrinsic_dimension`.
 
 Singular values are taken one of two ways. A PSD-gated check evaluates
 the inequality on the spectrum the classifier decided on: the eigenvalues
@@ -45,7 +42,6 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -347,62 +343,14 @@ def check_cholesky_intdim(a: Matrix) -> CheckReport:
 
 
 # ---------------------------------------------------------------------------
-# Exponent-dependent checkers (grid form: columns over the grid, one
+# Exponent-dependent checkers (grid form: one report per grid point, one
 # power-sum call per spectrum)
-
-
-class GridReports(Sequence):
-    """The reports of one ``grid_*`` check, one per grid point, held as columns.
-
-    ``p``, ``lhs``, ``rhs`` and ``slack`` hold plain floats and ``holds``
-    plain bools, one entry per grid point. A point that is not applicable
-    has ``holds`` None and nan in ``lhs``, ``rhs`` and ``slack``. Indexing
-    or iterating builds a point's :class:`CheckReport`, details included,
-    so a caller that reads only the columns builds no report.
-    """
-
-    __slots__ = ("name", "p", "lhs", "rhs", "slack", "holds", "_keys", "_values")
-
-    def __init__(self, name, p, lhs, rhs, slack, holds, keys, values):
-        self.name = name
-        self.p = p
-        self.lhs = lhs
-        self.rhs = rhs
-        self.slack = slack
-        self.holds = holds
-        # The check's detail names, and per point their values for an
-        # applicable point, or (reason, extra details) for a point that is not.
-        self._keys = keys
-        self._values = values
-
-    def __len__(self) -> int:
-        return len(self.holds)
-
-    def __getitem__(self, k):
-        if isinstance(k, slice):
-            return [self[i] for i in range(len(self.holds))[k]]
-        return self._report(
-            self.p[k], self.lhs[k], self.rhs[k], self.slack[k], self.holds[k], self._values[k]
-        )
-
-    def __iter__(self):
-        return map(self._report, self.p, self.lhs, self.rhs, self.slack, self.holds, self._values)
-
-    def _report(self, p, lhs, rhs, slack, holds, values) -> CheckReport:
-        """One grid point's report, from its entries in the columns."""
-        if holds is None:
-            reason, extra = values
-            return _not_applicable(self.name, reason, p=p, **extra)
-        return CheckReport(self.name, lhs, rhs, slack, holds, True, dict(zip(self._keys, values)))
-
-    def __repr__(self) -> str:
-        return f"GridReports({list(self)!r})"
 
 
 @functools.lru_cache(maxsize=64)
 def _grid_exponents(p_grid: tuple, finite: bool) -> tuple[tuple, tuple, tuple]:
-    """The grid as floats, per point None or (why it is not applicable, {}),
-    and the valid exponents.
+    """The grid as floats, per point None or why it is not applicable, and
+    the valid exponents.
 
     An exponent must be at least 1, and finite where ``finite`` is set.
     """
@@ -411,7 +359,7 @@ def _grid_exponents(p_grid: tuple, finite: bool) -> tuple[tuple, tuple, tuple]:
     need = "finite p" if finite else "p"
     ps = tuple(float(p) for p in p_grid)
     reasons = tuple(
-        (f"requires {need} >= 1, got p={p}", {})
+        f"requires {need} >= 1, got p={p}"
         if math.isnan(p) or p < 1.0 or (finite and math.isinf(p))
         else None
         for p in ps
@@ -419,38 +367,26 @@ def _grid_exponents(p_grid: tuple, finite: bool) -> tuple[tuple, tuple, tuple]:
     return ps, reasons, tuple(p for p, reason in zip(ps, reasons) if reason is None)
 
 
-def _grid(name: str, ps, reasons, keys, rows) -> GridReports:
-    """Columns over the grid ``ps``.
+def _grid(name: str, ps, reasons, rows) -> list[CheckReport]:
+    """One report per point of the grid ``ps``, in grid order.
 
-    ``reasons`` holds, per grid point, None or (why the point is not
-    applicable, extra details). ``rows`` yields ``(lhs, rhs, margins,
-    values)`` for each applicable point in grid order, with margins as in
-    :func:`_finish` and ``values`` the point's details named by ``keys``.
+    ``reasons`` holds, per grid point, None or why the point is not
+    applicable. ``rows`` yields the arguments of :func:`_finish` after the
+    name, ``(lhs, rhs, margins, details)``, for each applicable point in
+    grid order.
     """
     rows = iter(rows)
-    lhs, rhs, slack, holds, values = [], [], [], [], []
-    for reason in reasons:
-        if reason is None:
-            point_lhs, point_rhs, margins, point_values = next(rows)
-            point_slack, point_holds = _verdict(point_lhs, point_rhs, margins)
-        else:
-            point_lhs = point_rhs = point_slack = _NAN
-            point_holds = None
-            point_values = reason
-        lhs.append(point_lhs)
-        rhs.append(point_rhs)
-        slack.append(point_slack)
-        holds.append(point_holds)
-        values.append(point_values)
-    return GridReports(name, ps, lhs, rhs, slack, holds, keys, values)
+    return [
+        _finish(name, *next(rows)) if reason is None else _not_applicable(name, reason, p=p)
+        for p, reason in zip(ps, reasons)
+    ]
 
 
-def _not_applicable_grid(name: str, reason: str, p_grid, **extra) -> GridReports:
-    ps = tuple(float(p) for p in p_grid)
-    return _grid(name, ps, [(reason, extra)] * len(ps), (), ())
+def _not_applicable_grid(name: str, reason: str, p_grid, **extra) -> list[CheckReport]:
+    return [_not_applicable(name, reason, p=float(p), **extra) for p in p_grid]
 
 
-def grid_sum_subadditivity_proot(a: Matrix, b: Matrix, p_grid) -> GridReports:
+def grid_sum_subadditivity_proot(a: Matrix, b: Matrix, p_grid) -> list[CheckReport]:
     """srp(A+B)^(1/p) <= srp(A)^(1/p) + srp(B)^(1/p) for nonzero PSD A, B."""
     name = "sum_subadditivity_proot"
     a = np.asarray(a)
@@ -471,9 +407,9 @@ def grid_sum_subadditivity_proot(a: Matrix, b: Matrix, p_grid) -> GridReports:
     def rows():
         for p, root_a, root_b, lhs in zip(valid, roots_a, roots_b, roots_sum):
             rhs = root_a + root_b
-            yield lhs, rhs, (rhs - lhs,), (p, root_a, root_b)
+            yield lhs, rhs, (rhs - lhs,), {"p": p, "proot_a": root_a, "proot_b": root_b}
 
-    return _grid(name, ps, reasons, ("p", "proot_a", "proot_b"), rows())
+    return _grid(name, ps, reasons, rows())
 
 
 def check_sum_subadditivity_proot(a: Matrix, b: Matrix, p: float = 2.0) -> CheckReport:
@@ -482,7 +418,7 @@ def check_sum_subadditivity_proot(a: Matrix, b: Matrix, p: float = 2.0) -> Check
 
 def grid_rank1_addition(
     a: Matrix, b: Matrix, p_grid, rtol: float = DEFAULT_RANK_RTOL
-) -> GridReports:
+) -> list[CheckReport]:
     """srp(A+B)^(1/p) - srp(A)^(1/p) <= 1 for PSD A and rank-1 PSD B."""
     name = "rank1_addition"
     a = np.asarray(a)
@@ -504,9 +440,9 @@ def grid_rank1_addition(
     def rows():
         for p, root_a, root_sum in zip(valid, roots_a, roots_sum):
             lhs = root_sum - root_a
-            yield lhs, 1.0, (1.0 - lhs,), (p, root_a, root_sum)
+            yield lhs, 1.0, (1.0 - lhs,), {"p": p, "proot_a": root_a, "proot_sum": root_sum}
 
-    return _grid(name, ps, reasons, ("p", "proot_a", "proot_sum"), rows())
+    return _grid(name, ps, reasons, rows())
 
 
 def check_rank1_addition(
@@ -517,7 +453,7 @@ def check_rank1_addition(
 
 def grid_product_kappa(
     a: Matrix, b: Matrix, p_grid, rtol: float = DEFAULT_RANK_RTOL
-) -> GridReports:
+) -> list[CheckReport]:
     """srp(B) / kappa2(A)^p <= srp(AB) <= kappa2(A)^p * srp(B), A nonsingular."""
     name = "product_kappa"
     a = np.asarray(a)
@@ -540,10 +476,18 @@ def grid_product_kappa(
             upper = kappa_p * srp_b if srp_b > 0 else 0.0
             lower = srp_b / kappa_p
             margins = (upper - srp_ab, srp_ab - lower)
-            yield srp_ab, upper, margins, (p, kappa, srp_b, lower, upper, *margins)
+            details = {
+                "p": p,
+                "kappa2": kappa,
+                "sr_p_b": srp_b,
+                "lower_bound": lower,
+                "upper_bound": upper,
+                "slack_upper": margins[0],
+                "slack_lower": margins[1],
+            }
+            yield srp_ab, upper, margins, details
 
-    keys = ("p", "kappa2", "sr_p_b", "lower_bound", "upper_bound", "slack_upper", "slack_lower")
-    return _grid(name, ps, reasons, keys, rows())
+    return _grid(name, ps, reasons, rows())
 
 
 def check_product_kappa(
@@ -552,7 +496,7 @@ def check_product_kappa(
     return grid_product_kappa(a, b, [p], rtol=rtol)[0]
 
 
-def grid_cross_product(a: Matrix, p_grid) -> GridReports:
+def grid_cross_product(a: Matrix, p_grid) -> list[CheckReport]:
     """srp(A*A) <= srp(A), srp(AA*) <= srp(A), and srp(A*A) = sr_{2p}(A)."""
     name = "cross_product"
     a = np.asarray(a)
@@ -572,18 +516,26 @@ def grid_cross_product(a: Matrix, p_grid) -> GridReports:
             err_left = abs(gram_left - sr_2p_a)
             err_right = abs(gram_right - sr_2p_a)
             margins = (srp_a - gram_left, srp_a - gram_right, -err_left, -err_right)
-            values = (p, srp_a, gram_left, gram_right, sr_2p_a, max(err_left, err_right))
-            yield gram_left, srp_a, margins, values
+            details = {
+                "p": p,
+                "sr_p_a": srp_a,
+                "sr_p_gram_left": gram_left,
+                "sr_p_gram_right": gram_right,
+                "sr_2p_a": sr_2p_a,
+                "identity_abs_err": max(err_left, err_right),
+            }
+            yield gram_left, srp_a, margins, details
 
-    keys = ("p", "sr_p_a", "sr_p_gram_left", "sr_p_gram_right", "sr_2p_a", "identity_abs_err")
-    return _grid(name, ps, reasons, keys, rows())
+    return _grid(name, ps, reasons, rows())
 
 
 def check_cross_product(a: Matrix, p: float = 2.0) -> CheckReport:
     return grid_cross_product(a, [p])[0]
 
 
-def grid_perturbation(a: Matrix, e: Matrix, p_grid, rtol: float = DEFAULT_RANK_RTOL) -> GridReports:
+def grid_perturbation(
+    a: Matrix, e: Matrix, p_grid, rtol: float = DEFAULT_RANK_RTOL
+) -> list[CheckReport]:
     """Two-sided conditioning bounds for srp(A+E)^(1/p) when eps < 1.
 
     With eps = ||E||_2 / ||A||_2 and r = rank(E):
@@ -623,18 +575,25 @@ def grid_perturbation(a: Matrix, e: Matrix, p_grid, rtol: float = DEFAULT_RANK_R
             gen_lower = (x - rp * eps) / (1.0 + eps)
             gen_upper = (x + rp * eps) / (1.0 - eps)
             margins = (y - gen_lower, gen_upper - y)
-            values = (p, eps, r, x, y, gen_lower, gen_upper, psd_pair)
+            details = {
+                "p": p,
+                "epsilon": eps,
+                "rank_e": r,
+                "base_proot": x,
+                "actual_proot": y,
+                "gen_lower": gen_lower,
+                "gen_upper": gen_upper,
+                "psd_pair": psd_pair,
+            }
             if psd_pair:
                 psd_lower = x / (1.0 + eps)
                 psd_upper = x + rp * eps
                 margins += (y - psd_lower, psd_upper - y)
-                values += (psd_lower, psd_upper)
-            yield y, gen_upper, margins, values
+                details["psd_lower"] = psd_lower
+                details["psd_upper"] = psd_upper
+            yield y, gen_upper, margins, details
 
-    keys = ("p", "epsilon", "rank_e", "base_proot", "actual_proot", "gen_lower", "gen_upper", "psd_pair")
-    if psd_pair:
-        keys += ("psd_lower", "psd_upper")
-    return _grid(name, ps, reasons, keys, rows())
+    return _grid(name, ps, reasons, rows())
 
 
 def check_perturbation(

@@ -15,11 +15,9 @@ calls the :mod:`srlab.matrices` builder of each of the :data:`SAMPLE_KINDS`.
 A new draw goes after the existing ones, so recorded trials still replay.
 
 :func:`run_trial` returns every instance's :class:`~srlab.checks.CheckReport`.
-A campaign (:func:`run_fuzz`) does not need them: each chunk folds the
-slack and holds columns of every :class:`~srlab.checks.GridReports` into
-its per-check aggregates directly, and builds a report only for a failing
-point. A replaced check function that returns plain reports is folded
-from their fields. ``parallelism=0`` sizes the pool to the CPUs this
+A campaign (:func:`run_fuzz`) folds the same reports, grid checks' lists
+and the others' alike, into per-check aggregates, and keeps a report only
+for a failing point. ``parallelism=0`` sizes the pool to the CPUs this
 process may run on.
 """
 
@@ -37,7 +35,6 @@ from . import matrices as mat
 from .checks import (
     CHECKS,
     CheckReport,
-    GridReports,
     canonical_check_name,
     check_block_diag_sr,
     check_block_intdim,
@@ -244,10 +241,11 @@ def run_trial(seed: int, index: int, cfg: FuzzConfig) -> list[TrialResult]:
         return _run_checks(trial_inputs(seed, index, cfg), cfg)
 
 
-# (check, variant, gridded, call) in report order. ``call(x, grid)`` returns the reports
-# of one trial's inputs ``x``: one per grid point where ``gridded`` is set, else at
-# most one. Each call looks its check function up in this module when it runs, so a
-# replaced ``srlab.fuzz.check_*`` or ``grid_*`` attribute is the one that runs.
+# (check, variant, gridded, call) in report order. ``call(x, grid)`` returns a list of
+# the reports on one trial's inputs ``x``: one per grid point, in grid order, where
+# ``gridded`` is set, else at most one. Each call looks its check function up in this
+# module when it runs, so a replaced ``srlab.fuzz.check_*`` or ``grid_*`` attribute is
+# the one that runs.
 _CALLS = (
     ("weyl", None, False, lambda x, g: [check_weyl(x["A_psd"], x["B_psd"])]),
     (
@@ -312,18 +310,6 @@ def reproduce_check(
     raise ValueError(f"no instance of {check} (variant={variant}, p={p}) in trial {trial}")
 
 
-def _columns(reports) -> tuple:
-    """``(reports, slack, holds)`` of one call; ``holds`` is None where not applicable.
-
-    A :class:`GridReports` gives its columns without building a report.
-    """
-    if isinstance(reports, GridReports):
-        return reports, reports.slack, reports.holds
-    reports = list(reports)
-    holds = [bool(r.holds) if r.preconditions_met else None for r in reports]
-    return reports, [r.slack for r in reports], holds
-
-
 class _Aggregate:
     __slots__ = ("applicable", "passed", "min_slack", "argmin")
 
@@ -333,19 +319,22 @@ class _Aggregate:
         self.min_slack = None
         self.argmin = None
 
-    def fold(self, seed, trial, variant, ps, slack, holds) -> list[int]:
-        """Add one call's applicable points; return the indices of those that fail."""
+    def fold(self, seed, trial, variant, ps, reports) -> list[tuple]:
+        """Add one call's applicable reports, ``reports[i]`` at ``ps[i]``.
+
+        Returns ``(p, report)`` for each applicable report that fails.
+        """
         failing = []
-        for i, (p, point_slack, point_holds) in enumerate(zip(ps, slack, holds)):
-            if point_holds is None:
+        for p, report in zip(ps, reports):
+            if not report.preconditions_met:
                 continue
             self.applicable += 1
-            if point_holds:
+            if report.holds:
                 self.passed += 1
             else:
-                failing.append(i)
-            if self.min_slack is None or point_slack < self.min_slack:
-                self.min_slack = point_slack
+                failing.append((p, report))
+            if self.min_slack is None or report.slack < self.min_slack:
+                self.min_slack = report.slack
                 self.argmin = {"seed": seed, "trial": trial, "variant": variant, "p": p}
         return failing
 
@@ -360,27 +349,22 @@ class _Aggregate:
 
 
 def _run_chunk(cfg: FuzzConfig, start: int, stop: int):
-    """Fold trials ``[start, stop)`` into per-check aggregates and failure entries.
-
-    Grid checks are folded from their slack and holds columns; a report is
-    built only for a failing point.
-    """
+    """Fold trials ``[start, stop)`` into per-check aggregates and failure entries."""
     aggregates = {name: _Aggregate() for name in cfg.checks}
     failures = []
     for trial in range(start, stop):
         with mat.trial_scope():
             x = trial_inputs(cfg.seed, trial, cfg)
             for check, variant, ps, reports in _instances(x, cfg):
-                reports, slack, holds = _columns(reports)
-                for i in aggregates[check].fold(cfg.seed, trial, variant, ps, slack, holds):
+                for p, report in aggregates[check].fold(cfg.seed, trial, variant, ps, reports):
                     failures.append(
                         {
                             "check": check,
                             "variant": variant,
-                            "p": ps[i],
+                            "p": p,
                             "trial": trial,
                             "seed": cfg.seed,
-                            "report": reports[i].to_json_dict(),
+                            "report": report.to_json_dict(),
                         }
                     )
     return aggregates, failures

@@ -173,7 +173,7 @@ def geometric_decay(
     n: int, ratio: float, rotate_seed: int | None = None, rtol: float = DEFAULT_RANK_RTOL
 ) -> FamilyInstance:
     """Diagonal matrix with singular values ratio**j; rank_A is counted at rtol."""
-    n = _at_least("n", int(n), 1)
+    n = int(_at_least("n", n, 1))
     ratio = _in_unit_interval("ratio", float(ratio))
     values = ratio ** np.arange(n)
     a = _diag(values)
@@ -196,7 +196,7 @@ def deletion_family(n: int, alpha: float, rotate_seed: int | None = None) -> Fam
     column) raises the stable rank once alpha crosses sqrt((n-1)/(n-2)),
     and the intrinsic dimension once alpha crosses (n-1)/(n-2).
     """
-    n = _at_least("n", int(n), 3)
+    n = int(_at_least("n", n, 3))
     alpha = _at_least("alpha", float(alpha), 1)
     a = _diag([1.0] * (n - 1) + [alpha])
     a_hat_col = np.delete(a, n - 1, axis=1)
@@ -230,7 +230,7 @@ def sum_violation_family(n: int, alpha: float, rotate_seed: int | None = None) -
     """A = diag(alpha, 2I), B = diag(-alpha, -I): the stable rank of A+B
     exceeds sr(A) + sr(B) once alpha^2 crosses 5(n-1)/(n-3).
     """
-    n = _at_least("n", int(n), 4)
+    n = int(_at_least("n", n, 4))
     alpha = _finite("alpha", float(alpha))
     if abs(alpha) < 2.0:
         raise ValueError(f"|alpha| must be >= 2, got {alpha}")
@@ -259,7 +259,7 @@ def rank1_drop_family(n: int, beta: float, rotate_seed: int | None = None) -> Fa
     lowers the intrinsic dimension by more than one once beta crosses
     (n-1)/(n-3).
     """
-    n = _at_least("n", int(n), 4)
+    n = int(_at_least("n", n, 4))
     beta = _at_least("beta", float(beta), 1)
     a = _diag([0.0] + [1.0] * (n - 1))
     b = _diag([beta] + [0.0] * (n - 1))
@@ -284,7 +284,7 @@ def product_violation_family(n: int, alpha: float, rotate_seed: int | None = Non
     """A = diag(I, alpha), B = diag(I, 1/alpha): AB = I has larger stable
     rank and intrinsic dimension than either factor whenever alpha > 1.
     """
-    n = _at_least("n", int(n), 2)
+    n = int(_at_least("n", n, 2))
     alpha = _at_least("alpha", float(alpha), 1)
     a = _diag([1.0] * (n - 1) + [alpha])
     b = _diag([1.0] * (n - 1) + [1.0 / alpha])
@@ -314,7 +314,7 @@ def cross_gap_family(n: int, alpha: float, rotate_seed: int | None = None) -> Fa
     """diag(1, alpha I): the Gram matrix A*A has strictly smaller stable
     rank and intrinsic dimension than A for alpha < 1.
     """
-    n = _at_least("n", int(n), 2)
+    n = int(_at_least("n", n, 2))
     alpha = _in_unit_interval("alpha", float(alpha))
     (a,) = _rotated(rotate_seed, _diag([1.0] + [alpha] * (n - 1)))
     gram = a.conj().T @ a
@@ -422,7 +422,7 @@ def equality_cases(
     """
     if kind not in EQUALITY_KINDS:
         raise ValueError(f"unknown kind {kind!r}; known: {', '.join(EQUALITY_KINDS)}")
-    n = _at_least("n", int(n), 1)
+    n = int(_at_least("n", n, 1))
     p = validate_exponent(p)
     if kind != "rank1" and math.isinf(p):
         raise ValueError("sr_p equals the rank at p = inf only in the rank-1 case")

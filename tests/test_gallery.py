@@ -361,11 +361,31 @@ def test_param_validation_errors():
         (lambda v: gallery.sum_violation_family(5, v), "alpha"),
         (lambda v: gallery.rank1_drop_family(5, v), "beta"),
         (lambda v: gallery.product_violation_family(3, v), "alpha"),
+        (lambda v: gallery.geometric_decay(v, 0.5), "n"),
+        (lambda v: gallery.deletion_family(v, 2.0), "n"),
+        (lambda v: gallery.sum_violation_family(v, 3.0), "n"),
+        (lambda v: gallery.rank1_drop_family(v, 2.0), "n"),
+        (lambda v: gallery.product_violation_family(v, 2.0), "n"),
+        (lambda v: gallery.cross_gap_family(v, 0.5), "n"),
+        (lambda v: gallery.equality_cases("rank1", v), "n"),
     ],
-    ids=["deletion", "sum_violation", "rank1_drop", "product_violation"],
+    ids=[
+        "deletion",
+        "sum_violation",
+        "rank1_drop",
+        "product_violation",
+        "geometric_n",
+        "deletion_n",
+        "sum_violation_n",
+        "rank1_drop_n",
+        "product_violation_n",
+        "cross_gap_n",
+        "equality_n",
+    ],
 )
 def test_non_finite_params_are_rejected(build, name, value):
-    # Not an OverflowError from Fraction(inf), nor Fraction(nan)'s message.
+    # Not an OverflowError from Fraction(inf) or int(inf), nor the message of
+    # Fraction(nan) or int(nan).
     with pytest.raises(ValueError, match=exactly(f"{name} must be finite, got {value}")):
         build(value)
 
