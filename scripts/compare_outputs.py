@@ -17,7 +17,20 @@ parent commit, say). Each one's ``srlab`` runs in its own subprocess with
   of each file an op writes, with the temporary directory replaced by
   ``<tmp>``;
 * every gallery family at the parameters ``scripts/reproduce_families.py``
-  builds it with.
+  builds it with;
+* an edge corpus of ``srlab`` CLI calls on matrices written to a temporary
+  directory: 1xn, nx1 and 1x1; zero; exactly rank-deficient, real and PSD;
+  a Gram scaled by 2^600, by 2^-600 and to a largest entry of 1.5e308; a
+  Gram plus 1e-13 relative noise; an indefinite diagonal; a complex PSD
+  Gram; and a coordinate-format sparse file. On each it runs every
+  ``compute`` quantity at p = 1.5 and inf, every ``verify`` check bare and
+  with each flag it takes (``-p``, ``--k``, ``--drop-col``), a check of
+  two inputs getting the file twice, and ``condition`` with both
+  perturbation kinds.
+  It records the exit code, stdout, the ``error:`` line and each warning's
+  category and message, with the temporary directory replaced by ``<tmp>``
+  and the checkout by ``<checkout>``. No exponent is below 1, so no
+  ``QuasiNormWarning`` is raised.
 
 It prints one line per field: ``identical``, ``moved`` with the largest
 relative move of a float, or ``status changed`` with the instances where
@@ -116,13 +129,9 @@ def cli_section(seeds, workdir: Path) -> dict:
                 before = _mtimes(run_dir)
                 op.run()
                 argv, code, out, err = ran[-1]
-                try:
-                    stdout = json.loads(hide(out))
-                except json.JSONDecodeError:
-                    stdout = hide(out)
                 section[f"seed={seed} op={index} {hide(' '.join(argv))}"] = {
                     "exit_code": code,
-                    "stdout": stdout,
+                    "stdout": _json_or_text(hide(out)),
                     "stderr_first_line": hide(err.partition("\n")[0]),
                     "files": {
                         p.relative_to(run_dir).as_posix(): _sha256(p.read_bytes())
@@ -133,6 +142,13 @@ def cli_section(seeds, workdir: Path) -> dict:
     finally:
         workloads.call_cli = real_call
     return section
+
+
+def _json_or_text(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        return text
 
 
 def _sha256(data: bytes) -> str:
@@ -177,6 +193,102 @@ def gallery_section() -> dict:
     }
 
 
+# Flag values of the edge calls, by the check parameter each flag sets.
+EDGE_FLAGS = {"p": ("1.5", "inf"), "k": ("1",), "drop_col": ("1",)}
+EDGE_QUANTITIES = ("sr", "srp", "intdim", "rank", "schatten")
+
+
+def edge_matrices() -> dict:
+    """The edge inputs by file stem; the SciPy sparse one is written as a coordinate file."""
+    import numpy as np
+    import scipy.sparse
+
+    rng = np.random.default_rng(2024)
+    x = rng.standard_normal((6, 5))
+    gram = x.T @ x
+    top = np.abs(gram).max()
+    u = rng.integers(-3, 4, size=(5, 2)).astype(float)
+    z = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    sparse = rng.standard_normal((6, 8)) * (rng.random((6, 8)) < 0.3)
+    return {
+        "row_1x5": rng.standard_normal((1, 5)),
+        "column_5x1": rng.standard_normal((5, 1)),
+        "scalar_1x1": np.array([[2.5]]),
+        "zero_4x4": np.zeros((4, 4)),
+        "rank2_real_5x6": u @ rng.integers(-3, 4, size=(2, 6)),
+        "rank2_psd_5x5": u @ u.T,
+        "gram_times_2^600": gram * 2.0**600,
+        "gram_times_2^-600": gram * 2.0**-600,
+        "gram_max_1.5e308": gram * (1.5e308 / top),
+        "gram_noise_1e-13": gram + 1e-13 * top * rng.standard_normal(gram.shape),
+        "indefinite_diagonal": np.diag([3.0, 1.0, -2.0, 0.5]),
+        "complex_psd_gram": z.conj().T @ z,
+        "coordinate_6x8": scipy.sparse.coo_matrix(sparse),
+    }
+
+
+def edge_argvs(path: str) -> list[list[str]]:
+    """Every edge call on the matrix file ``path``."""
+    import inspect
+
+    from srlab.checks import CHECKS
+    from srlab.cli import _option
+
+    argvs = [
+        ["compute", path, "-q", quantity, "-p", p]
+        for quantity in EDGE_QUANTITIES
+        for p in EDGE_FLAGS["p"]
+    ]
+    for name, check in CHECKS.items():
+        params = inspect.signature(check).parameters
+        inputs = [path for param in params.values() if param.default is param.empty]
+        argvs.append(["verify", name, *inputs])
+        for key, values in EDGE_FLAGS.items():
+            if key in params:
+                argvs += [["verify", name, *inputs, _option(key), value] for value in values]
+    argvs += [["condition", path, "--perturbation", kind] for kind in ("gaussian", "psd")]
+    return argvs
+
+
+def edge_section(workdir: Path) -> dict:
+    """Every edge call, run in-process through ``srlab.cli.main``."""
+    import warnings
+
+    import scipy.io
+
+    import srlab
+    import srlab.cli
+
+    workdir = workdir.resolve()
+    workdir.mkdir()
+    checkout = str(Path(srlab.__file__).resolve().parent.parent.parent)
+
+    def hide(text):
+        return text.replace(str(workdir), PLACEHOLDER).replace(checkout, "<checkout>")
+
+    section = {}
+    for stem, matrix in edge_matrices().items():
+        path = workdir / f"{stem}.mtx"
+        scipy.io.mmwrite(str(path), matrix, symmetry="general", precision=17)
+        for argv in edge_argvs(str(path)):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        code = srlab.cli.main(argv)
+                    except Exception as exc:  # recorded, so one tree's crash is a field
+                        code = f"raised {type(exc).__name__}: {hide(str(exc))}"
+            errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+            section[hide(" ".join(argv))] = {
+                "exit_code": code,
+                "stdout": _json_or_text(hide(out.getvalue())),
+                "error_line": hide(errors[0]) if errors else None,
+                "warnings": [[w.category.__name__, hide(str(w.message))] for w in caught],
+            }
+    return section
+
+
 def collect(out_path: str) -> None:
     """Write the srlab this process imports and its outputs on the corpus to ``out_path``."""
     import srlab
@@ -187,6 +299,7 @@ def collect(out_path: str) -> None:
             "run_trial": trial_section(TRIAL_SEEDS, TRIALS),
             "cli_mix": cli_section(CLI_SEEDS, Path(workdir)),
             "gallery": gallery_section(),
+            "edge": edge_section(Path(workdir) / "edge"),
         }
     Path(out_path).write_text(json.dumps({"srlab": srlab.__file__, "corpus": corpus}))
 
@@ -196,7 +309,12 @@ def run_checkout(checkout: Path, out_path: Path) -> dict:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(str(p) for p in (checkout / "src", ROOT, ROOT / "scripts"))
     code = "import sys, compare_outputs; compare_outputs.collect(sys.argv[1])"
-    subprocess.run([sys.executable, "-c", code, str(out_path)], cwd=checkout, env=env, check=True)
+    # The corpus goes to out_path. stdout holds only what LAPACK prints on the
+    # edge inputs ("On entry to DLASCL ..."), which would break up the summary.
+    subprocess.run(
+        [sys.executable, "-c", code, str(out_path)],
+        cwd=checkout, env=env, check=True, stdout=subprocess.DEVNULL,
+    )
     collected = json.loads(out_path.read_text())
     if not Path(collected["srlab"]).resolve().is_relative_to(checkout / "src"):
         raise RuntimeError(f"{checkout} ran the srlab at {collected['srlab']}")

@@ -3,13 +3,16 @@
 
 Conventions shared by every checker:
 
-* ``slack`` is the smallest signed margin over all clauses of the check
-  (for an inequality lhs <= rhs the margin is rhs - lhs; for an equality
-  it is minus the absolute deviation), so ``holds`` is simply
-  ``slack >= -abs_tol`` with ``abs_tol = 1e-10 * max(1, |lhs|, |rhs|)``.
+* A check hands :func:`_finish` its clauses, plain tuples
+  ``(lhs, rhs, identity, name)``: an inequality lhs <= rhs has margin
+  rhs - lhs, an identity lhs = rhs has margin -abs(lhs - rhs), and a named
+  clause's margin is also ``details["slack_" + name]``. ``slack`` is the
+  least margin, so ``holds`` is simply ``slack >= -abs_tol`` with
+  ``abs_tol = 1e-10 * max(1, |lhs|, |rhs|)``; ``lhs`` and ``rhs`` are one
+  clause's sides. Only :func:`_finish` turns clauses into margins.
 * Violated preconditions yield a not-applicable report
   (``preconditions_met=False``, ``holds=None``), never a failure.
-* Two-sided bounds produce one report with per-side slacks in ``details``.
+* Two-sided bounds produce one report with a named clause per side.
 
 Exponent-dependent checks also come in ``grid_*`` form, which evaluates a
 whole exponent grid in one pass, with one power-sum call per spectrum, into
@@ -42,6 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -132,10 +136,17 @@ def _verdict(lhs: float, rhs: float, margins) -> tuple[float, bool]:
     return slack, slack >= -SLACK_RTOL * scale
 
 
-def _finish(name: str, lhs: float, rhs: float, margins, details: dict) -> CheckReport:
-    """An applicable report."""
-    lhs = float(lhs)
-    rhs = float(rhs)
+def _finish(name: str, clauses, details: dict, headline: int = 0) -> CheckReport:
+    """An applicable report on ``clauses`` (see the module docstring), its
+    sides those of ``clauses[headline]``."""
+    margins = []
+    for lhs, rhs, identity, key in clauses:
+        margin = -abs(lhs - rhs) if identity else rhs - lhs
+        margins.append(margin)
+        if key is not None:
+            # Interned, so reports share their keys as they share literal ones.
+            details[sys.intern("slack_" + key)] = margin
+    lhs, rhs = float(clauses[headline][0]), float(clauses[headline][1])
     return CheckReport(name, lhs, rhs, *_verdict(lhs, rhs, margins), True, details)
 
 
@@ -184,15 +195,9 @@ def check_weyl(a: Matrix, b: Matrix) -> CheckReport:
     top_sum = float(hermitian_part_eigenvalues(a + b)[0])
     base = float(wa[0])
     mid = base + float(wb[-1])
-    margins = [top_sum - mid, mid - base]
-    details = {
-        "lam1_sum": top_sum,
-        "lam1_a": base,
-        "lamn_b": float(wb[-1]),
-        "slack_sum_bound": margins[0],
-        "slack_base_bound": margins[1],
-    }
-    return _finish(name, mid, top_sum, margins, details)
+    clauses = [(mid, top_sum, False, "sum_bound"), (base, mid, False, "base_bound")]
+    details = {"lam1_sum": top_sum, "lam1_a": base, "lamn_b": float(wb[-1])}
+    return _finish(name, clauses, details)
 
 
 def check_intdim_subadditive(a: Matrix, b: Matrix) -> CheckReport:
@@ -210,7 +215,7 @@ def check_intdim_subadditive(a: Matrix, b: Matrix) -> CheckReport:
     id_b = psd_intrinsic_dimension(b)
     lhs = psd_intrinsic_dimension(a + b)
     rhs = id_a + id_b
-    return _finish(name, lhs, rhs, [rhs - lhs], {"intdim_a": id_a, "intdim_b": id_b})
+    return _finish(name, [(lhs, rhs, False, None)], {"intdim_a": id_a, "intdim_b": id_b})
 
 
 def check_block_diag_sr(a11: Matrix, a22: Matrix) -> CheckReport:
@@ -231,16 +236,9 @@ def check_block_diag_sr(a11: Matrix, a22: Matrix) -> CheckReport:
     sr_block = srp_from_sigma(sigma(block), 2.0)
     low = min(sr11, sr22)
     high = sr11 + sr22
-    margins = [sr_block - low, high - sr_block]
-    details = {
-        "sr_a11": sr11,
-        "sr_a22": sr22,
-        "lower_bound": low,
-        "upper_bound": high,
-        "slack_lower": margins[0],
-        "slack_upper": margins[1],
-    }
-    return _finish(name, sr_block, high, margins, details)
+    clauses = [(low, sr_block, False, "lower"), (sr_block, high, False, "upper")]
+    details = {"sr_a11": sr11, "sr_a22": sr22, "lower_bound": low, "upper_bound": high}
+    return _finish(name, clauses, details, headline=1)
 
 
 def check_block_intdim(a: Matrix, k: int = 1) -> CheckReport:
@@ -250,6 +248,8 @@ def check_block_intdim(a: Matrix, k: int = 1) -> CheckReport:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return _not_applicable(name, "requires a square matrix")
     n = a.shape[0]
+    if n < 2:
+        return _not_applicable(name, "requires at least 2 rows and columns")
     k = int(k)
     if not 1 <= k < n:
         raise ValueError(f"block split k must satisfy 1 <= k < n, got k={k}, n={n}")
@@ -260,7 +260,7 @@ def check_block_intdim(a: Matrix, k: int = 1) -> CheckReport:
     id_22 = psd_intrinsic_dimension(a[k:, k:])
     rhs = id_11 + id_22
     details = {"k": k, "intdim_a11": id_11, "intdim_a22": id_22}
-    return _finish(name, id_full, rhs, [rhs - id_full], details)
+    return _finish(name, [(id_full, rhs, False, None)], details)
 
 
 def check_deletion(a: Matrix, drop_col: int = 0, rtol: float = DEFAULT_RANK_RTOL) -> CheckReport:
@@ -296,7 +296,7 @@ def check_deletion(a: Matrix, drop_col: int = 0, rtol: float = DEFAULT_RANK_RTOL
     }
     if psd_eigenvalues(a) is not None:
         details["intdim_a"] = psd_intrinsic_dimension(a)
-    return _finish(name, float(rank_h), float(rank_a), [float(rank_a - rank_h)], details)
+    return _finish(name, [(rank_h, rank_a, False, None)], details)
 
 
 def check_cholesky_intdim(a: Matrix) -> CheckReport:
@@ -326,7 +326,7 @@ def check_cholesky_intdim(a: Matrix) -> CheckReport:
     intdim_a = psd_intrinsic_dimension(a)
     sl = sigma(L) if rank > 0 else np.zeros(0)
     sr_l = srp_from_sigma(sl, 2.0)
-    margins = [sr_l - intdim_a]
+    clauses = [(intdim_a, sr_l, False, None)]
     details = {
         "factor_stable_rank": sr_l,
         "chol_rank": rank,
@@ -338,8 +338,8 @@ def check_cholesky_intdim(a: Matrix) -> CheckReport:
         if is_hermitian(L):
             intdim_l = psd_intrinsic_dimension(L)
             details["factor_intdim"] = intdim_l
-            margins.append(intdim_l - intdim_a)
-    return _finish(name, intdim_a, sr_l, margins, details)
+            clauses.append((intdim_a, intdim_l, False, None))
+    return _finish(name, clauses, details)
 
 
 # ---------------------------------------------------------------------------
@@ -372,8 +372,8 @@ def _grid(name: str, ps, reasons, rows) -> list[CheckReport]:
 
     ``reasons`` holds, per grid point, None or why the point is not
     applicable. ``rows`` yields the arguments of :func:`_finish` after the
-    name, ``(lhs, rhs, margins, details)``, for each applicable point in
-    grid order.
+    name, ``(clauses, details)`` or ``(clauses, details, headline)``, for
+    each applicable point in grid order.
     """
     rows = iter(rows)
     return [
@@ -406,8 +406,8 @@ def grid_sum_subadditivity_proot(a: Matrix, b: Matrix, p_grid) -> list[CheckRepo
 
     def rows():
         for p, root_a, root_b, lhs in zip(valid, roots_a, roots_b, roots_sum):
-            rhs = root_a + root_b
-            yield lhs, rhs, (rhs - lhs,), {"p": p, "proot_a": root_a, "proot_b": root_b}
+            details = {"p": p, "proot_a": root_a, "proot_b": root_b}
+            yield ((lhs, root_a + root_b, False, None),), details
 
     return _grid(name, ps, reasons, rows())
 
@@ -439,8 +439,8 @@ def grid_rank1_addition(
 
     def rows():
         for p, root_a, root_sum in zip(valid, roots_a, roots_sum):
-            lhs = root_sum - root_a
-            yield lhs, 1.0, (1.0 - lhs,), {"p": p, "proot_a": root_a, "proot_sum": root_sum}
+            details = {"p": p, "proot_a": root_a, "proot_sum": root_sum}
+            yield ((root_sum - root_a, 1.0, False, None),), details
 
     return _grid(name, ps, reasons, rows())
 
@@ -475,17 +475,15 @@ def grid_product_kappa(
             kappa_p = kappa**p
             upper = kappa_p * srp_b if srp_b > 0 else 0.0
             lower = srp_b / kappa_p
-            margins = (upper - srp_ab, srp_ab - lower)
+            clauses = ((srp_ab, upper, False, "upper"), (lower, srp_ab, False, "lower"))
             details = {
                 "p": p,
                 "kappa2": kappa,
                 "sr_p_b": srp_b,
                 "lower_bound": lower,
                 "upper_bound": upper,
-                "slack_upper": margins[0],
-                "slack_lower": margins[1],
             }
-            yield srp_ab, upper, margins, details
+            yield clauses, details
 
     return _grid(name, ps, reasons, rows())
 
@@ -513,18 +511,17 @@ def grid_cross_product(a: Matrix, p_grid) -> list[CheckReport]:
         for p, srp_a, sr_2p_a, gram_left, gram_right in zip(
             valid, srps_a[:k], srps_a[k:], srps_left, srps_right
         ):
-            err_left = abs(gram_left - sr_2p_a)
-            err_right = abs(gram_right - sr_2p_a)
-            margins = (srp_a - gram_left, srp_a - gram_right, -err_left, -err_right)
+            clauses = [(gram_left, srp_a, False, None), (gram_right, srp_a, False, None)]
+            clauses += [(gram_left, sr_2p_a, True, None), (gram_right, sr_2p_a, True, None)]
             details = {
                 "p": p,
                 "sr_p_a": srp_a,
                 "sr_p_gram_left": gram_left,
                 "sr_p_gram_right": gram_right,
                 "sr_2p_a": sr_2p_a,
-                "identity_abs_err": max(err_left, err_right),
+                "identity_abs_err": max(abs(gram_left - sr_2p_a), abs(gram_right - sr_2p_a)),
             }
-            yield gram_left, srp_a, margins, details
+            yield clauses, details
 
     return _grid(name, ps, reasons, rows())
 
@@ -574,7 +571,7 @@ def grid_perturbation(
             rp = _proot(float(r), p)
             gen_lower = (x - rp * eps) / (1.0 + eps)
             gen_upper = (x + rp * eps) / (1.0 - eps)
-            margins = (y - gen_lower, gen_upper - y)
+            clauses = [(gen_lower, y, False, None), (y, gen_upper, False, None)]
             details = {
                 "p": p,
                 "epsilon": eps,
@@ -588,10 +585,10 @@ def grid_perturbation(
             if psd_pair:
                 psd_lower = x / (1.0 + eps)
                 psd_upper = x + rp * eps
-                margins += (y - psd_lower, psd_upper - y)
+                clauses += [(psd_lower, y, False, None), (y, psd_upper, False, None)]
                 details["psd_lower"] = psd_lower
                 details["psd_upper"] = psd_upper
-            yield y, gen_upper, margins, details
+            yield clauses, details, 1
 
     return _grid(name, ps, reasons, rows())
 

@@ -440,6 +440,8 @@ def test_block_intdim_guards():
     assert check_block_intdim(np.diag([1.0, -1.0]), 1).holds is None
     with pytest.raises(ValueError):
         check_block_intdim(np.eye(3), 3)
+    with pytest.raises(ValueError):
+        check_block_intdim(np.eye(4), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -605,6 +607,8 @@ def test_encode_json_of_verify_payloads_is_unchanged():
     # One applicable point of each grid check, details in key order, and the
     # perturbation check with and without its PSD pair. Diagonal inputs at
     # p = 1 (and kappa2^p = 2^2), so no value depends on how pow rounds.
+    # Then block_diag_sr (its two named clauses in order), cholesky_intdim on
+    # a full-rank factor (two clauses) and deletion (integer sides).
     d = np.diag
     grid_points = [
         check_sum_subadditivity_proot(d([2.0, 1.0]), d([1.0, 0.5]), 1.0),
@@ -613,6 +617,9 @@ def test_encode_json_of_verify_payloads_is_unchanged():
         check_cross_product(d([2.0, 1.0]), 1.0),
         check_perturbation(d([2.0, 1.0]), d([0.5, 0.5]), 1.0),
         check_perturbation(d([2.0, 1.0]), d([0.5, -0.5]), 1.0),
+        check_block_diag_sr(d([2.0, 1.0]), d([1.0])),
+        check_cholesky_intdim(d([4.0, 1.0])),
+        check_deletion(d([2.0, 1.0]), 1),
     ]
     assert [
         json.dumps(encode_json({"schema": 1, "kind": "verify", **r.to_json_dict()}))
@@ -645,6 +652,18 @@ def test_encode_json_of_verify_payloads_is_unchanged():
         '"preconditions_met": true, "status": "pass", "details": {"p": 1.0, '
         '"epsilon": 0.25, "rank_e": 2, "base_proot": 1.5, "actual_proot": 1.2, '
         '"gen_lower": 0.8, "gen_upper": 2.6666666666666665, "psd_pair": false}}',
+        '{"schema": 1, "kind": "verify", "name": "block_diag_sr", "lhs": 1.5, "rhs": 2.25, '
+        '"slack": 0.5, "holds": true, "preconditions_met": true, "status": "pass", '
+        '"details": {"sr_a11": 1.25, "sr_a22": 1.0, "lower_bound": 1.0, "upper_bound": 2.25, '
+        '"slack_lower": 0.5, "slack_upper": 0.75}}',
+        '{"schema": 1, "kind": "verify", "name": "cholesky_intdim", "lhs": 1.25, "rhs": 1.25, '
+        '"slack": 0.0, "holds": true, "preconditions_met": true, "status": "pass", '
+        '"details": {"factor_stable_rank": 1.25, "chol_rank": 2, "residual": 0.0, '
+        '"permutation": [0, 1], "factor_trace_ratio": 1.5, "factor_intdim": 1.5}}',
+        '{"schema": 1, "kind": "verify", "name": "deletion", "lhs": 1.0, "rhs": 2.0, '
+        '"slack": 1.0, "holds": true, "preconditions_met": true, "status": "pass", '
+        '"details": {"drop_col": 1, "rank_a": 2, "rank_deleted": 1, "sr_a": 1.25, '
+        '"sr_deleted": 1.0, "sr_increased": false, "intdim_a": 1.5}}',
     ]
     # A report's JSON dict nested in a payload is kept as it is; tuples become lists.
     assert encode_json({"r": passed.to_json_dict(), "t": (1.0, math.inf)}) == {
@@ -657,6 +676,24 @@ def test_tolerance_policy_uniform():
     for report in collect_sample_reports():
         if report.preconditions_met:
             assert_tolerance_invariant(report)
+
+
+def test_finish_derives_margins_from_clauses():
+    clauses = [
+        (1.0, 3.0, False, None),  # inequality: margin 2.0
+        (2.5, 2.0, True, "identity"),  # identity: margin -0.5
+        (0.0, 4.0, False, "upper"),  # margin 4.0
+    ]
+    details = {"p": 2.0}
+    r = srlab.checks._finish("demo", clauses, details)
+    assert (r.lhs, r.rhs) == (1.0, 3.0)  # the first clause's sides
+    assert r.slack == -0.5  # the least margin
+    assert r.holds is False
+    assert r.details is details
+    assert r.details == {"p": 2.0, "slack_identity": -0.5, "slack_upper": 4.0}
+    assert list(r.details) == ["p", "slack_identity", "slack_upper"]
+    r = srlab.checks._finish("demo", clauses[::2], {}, headline=1)
+    assert (r.lhs, r.rhs, r.slack) == (0.0, 4.0, 2.0)
 
 
 def test_registry_consistency():
@@ -681,6 +718,9 @@ PRECONDITION_CASES = {
         "intdim_subadditive", (_EYE, _INDEFINITE), {}, "requires positive semi-definite matrices"
     ),
     "block_intdim_not_square": ("block_intdim", (_RECT,), {"k": 1}, "requires a square matrix"),
+    "block_intdim_1x1": (
+        "block_intdim", (np.ones((1, 1)),), {"k": 1}, "requires at least 2 rows and columns"
+    ),
     "cholesky_intdim_not_square": ("cholesky_intdim", (_RECT,), {}, "requires a square matrix"),
     "sum_subadditivity_proot_not_square": ("sum_subadditivity_proot", (_RECT, _RECT), {}, _UNEQUAL),
     "sum_subadditivity_proot_zero": (

@@ -141,6 +141,19 @@ def test_verify_block_intdim_with_k(files):
     assert out.returncode == 0
 
 
+def test_verify_block_intdim_on_1x1_is_not_applicable(files):
+    # No split exists, so the default k is not an error; a bad k on a 4x4 still is.
+    write_matrix_market(files / "one.mtx", np.array([[2.0]]))
+    out = run_cli("verify", "block_intdim", str(files / "one.mtx"))
+    assert out.returncode == 0, out.stderr
+    payload = json.loads(out.stdout)
+    assert payload["status"] == "not-applicable"
+    assert payload["details"]["reason"] == "requires at least 2 rows and columns"
+    write_matrix_market(files / "eye4.mtx", np.eye(4))
+    out = run_cli("verify", "block_intdim", str(files / "eye4.mtx"), "--k", "0")
+    assert_usage_error(out, "error: block split k must satisfy 1 <= k < n, got k=0, n=4")
+
+
 def test_verify_wrong_arity_exit_2(files):
     out = run_cli("verify", "check_weyl", str(files / "identity5.mtx"))
     assert out.returncode == 2

@@ -104,3 +104,20 @@ def test_summary_lines():
     assert line("run_trial.holds", fields["run_trial.holds"]) == (
         "run_trial.holds: status changed in 6: t1; t2; t3; t4; t5 and 1 more"
     )
+
+
+def test_edge_section_runs_every_call_and_repeats(tmp_path):
+    # The edge corpus on this tree: every call ends in an exit code, none
+    # raises, and a second run in another directory records the same corpus.
+    first = compare_outputs.edge_section(tmp_path / "first")
+    assert len(first) > 400
+    codes = {instance: record["exit_code"] for instance, record in first.items()}
+    assert set(codes.values()) <= {0, 1, 2, 3}, codes
+    assert compare_outputs.edge_section(tmp_path / "second") == first
+    assert not any("/" + tmp_path.name in instance for instance in first)
+    for record in first.values():
+        assert (record["error_line"] is None) == (record["exit_code"] in (0, 1))
+        assert all(category != "QuasiNormWarning" for category, _ in record["warnings"])
+    one = first["verify block_intdim <tmp>/scalar_1x1.mtx"]
+    assert one["exit_code"] == 0
+    assert one["stdout"]["status"] == "not-applicable"
