@@ -65,7 +65,7 @@ def _print_report(fmt: str, payload: dict, rows: list[dict], lines: list[str]) -
         keys = list(dict.fromkeys(key for row in rows for key in row))
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(keys)
-        writer.writerows([str(encode_json(row.get(k, ""))) for k in keys] for row in rows)
+        writer.writerows([encode_json(row.get(k)) for k in keys] for row in rows)
     elif fmt == "text":
         for line in lines:
             print(line)

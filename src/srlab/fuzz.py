@@ -8,16 +8,17 @@ before any check runs, which makes every instance reproducible from
 ``(seed, trial)`` alone.
 
 Which trial inputs feed which check is described once, in the ``_CALLS``
-table of ``(check, variant, gridded, call)`` rows that :func:`run_trial`,
-:func:`reproduce_check` and the campaign walk in order. The draws of a trial
+table of ``(check, variant, function, slots)`` rows: a check function of
+this module by name and the trial inputs it takes. One row runner calls
+them for :func:`run_trial` and :func:`reproduce_check`. The draws of a trial
 are written once: :func:`trial_inputs`, and one function per input slot that
 calls the :mod:`srlab.matrices` builder of each of the :data:`SAMPLE_KINDS`.
 A new draw goes after the existing ones, so recorded trials still replay.
 
 :func:`run_trial` returns every instance's :class:`~srlab.checks.CheckReport`.
-A campaign (:func:`run_fuzz`) folds the same reports, grid checks' lists
-and the others' alike, into per-check aggregates, and keeps a report only
-for a failing point. ``parallelism=0`` sizes the pool to the CPUs this
+A campaign (:func:`run_fuzz`) folds the reports of ``run_trial``, one at a
+time, into per-check aggregates, and keeps a report only for a failing,
+applicable point. ``parallelism=0`` sizes the pool to the CPUs this
 process may run on.
 """
 
@@ -32,6 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import matrices as mat
+# The check_* and grid_* functions are called by their names in ``_CALLS``.
 from .checks import (
     CHECKS,
     CheckReport,
@@ -241,72 +243,58 @@ def run_trial(seed: int, index: int, cfg: FuzzConfig) -> list[TrialResult]:
         return _run_checks(trial_inputs(seed, index, cfg), cfg)
 
 
-# (check, variant, gridded, call) in report order. ``call(x, grid)`` returns a list of
-# the reports on one trial's inputs ``x``: one per grid point, in grid order, where
-# ``gridded`` is set, else at most one. Each call looks its check function up in this
-# module when it runs, so a replaced ``srlab.fuzz.check_*`` or ``grid_*`` attribute is
-# the one that runs.
+# (check, variant, function, slots) in report order: the check function of this module
+# that runs on the trial inputs named by ``slots``. A ``grid_*`` function also takes the
+# p grid and returns one report per grid point; a ``check_*`` function returns one report.
 _CALLS = (
-    ("weyl", None, False, lambda x, g: [check_weyl(x["A_psd"], x["B_psd"])]),
-    (
-        "intdim_subadditive",
-        None,
-        False,
-        lambda x, g: [check_intdim_subadditive(x["A_psd"], x["B_psd"])],
-    ),
-    (
-        "sum_subadditivity_proot",
-        None,
-        True,
-        lambda x, g: grid_sum_subadditivity_proot(x["A_psd"], x["B_psd"], g),
-    ),
-    ("rank1_addition", None, True, lambda x, g: grid_rank1_addition(x["A_psd"], x["B_rank1"], g)),
-    ("product_kappa", None, True, lambda x, g: grid_product_kappa(x["A_nonsing"], x["B_prod"], g)),
-    ("cross_product", None, True, lambda x, g: grid_cross_product(x["A_gen"], g)),
-    ("perturbation", "general", True, lambda x, g: grid_perturbation(x["A_gen"], x["E_gen"], g)),
-    ("perturbation", "psd", True, lambda x, g: grid_perturbation(x["A_psd"], x["E_psd"], g)),
-    ("block_diag_sr", None, False, lambda x, g: [check_block_diag_sr(x["A11"], x["A22"])]),
-    (
-        "block_intdim",
-        None,
-        False,
-        # A block split needs n >= 2; smaller trials have no instance.
-        lambda x, g: [check_block_intdim(x["A_psd"], x["split_k"])] if x["n"] >= 2 else [],
-    ),
-    ("cholesky_intdim", None, False, lambda x, g: [check_cholesky_intdim(x["A_psd"])]),
-    ("deletion", None, False, lambda x, g: [check_deletion(x["A_gen"], x["drop_col"])]),
+    ("weyl", None, "check_weyl", ("A_psd", "B_psd")),
+    ("intdim_subadditive", None, "check_intdim_subadditive", ("A_psd", "B_psd")),
+    ("sum_subadditivity_proot", None, "grid_sum_subadditivity_proot", ("A_psd", "B_psd")),
+    ("rank1_addition", None, "grid_rank1_addition", ("A_psd", "B_rank1")),
+    ("product_kappa", None, "grid_product_kappa", ("A_nonsing", "B_prod")),
+    ("cross_product", None, "grid_cross_product", ("A_gen",)),
+    ("perturbation", "general", "grid_perturbation", ("A_gen", "E_gen")),
+    ("perturbation", "psd", "grid_perturbation", ("A_psd", "E_psd")),
+    ("block_diag_sr", None, "check_block_diag_sr", ("A11", "A22")),
+    ("block_intdim", None, "check_block_intdim", ("A_psd", "split_k")),
+    ("cholesky_intdim", None, "check_cholesky_intdim", ("A_psd",)),
+    ("deletion", None, "check_deletion", ("A_gen", "drop_col")),
 )
 
-_NO_EXPONENT = (None,)
 
+def _row_reports(x: dict, row: tuple, grid: tuple) -> tuple:
+    """``(ps, reports)`` of one ``_CALLS`` row on trial inputs ``x``, ``reports[i]`` at ``ps[i]``.
 
-def _instances(x: dict, cfg: FuzzConfig):
-    """Per enabled call: ``(check, variant, ps, reports)``, with ``reports[i]`` at ``ps[i]``."""
-    enabled = set(cfg.checks)
-    for check, variant, gridded, call in _CALLS:
-        if check in enabled:
-            yield check, variant, cfg.p_grid if gridded else _NO_EXPONENT, call(x, cfg.p_grid)
+    The function is looked up in this module when the row runs, so a replaced
+    ``srlab.fuzz.check_*`` or ``grid_*`` attribute is the one that runs.
+    """
+    function, slots = row[2:]
+    args = [x[slot] for slot in slots]
+    if function.startswith("grid_"):
+        return grid, globals()[function](*args, grid)
+    return (None,), [globals()[function](*args)]
 
 
 def _run_checks(x: dict, cfg: FuzzConfig) -> list[TrialResult]:
-    return [
-        TrialResult(check, variant, p, report)
-        for check, variant, ps, reports in _instances(x, cfg)
-        for p, report in zip(ps, reports)
-    ]
+    results = []
+    for row in _CALLS:
+        check, variant = row[:2]
+        if check in cfg.checks:
+            ps, reports = _row_reports(x, row, cfg.p_grid)
+            results += [TrialResult(check, variant, p, report) for p, report in zip(ps, reports)]
+    return results
 
 
 def reproduce_check(
     cfg: FuzzConfig, trial: int, check: str, variant: str | None, p: float | None
 ) -> CheckReport:
     """Re-run one recorded instance: only its ``_CALLS`` row, a grid row at ``p`` alone."""
-    for name, row_variant, gridded, call in _CALLS:
-        ps = cfg.p_grid if gridded else _NO_EXPONENT
-        if check in cfg.checks and (name, row_variant) == (check, variant) and p in ps:
+    for row in _CALLS:
+        ps = cfg.p_grid if row[2].startswith("grid_") else (None,)
+        if check in cfg.checks and row[:2] == (check, variant) and p in ps:
             with mat.trial_scope():
-                reports = call(trial_inputs(cfg.seed, trial, cfg), (ps[ps.index(p)],))
-            if reports:  # block_intdim has no instance at n < 2
-                return reports[0]
+                x = trial_inputs(cfg.seed, trial, cfg)
+                return _row_reports(x, row, (ps[ps.index(p)],))[1][0]
     raise ValueError(f"no instance of {check} (variant={variant}, p={p}) in trial {trial}")
 
 
@@ -319,24 +307,17 @@ class _Aggregate:
         self.min_slack = None
         self.argmin = None
 
-    def fold(self, seed, trial, variant, ps, reports) -> list[tuple]:
-        """Add one call's applicable reports, ``reports[i]`` at ``ps[i]``.
-
-        Returns ``(p, report)`` for each applicable report that fails.
-        """
-        failing = []
-        for p, report in zip(ps, reports):
-            if not report.preconditions_met:
-                continue
-            self.applicable += 1
-            if report.holds:
-                self.passed += 1
-            else:
-                failing.append((p, report))
-            if self.min_slack is None or report.slack < self.min_slack:
-                self.min_slack = report.slack
-                self.argmin = {"seed": seed, "trial": trial, "variant": variant, "p": p}
-        return failing
+    def fold(self, seed, trial, variant, p, report) -> bool:
+        """Add one report at ``p``; returns whether it is applicable and fails."""
+        if not report.preconditions_met:
+            return False
+        self.applicable += 1
+        if report.holds:
+            self.passed += 1
+        if self.min_slack is None or report.slack < self.min_slack:
+            self.min_slack = report.slack
+            self.argmin = {"seed": seed, "trial": trial, "variant": variant, "p": p}
+        return not report.holds
 
     def merge(self, other: "_Aggregate"):
         self.applicable += other.applicable
@@ -349,24 +330,22 @@ class _Aggregate:
 
 
 def _run_chunk(cfg: FuzzConfig, start: int, stop: int):
-    """Fold trials ``[start, stop)`` into per-check aggregates and failure entries."""
+    """Fold ``run_trial``'s reports on trials ``[start, stop)`` into aggregates and failures."""
     aggregates = {name: _Aggregate() for name in cfg.checks}
     failures = []
     for trial in range(start, stop):
-        with mat.trial_scope():
-            x = trial_inputs(cfg.seed, trial, cfg)
-            for check, variant, ps, reports in _instances(x, cfg):
-                for p, report in aggregates[check].fold(cfg.seed, trial, variant, ps, reports):
-                    failures.append(
-                        {
-                            "check": check,
-                            "variant": variant,
-                            "p": p,
-                            "trial": trial,
-                            "seed": cfg.seed,
-                            "report": report.to_json_dict(),
-                        }
-                    )
+        for check, variant, p, report in run_trial(cfg.seed, trial, cfg):
+            if aggregates[check].fold(cfg.seed, trial, variant, p, report):
+                failures.append(
+                    {
+                        "check": check,
+                        "variant": variant,
+                        "p": p,
+                        "trial": trial,
+                        "seed": cfg.seed,
+                        "report": report.to_json_dict(),
+                    }
+                )
     return aggregates, failures
 
 

@@ -830,6 +830,20 @@ def test_csv_header_holds_the_keys_of_every_row(files, capsys):
     assert row["holds"] == "True"
 
 
+def test_csv_writes_a_none_field_empty(files, capsys):
+    from srlab.cli import main
+
+    assert main(["compute", str(files / "identity5.mtx"), "-q", "sr", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["quantity,p,value", "sr,,5.0"]
+    # A check with no applicable instance has no least slack.
+    argv = ["fuzz", "--trials", "2", "--seed", "1", "--checks", "cross_product", "--p-grid", "0.5"]
+    assert main([*argv, "--parallelism", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "check,applicable_count,pass_count,min_slack",
+        "cross_product,0,0,",
+    ]
+
+
 def test_csv_quotes_a_field_that_holds_a_comma(files, capsys):
     import csv
 

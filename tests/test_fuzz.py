@@ -1,6 +1,7 @@
 """Fuzz harness: determinism, reproduction, aggregation, failure capture."""
 
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -191,19 +192,25 @@ def test_reproduce_check_matches_recorded_slack(monkeypatch):
             )
     # An instance that the trial does not hold is an error.
     cfg = small_config(checks=("weyl", "perturbation", "block_intdim"))
-    tiny = next(i for i in range(cfg.trials) if trial_inputs(cfg.seed, i, cfg)["n"] < 2)
     for trial, target in [
         (0, ("deletion", None, None)),  # not among cfg.checks
         (0, ("perturbation", "general", 4.0)),  # p not in the grid
         (0, ("perturbation", "general", None)),
         (0, ("perturbation", "other", 2.0)),
         (0, ("weyl", None, 2.0)),  # a scalar check has no p
-        (tiny, ("block_intdim", None, None)),  # no block split at n < 2
     ]:
         check, variant, p = target
         message = f"no instance of {check} (variant={variant}, p={p}) in trial {trial}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             reproduce_check(cfg, trial, *target)
+    # At n < 2 there is no block split: block_intdim's own report says so.
+    tiny = next(i for i in range(cfg.trials) if trial_inputs(cfg.seed, i, cfg)["n"] < 2)
+    [recorded] = [r.report for r in run_trial(cfg.seed, tiny, cfg) if r.check == "block_intdim"]
+    again = reproduce_check(cfg, tiny, "block_intdim", None, None)
+    assert again.details == {"reason": "requires at least 2 rows and columns"}
+    assert json.dumps(encode_json(again.to_json_dict())) == json.dumps(
+        encode_json(recorded.to_json_dict())
+    )
 
 
 def test_argmin_instance_regenerates():
@@ -373,6 +380,19 @@ def test_fuzz_check_functions_are_all_listed():
     assert imported == set(FUZZ_CHECK_FUNCTIONS)
 
 
+def test_calls_rows_name_check_functions_and_trial_inputs():
+    # Python checks no string of a row at import, so a mistyped row shows here.
+    slots = set(trial_inputs(0, 0, small_config()))
+    for check, variant, function, row_slots in fuzz._CALLS:
+        assert function in FUZZ_CHECK_FUNCTIONS
+        assert function.split("_", 1)[1] == check
+        takes_grid = "p_grid" in inspect.signature(getattr(fuzz, function)).parameters
+        assert function.startswith("grid_") == takes_grid, function
+        assert set(row_slots) <= slots, function
+    assert {row[2] for row in fuzz._CALLS} == set(FUZZ_CHECK_FUNCTIONS)
+    assert list(dict.fromkeys(row[0] for row in fuzz._CALLS)) == list(CHECKS)
+
+
 @pytest.mark.parametrize("function", FUZZ_CHECK_FUNCTIONS)
 def test_no_scope_after_run_trial_raises(monkeypatch, function):
     # Replacing the module attribute reaches run_trial only if each check
@@ -385,10 +405,8 @@ def test_no_scope_after_run_trial_raises(monkeypatch, function):
 
     monkeypatch.setattr(fuzz, function, broken)
     cfg = small_config()
-    # block_intdim runs only on trials with n >= 2.
-    trial = next(i for i in range(cfg.trials) if trial_inputs(cfg.seed, i, cfg)["n"] >= 2)
     with pytest.raises(RuntimeError, match="check failed"):
-        run_trial(cfg.seed, trial, cfg)
+        run_trial(cfg.seed, 0, cfg)
     assert seen == [True]
     assert not _scope_active()
 

@@ -1,7 +1,9 @@
 """Substrate tests: decompositions, classification, sampling."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,6 +381,18 @@ def test_run_trial_loads_no_scipy():
         "assert not loaded, loaded\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+
+
+def test_sigma_crossover_script_starts():
+    # The script imports the private _certified_gram_sigma; --help fails if that import breaks.
+    root = Path(__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, str(root / "scripts" / "sigma_crossover.py"), "--help"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
     assert out.returncode == 0, out.stderr
 
 

@@ -175,3 +175,4 @@ def test_array_exponents_zero_spectrum():
     from srlab.schatten import normalized_power_sum
 
     assert normalized_power_sum(np.zeros(4), np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
+    assert normalized_power_sum(np.zeros(4), 2.0) == 0.0
