@@ -22,7 +22,8 @@ parent commit, say). Each one's ``srlab`` runs in its own subprocess with
   directory: 1xn, nx1 and 1x1; zero; exactly rank-deficient, real and PSD;
   a Gram scaled by 2^600, by 2^-600 and to a largest entry of 1.5e308; a
   Gram plus 1e-13 relative noise; an indefinite diagonal; a complex PSD
-  Gram; and a coordinate-format sparse file. On each it runs every
+  Gram; a coordinate-format sparse file; and an empty 0x3 array file, which
+  every call rejects as it reads it. On each it runs every
   ``compute`` quantity at p = 1.5 and inf, every ``verify`` check bare and
   with each flag it takes (``-p``, ``--k``, ``--drop-col``), a check of
   two inputs getting the file twice, and ``condition`` with both
@@ -224,6 +225,7 @@ def edge_matrices() -> dict:
         "indefinite_diagonal": np.diag([3.0, 1.0, -2.0, 0.5]),
         "complex_psd_gram": z.conj().T @ z,
         "coordinate_6x8": scipy.sparse.coo_matrix(sparse),
+        "empty_0x3": np.zeros((0, 3)),
     }
 
 

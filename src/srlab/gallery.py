@@ -32,6 +32,7 @@ from .matrices import (
     Matrix,
     PreconditionError,
     _hermitize,
+    _require_matrix,
     haar_unitary,
     prescribed_spectrum_matrix,
     projector_matrix,
@@ -142,9 +143,7 @@ def _in_unit_interval(name: str, value: float) -> float:
 def _svd_rank(a: Matrix, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """``(a, s, vh, r)``: square ``a`` cast to float64 or complex128, its
     singular values and right singular vectors, and its rank at ``rtol``."""
-    a = np.asarray(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"requires a square matrix, got shape {a.shape}")
+    a = _require_matrix(a, "input", square=True)
     s, vh = np.linalg.svd(a)[1:]
     return a, s, vh, numerical_rank_from_spectrum(s, rtol)
 
@@ -158,7 +157,7 @@ def _multiplied(a: np.ndarray, vh: np.ndarray, d: np.ndarray) -> dict[str, np.nd
 def _psd_rank(a: Matrix, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """``(a, w, v, r)``: PSD ``a``, its descending eigenvalues and
     eigenvectors, and its rank at ``rtol``."""
-    a = np.asarray(a)
+    a = _require_matrix(a, "input", square=True)
     w, v = psd_eigendecomposition(a)
     return a, w, v, numerical_rank_from_spectrum(w, rtol)
 

@@ -2,10 +2,12 @@
 Hermitian/PSD classification, pivoted Cholesky, and seeded random sampling.
 
 A "matrix" throughout the package is a plain 2-D numpy array of float64 or
-complex128 entries, validated and frozen by :func:`as_matrix`. Every function
-here is pure and all returned arrays are read-only, so values can be shared
-freely across threads. A sampling builder is a deterministic function of its
-generator; :mod:`srlab.fuzz` decides which one each sample kind calls.
+complex128 entries with positive dimensions, validated and frozen by
+:func:`as_matrix`; every classification and decomposition reads any other
+2-D array as its cast (:func:`_require_matrix`). Every function here is pure
+and all returned arrays are read-only, so values can be shared freely across
+threads. A sampling builder is a deterministic function of its generator;
+:mod:`srlab.fuzz` decides which one each sample kind calls.
 A spectrum is a plain descending 1-D array: :func:`sigma` returns the
 singular values, and :func:`hermitian_eigenvalues` and :func:`psd_spectrum`
 the classifier's eigenvalues of the Hermitian part.
@@ -35,14 +37,13 @@ Where each path copies: an exactly Hermitian input is its own Hermitian
 part, so ``eigvalsh`` gets the input as it is; only a square input that is
 not exactly Hermitian gets a new array, ``A/2 + A*/2``. The exactness test
 compares a real input with the view ``A.T`` and a complex one a few rows at
-a time, and runs once per call. The Gram route forms its Gram from the
-input as it is, a view or the one float64/complex128 cast its dtype needs,
-when the largest real or imaginary part of an entry lies in
+a time, and runs once per call. The Gram route forms its Gram from a view
+of the input when the largest real or imaginary part of an entry lies in
 ``[2^-200, 2^200)`` (:data:`GRAM_UNSCALED_EXP`), and from a copy scaled by
-an exact power of two outside it. Both keep ``sigma(2^j A)``
-equal to ``2^j sigma(A)`` bit for bit. A complex Gram conjugates a few rows
-of its input at a time. So O(1) inputs pay for no full-size temporary
-beyond LAPACK's own workspace.
+an exact power of two outside it. Both keep ``sigma(2^j A)`` equal to
+``2^j sigma(A)`` bit for bit. A complex Gram conjugates a few rows of its
+input at a time. So O(1) inputs pay for no full-size temporary beyond
+LAPACK's own workspace.
 
 :func:`sigma` also takes a SciPy sparse matrix, as ``srlab compute``
 reads a coordinate-format MatrixMarket file. One that qualifies for the
@@ -139,6 +140,7 @@ GRAM_MIN_ASPECT = 2
 GRAM_UNSCALED_EXP = 200
 # A complex Gram conjugates this many rows of its input at a time.
 _GRAM_CONJ_ROWS = 16
+_MATRIX_DTYPES = (np.dtype(np.float64), np.dtype(np.complex128))
 
 
 def as_matrix(entries) -> Matrix:
@@ -174,13 +176,18 @@ def _check_entries(shape: tuple[int, int], entries: np.ndarray) -> None:
         raise ValueError("matrix entries must all be finite")
 
 
-def _require_square(a, op: str) -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"{op} requires a 2-D matrix, got shape {a.shape}")
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"{op} requires a square matrix, got shape {a.shape}")
-    return a
+def _require_matrix(a, op: str, square: bool = False) -> np.ndarray:
+    """``a``, cast as :func:`as_matrix` casts unless float64 or complex128; a ``ValueError``
+    naming ``op`` and the shape unless dense, 2-D, nonempty and square if ``square``."""
+    d = np.asarray(a)
+    if d.ndim != 2 or square and d.shape[0] != d.shape[1]:
+        kind = "dense" if _is_sparse(a) and a.ndim == 2 else "square" if square else "2-D"
+        raise ValueError(f"{op} requires a {kind} matrix, got {getattr(a, 'shape', d.shape)}")
+    if 0 in d.shape:
+        raise ValueError(f"{op} requires a nonempty matrix, got {d.shape}")
+    if d.dtype not in _MATRIX_DTYPES:
+        d = d.astype(np.complex128 if np.iscomplexobj(d) else np.float64)
+    return d
 
 
 # ---------------------------------------------------------------------------
@@ -248,10 +255,9 @@ def _is_sparse(a) -> bool:
 
 
 def _densified(a) -> np.ndarray:
-    """``np.asarray(a)``, with a SciPy sparse ``a`` densified as :func:`sigma`
-    densifies one it does not route: a nonfinite entry raises ``ValueError``."""
-    d = np.asarray(a)
-    return _freeze_fresh(a.toarray()) if d.ndim != 2 and _is_sparse(a) else d
+    """``a``, or a SciPy sparse ``a`` densified as :func:`sigma` densifies one
+    it does not route: a nonfinite entry raises ``ValueError``."""
+    return _freeze_fresh(a.toarray()) if _is_sparse(a) else a
 
 
 def sigma(a: Matrix) -> np.ndarray:
@@ -275,21 +281,16 @@ def sigma(a: Matrix) -> np.ndarray:
     and runs the SVD.
     Sparse inputs are not remembered by a :func:`trial_scope`.
     """
-    d = np.asarray(a)
-    if d.ndim != 2:
-        # A sparse input is a 0-d object array to numpy, so a 2-D array
-        # reaches the memo below without testing for one.
-        if _is_sparse(a) and a.ndim == 2:
-            return _sparse_sigma(a)
-        raise ValueError(f"sigma requires a 2-D matrix, got shape {getattr(a, 'shape', d.shape)}")
-    return _memo("sigma", d, _sigma)
+    if not isinstance(a, np.ndarray) and _is_sparse(a) and a.ndim == 2:
+        return _sparse_sigma(a)
+    return _memo("sigma", _require_matrix(a, "sigma"), _sigma)
 
 
 def _sigma(a: np.ndarray) -> np.ndarray:
     m, n = a.shape
     if m == n and _exactly_hermitian(a):
         return sigma_from_eigenvalues(_memo("eigvalsh", a, _hermitian_part_eigenvalues, True))
-    if _gram_route_applies(m, n, a.dtype):
+    if _gram_route_applies(m, n):
         s = _certified_gram_sigma(a)
         if s is not None:
             return s
@@ -305,17 +306,13 @@ def _svd_sigma(a: np.ndarray) -> np.ndarray:
     return _frozen(np.maximum(s, 0.0))
 
 
-def _gram_route_applies(m: int, n: int, dtype) -> bool:
+def _gram_route_applies(m: int, n: int) -> bool:
     k = min(m, n)
-    return (
-        k >= GRAM_MIN_SIDE
-        and max(m, n) >= GRAM_MIN_ASPECT * k
-        and np.can_cast(dtype, np.complex128)
-    )
+    return k >= GRAM_MIN_SIDE and max(m, n) >= GRAM_MIN_ASPECT * k
 
 
 def _sparse_sigma(a) -> np.ndarray:
-    if not _gram_route_applies(*a.shape, a.dtype):
+    if not _gram_route_applies(*a.shape):
         return sigma(_freeze_fresh(a.toarray()))
     s = _certified_sparse_gram_sigma(a)
     return _svd_sigma(_freeze_fresh(a.toarray())) if s is None else s
@@ -339,22 +336,20 @@ def _certified_gram_sigma(a: np.ndarray) -> np.ndarray | None:
     """Singular values from the eigenvalues of the small Gram matrix, or None.
 
     The Gram ``G = B B*`` (on the smaller side) is formed from ``B = A``
-    itself, a view of the input or the one float64/complex128 cast its
-    dtype needs, when the largest real or imaginary part of an entry lies in
-    ``[2^-200, 2^200)`` (:data:`GRAM_UNSCALED_EXP` says why). Outside that
-    range ``B`` is a copy scaled by an exact power of two, ``2^-e A`` with
-    ``2^(e-1) <= max |Re a|, |Im a| < 2^e``, so ``G`` neither overflows nor
-    underflows. Either way ``sigma(2^j A)`` is ``2^j sigma(A)`` bit for bit.
+    itself, a view of the input, when the largest real or imaginary part of
+    an entry lies in ``[2^-200, 2^200)`` (:data:`GRAM_UNSCALED_EXP` says
+    why). Outside that range ``B`` is a copy scaled by an exact power of
+    two, ``2^-e A`` with ``2^(e-1) <= max |Re a|, |Im a| < 2^e``, so ``G``
+    neither overflows nor underflows. Either way ``sigma(2^j A)`` is
+    ``2^j sigma(A)`` bit for bit.
     :func:`_gram` forms ``G`` with no full-size temporary, complex or real,
     and :func:`_certified_gram_eigenvalues` certifies its eigenvalues.
     """
     m, n = a.shape
-    # Wide, in float64 or complex128 (the same bytes for a and a.T), and
-    # contiguous, so the matrix products below run in BLAS.
-    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
+    # Wide (a.T has the same bytes) and contiguous, so the products run in BLAS.
     b = a.T if m > n else a
-    if b.dtype != dtype or not (b.flags.c_contiguous or b.flags.f_contiguous):
-        b = np.array(b, dtype=dtype, order="C")
+    if not (b.flags.c_contiguous or b.flags.f_contiguous):
+        b = np.array(b, order="C")
     e = _gram_exponent(b.ravel(order="K").view(np.float64))
     if e:
         b = np.array(b, order="C")  # a copy to scale in place
@@ -478,10 +473,8 @@ def sigma_from_eigenvalues(w: np.ndarray) -> np.ndarray:
 
 
 def hermitian_asymmetry(a: Matrix) -> float:
-    """max |A - A*| over all entries; bool and unsigned input are taken as float64."""
-    a = _require_square(a, "hermitian_asymmetry")
-    if a.dtype.kind in "bu":  # bool cannot subtract, and unsigned wraps around
-        a = a.astype(np.float64)
+    """max |A - A*| over all entries."""
+    a = _require_matrix(a, "hermitian_asymmetry", square=True)
     return float(np.max(np.abs(a - a.conj().T)))
 
 
@@ -490,7 +483,7 @@ def is_hermitian(a: Matrix) -> bool:
 
     False for any input with a nan or infinite entry. Runs no decomposition.
     """
-    a = _require_square(a, "is_hermitian")
+    a = _require_matrix(a, "is_hermitian", square=True)
     return _memo("hermitian", a, _hermitian_class) > 0
 
 
@@ -525,7 +518,7 @@ def hermitian_part_eigenvalues(a: Matrix) -> np.ndarray:
 
     Raises :class:`DecompositionError` if the iteration fails to converge.
     """
-    a = _require_square(a, "hermitian_part_eigenvalues")
+    a = _require_matrix(a, "hermitian_part_eigenvalues", square=True)
     return _memo("eigvalsh", a, _hermitian_part_eigenvalues)
 
 
@@ -547,7 +540,7 @@ def psd_eigenvalues(a: Matrix) -> np.ndarray | None:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return None
-    w = _classify(a)
+    w = _classify(_require_matrix(a, "psd_eigenvalues"))
     return w if w is not None and _psd_within(w) else None
 
 
@@ -558,6 +551,7 @@ def psd_intrinsic_dimension(a: Matrix, w: np.ndarray | None = None) -> float:
     saves a second decomposition outside a trial scope. Returns 0.0 when the
     largest eigenvalue is not positive.
     """
+    a = _require_matrix(a, "psd_intrinsic_dimension", square=True)
     lam_max = float((hermitian_part_eigenvalues(a) if w is None else w)[0])
     if lam_max <= 0.0:
         return 0.0
@@ -572,7 +566,7 @@ def hermitian_eigenvalues(a: Matrix) -> np.ndarray:
     Raises :class:`PreconditionError` (carrying ``max_asymmetry``) if
     :func:`is_hermitian` rejects the input.
     """
-    a = _require_square(a, "hermitian_eigenvalues")
+    a = _require_matrix(a, "hermitian_eigenvalues", square=True)
     w = _classify(a)
     if w is None:
         asym = hermitian_asymmetry(a)
@@ -585,7 +579,7 @@ def hermitian_eigenvalues(a: Matrix) -> np.ndarray:
 
 def is_psd(a: Matrix) -> bool:
     """Hermitian, with ``lambda_min >= -1e-10 * max(1, lambda_max)``."""
-    return psd_eigenvalues(_require_square(a, "is_psd")) is not None
+    return psd_eigenvalues(_require_matrix(a, "is_psd", square=True)) is not None
 
 
 def psd_spectrum(a: Matrix) -> np.ndarray:
@@ -607,12 +601,10 @@ def psd_eigendecomposition(a: Matrix) -> tuple[np.ndarray, np.ndarray]:
     """``(w, v)``: descending eigenvalues and eigenvectors of Hermitian PSD ``a``.
 
     PSD is decided on the eigenvalues of the one ``eigh`` of the Hermitian
-    part. Raises ``ValueError`` on non-square input and
+    part. Raises ``ValueError`` on non-square or empty input and
     :class:`PreconditionError` unless :func:`is_psd` holds.
     """
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"requires a square matrix, got shape {a.shape}")
+    a = _require_matrix(a, "psd_eigendecomposition", square=True)
     cls = _memo("hermitian", a, _hermitian_class)
     if cls:
         w, v = np.linalg.eigh(_hermitize(a, cls == _EXACT))
@@ -635,10 +627,9 @@ def pivoted_cholesky(a: Matrix) -> tuple[np.ndarray, np.ndarray, int]:
     a nan or infinite entry, or if LAPACK reports an error.
     :func:`pstrf_provider` says which LAPACK runs.
     """
-    a = _require_square(a, "pivoted_cholesky")
+    a = _require_matrix(a, "pivoted_cholesky", square=True)
     n = a.shape[0]
-    dtype = np.complex128 if np.iscomplexobj(a) else np.float64
-    w = np.array(a, dtype=dtype, order="F")
+    w = np.array(a, order="F")
     # Checked here, not left to LAPACK: OpenBLAS's LAPACKE rejects a nan in
     # the lower triangle, while SciPy's ?pstrf factors it without complaint.
     if not np.isfinite(w).all():
@@ -741,7 +732,7 @@ def _bundled_pstrf() -> dict | None:
                 ctypes.c_double,
             ]
             routine.restype = ctypes.c_int64
-        return dict(zip((np.dtype(np.float64), np.dtype(np.complex128)), routines))
+        return dict(zip(_MATRIX_DTYPES, routines))
     return None
 
 

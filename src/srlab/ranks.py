@@ -17,7 +17,14 @@ import math
 
 import numpy as np
 
-from .matrices import Matrix, _densified, psd_intrinsic_dimension, psd_spectrum, sigma
+from .matrices import (
+    Matrix,
+    _densified,
+    _require_matrix,
+    psd_intrinsic_dimension,
+    psd_spectrum,
+    sigma,
+)
 from .schatten import is_scalar_exponent, normalized_power_sum, validate_exponent
 
 DEFAULT_RANK_RTOL = 1e-10
@@ -88,9 +95,7 @@ def intrinsic_dimension(a: Matrix) -> float:
     ``max_asymmetry`` or ``lambda_min`` on non-PSD input, from
     :func:`srlab.matrices.psd_spectrum`. A SciPy sparse input is densified.
     """
-    a = _densified(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"intrinsic dimension requires a square matrix, got {a.shape}")
+    a = _require_matrix(_densified(a), "intrinsic dimension", square=True)
     return psd_intrinsic_dimension(a, psd_spectrum(a))
 
 

@@ -96,6 +96,20 @@ def schatten_norm_from_spectrum(values, p) -> float:
     :func:`srlab.matrices.sigma` returns; one decomposition then serves many
     exponents.
     """
+    return _schatten_norm(values, p)
+
+
+def schatten_norm(a: Matrix, p) -> float:
+    """Schatten p-norm of a matrix: the l_p norm of its singular values.
+
+    p = 1 is the nuclear norm, p = 2 the Frobenius norm, p = inf the
+    operator two-norm. Evaluation normalizes by the top singular value
+    before powering, so large p cannot overflow.
+    """
+    return _schatten_norm(sigma(a), p)
+
+
+def _schatten_norm(values, p) -> float:
     p = validate_exponent(p)
     if p == 0.0:
         raise ValueError(
@@ -107,7 +121,7 @@ def schatten_norm_from_spectrum(values, p) -> float:
         warnings.warn(
             f"p={p} gives a quasi-norm: the triangle inequality may fail",
             QuasiNormWarning,
-            stacklevel=2,
+            stacklevel=3,  # the caller of the public norm function
         )
     top = float(values[0]) if len(values) else 0.0
     if top == 0.0:
@@ -115,13 +129,3 @@ def schatten_norm_from_spectrum(values, p) -> float:
     if math.isinf(p):
         return top
     return top * normalized_power_sum(values, p) ** (1.0 / p)
-
-
-def schatten_norm(a: Matrix, p) -> float:
-    """Schatten p-norm of a matrix: the l_p norm of its singular values.
-
-    p = 1 is the nuclear norm, p = 2 the Frobenius norm, p = inf the
-    operator two-norm. Evaluation normalizes by the top singular value
-    before powering, so large p cannot overflow.
-    """
-    return schatten_norm_from_spectrum(sigma(a), p)

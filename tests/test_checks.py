@@ -4,6 +4,7 @@ handling, and report serialization."""
 import json
 import math
 import re
+from inspect import signature
 
 import numpy as np
 import pytest
@@ -33,8 +34,21 @@ from srlab.checks import (
     grid_rank1_addition,
     grid_sum_subadditivity_proot,
 )
-from srlab.matrices import gaussian_matrix, haar_unitary, projector_matrix, rank1_psd_matrix
-from srlab.ranks import p_stable_rank
+from srlab.matrices import (
+    DecompositionError,
+    gaussian_matrix,
+    haar_unitary,
+    hermitian_eigenvalues,
+    is_hermitian,
+    is_psd,
+    pivoted_cholesky,
+    projector_matrix,
+    psd_eigendecomposition,
+    rank1_psd_matrix,
+    sigma,
+)
+from srlab.ranks import intrinsic_dimension, numerical_rank, p_stable_rank, stable_rank
+from srlab.schatten import schatten_norm
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 small_dims = st.integers(min_value=2, max_value=8)
@@ -523,6 +537,17 @@ def test_cholesky_not_applicable_indefinite():
     assert check_cholesky_intdim(np.diag([1.0, -1.0])).holds is None
 
 
+def test_cholesky_rejects_a_factor_that_does_not_reproduce_the_input(monkeypatch):
+    def wrong_factor(a):
+        n = a.shape[0]
+        return 2 * np.eye(n), np.arange(n), n
+
+    monkeypatch.setattr(srlab.checks, "pivoted_cholesky", wrong_factor)
+    # L L* - I = 3 I, of Frobenius norm 3 sqrt(3).
+    with pytest.raises(DecompositionError, match=r"residual 5\.196e\+00 too large"):
+        check_cholesky_intdim(np.eye(3))
+
+
 # ---------------------------------------------------------------------------
 # report plumbing
 
@@ -772,6 +797,41 @@ def test_unmet_preconditions(case):
         assert len(reports) == len(grid)
         assert all(r.status == "not-applicable" for r in reports)
         assert all(r.details["reason"] == expected for r in reports)
+
+
+# Each function of a matrix that is not a check, with its arguments after the matrix.
+_MATRIX_FUNCTIONS = [
+    (stable_rank, ()),
+    (p_stable_rank, (1.5,)),
+    (numerical_rank, ()),
+    (intrinsic_dimension, ()),
+    (schatten_norm, (2.0,)),
+    (sigma, ()),
+    (is_hermitian, ()),
+    (is_psd, ()),
+    (hermitian_eigenvalues, ()),
+    (pivoted_cholesky, ()),
+    (psd_eigendecomposition, ()),
+]
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_empty_inputs_raise_naming_the_shape_or_are_not_applicable(shape):
+    # Never an IndexError, a ZeroDivisionError or a verdict on no entries.
+    a = np.zeros(shape)
+    calls = [
+        (check, [a] * sum(p.default is p.empty for p in signature(check).parameters.values()))
+        for check in CHECKS.values()
+    ]
+    calls += [(f, [a, *args]) for f, args in _MATRIX_FUNCTIONS]
+    for f, args in calls:
+        try:
+            result = f(*args)
+        except ValueError as exc:
+            assert str(shape) in str(exc), (f.__name__, exc)
+            continue
+        assert isinstance(result, CheckReport), (f.__name__, result)
+        assert result.status == "not-applicable", (f.__name__, result)
 
 
 def test_grid_matches_single_calls():

@@ -121,3 +121,9 @@ def test_edge_section_runs_every_call_and_repeats(tmp_path):
     one = first["verify block_intdim <tmp>/scalar_1x1.mtx"]
     assert one["exit_code"] == 0
     assert one["stdout"]["status"] == "not-applicable"
+    # An empty file is rejected as it is read, by every call.
+    empty = [record for instance, record in first.items() if "/empty_0x3.mtx" in instance]
+    assert len(empty) == len(compare_outputs.edge_argvs("x.mtx"))
+    for record in empty:
+        assert record["exit_code"] == 2
+        assert record["error_line"].endswith("matrix dimensions must be positive, got (0, 3)")

@@ -325,7 +325,7 @@ def test_param_validation_errors():
         (lambda: gallery.cross_gap_family(3, 0.0), "alpha must lie in (0, 1], got 0.0"),
         (
             lambda: gallery.maximizer_multiplier(np.ones((2, 3))),
-            "requires a square matrix, got shape (2, 3)",
+            "input requires a square matrix, got (2, 3)",
         ),
         (
             lambda: gallery.minimizer_multiplier(np.eye(3), 0.0),
@@ -337,7 +337,7 @@ def test_param_validation_errors():
         ),
         (
             lambda: gallery.minimizer_multiplier(np.ones(3), 0.5),
-            "requires a square matrix, got shape (3,)",
+            "input requires a square matrix, got (3,)",
         ),
         (
             lambda: gallery.congruence_minimizer(np.eye(3), 2.0),
@@ -345,7 +345,13 @@ def test_param_validation_errors():
         ),
         (
             lambda: gallery.congruence_maximizer(np.ones((2, 3))),
-            "requires a square matrix, got shape (2, 3)",
+            "input requires a square matrix, got (2, 3)",
+        ),
+        (lambda: gallery.maximizer_multiplier(np.zeros((3, 3))), "requires a nonzero matrix"),
+        (lambda: gallery.congruence_maximizer(np.zeros((3, 3))), "requires a nonzero matrix"),
+        (
+            lambda: gallery.congruence_minimizer(np.ones((3, 3)), 0.5),
+            "requires rank >= 2, got 1",
         ),
     ]
     for build, message in cases:

@@ -604,6 +604,11 @@ def test_sigma_accuracy_against_plain_svd(field):
         _assert_sigma_accurate(gaussian_matrix(rng, n, 1, field))
 
 
+def test_sigma_raises_decomposition_error_when_the_svd_fails():
+    with pytest.raises(DecompositionError, match="SVD did not converge"):
+        sigma(np.array([[1.0, np.nan], [2.0, 3.0], [4.0, 5.0]]))
+
+
 def test_sigma_accuracy_on_zero_matrices():
     from srlab.matrices import sigma
 
@@ -685,8 +690,16 @@ def test_gram_route_meets_the_contract(lapack_calls, field):
             assert _within_contract(s, _svd_route(a) if expected is None else expected), shape
 
 
-@pytest.mark.parametrize("shape", [(40, 100), (40, 101), (101, 40)])
+def _cast(a):
+    return a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
+
+
+# Gram route, Gram route on the transpose, a square input (the SVD, or
+# eigvalsh once symmetrized) and a wide one below GRAM_MIN_SIDE (the SVD on a.T).
+@pytest.mark.parametrize("shape", [(40, 100), (40, 101), (101, 40), (6, 6), (5, 20)])
 def test_gram_route_reads_other_dtypes_as_their_float64_cast(lapack_calls, shape):
+    """Every route computes an input of another dtype as its float64 or
+    complex128 cast, bit for bit, and leaves the input as it was."""
     from srlab.matrices import sigma
 
     rng = np.random.default_rng(26)
@@ -698,16 +711,53 @@ def test_gram_route_reads_other_dtypes_as_their_float64_cast(lapack_calls, shape
         rng.integers(0, 2, shape).astype(bool),
         gauss.real.astype(np.float32),
         gauss.astype(np.complex64),
+        gauss.real.astype(np.float16),
+    ]
+    if shape[0] == shape[1]:
+        inputs += [a + a.conj().T for a in inputs]  # exactly Hermitian
+    for a in inputs:
+        before = a.copy()
+        lapack_calls.clear()
+        s = sigma(a)
+        route = list(lapack_calls)
+        lapack_calls.clear()
+        np.testing.assert_array_equal(s, sigma(_cast(a)))
+        assert route == lapack_calls, a.dtype
+        if min(shape) >= matrices.GRAM_MIN_SIDE:
+            assert route == [("eigvalsh", (40, 40))], a.dtype
+        assert s.dtype == np.float64 and np.all(np.isfinite(s))
+        assert _within_contract(s, _svd_route(_cast(a))), a.dtype
+        np.testing.assert_array_equal(a, before)
+    if shape[0] == shape[1]:
+        _assert_psd_functions_read_the_cast(rng, shape[0])
+
+
+def _assert_psd_functions_read_the_cast(rng, n):
+    from srlab.matrices import hermitian_part_eigenvalues, psd_eigenvalues
+    from srlab.ranks import intrinsic_dimension
+
+    x = rng.integers(0, 3, (n, n))
+    gram = x @ x.T  # entries at most 4n, exact in uint8 and float16
+    z = x + 1j * rng.integers(-2, 3, (n, n))
+    inputs = [
+        gram,
+        gram.astype(np.uint8),
+        np.ones((n, n), dtype=bool),
+        gram.astype(np.float16),
+        gram.astype(np.float32),
+        (z @ z.conj().T).astype(np.complex64),
     ]
     for a in inputs:
         before = a.copy()
-        cast = a.astype(np.complex128 if np.iscomplexobj(a) else np.float64)
-        lapack_calls.clear()
-        s = sigma(a)
-        assert lapack_calls == [("eigvalsh", (40, 40))], a.dtype
-        np.testing.assert_array_equal(s, sigma(cast))
-        assert s.dtype == np.float64 and np.all(np.isfinite(s))
-        assert _within_contract(s, _svd_route(cast)), a.dtype
+        cast = _cast(a)
+        for f in (hermitian_part_eigenvalues, psd_eigenvalues):
+            w = f(a)
+            np.testing.assert_array_equal(w, f(cast))
+            assert w.dtype == np.float64, (f.__name__, a.dtype)
+        for got, want in zip(pivoted_cholesky(a), pivoted_cholesky(cast)):
+            np.testing.assert_array_equal(got, want)
+            assert np.asarray(got).dtype in (np.int64, cast.dtype), a.dtype
+        assert intrinsic_dimension(a) == intrinsic_dimension(cast), a.dtype
         np.testing.assert_array_equal(a, before)
 
 
@@ -934,8 +984,17 @@ def test_sparse_input_off_the_gram_route_is_densified_bit_for_bit():
     for a in cases:
         np.testing.assert_array_equal(sigma(a), sigma(a.toarray()))
     assert np.count_nonzero(dup.toarray()) == dup.nnz - 1
-    with pytest.raises(ValueError, match=r"2-D matrix, got shape \(5,\)"):
+    with pytest.raises(ValueError, match=r"sigma requires a 2-D matrix, got \(5,\)"):
         sigma(scipy.sparse.coo_array(np.ones(5)))
+
+
+def test_sparse_input_to_a_dense_only_function_names_the_need():
+    import scipy.sparse
+
+    a = scipy.sparse.csr_array(np.eye(3))
+    for f in (is_hermitian, is_psd, hermitian_eigenvalues, pivoted_cholesky):
+        with pytest.raises(ValueError, match=rf"{f.__name__} requires a dense matrix, got \(3, 3\)"):
+            f(a)
 
 
 def test_failed_sparse_certificate_goes_straight_to_the_svd(lapack_calls):

@@ -75,6 +75,13 @@ def test_quasi_norm_warns():
         schatten_norm(np.eye(2), 0.5)
 
 
+def test_quasi_norm_warning_names_the_callers_line():
+    for norm, a in ((schatten_norm, np.eye(2)), (schatten_norm_from_spectrum, np.ones(2))):
+        with pytest.warns(QuasiNormWarning) as record:
+            norm(a, 0.5)
+        assert [w.filename for w in record] == [__file__], norm.__name__
+
+
 def test_p_zero_rejected_with_pointer():
     with pytest.raises(ValueError, match="numerical_rank"):
         schatten_norm(np.eye(2), 0)
