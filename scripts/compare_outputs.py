@@ -24,10 +24,11 @@ parent commit, say). Each one's ``srlab`` runs in its own subprocess with
   Gram plus 1e-13 relative noise; an indefinite diagonal; a complex PSD
   Gram; a coordinate-format sparse file; and an empty 0x3 array file, which
   every call rejects as it reads it. On each it runs every
-  ``compute`` quantity at p = 1.5 and inf, every ``verify`` check bare and
-  with each flag it takes (``-p``, ``--k``, ``--drop-col``), a check of
-  two inputs getting the file twice, and ``condition`` with both
-  perturbation kinds.
+  ``compute`` quantity at p = 1.5, 400 and inf, every ``verify`` check bare
+  and with each flag it takes (``-p`` at each of those exponents, ``--k``,
+  ``--drop-col``), a check of two inputs getting the file twice, and
+  ``condition`` with both perturbation kinds. p = 400 is there because
+  kappa^p overflows float64 at such an exponent.
   It records the exit code, stdout, the ``error:`` line and each warning's
   category and message, with the temporary directory replaced by ``<tmp>``
   and the checkout by ``<checkout>``. No exponent is below 1, so no
@@ -195,7 +196,7 @@ def gallery_section() -> dict:
 
 
 # Flag values of the edge calls, by the check parameter each flag sets.
-EDGE_FLAGS = {"p": ("1.5", "inf"), "k": ("1",), "drop_col": ("1",)}
+EDGE_FLAGS = {"p": ("1.5", "400", "inf"), "k": ("1",), "drop_col": ("1",)}
 EDGE_QUANTITIES = ("sr", "srp", "intdim", "rank", "schatten")
 
 

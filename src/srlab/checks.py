@@ -10,8 +10,12 @@ Conventions shared by every checker:
   least margin, so ``holds`` is simply ``slack >= -abs_tol`` with
   ``abs_tol = 1e-10 * max(1, |lhs|, |rhs|)``; ``lhs`` and ``rhs`` are one
   clause's sides. Only :func:`_finish` turns clauses into margins.
-* Violated preconditions yield a not-applicable report
-  (``preconditions_met=False``, ``holds=None``), never a failure.
+* Each check first reads each matrix argument through
+  :func:`srlab.matrices._require_matrix`, so input that is not a dense,
+  nonempty 2-D array is a ``ValueError`` naming the check and the shape.
+* Violated preconditions, shape relations among them, yield a
+  not-applicable report (``preconditions_met=False``, ``holds=None``),
+  never a failure.
 * Two-sided bounds produce one report with a named clause per side.
 
 Exponent-dependent checks also come in ``grid_*`` form, which evaluates a
@@ -53,6 +57,7 @@ import numpy as np
 from .matrices import (
     DecompositionError,
     Matrix,
+    _require_matrix,
     hermitian_part_eigenvalues,
     is_hermitian,
     pivoted_cholesky,
@@ -62,6 +67,7 @@ from .matrices import (
     sigma_from_eigenvalues,
 )
 from .ranks import DEFAULT_RANK_RTOL, numerical_rank_from_spectrum, srp_from_sigma
+from .schatten import _saturating_power
 
 # Not called here: perfbench's traced run counts power sums by wrapping
 # this module attribute, so the name stays importable from srlab.checks.
@@ -172,7 +178,7 @@ def _is_zero(a: np.ndarray) -> bool:
 
 
 def _same_square(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.ndim == 2 and a.shape == b.shape and a.shape[0] == a.shape[1]
+    return a.shape == b.shape and a.shape[0] == a.shape[1]
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +188,7 @@ def _same_square(a: np.ndarray, b: np.ndarray) -> bool:
 def check_weyl(a: Matrix, b: Matrix) -> CheckReport:
     """lam_1(A+B) >= lam_1(A) + lam_n(B) >= lam_1(A) for PSD A, B."""
     name = "weyl"
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = _require_matrix(a, name), _require_matrix(b, name)
     if not _same_square(a, b):
         return _not_applicable(name, "requires two square matrices of equal size")
     wa = psd_eigenvalues(a)
@@ -203,8 +208,7 @@ def check_weyl(a: Matrix, b: Matrix) -> CheckReport:
 def check_intdim_subadditive(a: Matrix, b: Matrix) -> CheckReport:
     """intdim(A+B) <= intdim(A) + intdim(B) for nonzero PSD A, B."""
     name = "intdim_subadditive"
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = _require_matrix(a, name), _require_matrix(b, name)
     if not _same_square(a, b):
         return _not_applicable(name, "requires two square matrices of equal size")
     if _is_zero(a) or _is_zero(b):
@@ -221,14 +225,10 @@ def check_intdim_subadditive(a: Matrix, b: Matrix) -> CheckReport:
 def check_block_diag_sr(a11: Matrix, a22: Matrix) -> CheckReport:
     """min(sr(A11), sr(A22)) <= sr(diag(A11, A22)) <= sr(A11) + sr(A22)."""
     name = "block_diag_sr"
-    a11 = np.asarray(a11)
-    a22 = np.asarray(a22)
-    if a11.ndim != 2 or a22.ndim != 2:
-        raise ValueError("block_diag_sr requires two matrices")
-    dtype = np.result_type(a11.dtype, a22.dtype, np.float64)
+    a11, a22 = _require_matrix(a11, name), _require_matrix(a22, name)
     m1, n1 = a11.shape
     m2, n2 = a22.shape
-    block = np.zeros((m1 + m2, n1 + n2), dtype=dtype)
+    block = np.zeros((m1 + m2, n1 + n2), dtype=np.result_type(a11, a22))
     block[:m1, :n1] = a11
     block[m1:, n1:] = a22
     sr11 = srp_from_sigma(sigma(a11), 2.0)
@@ -244,8 +244,8 @@ def check_block_diag_sr(a11: Matrix, a22: Matrix) -> CheckReport:
 def check_block_intdim(a: Matrix, k: int = 1) -> CheckReport:
     """intdim(A) <= intdim(A11) + intdim(A22) for principal blocks of PSD A."""
     name = "block_intdim"
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _require_matrix(a, name)
+    if a.shape[0] != a.shape[1]:
         return _not_applicable(name, "requires a square matrix")
     n = a.shape[0]
     if n < 2:
@@ -270,9 +270,7 @@ def check_deletion(a: Matrix, drop_col: int = 0, rtol: float = DEFAULT_RANK_RTOL
     way and is recorded in ``details`` without being asserted.
     """
     name = "deletion"
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError("deletion requires a matrix")
+    a = _require_matrix(a, name)
     n = a.shape[1]
     if n < 2:
         return _not_applicable(name, "requires at least 2 columns")
@@ -310,8 +308,8 @@ def check_cholesky_intdim(a: Matrix) -> CheckReport:
     asserted as well.
     """
     name = "cholesky_intdim"
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a = _require_matrix(a, name)
+    if a.shape[0] != a.shape[1]:
         return _not_applicable(name, "requires a square matrix")
     if psd_eigenvalues(a) is None:
         return _not_applicable(name, "requires a positive semi-definite matrix")
@@ -389,8 +387,7 @@ def _not_applicable_grid(name: str, reason: str, p_grid, **extra) -> list[CheckR
 def grid_sum_subadditivity_proot(a: Matrix, b: Matrix, p_grid) -> list[CheckReport]:
     """srp(A+B)^(1/p) <= srp(A)^(1/p) + srp(B)^(1/p) for nonzero PSD A, B."""
     name = "sum_subadditivity_proot"
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = _require_matrix(a, name), _require_matrix(b, name)
     if not _same_square(a, b):
         return _not_applicable_grid(name, "requires two square matrices of equal size", p_grid)
     if _is_zero(a) or _is_zero(b):
@@ -421,8 +418,7 @@ def grid_rank1_addition(
 ) -> list[CheckReport]:
     """srp(A+B)^(1/p) - srp(A)^(1/p) <= 1 for PSD A and rank-1 PSD B."""
     name = "rank1_addition"
-    a = np.asarray(a)
-    b = np.asarray(b)
+    a, b = _require_matrix(a, name), _require_matrix(b, name)
     if not _same_square(a, b):
         return _not_applicable_grid(name, "requires two square matrices of equal size", p_grid)
     wa = psd_eigenvalues(a)
@@ -454,13 +450,13 @@ def check_rank1_addition(
 def grid_product_kappa(
     a: Matrix, b: Matrix, p_grid, rtol: float = DEFAULT_RANK_RTOL
 ) -> list[CheckReport]:
-    """srp(B) / kappa2(A)^p <= srp(AB) <= kappa2(A)^p * srp(B), A nonsingular."""
+    """srp(B) / kappa2(A)^p <= srp(AB) <= kappa2(A)^p * srp(B), A nonsingular;
+    a kappa2(A)^p beyond float64 reads inf."""
     name = "product_kappa"
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    a, b = _require_matrix(a, name), _require_matrix(b, name)
+    if a.shape[0] != a.shape[1]:
         return _not_applicable_grid(name, "requires square A", p_grid)
-    if b.ndim != 2 or b.shape[0] != a.shape[0]:
+    if b.shape[0] != a.shape[0]:
         return _not_applicable_grid(name, "requires B with as many rows as A", p_grid)
     sa = sigma(a)
     if numerical_rank_from_spectrum(sa, rtol) != a.shape[0]:
@@ -472,7 +468,7 @@ def grid_product_kappa(
 
     def rows():
         for p, srp_b, srp_ab in zip(valid, srps_b, srps_ab):
-            kappa_p = kappa**p
+            kappa_p = _saturating_power(kappa, p)
             upper = kappa_p * srp_b if srp_b > 0 else 0.0
             lower = srp_b / kappa_p
             clauses = ((srp_ab, upper, False, "upper"), (lower, srp_ab, False, "lower"))
@@ -497,9 +493,7 @@ def check_product_kappa(
 def grid_cross_product(a: Matrix, p_grid) -> list[CheckReport]:
     """srp(A*A) <= srp(A), srp(AA*) <= srp(A), and srp(A*A) = sr_{2p}(A)."""
     name = "cross_product"
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"cross_product requires a matrix, got shape {a.shape}")
+    a = _require_matrix(a, name)
     ps, reasons, valid = _grid_exponents(tuple(p_grid), finite=False)
     two_ps = tuple(math.inf if math.isinf(p) else 2.0 * p for p in valid)
     srps_a = srp_from_sigma(sigma(a), valid + two_ps).tolist()
@@ -547,9 +541,8 @@ def grid_perturbation(
     is verified as well.
     """
     name = "perturbation"
-    a = np.asarray(a)
-    e = np.asarray(e)
-    if a.shape != e.shape or a.ndim != 2:
+    a, e = _require_matrix(a, name), _require_matrix(e, name)
+    if a.shape != e.shape:
         return _not_applicable_grid(name, "requires matrices of equal shape", p_grid)
     sig_a = sigma(a)
     norm_a = float(sig_a[0])

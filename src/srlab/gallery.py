@@ -48,7 +48,7 @@ from .ranks import (
     p_stable_rank,
     stable_rank,
 )
-from .schatten import validate_exponent
+from .schatten import _saturating_power, validate_exponent
 
 GEOMETRIC_NOTE = (
     "sr equals the geometric series (1 - ratio^(2n)) / (1 - ratio^2); "
@@ -190,10 +190,13 @@ def geometric_decay(
     )
 
 
-def deletion_family(n: int, alpha: float, rotate_seed: int | None = None) -> FamilyInstance:
+def deletion_family(
+    n: int, alpha: float, rotate_seed: int | None = None, rtol: float = DEFAULT_RANK_RTOL
+) -> FamilyInstance:
     """diag(I_{n-1}, alpha): deleting the trailing column (or row and
     column) raises the stable rank once alpha crosses sqrt((n-1)/(n-2)),
-    and the intrinsic dimension once alpha crosses (n-1)/(n-2).
+    and the intrinsic dimension once alpha crosses (n-1)/(n-2). rank_A is
+    counted at rtol, so it is 1 once alpha reaches 1/rtol.
     """
     n = int(_at_least("n", n, 3))
     alpha = _at_least("alpha", float(alpha), 1)
@@ -214,11 +217,11 @@ def deletion_family(n: int, alpha: float, rotate_seed: int | None = None) -> Fam
         matrices=_freeze({"A": a, "A_hat_col": a_hat_col, "A_hat_rowcol": a_hat_rowcol}),
         params={"n": n, "alpha": alpha},
         predicted={
-            "sr_A": 1.0 + (n - 1) / alpha**2,
+            "sr_A": 1.0 + (n - 1) / _saturating_power(alpha, 2),
             "sr_A_hat_col": float(n - 1),
             "intdim_A": 1.0 + (n - 1) / alpha,
             "intdim_A_hat_rowcol": float(n - 1),
-            "rank_A": float(n),
+            "rank_A": float(numerical_rank_from_spectrum([alpha] + [1.0] * (n - 1), rtol)),
         },
         threshold_met=thresholds["sr"],
         thresholds=thresholds,
@@ -243,8 +246,8 @@ def sum_violation_family(n: int, alpha: float, rotate_seed: int | None = None) -
         matrices=_freeze({"A": a, "B": b, "A_plus_B": s}),
         params={"n": n, "alpha": alpha},
         predicted={
-            "sr_A": 1.0 + 4.0 * (n - 1) / alpha**2,
-            "sr_B": 1.0 + (n - 1) / alpha**2,
+            "sr_A": 1.0 + 4.0 * (n - 1) / _saturating_power(alpha, 2),
+            "sr_B": 1.0 + (n - 1) / _saturating_power(alpha, 2),
             "sr_A_plus_B": float(n - 1),
         },
         threshold_met=thresholds["sr_sum"],
@@ -297,8 +300,8 @@ def product_violation_family(n: int, alpha: float, rotate_seed: int | None = Non
         matrices=_freeze({"A": a, "B": b, "AB": ab}),
         params={"n": n, "alpha": alpha},
         predicted={
-            "sr_A": 1.0 + (n - 1) / alpha**2,
-            "sr_B": (n - 1) + 1.0 / alpha**2,
+            "sr_A": 1.0 + (n - 1) / _saturating_power(alpha, 2),
+            "sr_B": (n - 1) + 1.0 / _saturating_power(alpha, 2),
             "sr_AB": float(n),
             "intdim_A": 1.0 + (n - 1) / alpha,
             "intdim_B": (n - 1) + 1.0 / alpha,

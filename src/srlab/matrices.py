@@ -536,11 +536,11 @@ def _psd_within(w: np.ndarray) -> bool:
 
 
 def psd_eigenvalues(a: Matrix) -> np.ndarray | None:
-    """Descending eigenvalues if ``a`` is square Hermitian PSD (:func:`is_psd`), else None."""
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    """Descending eigenvalues if matrix ``a`` is square Hermitian PSD (:func:`is_psd`), else None."""
+    a = _require_matrix(a, "psd_eigenvalues")
+    if a.shape[0] != a.shape[1]:
         return None
-    w = _classify(_require_matrix(a, "psd_eigenvalues"))
+    w = _classify(a)
     return w if w is not None and _psd_within(w) else None
 
 

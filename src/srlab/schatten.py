@@ -7,7 +7,9 @@ are quasi-norms (the triangle inequality can fail) and trip a
 nonzero singular values rather than measuring size; see
 :func:`srlab.ranks.numerical_rank`. A norm is computed from a matrix or,
 through :func:`schatten_norm_from_spectrum`, from the plain array of its
-singular values that :func:`srlab.matrices.sigma` returns.
+singular values that :func:`srlab.matrices.sigma` returns. At p far below 1
+a norm can exceed float64 (the norm of n equal values v is n^(1/p) v); it
+then reads inf, and only then.
 """
 
 from __future__ import annotations
@@ -128,4 +130,24 @@ def _schatten_norm(values, p) -> float:
         return 0.0
     if math.isinf(p):
         return top
-    return top * normalized_power_sum(values, p) ** (1.0 / p)
+    power_sum = normalized_power_sum(values, p)
+    root = _saturating_power(power_sum, 1.0 / p)
+    if root == math.inf and top < 1.0:
+        # The root overflows only at p far below 1, since power_sum <= n. The
+        # norm may still be finite: top goes under the root, where top ** p
+        # cannot underflow at such p.
+        return _saturating_power(top**p * power_sum, 1.0 / p)
+    return top * root
+
+
+def _saturating_power(x: float, y: float) -> float:
+    """``x ** y`` for Python floats with x >= 0 or y even, or inf where the
+    result overflows float64.
+
+    A finite result is the bits of ``x ** y``: the overflow is caught as the
+    ``OverflowError`` that Python raises, not foreseen by a bound.
+    """
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf

@@ -175,6 +175,13 @@ def test_rank1_addition_zero_base_tight():
     assert r.slack == pytest.approx(0.0, abs=1e-12)
 
 
+def test_rank1_addition_zero_base_at_p_inf():
+    # sr_inf(0)^(1/inf) is 0: the p = inf limit 1 holds only for a positive sr.
+    r = check_rank1_addition(np.zeros((3, 3)), np.diag([3.0, 0.0, 0.0]), math.inf)
+    assert r.details["proot_a"] == 0.0
+    assert r.lhs == 1.0
+
+
 def test_rank1_addition_large_drop_is_one_sided():
     # intdim can drop by much more than 1; the bound only limits increase
     a = np.diag([0.0, 1.0, 1.0, 1.0, 1.0])
@@ -239,6 +246,19 @@ def test_product_kappa_rejects_singular_and_infinite_p():
     unequal = check_product_kappa(np.eye(2), np.eye(3), 2.0)
     assert unequal.status == "not-applicable"
     assert unequal.details["reason"] == "requires B with as many rows as A"
+
+
+def test_product_kappa_overflowing_power_saturates():
+    # kappa^400 = 10^400 exceeds float64: the upper bound is inf and the
+    # lower one 0, not an OverflowError.
+    a = np.diag([10.0, 1.0])
+    [r] = grid_product_kappa(a, np.eye(2), [400.0])
+    assert r.status == "pass"
+    assert r.details["upper_bound"] == math.inf
+    assert r.details["lower_bound"] == 0.0
+    assert r.slack == 1.0
+    # Below the overflow kappa^p keeps the bits of the plain power.
+    assert check_product_kappa(a, np.eye(2), 300.0).details["upper_bound"] == 10.0**300 * 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +472,12 @@ def test_block_intdim_random_gram(seed, n):
 
 def test_block_intdim_guards():
     assert check_block_intdim(np.diag([1.0, -1.0]), 1).holds is None
-    with pytest.raises(ValueError):
+    # k = n leaves an empty block A22: the split is rejected as such.
+    with pytest.raises(ValueError, match=r"^block split k must satisfy 1 <= k < n, got k=3, n=3$"):
         check_block_intdim(np.eye(3), 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^block split k must satisfy 1 <= k < n, got k=0, n=4$"):
         check_block_intdim(np.eye(4), 0)
+    assert check_block_intdim(np.eye(3), 2).details["intdim_a22"] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +489,13 @@ def test_deletion_zero_column_keeps_sr():
     r = check_deletion(a, 1)
     assert r.holds
     assert r.details["sr_a"] == pytest.approx(r.details["sr_deleted"], rel=1e-12)
+
+
+def test_deletion_of_a_zero_column_is_no_increase():
+    # [I_2 | 0] and I_2 have the same singular values, so equal stable ranks.
+    r = check_deletion(np.hstack([np.eye(2), np.zeros((2, 1))]), 2)
+    assert r.details["sr_a"] == r.details["sr_deleted"] == 2.0
+    assert r.details["sr_increased"] is False
 
 
 def test_deletion_can_increase_stable_rank():
@@ -735,6 +764,12 @@ _EYE = np.eye(2)
 _INDEFINITE = np.diag([1.0, -1.0])
 _VECTOR = np.ones(3)
 _UNEQUAL = "requires two square matrices of equal size"
+
+
+def _not_2d(name, shape):
+    return ValueError(f"{name} requires a 2-D matrix, got {shape}")
+
+
 PRECONDITION_CASES = {
     "weyl_not_square": ("weyl", (_RECT, _RECT), {}, _UNEQUAL),
     "weyl_b_not_psd": ("weyl", (_EYE, _INDEFINITE), {}, "B is not positive semi-definite"),
@@ -760,20 +795,16 @@ PRECONDITION_CASES = {
         "product_kappa", (np.eye(5), np.eye(3)), {}, "requires B with as many rows as A"
     ),
     "product_kappa_b_vector": (
-        "product_kappa", (_EYE, np.ones(2)), {}, "requires B with as many rows as A"
+        "product_kappa", (_EYE, np.ones(2)), {}, _not_2d("product_kappa", (2,))
     ),
     "perturbation_unequal_shapes": (
         "perturbation", (_EYE, _RECT), {}, "requires matrices of equal shape"
     ),
     "block_diag_sr_vector": (
-        "block_diag_sr", (_VECTOR, _EYE), {}, ValueError("block_diag_sr requires two matrices")
+        "block_diag_sr", (_VECTOR, _EYE), {}, _not_2d("block_diag_sr", (3,))
     ),
-    "deletion_vector": (
-        "deletion", (_VECTOR,), {"drop_col": 0}, ValueError("deletion requires a matrix")
-    ),
-    "cross_product_vector": (
-        "cross_product", (_VECTOR,), {}, ValueError("cross_product requires a matrix, got shape (3,)")
-    ),
+    "deletion_vector": ("deletion", (_VECTOR,), {"drop_col": 0}, _not_2d("deletion", (3,))),
+    "cross_product_vector": ("cross_product", (_VECTOR,), {}, _not_2d("cross_product", (3,))),
 }
 
 
@@ -815,23 +846,33 @@ _MATRIX_FUNCTIONS = [
 ]
 
 
-@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (3,), "sparse"])
 def test_empty_inputs_raise_naming_the_shape_or_are_not_applicable(shape):
-    # Never an IndexError, a ZeroDivisionError or a verdict on no entries.
-    a = np.zeros(shape)
-    calls = [
-        (check, [a] * sum(p.default is p.empty for p in signature(check).parameters.values()))
-        for check in CHECKS.values()
-    ]
-    calls += [(f, [a, *args]) for f, args in _MATRIX_FUNCTIONS]
-    for f, args in calls:
-        try:
-            result = f(*args)
-        except ValueError as exc:
-            assert str(shape) in str(exc), (f.__name__, exc)
-            continue
-        assert isinstance(result, CheckReport), (f.__name__, result)
-        assert result.status == "not-applicable", (f.__name__, result)
+    # Input that is not a dense, nonempty 2-D array is a usage error that
+    # names the check and the shape, in every matrix argument: never an
+    # IndexError, a ZeroDivisionError, a verdict on no entries, or a
+    # not-applicable report.
+    if shape == "sparse":
+        import scipy.sparse
+
+        a, shape = scipy.sparse.identity(3, format="csr"), (3, 3)
+    else:
+        a = np.zeros(shape)
+    for name, check in CHECKS.items():
+        slots = sum(p.default is p.empty for p in signature(check).parameters.values())
+        for slot in range(slots):
+            args = [np.eye(3)] * slots
+            args[slot] = a
+            with pytest.raises(ValueError) as exc:
+                check(*args)
+            message = str(exc.value)
+            assert message.startswith(name + " ") and str(shape) in message, (name, message)
+    if shape == (3, 3):
+        return
+    # Every other function of a matrix raises too, naming the shape.
+    for f, args in _MATRIX_FUNCTIONS:
+        with pytest.raises(ValueError, match=re.escape(str(shape))):
+            f(a, *args)
 
 
 def test_grid_matches_single_calls():

@@ -510,6 +510,30 @@ def test_gallery_geometric_predicts_rank_at_rtol(tmp_path, capsys):
     assert max(v["rel_err"] for v in evaluation.values()) <= 1e-8
 
 
+def test_overflowing_powers_exit_0_with_inf(tmp_path, capsys):
+    # kappa^p, a Schatten norm at small p and the gallery's alpha^2 saturate
+    # to inf; an OverflowError would exit 1, which reads as a failed inequality.
+    from srlab.cli import main
+    from srlab.schatten import QuasiNormWarning
+
+    write_matrix_market(tmp_path / "A.mtx", np.diag([10.0, 1.0]))
+    write_matrix_market(tmp_path / "B.mtx", np.eye(2))
+    write_matrix_market(tmp_path / "G.mtx", np.random.default_rng(0).standard_normal((20, 20)))
+    a, b, g = (str(tmp_path / name) for name in ("A.mtx", "B.mtx", "G.mtx"))
+    assert main(["verify", "product_kappa", a, b, "-p", "400"]) == 0
+    assert json.loads(capsys.readouterr().out)["rhs"] == "inf"
+    argv = ["fuzz", "--trials", "5", "--p-grid", "400", "--checks", "product_kappa"]
+    assert main([*argv, "--parallelism", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == []
+    with pytest.warns(QuasiNormWarning):
+        assert main(["compute", g, "-q", "schatten", "-p", "0.001"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == "inf"
+    for family in ("deletion_family", "sum_violation_family", "product_violation_family"):
+        argv = ["gallery", family, "--n", "5", "--alpha", "1e200"]
+        assert main([*argv, "--out", str(tmp_path / family)]) == 0
+        assert json.loads(capsys.readouterr().out)["predicted"]["sr_A"] == 1.0
+
+
 def test_condition_counts_rank_e_at_rtol(tmp_path, capsys):
     from srlab.cli import main
     from srlab.fuzz import scaled_perturbation

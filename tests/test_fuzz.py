@@ -460,6 +460,24 @@ def test_run_chunk_folds_like_trial_reports(seed, overrides):
     assert [(f["check"], f["variant"], f["p"], f["trial"]) for f in failures] == expected_failures
 
 
+def test_campaign_argmin_is_the_first_trial_of_least_slack():
+    # deletion's slack is an exact 0 in many trials, in more than one chunk:
+    # merging chunks keeps the earliest of the tied trials, as folding does.
+    cfg = FuzzConfig(trials=2 * fuzz.CHUNK_SIZE + 10, seed=42, checks=("deletion",), parallelism=1)
+    got = run_fuzz(cfg).checks["deletion"]
+    slacks = [
+        (r.report.slack, trial)
+        for trial in range(cfg.trials)
+        for r in run_trial(cfg.seed, trial, cfg)
+        if r.report.preconditions_met
+    ]
+    least = min(slack for slack, _ in slacks)
+    tied = [trial for slack, trial in slacks if slack == least]
+    assert tied[-1] >= fuzz.CHUNK_SIZE > tied[0]
+    assert got["min_slack"] == least
+    assert got["argmin_instance_seed"]["trial"] == tied[0]
+
+
 def test_a_failing_grid_point_is_recorded_as_reproduced(monkeypatch):
     from srlab import checks
 

@@ -426,6 +426,27 @@ def test_boundary_params_are_graceful():
     assert_instance_accurate(inst)
 
 
+def test_deletion_family_predicts_rank_at_rtol():
+    # diag(I_4, alpha) has numerical rank 1 once 1 <= rtol * alpha.
+    assert gallery.deletion_family(5, 2000.0, rtol=1e-3).predicted["rank_A"] == 1.0
+    assert gallery.deletion_family(5, 999.0, rtol=1e-3).predicted["rank_A"] == 5.0
+    inst = gallery.deletion_family(5, 1e11)
+    assert inst.predicted["rank_A"] == 1.0
+    assert inst.params == {"n": 5, "alpha": 1e11}
+    assert_instance_accurate(inst)
+
+
+@pytest.mark.parametrize(
+    "builder",
+    [gallery.deletion_family, gallery.sum_violation_family, gallery.product_violation_family],
+)
+def test_huge_alpha_saturates_alpha_squared(builder):
+    # alpha^2 overflows to inf, so each (n - 1) / alpha^2 term reads 0.
+    inst = builder(5, 1e200)
+    assert inst.predicted["sr_A"] == 1.0
+    assert_instance_accurate(inst)
+
+
 def test_sum_violation_negative_alpha():
     inst = gallery.sum_violation_family(5, -4.0)
     assert inst.predicted["sr_A"] == pytest.approx(2.0)

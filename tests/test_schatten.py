@@ -183,3 +183,27 @@ def test_array_exponents_zero_spectrum():
 
     assert normalized_power_sum(np.zeros(4), np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
     assert normalized_power_sum(np.zeros(4), 2.0) == 0.0
+
+
+def test_saturating_power_keeps_the_bits_of_a_finite_power():
+    from srlab.schatten import _saturating_power
+
+    rng = np.random.default_rng(5)
+    for x, y in zip(rng.uniform(0.0, 1e3, 500).tolist(), rng.uniform(0.0, 100.0, 500).tolist()):
+        assert _saturating_power(x, y) == x**y
+    for alpha in (1e154, -1e154, 3.7e-160):
+        assert _saturating_power(alpha, 2) == alpha**2
+    assert _saturating_power(1e200, 2) == _saturating_power(-1e200, 2) == math.inf
+    assert _saturating_power(10.0, 400.0) == math.inf
+
+
+def test_small_p_norm_is_inf_only_where_it_overflows():
+    g = np.random.default_rng(0).standard_normal((20, 20))
+    with pytest.warns(QuasiNormWarning):
+        assert schatten_norm(g, 0.001) == math.inf
+    # The root 20^250 overflows, but times 1e-30 the norm is about 1.8e295.
+    with pytest.warns(QuasiNormWarning):
+        norm = schatten_norm_from_spectrum(np.full(20, 1e-30), 0.004)
+    assert norm == pytest.approx(math.exp(math.log(1e-30) + math.log(20.0) / 0.004), rel=1e-11)
+    with pytest.warns(QuasiNormWarning):
+        assert schatten_norm_from_spectrum(np.full(20, 1e-6), 0.004) == math.inf
