@@ -15,7 +15,9 @@ Conventions shared by every checker:
   nonempty 2-D array is a ``ValueError`` naming the check and the shape.
 * Violated preconditions, shape relations among them, yield a
   not-applicable report (``preconditions_met=False``, ``holds=None``),
-  never a failure.
+  never a failure. Its reason reads ``requires ...`` for a shape relation
+  and names the operand's ``srlab verify`` slot for a property of one
+  operand (``B is not positive semi-definite``, ``A is the zero matrix``).
 * Two-sided bounds produce one report with a named clause per side.
 
 Exponent-dependent checks also come in ``grid_*`` form, which evaluates a
@@ -173,12 +175,27 @@ def _proot_grid(values: np.ndarray, ps) -> list[float]:
     return [_proot(x, p) for x, p in zip(srp_from_sigma(values, ps).tolist(), ps)]
 
 
-def _is_zero(a: np.ndarray) -> bool:
-    return np.count_nonzero(a) == 0  # a few times faster than ``not a.any()``
-
-
-def _same_square(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.shape[0] == a.shape[1]
+def _psd_gate(nonzero: bool = False, **slots: np.ndarray) -> str | list[np.ndarray]:
+    """The operands' :func:`psd_eigenvalues` in slot order, or why a PSD-gated
+    check is not applicable: the first test to fail of the shape relation (one
+    square matrix, or two of equal size), no operand zero (where ``nonzero``)
+    and each operand PSD. ``slots`` holds the operands by their ``srlab
+    verify`` slot names (``A``, ``B``, ``E``)."""
+    mats = tuple(slots.values())
+    shape = mats[0].shape
+    if shape[0] != shape[1] or mats[-1].shape != shape:  # one or two operands
+        if len(mats) == 1:
+            return "requires a square matrix"
+        return "requires two square matrices of equal size"
+    for slot, m in slots.items() if nonzero else ():
+        if np.count_nonzero(m) == 0:  # a few times faster than ``not m.any()``
+            return f"{slot} is the zero matrix"
+    eigenvalues = []
+    for slot, m in slots.items():
+        if (w := psd_eigenvalues(m)) is None:
+            return f"{slot} is not positive semi-definite"
+        eigenvalues.append(w)
+    return eigenvalues
 
 
 # ---------------------------------------------------------------------------
@@ -189,14 +206,9 @@ def check_weyl(a: Matrix, b: Matrix) -> CheckReport:
     """lam_1(A+B) >= lam_1(A) + lam_n(B) >= lam_1(A) for PSD A, B."""
     name = "weyl"
     a, b = _require_matrix(a, name), _require_matrix(b, name)
-    if not _same_square(a, b):
-        return _not_applicable(name, "requires two square matrices of equal size")
-    wa = psd_eigenvalues(a)
-    if wa is None:
-        return _not_applicable(name, "A is not positive semi-definite")
-    wb = psd_eigenvalues(b)
-    if wb is None:
-        return _not_applicable(name, "B is not positive semi-definite")
+    if isinstance(gate := _psd_gate(A=a, B=b), str):
+        return _not_applicable(name, gate)
+    wa, wb = gate
     top_sum = float(hermitian_part_eigenvalues(a + b)[0])
     base = float(wa[0])
     mid = base + float(wb[-1])
@@ -209,12 +221,8 @@ def check_intdim_subadditive(a: Matrix, b: Matrix) -> CheckReport:
     """intdim(A+B) <= intdim(A) + intdim(B) for nonzero PSD A, B."""
     name = "intdim_subadditive"
     a, b = _require_matrix(a, name), _require_matrix(b, name)
-    if not _same_square(a, b):
-        return _not_applicable(name, "requires two square matrices of equal size")
-    if _is_zero(a) or _is_zero(b):
-        return _not_applicable(name, "requires nonzero matrices")
-    if psd_eigenvalues(a) is None or psd_eigenvalues(b) is None:
-        return _not_applicable(name, "requires positive semi-definite matrices")
+    if isinstance(gate := _psd_gate(nonzero=True, A=a, B=b), str):
+        return _not_applicable(name, gate)
     id_a = psd_intrinsic_dimension(a)
     id_b = psd_intrinsic_dimension(b)
     lhs = psd_intrinsic_dimension(a + b)
@@ -253,8 +261,8 @@ def check_block_intdim(a: Matrix, k: int = 1) -> CheckReport:
     k = int(k)
     if not 1 <= k < n:
         raise ValueError(f"block split k must satisfy 1 <= k < n, got k={k}, n={n}")
-    if psd_eigenvalues(a) is None:
-        return _not_applicable(name, "requires a positive semi-definite matrix")
+    if isinstance(gate := _psd_gate(A=a), str):
+        return _not_applicable(name, gate)
     id_full = psd_intrinsic_dimension(a)
     id_11 = psd_intrinsic_dimension(a[:k, :k])
     id_22 = psd_intrinsic_dimension(a[k:, k:])
@@ -309,10 +317,8 @@ def check_cholesky_intdim(a: Matrix) -> CheckReport:
     """
     name = "cholesky_intdim"
     a = _require_matrix(a, name)
-    if a.shape[0] != a.shape[1]:
-        return _not_applicable(name, "requires a square matrix")
-    if psd_eigenvalues(a) is None:
-        return _not_applicable(name, "requires a positive semi-definite matrix")
+    if isinstance(gate := _psd_gate(A=a), str):
+        return _not_applicable(name, gate)
     L, perm, rank = pivoted_cholesky(a)
     n = a.shape[0]
     permuted = a[np.ix_(perm, perm)]
@@ -388,14 +394,9 @@ def grid_sum_subadditivity_proot(a: Matrix, b: Matrix, p_grid) -> list[CheckRepo
     """srp(A+B)^(1/p) <= srp(A)^(1/p) + srp(B)^(1/p) for nonzero PSD A, B."""
     name = "sum_subadditivity_proot"
     a, b = _require_matrix(a, name), _require_matrix(b, name)
-    if not _same_square(a, b):
-        return _not_applicable_grid(name, "requires two square matrices of equal size", p_grid)
-    if _is_zero(a) or _is_zero(b):
-        return _not_applicable_grid(name, "requires nonzero matrices", p_grid)
-    wa = psd_eigenvalues(a)
-    wb = psd_eigenvalues(b)
-    if wa is None or wb is None:
-        return _not_applicable_grid(name, "requires positive semi-definite matrices", p_grid)
+    if isinstance(gate := _psd_gate(nonzero=True, A=a, B=b), str):
+        return _not_applicable_grid(name, gate, p_grid)
+    wa, wb = gate
     ps, reasons, valid = _grid_exponents(tuple(p_grid), finite=True)
     roots_a = _proot_grid(sigma_from_eigenvalues(wa), valid)
     roots_b = _proot_grid(sigma_from_eigenvalues(wb), valid)
@@ -419,12 +420,9 @@ def grid_rank1_addition(
     """srp(A+B)^(1/p) - srp(A)^(1/p) <= 1 for PSD A and rank-1 PSD B."""
     name = "rank1_addition"
     a, b = _require_matrix(a, name), _require_matrix(b, name)
-    if not _same_square(a, b):
-        return _not_applicable_grid(name, "requires two square matrices of equal size", p_grid)
-    wa = psd_eigenvalues(a)
-    wb = psd_eigenvalues(b)
-    if wa is None or wb is None:
-        return _not_applicable_grid(name, "requires positive semi-definite matrices", p_grid)
+    if isinstance(gate := _psd_gate(A=a, B=b), str):
+        return _not_applicable_grid(name, gate, p_grid)
+    wa, wb = gate
     rank_b = numerical_rank_from_spectrum(sigma_from_eigenvalues(wb), rtol)
     if rank_b != 1:
         reason = f"requires rank(B) = 1, got {rank_b}"
@@ -554,7 +552,7 @@ def grid_perturbation(
         reason = f"requires eps < 1, got eps={eps:.6g}"
         return _not_applicable_grid(name, reason, p_grid, epsilon=eps)
     r = numerical_rank_from_spectrum(sig_e, rtol)
-    psd_pair = psd_eigenvalues(a) is not None and psd_eigenvalues(e) is not None
+    psd_pair = not isinstance(_psd_gate(A=a, E=e), str)
     ps, reasons, valid = _grid_exponents(tuple(p_grid), finite=False)
     base_roots = _proot_grid(sig_a, valid)
     actual_roots = _proot_grid(sigma(a + e), valid)

@@ -390,8 +390,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, DecompositionError) as exc:
-        return _error(exc, 2)
+    except (ValueError, OSError, DecompositionError, MemoryError) as exc:
+        return _error(str(exc) or "out of memory", 2)
 
 
 if __name__ == "__main__":

@@ -313,9 +313,9 @@ def _gram_route_applies(m: int, n: int) -> bool:
 
 def _sparse_sigma(a) -> np.ndarray:
     if not _gram_route_applies(*a.shape):
-        return sigma(_freeze_fresh(a.toarray()))
+        return sigma(_densified(a))
     s = _certified_sparse_gram_sigma(a)
-    return _svd_sigma(_freeze_fresh(a.toarray())) if s is None else s
+    return _svd_sigma(_densified(a)) if s is None else s
 
 
 def _gram_exponent(parts: np.ndarray) -> int:

@@ -775,7 +775,7 @@ PRECONDITION_CASES = {
     "weyl_b_not_psd": ("weyl", (_EYE, _INDEFINITE), {}, "B is not positive semi-definite"),
     "intdim_subadditive_not_square": ("intdim_subadditive", (_RECT, _RECT), {}, _UNEQUAL),
     "intdim_subadditive_not_psd": (
-        "intdim_subadditive", (_EYE, _INDEFINITE), {}, "requires positive semi-definite matrices"
+        "intdim_subadditive", (_EYE, _INDEFINITE), {}, "B is not positive semi-definite"
     ),
     "block_intdim_not_square": ("block_intdim", (_RECT,), {"k": 1}, "requires a square matrix"),
     "block_intdim_1x1": (
@@ -784,11 +784,11 @@ PRECONDITION_CASES = {
     "cholesky_intdim_not_square": ("cholesky_intdim", (_RECT,), {}, "requires a square matrix"),
     "sum_subadditivity_proot_not_square": ("sum_subadditivity_proot", (_RECT, _RECT), {}, _UNEQUAL),
     "sum_subadditivity_proot_zero": (
-        "sum_subadditivity_proot", (np.zeros((2, 2)), _EYE), {}, "requires nonzero matrices"
+        "sum_subadditivity_proot", (np.zeros((2, 2)), _EYE), {}, "A is the zero matrix"
     ),
     "rank1_addition_not_square": ("rank1_addition", (_RECT, _RECT), {}, _UNEQUAL),
     "rank1_addition_not_psd": (
-        "rank1_addition", (_EYE, _INDEFINITE), {}, "requires positive semi-definite matrices"
+        "rank1_addition", (_EYE, _INDEFINITE), {}, "B is not positive semi-definite"
     ),
     "product_kappa_a_not_square": ("product_kappa", (_RECT, _RECT.T), {}, "requires square A"),
     "product_kappa_b_rows": (
@@ -828,6 +828,40 @@ def test_unmet_preconditions(case):
         assert len(reports) == len(grid)
         assert all(r.status == "not-applicable" for r in reports)
         assert all(r.details["reason"] == expected for r in reports)
+
+
+# Each PSD-gated check: its matrix slots, its other arguments, and whether
+# it requires nonzero operands.
+_PSD_GATED = {
+    "weyl": ("AB", {}, False),
+    "intdim_subadditive": ("AB", {}, True),
+    "sum_subadditivity_proot": ("AB", {"p": 2.0}, True),
+    "rank1_addition": ("AB", {"p": 2.0}, False),
+    "block_intdim": ("A", {"k": 1}, False),
+    "cholesky_intdim": ("A", {}, False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PSD_GATED))
+def test_psd_gate_names_the_failing_slot(name):
+    slots, kwargs, nonzero = _PSD_GATED[name]
+    check = CHECKS[name]
+    good = np.diag([1.0, 0.0])  # PSD, nonzero and of rank 1: every gated check applies
+    assert check(*[good] * len(slots), **kwargs).preconditions_met
+    failing = {"not positive semi-definite": _INDEFINITE}
+    if nonzero:
+        failing["the zero matrix"] = np.zeros((2, 2))
+    for slot in slots:
+        for what, bad in failing.items():
+            inputs = [bad if s == slot else good for s in slots]
+            assert check(*inputs, **kwargs).details["reason"] == f"{slot} is {what}"
+    if len(slots) == 2:
+        # The first test to fail is the reason: slot A before slot B, and
+        # the zero test on every operand before the PSD test on any.
+        reason = check(_INDEFINITE, _INDEFINITE, **kwargs).details["reason"]
+        assert reason == "A is not positive semi-definite"
+        reason = check(_INDEFINITE, np.zeros((2, 2)), **kwargs).details["reason"]
+        assert reason == ("B is the zero matrix" if nonzero else "A is not positive semi-definite")
 
 
 # Each function of a matrix that is not a check, with its arguments after the matrix.

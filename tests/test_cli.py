@@ -534,6 +534,29 @@ def test_overflowing_powers_exit_0_with_inf(tmp_path, capsys):
         assert json.loads(capsys.readouterr().out)["predicted"]["sr_A"] == 1.0
 
 
+def test_matrix_too_large_to_densify_exits_2(tmp_path, capsys):
+    # A 1e8 x 1e8 coordinate file with one entry: densifying it asks numpy
+    # for 71 PiB, beyond any address space, so numpy refuses without
+    # allocating. That is an input error, not a failed inequality (exit 1).
+    from srlab.cli import main
+
+    path = tmp_path / "huge.mtx"
+    path.write_text(
+        "%%MatrixMarket matrix coordinate real general\n100000000 100000000 1\n1 1 1.0\n"
+    )
+    f = str(path)
+    for argv in (
+        ["compute", f, "-q", "sr"],
+        ["compute", f, "-q", "intdim"],
+        ["verify", "weyl", f, f],
+        ["gallery", "congruence_maximizer", "--input", f],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(r"error: Unable to allocate .*\n", captured.err), argv
+
+
 def test_condition_counts_rank_e_at_rtol(tmp_path, capsys):
     from srlab.cli import main
     from srlab.fuzz import scaled_perturbation

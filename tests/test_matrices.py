@@ -509,6 +509,25 @@ def test_classification_thresholds_are_fixed(threshold, factor, scale):
                     congruence_maximizer(a)
 
 
+def test_hermitian_threshold_includes_an_exact_tie():
+    a = np.array([[1.0, 1e-12], [0.0, 1.0]])
+    assert matrices.hermitian_asymmetry(a) == matrices._asymmetry_bound(a) == 1e-12
+    assert is_hermitian(a)
+
+
+def test_psd_threshold_includes_an_exact_tie():
+    a = np.diag([1.0, -PSD_NEGATIVITY_RTOL])
+    assert matrices.hermitian_part_eigenvalues(a)[-1] == -PSD_NEGATIVITY_RTOL
+    assert is_psd(a)
+
+
+def test_gram_unscaled_window_edges():
+    """The window is [2^-200, 2^200): its lower edge is inside, its upper one outside."""
+    edge = 2.0**matrices.GRAM_UNSCALED_EXP
+    assert matrices._gram_exponent(np.array([1 / edge])) == 0
+    assert matrices._gram_exponent(np.array([edge])) == matrices.GRAM_UNSCALED_EXP + 1
+
+
 # ---------------------------------------------------------------------------
 # Routing of singular values: exactly Hermitian -> eigvalsh, wide -> SVD of a.T
 

@@ -18,6 +18,7 @@ from srlab.matrices import (
 from srlab.ranks import (
     intrinsic_dimension,
     numerical_rank,
+    numerical_rank_from_spectrum,
     p_stable_rank,
     srp_from_sigma,
     stable_rank,
@@ -41,6 +42,11 @@ def direct_srp(values, p):
 def test_identity_has_full_p_stable_rank():
     for p in FINITE_P:
         assert p_stable_rank(np.eye(6), p) == pytest.approx(6.0, rel=1e-14)
+
+
+def test_rank_counts_only_values_above_the_threshold():
+    # s_2 = rtol * s_1 exactly lies on the threshold, not above it.
+    assert numerical_rank_from_spectrum([1.0, 1e-10], 1e-10) == 1
 
 
 def test_rank_one_matrix_has_rank_one():
@@ -120,7 +126,6 @@ def test_quantities_are_plain_numbers_from_the_spectrum_path():
     import scipy.sparse
 
     from srlab.matrices import psd_eigenvalues, psd_intrinsic_dimension, sigma
-    from srlab.ranks import numerical_rank_from_spectrum
 
     rng = np.random.default_rng(19)
     inputs = []
