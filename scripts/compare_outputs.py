@@ -21,9 +21,10 @@ parent commit, say). Each one's ``srlab`` runs in its own subprocess with
 * an edge corpus of ``srlab`` CLI calls on matrices written to a temporary
   directory: 1xn, nx1 and 1x1; zero; exactly rank-deficient, real and PSD;
   a Gram scaled by 2^600, by 2^-600 and to a largest entry of 1.5e308; a
-  Gram plus 1e-13 relative noise; an indefinite diagonal; a complex PSD
-  Gram; a coordinate-format sparse file; and an empty 0x3 array file, which
-  every call rejects as it reads it. On each it runs every
+  Gram plus 1e-13 relative noise; a non-Hermitian 5x5 Gaussian scaled by
+  1e-13; an indefinite diagonal; a complex PSD Gram; a coordinate-format
+  sparse file; and an empty 0x3 array file, which every call rejects as it
+  reads it. On each it runs every
   ``compute`` quantity at p = 1.5, 400 and inf, every ``verify`` check bare
   and with each flag it takes (``-p`` at each of those exponents, ``--k``,
   ``--drop-col``), a check of two inputs getting the file twice, and
@@ -223,6 +224,7 @@ def edge_matrices() -> dict:
         "gram_times_2^-600": gram * 2.0**-600,
         "gram_max_1.5e308": gram * (1.5e308 / top),
         "gram_noise_1e-13": gram + 1e-13 * top * rng.standard_normal(gram.shape),
+        "gaussian_5x5_times_1e-13": rng.standard_normal((5, 5)) * 1e-13,
         "indefinite_diagonal": np.diag([3.0, 1.0, -2.0, 0.5]),
         "complex_psd_gram": z.conj().T @ z,
         "coordinate_6x8": scipy.sparse.coo_matrix(sparse),

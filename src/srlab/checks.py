@@ -8,8 +8,10 @@ Conventions shared by every checker:
   rhs - lhs, an identity lhs = rhs has margin -abs(lhs - rhs), and a named
   clause's margin is also ``details["slack_" + name]``. ``slack`` is the
   least margin, so ``holds`` is simply ``slack >= -abs_tol`` with
-  ``abs_tol = 1e-10 * max(1, |lhs|, |rhs|)``; ``lhs`` and ``rhs`` are one
-  clause's sides. Only :func:`_finish` turns clauses into margins.
+  ``abs_tol = 1e-10 * max(|lhs|, |rhs|)`` over the finite sides; ``lhs`` and
+  ``rhs`` are one clause's sides. The tolerance has no absolute floor, so a
+  power-of-two scaling of the inputs that neither overflows nor underflows
+  keeps every verdict. Only :func:`_finish` turns clauses into margins.
 * Each check first reads each matrix argument through
   :func:`srlab.matrices._require_matrix`, so input that is not a dense,
   nonempty 2-D array is a ``ValueError`` naming the check and the shape.
@@ -33,8 +35,9 @@ single-exponent grid, indexed. Every sr_p comes from
 Singular values are taken one of two ways. A PSD-gated check evaluates
 the inequality on the spectrum the classifier decided on: the eigenvalues
 from :func:`srlab.matrices.psd_eigenvalues`, mapped through
-:func:`srlab.matrices.sigma_from_eigenvalues`, so it runs no second
-decomposition of an input that is Hermitian only within the threshold.
+:func:`srlab.matrices.sigma_from_eigenvalues` or handed to
+:func:`srlab.matrices.psd_intrinsic_dimension`, so it runs no second
+decomposition of a classified operand, in a trial scope or outside one.
 Every other spectrum is :func:`srlab.matrices.sigma`. On an exactly
 Hermitian input the two give the same bits. Every classification and
 decomposition goes through the :mod:`srlab.matrices` family, so inside a
@@ -133,10 +136,10 @@ def encode_json(v):
 def _verdict(lhs: float, rhs: float, margins) -> tuple[float, bool]:
     """The slack (least margin) and whether it is within ``SLACK_RTOL * scale``.
 
-    ``scale`` is max(1, |lhs|, |rhs|) over the finite sides.
+    ``scale`` is max(|lhs|, |rhs|) over the finite sides, 0 when neither is.
     """
     slack = float(min(margins))
-    scale = 1.0
+    scale = 0.0
     if scale < abs(lhs) < math.inf:
         scale = abs(lhs)
     if scale < abs(rhs) < math.inf:
@@ -223,8 +226,9 @@ def check_intdim_subadditive(a: Matrix, b: Matrix) -> CheckReport:
     a, b = _require_matrix(a, name), _require_matrix(b, name)
     if isinstance(gate := _psd_gate(nonzero=True, A=a, B=b), str):
         return _not_applicable(name, gate)
-    id_a = psd_intrinsic_dimension(a)
-    id_b = psd_intrinsic_dimension(b)
+    wa, wb = gate
+    id_a = psd_intrinsic_dimension(a, wa)
+    id_b = psd_intrinsic_dimension(b, wb)
     lhs = psd_intrinsic_dimension(a + b)
     rhs = id_a + id_b
     return _finish(name, [(lhs, rhs, False, None)], {"intdim_a": id_a, "intdim_b": id_b})
@@ -263,7 +267,7 @@ def check_block_intdim(a: Matrix, k: int = 1) -> CheckReport:
         raise ValueError(f"block split k must satisfy 1 <= k < n, got k={k}, n={n}")
     if isinstance(gate := _psd_gate(A=a), str):
         return _not_applicable(name, gate)
-    id_full = psd_intrinsic_dimension(a)
+    id_full = psd_intrinsic_dimension(a, gate[0])
     id_11 = psd_intrinsic_dimension(a[:k, :k])
     id_22 = psd_intrinsic_dimension(a[k:, k:])
     rhs = id_11 + id_22
@@ -300,8 +304,8 @@ def check_deletion(a: Matrix, drop_col: int = 0, rtol: float = DEFAULT_RANK_RTOL
         "sr_deleted": sr_h,
         "sr_increased": bool(sr_h > sr_a),
     }
-    if psd_eigenvalues(a) is not None:
-        details["intdim_a"] = psd_intrinsic_dimension(a)
+    if (w := psd_eigenvalues(a)) is not None:
+        details["intdim_a"] = psd_intrinsic_dimension(a, w)
     return _finish(name, [(rank_h, rank_a, False, None)], details)
 
 
@@ -323,11 +327,11 @@ def check_cholesky_intdim(a: Matrix) -> CheckReport:
     n = a.shape[0]
     permuted = a[np.ix_(perm, perm)]
     residual = float(np.linalg.norm(permuted - L @ L.conj().T))
-    if residual > 1e-8 * max(1.0, float(np.linalg.norm(a))):
+    if residual > 1e-8 * float(np.linalg.norm(a)):
         raise DecompositionError(
             f"pivoted Cholesky residual {residual:.3e} too large; input likely indefinite"
         )
-    intdim_a = psd_intrinsic_dimension(a)
+    intdim_a = psd_intrinsic_dimension(a, gate[0])
     sl = sigma(L) if rank > 0 else np.zeros(0)
     sr_l = srp_from_sigma(sl, 2.0)
     clauses = [(intdim_a, sr_l, False, None)]

@@ -98,6 +98,7 @@ def evaluate(
                 computed = float(numerical_rank(a, rtol))
             else:
                 raise ValueError(f"unknown predicted quantity {key!r}")
+            # A reported figure, not a threshold, so its floor of 1 stays.
             rel_err = abs(computed - predicted) / max(1.0, abs(predicted))
             out[key] = {"predicted": float(predicted), "computed": computed, "rel_err": rel_err}
     return out

@@ -68,9 +68,12 @@ Outside a scope nothing is cached.
 This module alone decides "Hermitian" and "PSD", on one fixed pair of
 relative thresholds, :data:`HERMITIAN_ASYM_RTOL` and :data:`PSD_NEGATIVITY_RTOL`.
 A square input is Hermitian when ``max |A - A*|`` is at most
-``1e-12 * max(1, max |A|)``, and PSD when it is also Hermitian with
-``lambda_min >= -1e-10 * max(1, lambda_max)`` for the eigenvalues of its
-Hermitian part. :func:`is_psd`,
+``1e-12 * max |A|``, and PSD when it is also Hermitian with
+``lambda_min >= -1e-10 * lambda_max`` for the eigenvalues of its
+Hermitian part. Each threshold is relative to the input's own scale, with
+no absolute floor, so a power-of-two scaling that neither overflows nor
+underflows keeps every class.
+:func:`is_psd`,
 :func:`psd_eigenvalues`, :func:`hermitian_eigenvalues` and
 :func:`psd_spectrum` (the precondition of ``intrinsic_dimension``) read
 one private classifier, and :func:`psd_eigendecomposition` (the gallery's
@@ -479,7 +482,7 @@ def hermitian_asymmetry(a: Matrix) -> float:
 
 
 def is_hermitian(a: Matrix) -> bool:
-    """max |A - A*| within ``1e-12 * max(1, max |A|)``.
+    """max |A - A*| within ``1e-12 * max |A|``.
 
     False for any input with a nan or infinite entry. Runs no decomposition.
     """
@@ -501,7 +504,7 @@ def _hermitian_class(a: np.ndarray) -> int:
 
 
 def _asymmetry_bound(a: np.ndarray) -> float:
-    return HERMITIAN_ASYM_RTOL * max(1.0, float(np.max(np.abs(a))))
+    return HERMITIAN_ASYM_RTOL * float(np.max(np.abs(a)))
 
 
 def _classify(a: np.ndarray) -> np.ndarray | None:
@@ -531,8 +534,8 @@ def _hermitian_part_eigenvalues(a: np.ndarray, exact: bool | None = None) -> np.
 
 
 def _psd_within(w: np.ndarray) -> bool:
-    """Descending eigenvalues ``w`` clear the relative negativity floor."""
-    return bool(w[-1] >= -PSD_NEGATIVITY_RTOL * max(1.0, float(w[0])))
+    """Descending eigenvalues ``w`` clear ``-1e-10 * lambda_max``."""
+    return bool(w[-1] >= -PSD_NEGATIVITY_RTOL * float(w[0]))
 
 
 def psd_eigenvalues(a: Matrix) -> np.ndarray | None:
@@ -578,7 +581,7 @@ def hermitian_eigenvalues(a: Matrix) -> np.ndarray:
 
 
 def is_psd(a: Matrix) -> bool:
-    """Hermitian, with ``lambda_min >= -1e-10 * max(1, lambda_max)``."""
+    """Hermitian, with ``lambda_min >= -1e-10 * lambda_max``."""
     return psd_eigenvalues(_require_matrix(a, "is_psd", square=True)) is not None
 
 
@@ -623,7 +626,7 @@ def pivoted_cholesky(a: Matrix) -> tuple[np.ndarray, np.ndarray, int]:
     stops once that entry is at most ``1e-10 * trace(a) / n``. Raises
     :class:`DecompositionError` if the largest diagonal entry of the Schur
     complement left after ``rank`` steps is below
-    ``-1e-10 * max(1, trace(a))`` (indefinite input), if ``a`` has
+    ``-1e-10 * trace(a)`` (indefinite input), if ``a`` has
     a nan or infinite entry, or if LAPACK reports an error.
     :func:`pstrf_provider` says which LAPACK runs.
     """
@@ -647,7 +650,7 @@ def pivoted_cholesky(a: Matrix) -> tuple[np.ndarray, np.ndarray, int]:
         norms = np.add.reduce((rest * rest.conj()).real, axis=1)
         schur = a.diagonal().real[perm[rank:]] - norms
         pivot = float(schur.max())
-        if pivot < -PSD_NEGATIVITY_RTOL * max(1.0, total):
+        if pivot < -PSD_NEGATIVITY_RTOL * total:
             raise DecompositionError(f"pivoted Cholesky breakdown: negative pivot {pivot:.6e}")
     return L, perm, rank
 

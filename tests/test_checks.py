@@ -399,6 +399,34 @@ def test_perturbation_decomposition_count(noise, decompositions, lapack_calls):
     assert [name for name, _ in lapack_calls] == decompositions
 
 
+@pytest.mark.parametrize(
+    "check, unscoped, scoped",
+    [
+        ("intdim_subadditive", 3, 2),
+        ("block_intdim", 3, 3),
+        ("cholesky_intdim", 1, 1),
+        ("deletion", 2, 1),
+    ],
+)
+def test_intdim_reads_the_gate_eigenvalues(check, unscoped, scoped, lapack_calls):
+    """Outside a trial scope an intrinsic dimension of a classified operand reads
+    the classifier's eigenvalues, so the operand is decomposed once; the report
+    is the in-scope one bit for bit."""
+    from srlab.matrices import trial_scope
+
+    x = np.random.default_rng(3).standard_normal((5, 5))
+    g = x.T @ x
+    args = (g, g) if check == "intdim_subadditive" else (g,)
+    report = CHECKS[check](*args)
+    assert [name for name, _ in lapack_calls].count("eigvalsh") == unscoped
+    lapack_calls.clear()
+    with trial_scope():
+        in_scope = CHECKS[check](*args)
+    assert [name for name, _ in lapack_calls].count("eigvalsh") == scoped
+    assert report.status == "pass"
+    assert json.dumps(report.to_json_dict()) == json.dumps(in_scope.to_json_dict())
+
+
 def test_psd_gated_proots_match_p_stable_rank_on_exact_hermitian_input():
     """On exactly Hermitian, rank-deficient PSD inputs, every p-root of
     sum_subadditivity_proot and rank1_addition equals srp^(1/p) bit for bit."""

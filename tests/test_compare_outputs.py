@@ -121,6 +121,9 @@ def test_edge_section_runs_every_call_and_repeats(tmp_path):
     one = first["verify block_intdim <tmp>/scalar_1x1.mtx"]
     assert one["exit_code"] == 0
     assert one["stdout"]["status"] == "not-applicable"
+    # A non-Hermitian input has no intrinsic dimension at any scale.
+    tiny = first["compute <tmp>/gaussian_5x5_times_1e-13.mtx -q intdim -p 1.5"]
+    assert tiny["exit_code"] == 3
     # An empty file is rejected as it is read, by every call.
     empty = [record for instance, record in first.items() if "/empty_0x3.mtx" in instance]
     assert len(empty) == len(compare_outputs.edge_argvs("x.mtx"))

@@ -347,6 +347,59 @@ def test_trial_scope_does_not_change_reports(seed):
         assert json.dumps(_report_dicts(scoped)) == json.dumps(_report_dicts(unscoped))
 
 
+# Even, so 2^(j/2) is exact. The window stops at 2^±150: a tridiagonal whose norm is
+# below about 2^-406 is rescaled inside LAPACK's ?sterf by a factor that is not a
+# power of two, and cross_product's A*A of a 2^-200 input gets there.
+_SCALE_EXPONENTS = (-150, -100, -40, 40, 100, 150)
+
+
+def _scales_by(before, after, j: int) -> bool:
+    """``after`` is ``before``, or a float exactly 2^(kj) times it for k in {0, 1/2, 1, 2}."""
+    if isinstance(before, list):
+        return len(before) == len(after) and all(
+            _scales_by(x, y, j) for x, y in zip(before, after)
+        )
+    if not isinstance(before, float):
+        return type(before) is type(after) and before == after
+    if math.isnan(before):
+        return math.isnan(after)
+    return any(after == before * 2.0 ** (k * j) for k in (0.0, 0.5, 1.0, 2.0))
+
+
+def _scale_moves(before: CheckReport, after: CheckReport, j: int) -> list[str]:
+    """The fields of ``after`` that do not follow from ``before`` under scaling by 2^j."""
+    shape = (before.status, before.details.get("reason"), list(before.details))
+    if shape != (after.status, after.details.get("reason"), list(after.details)):
+        return ["status, reason or detail keys"]
+    sides = ("lhs", "rhs", "slack")
+    pairs = [(side, getattr(before, side), getattr(after, side)) for side in sides]
+    pairs += [(key, v, after.details[key]) for key, v in before.details.items()]
+    return [key for key, v, w in pairs if not _scales_by(v, w, j)]
+
+
+def test_reports_are_invariant_under_power_of_two_scaling():
+    """Metamorphic test (Chen, Cheung and Yiu, 1998): scaling every matrix input
+    of a trial by 2^j moves no report. sr_p, intdim, ranks, classifications and
+    verdicts are ratios of norms, so each keeps its status, reason and detail
+    keys, and each float is bit-identical or exactly 2^(kj) times its value."""
+    seed = 7
+    cfg = FuzzConfig(trials=1, seed=seed, parallelism=1)
+    moved = []
+    for trial in range(100):
+        x = trial_inputs(seed, trial, cfg)
+        with mat.trial_scope():
+            base = [fuzz._row_reports(x, row, cfg.p_grid) for row in fuzz._CALLS]
+        for j in _SCALE_EXPONENTS:
+            scaled = {k: v * 2.0**j if isinstance(v, np.ndarray) else v for k, v in x.items()}
+            with mat.trial_scope():
+                for row, (ps, reports) in zip(fuzz._CALLS, base):
+                    again = fuzz._row_reports(scaled, row, cfg.p_grid)[1]
+                    for p, before, after in zip(ps, reports, again, strict=True):
+                        if fields := _scale_moves(before, after, j):
+                            moved.append((trial, j, *row[:2], p, fields))
+    assert not moved, f"{len(moved)} reports moved, first {moved[:5]}"
+
+
 def _scope_active():
     a = np.diag([2.0, 1.0])
     return mat.hermitian_part_eigenvalues(a) is mat.hermitian_part_eigenvalues(a)

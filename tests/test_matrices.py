@@ -467,11 +467,12 @@ def _near_threshold(threshold: str, factor: float, scale: float) -> np.ndarray:
     return (a + a.T) / 2
 
 
-@pytest.mark.parametrize("scale", [4.0, 1e6])
+@pytest.mark.parametrize("scale", [2.0**-600, 2.0**-40, 4.0, 1e6])
 @pytest.mark.parametrize("factor", [0.5, 2.0])
 @pytest.mark.parametrize("threshold", ["hermitian", "psd"])
 def test_classification_thresholds_are_fixed(threshold, factor, scale):
-    """Hermitian within 1e-12 * max|A|, PSD down to lambda_min = -1e-10 * lambda_max."""
+    """Hermitian within 1e-12 * max|A|, PSD down to lambda_min = -1e-10 * lambda_max,
+    at any scale: no threshold has an absolute floor."""
     from contextlib import nullcontext
 
     from srlab.checks import check_weyl
@@ -480,7 +481,6 @@ def test_classification_thresholds_are_fixed(threshold, factor, scale):
     from srlab.ranks import intrinsic_dimension
 
     a = _near_threshold(threshold, factor, scale)
-    assert np.abs(a).max() >= 1.0
     hermitian = threshold == "psd" or factor < 1.0
     psd = factor < 1.0
     for scope in (nullcontext, trial_scope):
@@ -509,16 +509,31 @@ def test_classification_thresholds_are_fixed(threshold, factor, scale):
                     congruence_maximizer(a)
 
 
+@pytest.mark.parametrize("scale", [1e-13, 1e-200, 2.0**-600, 1.0, 1e200])
+def test_a_non_hermitian_input_is_rejected_at_every_scale(scale):
+    from srlab.ranks import intrinsic_dimension
+
+    g = np.random.default_rng(0).standard_normal((5, 5)) * scale
+    assert not is_hermitian(g)
+    assert not is_psd(g)
+    with pytest.raises(PreconditionError) as raised:
+        intrinsic_dimension(g)
+    assert "max_asymmetry" in raised.value.data
+
+
+# A power of two scales a tie exactly, so it stays a tie below scale 1.
 def test_hermitian_threshold_includes_an_exact_tie():
-    a = np.array([[1.0, 1e-12], [0.0, 1.0]])
-    assert matrices.hermitian_asymmetry(a) == matrices._asymmetry_bound(a) == 1e-12
-    assert is_hermitian(a)
+    for scale in (1.0, 2.0**-40):
+        a = np.array([[1.0, 1e-12], [0.0, 1.0]]) * scale
+        assert matrices.hermitian_asymmetry(a) == matrices._asymmetry_bound(a) == 1e-12 * scale
+        assert is_hermitian(a)
 
 
 def test_psd_threshold_includes_an_exact_tie():
-    a = np.diag([1.0, -PSD_NEGATIVITY_RTOL])
-    assert matrices.hermitian_part_eigenvalues(a)[-1] == -PSD_NEGATIVITY_RTOL
-    assert is_psd(a)
+    for scale in (1.0, 2.0**-40):
+        a = np.diag([1.0, -PSD_NEGATIVITY_RTOL]) * scale
+        assert matrices.hermitian_part_eigenvalues(a)[-1] == -PSD_NEGATIVITY_RTOL * scale
+        assert is_psd(a)
 
 
 def test_gram_unscaled_window_edges():
