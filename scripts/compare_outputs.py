@@ -39,7 +39,10 @@ It prints one line per field: ``identical``, ``moved`` with the largest
 relative move of a float, or ``status changed`` with the instances where
 anything else differs (a bool, a string, an int, nan against a number, a
 missing entry, the order of keys). It exits 0 when every field is
-identical. ``--out`` also writes the per-field verdicts as JSON.
+identical. ``--out`` also writes the per-field verdicts as JSON; a field
+whose status changed also records, as ``first_change``, its first changed
+instance with the parent's and the change's values there (a side that lacks
+the field has no value).
 """
 
 from __future__ import annotations
@@ -362,7 +365,8 @@ def difference(parent, change):
 
 
 def compare(parent: dict, change: dict) -> dict:
-    """Per ``section.field``: its verdict, and where it moved most or changed status.
+    """Per ``section.field``: its verdict, where it moved most or changed
+    status, and the values at the first instance whose status changed.
 
     Both corpora map section -> instance -> field -> value. An instance or
     a field that only one side has is a change of status.
@@ -375,11 +379,24 @@ def compare(parent: dict, change: dict) -> dict:
             for field in dict.fromkeys([*records[0], *records[1]]):
                 entry = fields.setdefault(
                     f"{section}.{field}",
-                    {"verdict": "identical", "max_rel_move": 0.0, "at": None, "changed": []},
+                    {
+                        "verdict": "identical",
+                        "max_rel_move": 0.0,
+                        "at": None,
+                        "changed": [],
+                        "first_change": None,
+                    },
                 )
-                diff = difference(records[0].get(field, MISSING), records[1].get(field, MISSING))
+                values = records[0].get(field, MISSING), records[1].get(field, MISSING)
+                diff = difference(*values)
                 if diff == "status":
                     entry["verdict"] = "status changed"
+                    if not entry["changed"]:
+                        entry["first_change"] = {"instance": instance} | {
+                            side: value
+                            for side, value in zip(("parent", "change"), values)
+                            if value is not MISSING
+                        }
                     entry["changed"].append(instance)
                 elif diff is not None:
                     if entry["verdict"] == "identical":

@@ -497,7 +497,7 @@ def grid_cross_product(a: Matrix, p_grid) -> list[CheckReport]:
     name = "cross_product"
     a = _require_matrix(a, name)
     ps, reasons, valid = _grid_exponents(tuple(p_grid), finite=False)
-    two_ps = tuple(math.inf if math.isinf(p) else 2.0 * p for p in valid)
+    two_ps = tuple(2.0 * p for p in valid)
     srps_a = srp_from_sigma(sigma(a), valid + two_ps).tolist()
     srps_left = srp_from_sigma(sigma(a.conj().T @ a), valid).tolist()
     srps_right = srp_from_sigma(sigma(a @ a.conj().T), valid).tolist()

@@ -6,6 +6,7 @@ All stable-rank values are computed from the normalized spectrum
 powered norms, which cancels sigma_1 exactly and cannot overflow.
 :func:`srp_from_sigma` is the one map from singular values to sr_p; the
 p-stable ranks here and every check in :mod:`srlab.checks` go through it.
+It has one implementation: a scalar p is the one-point grid ``(p,)``.
 The intrinsic dimension is the PSD classification and the trace ratio of
 :mod:`srlab.matrices`. Each quantity is a plain number: a ``float``, or an
 ``int`` for :func:`numerical_rank`.
@@ -48,25 +49,21 @@ def numerical_rank(a: Matrix, rtol: float = DEFAULT_RANK_RTOL) -> int:
 def srp_from_sigma(values: np.ndarray, p):
     """sr_p of descending singular values, for p > 0 or p = inf.
 
-    0 for an empty or all-zero spectrum; otherwise 1 for p = inf and
-    sum_j (sigma_j / sigma_1) ** p for finite p. ``p`` may also be a 1-D
-    array of exponents, as in :func:`srlab.schatten.normalized_power_sum`;
-    the result is then an array, each entry equal to the scalar-``p`` value,
-    from one power-sum call.
+    sum_j (sigma_j / sigma_1) ** p for finite p, 1 for p = inf, and 0 for an
+    empty or all-zero spectrum. ``p`` may also be a 1-D array of exponents;
+    the result is then an array with one entry per exponent. A scalar ``p``
+    is computed as the one-point grid ``(p,)`` and returned as a float, so
+    both forms share one call of :func:`srlab.schatten.normalized_power_sum`.
     """
     scalar = is_scalar_exponent(p)
-    if len(values) == 0 or values[0] <= 0.0:
-        return 0.0 if scalar else np.zeros(len(p))
-    if scalar:
-        return 1.0 if math.isinf(p) else normalized_power_sum(values, p)
-    # The power sum at p = inf is finite (it counts the entries equal to
-    # sigma_1), and each exponent is summed on its own, so the finite ones
-    # get the same sums as alone; the inf entries are then set to 1.
-    out = normalized_power_sum(values, p)
-    for i, q in enumerate(p):
-        if q == math.inf:
+    ps = (p,) if scalar else p
+    out = normalized_power_sum(values, ps)
+    # The power sum at p = inf counts the entries equal to sigma_1; sr_inf is
+    # 1 for any nonzero spectrum, and the zero spectrum's sum is already 0.
+    for i, q in enumerate(ps):
+        if q == math.inf and out[i]:
             out[i] = 1.0
-    return out
+    return float(out[0]) if scalar else out
 
 
 def p_stable_rank(a: Matrix, p, rtol: float = DEFAULT_RANK_RTOL) -> float:

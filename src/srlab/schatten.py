@@ -9,7 +9,9 @@ nonzero singular values rather than measuring size; see
 through :func:`schatten_norm_from_spectrum`, from the plain array of its
 singular values that :func:`srlab.matrices.sigma` returns. At p far below 1
 a norm can exceed float64 (the norm of n equal values v is n^(1/p) v); it
-then reads inf, and only then.
+then reads inf, and only then. The norms and the p-stable ranks of
+:mod:`srlab.ranks` share one power sum, :func:`normalized_power_sum`, over a
+grid of exponents; a single exponent p is the one-point grid ``(p,)``.
 """
 
 from __future__ import annotations
@@ -41,29 +43,26 @@ def is_scalar_exponent(p) -> bool:
     return isinstance(p, (int, float)) or not isinstance(p, (list, tuple)) and np.ndim(p) == 0
 
 
-# For a scalar exponent numpy evaluates ``x ** 2.0`` as ``square(x)``,
-# ``x ** 0.5`` as ``sqrt(x)`` and ``x ** -1.0`` as ``reciprocal(x)``, which
-# can differ from ``power`` in the last bit. The array form computes these
-# exponents' rows with the same ufuncs so that both forms agree bit for bit.
+# numpy powers an array by a scalar 2.0, 0.5 or -1.0 with ``square``, ``sqrt``
+# or ``reciprocal``, which can differ from ``power`` in the last bit. The grid
+# powers these exponents' rows with the same ufuncs, so each sum keeps the bits
+# of the inline scalar form ``np.sum((v / v[0]) ** p)``;
+# ``test_array_exponents_bit_equal_to_inline_power_sum`` holds them.
 _SCALAR_POWER_SHORTCUTS = {-1.0: np.reciprocal, 0.5: np.sqrt, 2.0: np.square}
 
 
-def normalized_power_sum(values: np.ndarray, p):
-    """sum over j of (v_j / v_0) ** p for a descending nonnegative sequence.
+def normalized_power_sum(values: np.ndarray, ps) -> np.ndarray:
+    """sum over j of (v_j / v_0) ** p of a descending nonnegative sequence,
+    as an array with one sum per exponent p in the 1-D sequence ``ps``.
 
-    This is the overflow-safe core shared by the norms and the stable
-    ranks: the leading value is factored out before powering, so huge or
-    tiny spectra never overflow. Returns 0.0 for an all-zero sequence.
-
-    ``p`` may also be a 1-D array of exponents; the result is then an
-    array with one sum per exponent, each equal to the scalar-``p`` value.
+    The one power sum behind the norms and the stable ranks: the leading
+    value is factored out before powering, so huge or tiny spectra never
+    overflow. A single exponent p is the one-point grid ``(p,)``. Each sum is
+    0.0 for an empty or all-zero sequence; at p = inf it counts the entries
+    equal to v_0.
     """
+    column, shortcuts = _power_rows(tuple(ps))
     top = float(values[0]) if len(values) else 0.0
-    if is_scalar_exponent(p):
-        if top == 0.0:
-            return 0.0
-        return float(np.add.reduce((values / top) ** p))
-    column, shortcuts = _power_rows(tuple(p))
     if top == 0.0:
         return np.zeros(len(column))
     ratios = values / top
@@ -112,6 +111,10 @@ def schatten_norm(a: Matrix, p) -> float:
 
 
 def _schatten_norm(values, p) -> float:
+    """The norm as top * (power sum) ** (1/p), with no case of its own for
+    the zero spectrum or p = inf: a zero or empty spectrum has power sum 0
+    and so norm 0, and at p = inf the power sum counts the c >= 1 entries
+    tied with top, so the norm is top * c ** 0.0 = top."""
     p = validate_exponent(p)
     if p == 0.0:
         raise ValueError(
@@ -126,11 +129,7 @@ def _schatten_norm(values, p) -> float:
             stacklevel=3,  # the caller of the public norm function
         )
     top = float(values[0]) if len(values) else 0.0
-    if top == 0.0:
-        return 0.0
-    if math.isinf(p):
-        return top
-    power_sum = normalized_power_sum(values, p)
+    power_sum = float(normalized_power_sum(values, (p,))[0])
     root = _saturating_power(power_sum, 1.0 / p)
     if root == math.inf and top < 1.0:
         # The root overflows only at p far below 1, since power_sum <= n. The

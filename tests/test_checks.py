@@ -259,6 +259,18 @@ def test_product_kappa_overflowing_power_saturates():
     assert r.slack == 1.0
     # Below the overflow kappa^p keeps the bits of the plain power.
     assert check_product_kappa(a, np.eye(2), 300.0).details["upper_bound"] == 10.0**300 * 2.0
+    # With B = 0 the upper bound is 0, not the nan of inf * 0.
+    r = check_product_kappa(np.diag([1.0, 1e-9]), np.zeros((2, 2)), 400.0)
+    assert r.status == "pass"
+    assert r.details["upper_bound"] == 0.0
+    assert r.details["lower_bound"] == 0.0
+
+
+@pytest.mark.parametrize("name", ["sum_subadditivity_proot", "product_kappa"])
+def test_finite_p_checks_name_p_inf_in_their_reason(name):
+    r = CHECKS[name](np.eye(2), np.eye(2), p=math.inf)
+    assert r.status == "not-applicable"
+    assert r.details == {"reason": "requires finite p >= 1, got p=inf", "p": math.inf}
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +574,14 @@ def test_cholesky_identity():
     assert r.details["factor_intdim"] == pytest.approx(4.0, rel=1e-12)
 
 
+def test_cholesky_zero_matrix_has_an_empty_factor():
+    r = check_cholesky_intdim(np.zeros((4, 4)))
+    assert r.status == "pass"
+    assert r.details["chol_rank"] == 0
+    assert r.details["factor_stable_rank"] == 0.0
+    assert (r.lhs, r.rhs) == (0.0, 0.0)
+
+
 def test_cholesky_diagonal_frozen_values():
     # A = diag(1, a^2 I_4): intdim(A) = 1 + 4 a^2, L = diag(1, a I_4) has
     # intdim(L) = 1 + 4 a
@@ -778,6 +798,21 @@ def test_finish_derives_margins_from_clauses():
     assert (r.lhs, r.rhs, r.slack) == (0.0, 4.0, 2.0)
 
 
+def test_finish_tolerates_rounding_relative_to_the_finite_sides():
+    def holds(*clauses, headline=0):
+        clauses = [(lhs, rhs, False, None) for lhs, rhs in clauses]
+        return srlab.checks._finish("demo", clauses, {}, headline).holds
+
+    assert holds((1.0 + 1e-12, 1.0)) is True
+    assert holds((1.0 + 1e-9, 1.0)) is False
+    # An infinite side stays out of the scale, so an infinite excess fails.
+    assert holds((math.inf, 1.0)) is False
+    # The scale is the larger finite side of the headline clause, lhs or rhs.
+    assert holds((-1.0, 0.0), (1.0, 1.0 - 1e-12)) is True
+    assert holds((0.0, 1.0), (1.0, 1.0 - 1e-12)) is True
+    assert holds((0.0, 0.0), (1.0, 1.0 - 1e-12)) is False
+
+
 def test_registry_consistency():
     assert canonical_check_name("check_weyl") == "weyl"
     assert canonical_check_name("deletion") == "deletion"
@@ -806,6 +841,9 @@ PRECONDITION_CASES = {
         "intdim_subadditive", (_EYE, _INDEFINITE), {}, "B is not positive semi-definite"
     ),
     "block_intdim_not_square": ("block_intdim", (_RECT,), {"k": 1}, "requires a square matrix"),
+    "block_intdim_1x5": (
+        "block_intdim", (np.ones((1, 5)),), {"k": 1}, "requires a square matrix"
+    ),
     "block_intdim_1x1": (
         "block_intdim", (np.ones((1, 1)),), {"k": 1}, "requires at least 2 rows and columns"
     ),

@@ -29,6 +29,7 @@ def files(tmp_path):
     write_matrix_market(tmp_path / "spiked.mtx", np.diag([1.0, 1.0, 1.0, 1.0, 2.0]))
     write_matrix_market(tmp_path / "sumA.mtx", np.diag([4.0, 2.0, 2.0, 2.0, 2.0]))
     write_matrix_market(tmp_path / "sumB.mtx", np.diag([-4.0, -1.0, -1.0, -1.0, -1.0]))
+    write_matrix_market(tmp_path / "wide.mtx", np.ones((2, 3)))
     (tmp_path / "bad.csv").write_text("not,a\nmatrix\n")
     return tmp_path
 
@@ -77,13 +78,15 @@ def test_compute_schatten_and_rank(files):
     assert json.loads(out.stdout)["value"] == 5.0
 
 
-@pytest.mark.parametrize("quantity", ["sr", "intdim", "rank"])
+@pytest.mark.parametrize("quantity", ["sr", "intdim", "rank", "srp", "schatten"])
 def test_compute_accepts_p_for_every_quantity(quantity, files, capsys):
-    # A quantity without an exponent ignores -p rather than rejecting it.
+    # A quantity without an exponent ignores -p rather than rejecting it; one
+    # with an exponent records it.
     from srlab.cli import main
 
-    assert main(["compute", str(files / "spiked.mtx"), "-q", quantity, "-p", "2"]) == 0
-    assert json.loads(capsys.readouterr().out)["p"] is None
+    assert main(["compute", str(files / "spiked.mtx"), "-q", quantity, "-p", "3"]) == 0
+    expected = 3.0 if quantity in ("srp", "schatten") else None
+    assert json.loads(capsys.readouterr().out)["p"] == expected
 
 
 def test_verify_weyl_pass_exit_0(files):
@@ -245,6 +248,32 @@ def test_verify_decomposition_failure_exits_2(files, capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: eigendecomposition did not converge\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "check_weyl", "{d}/identity5.mtx", "{d}/identity5.mtx"],
+        ["condition", "{d}/identity5.mtx", "--epsilons", "0.1"],
+        ["fuzz", "--trials", "2", "--dims-max", "4", "--checks", "weyl", "--parallelism", "1"],
+    ],
+    ids=["verify", "condition", "fuzz"],
+)
+def test_a_failed_report_exits_1(argv, files, capsys, monkeypatch):
+    # Every verdict reads "fail", so each command reports a failure and exits 1.
+    from srlab import checks
+    from srlab.cli import main
+
+    real = checks._verdict
+
+    def always_fails(lhs, rhs, margins):
+        return real(lhs, rhs, margins)[0], False
+
+    monkeypatch.setattr(checks, "_verdict", always_fails)
+    assert main([arg.format(d=files) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert '"holds": false' in captured.out
 
 
 def test_verify_unknown_check_errors(files):
@@ -598,8 +627,11 @@ def test_condition_sweep(files):
     assert rows[3]["applicable"] is False
     assert rows[4]["applicable"] is False
     assert rows[4]["reason"] == "requires 0 <= eps < 1"
-    # PSD input and perturbation: the sharper bounds appear
+    # PSD input and perturbation: the sharper bounds appear, and hold
     assert rows[1]["psd_pair"] is True
+    psd_rows = [r for r in rows if r["applicable"] and r["psd_pair"]]
+    assert len(psd_rows) == 3
+    assert all(r["psd_lower"] <= r["actual"] <= r["psd_upper"] for r in psd_rows)
     # bound columns are monotone in eps
     applicable = [r for r in rows if r["applicable"]]
     lowers = [r["lower"] for r in applicable]
@@ -790,6 +822,11 @@ def test_fuzz_cli_unwritable_out_fails_before_the_campaign(tmp_path, capsys, mon
             + ["--out", "{d}/g"],
             "error: scaled_unitary has rank 5, got rank 2",
         ),
+        (["gallery", "nosuch"], "error: unknown family 'nosuch'; known: geometric_decay, "),
+        (
+            ["condition", "{d}/wide.mtx", "--perturbation", "psd"],
+            "error: PSD perturbations need a square input matrix",
+        ),
     ],
     ids=[
         "compute_directory",
@@ -806,6 +843,8 @@ def test_fuzz_cli_unwritable_out_fails_before_the_campaign(tmp_path, capsys, mon
         "sum_violation_alpha_nan",
         "equality_rank1_other_rank",
         "equality_scaled_unitary_other_rank",
+        "gallery_unknown_family",
+        "condition_psd_not_square",
     ],
 )
 def test_input_errors_exit_2(argv, message, files):

@@ -77,9 +77,14 @@ def test_compare_gives_each_field_one_verdict():
     assert slack["verdict"] == "moved"
     assert slack["max_rel_move"] == pytest.approx(4e-12, rel=1e-3)
     assert slack["at"] == "t2"
-    for field in ("holds", "status"):
-        assert fields[f"run_trial.{field}"]["verdict"] == "status changed"
-        assert fields[f"run_trial.{field}"]["changed"] == ["t2"]
+    assert slack["first_change"] is None
+    for field, parent_value, change_value in (("holds", True, False), ("status", "pass", "fail")):
+        entry = fields[f"run_trial.{field}"]
+        assert entry["verdict"] == "status changed"
+        assert entry["changed"] == ["t2"]
+        assert entry["first_change"] == {
+            "instance": "t2", "parent": parent_value, "change": change_value
+        }
 
 
 def test_an_instance_or_field_on_one_side_only_changes_status():
@@ -89,6 +94,9 @@ def test_an_instance_or_field_on_one_side_only_changes_status():
     assert fields["run_trial.name"]["changed"] == ["t1"]
     assert fields["run_trial.extra"]["changed"] == ["t0"]
     assert fields["gallery.notes"]["changed"] == ["g0"]
+    # The first changed instance's values, without the side that lacks it.
+    assert fields["run_trial.name"]["first_change"] == {"instance": "t1", "parent": "weyl"}
+    assert fields["run_trial.extra"]["first_change"] == {"instance": "t0", "change": 1}
 
 
 def test_summary_lines():

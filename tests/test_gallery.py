@@ -231,22 +231,35 @@ def test_minimizer_requires_rank_two():
 
 
 def test_equality_cases_all_kinds():
+    # Each kind builds its own construction, not merely one with the predicted values.
+    def built(inst):
+        a = inst.matrices["A"]
+        return a, np.linalg.svd(a, compute_uv=False)
+
     inst = gallery.equality_cases("projector", 6, 2.0, rank=3, seed=1)
     assert inst.predicted["srp_A"] == 3.0
     assert inst.predicted["intdim_A"] == 3.0
     assert_instance_accurate(inst)
+    a, _ = built(inst)
+    np.testing.assert_allclose(a @ a, a, rtol=0.0, atol=1e-12)
 
     inst = gallery.equality_cases("scaled_unitary", 5, 7.0, seed=2)
     assert inst.predicted["srp_A"] == 5.0
     assert_instance_accurate(inst)
+    np.testing.assert_allclose(built(inst)[1], 2.0, rtol=0.0, atol=1e-12)
 
     inst = gallery.equality_cases("flat_spectrum", 6, 10.0, rank=2, seed=3)
     assert inst.predicted["srp_A"] == 2.0
     assert_instance_accurate(inst)
+    flat = [1.5, 1.5, 0.0, 0.0, 0.0, 0.0]
+    np.testing.assert_allclose(built(inst)[1], flat, rtol=0.0, atol=1e-12)
 
     inst = gallery.equality_cases("rank1", 4, math.inf, seed=4)
     assert inst.predicted["srp_A"] == 1.0
     assert_instance_accurate(inst)
+    a, s = built(inst)
+    assert np.count_nonzero(s > 1e-12 * s[0]) == 1
+    assert not np.allclose(a @ a, a, rtol=0.0, atol=1e-12)
 
 
 def exactly(message):
@@ -295,6 +308,25 @@ def test_rotation_preserves_predictions(build):
     a = inst.matrices["A"]
     off = a - np.diag(np.diagonal(a))
     assert np.max(np.abs(off)) > 1e-3
+
+
+def test_unrotated_families_are_their_documented_diagonals():
+    a = gallery.geometric_decay(5, 0.5).matrices["A"]
+    assert np.array_equal(a, np.diag([1.0, 0.5, 0.25, 0.125, 0.0625]))
+    inst = gallery.deletion_family(5, 2.0)
+    spiked = np.diag([1.0, 1.0, 1.0, 1.0, 2.0])
+    assert np.array_equal(inst.matrices["A"], spiked)
+    assert np.array_equal(inst.matrices["A_hat_col"], spiked[:, :4])
+    assert np.array_equal(inst.matrices["A_hat_rowcol"], np.eye(4))
+    inst = gallery.sum_violation_family(5, 4.0)
+    assert np.array_equal(inst.matrices["A"], np.diag([4.0, 2.0, 2.0, 2.0, 2.0]))
+    assert np.array_equal(inst.matrices["B"], np.diag([-4.0, -1.0, -1.0, -1.0, -1.0]))
+
+
+def test_evaluate_rejects_an_unknown_predicted_quantity():
+    inst = dataclasses.replace(gallery.geometric_decay(3, 0.5), predicted={"volume_A": 1.0})
+    with pytest.raises(ValueError, match=exactly("unknown predicted quantity 'volume_A'")):
+        gallery.evaluate(inst)
 
 
 def test_rotation_deterministic():

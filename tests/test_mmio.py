@@ -108,13 +108,18 @@ def test_missing_file_raises():
 
 
 def test_garbage_raises(tmp_path):
-    # An empty file is a parse error too, raised without numpy's loadtxt warning.
-    for name, text in [("bad.csv", "this,is,not\na,matrix,either\n"), ("empty.csv", "")]:
+    # An empty file, or one of only comments, is a parse error too, raised
+    # without numpy's loadtxt warning.
+    for name, text, message in [
+        ("bad.csv", "this,is,not\na,matrix,either\n", "not a readable CSV matrix: "),
+        ("empty.csv", "", "no matrix entries$"),
+        ("comments.csv", "# a comment\n  # another\n\n", "no matrix entries$"),
+    ]:
         path = tmp_path / name
         path.write_text(text)
         with warnings.catch_warnings(record=True) as seen:
             warnings.simplefilter("always")
-            with pytest.raises(MatrixParseError):
+            with pytest.raises(MatrixParseError, match=message):
                 read_matrix(path)
         assert not seen, [str(w.message) for w in seen]
 

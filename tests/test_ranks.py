@@ -42,6 +42,8 @@ def direct_srp(values, p):
 def test_identity_has_full_p_stable_rank():
     for p in FINITE_P:
         assert p_stable_rank(np.eye(6), p) == pytest.approx(6.0, rel=1e-14)
+    # At p = inf it is 1, though the power sum counts 4 values tied with sigma_1.
+    assert p_stable_rank(np.eye(4), math.inf) == 1.0
 
 
 def test_rank_counts_only_values_above_the_threshold():
@@ -93,6 +95,7 @@ def test_zero_matrix_has_zero_rank_surrogates():
         assert p_stable_rank(z, p) == 0.0
     assert intrinsic_dimension(np.zeros((3, 3))) == 0.0
     assert numerical_rank(z) == 0
+    assert numerical_rank_from_spectrum([]) == numerical_rank_from_spectrum([0.0, 0.0]) == 0
 
 
 def test_srp_from_sigma_inf_and_zero_spectrum():

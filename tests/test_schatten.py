@@ -1,6 +1,7 @@
 """Schatten norm values, monotonicity, and the norm inequality suite."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,6 +35,8 @@ def test_nuclear_norm_sums_singular_values():
 
 def test_operator_norm_is_top_singular_value():
     assert schatten_norm(np.diag([1.0, 2.0, 3.0]), math.inf) == pytest.approx(3.0, rel=1e-14)
+    # Two values tie with the top one: the power sum at inf is 2, the norm the top value.
+    assert schatten_norm_from_spectrum(np.array([3.0, 3.0, 1.0]), math.inf) == 3.0
 
 
 def test_from_spectrum_flat():
@@ -62,6 +65,8 @@ def test_from_spectrum_matches_direct_power_sum():
 def test_zero_matrix_norm_is_zero():
     for p in P_GRID:
         assert schatten_norm(np.zeros((3, 2)), p) == 0.0
+        assert schatten_norm_from_spectrum(np.zeros(3), p) == 0.0
+        assert schatten_norm_from_spectrum(np.zeros(0), p) == 0.0
 
 
 def test_overflow_safe_evaluation():
@@ -73,6 +78,10 @@ def test_overflow_safe_evaluation():
 def test_quasi_norm_warns():
     with pytest.warns(QuasiNormWarning):
         schatten_norm(np.eye(2), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", QuasiNormWarning)
+        for p in (1.0, 2.0, math.inf):
+            schatten_norm(np.eye(2), p)
 
 
 def test_quasi_norm_warning_names_the_callers_line():
@@ -182,7 +191,6 @@ def test_array_exponents_zero_spectrum():
     from srlab.schatten import normalized_power_sum
 
     assert normalized_power_sum(np.zeros(4), np.array([1.0, 2.0])).tolist() == [0.0, 0.0]
-    assert normalized_power_sum(np.zeros(4), 2.0) == 0.0
 
 
 def test_saturating_power_keeps_the_bits_of_a_finite_power():
