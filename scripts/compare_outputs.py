@@ -27,12 +27,15 @@ parent commit, say). Each one's ``srlab`` runs in its own subprocess with
   reads it. On each it runs every
   ``compute`` quantity at p = 1.5, 400 and inf, every ``verify`` check bare
   and with each flag it takes (``-p`` at each of those exponents, ``--k``,
-  ``--drop-col``), a check of two inputs getting the file twice, and
-  ``condition`` with both perturbation kinds. p = 400 is there because
+  ``--drop-col``), a check of two inputs getting the file twice,
+  ``condition`` with both perturbation kinds, and the gallery families
+  that take ``--input`` (``congruence_maximizer``, ``congruence_minimizer``
+  at alpha 0.5 and ``maximizer_multiplier``). p = 400 is there because
   kappa^p overflows float64 at such an exponent.
-  It records the exit code, stdout, the ``error:`` line and each warning's
-  category and message, with the temporary directory replaced by ``<tmp>``
-  and the checkout by ``<checkout>``. No exponent is below 1, so no
+  It records the exit code, stdout, the ``error:`` line, each warning's
+  category and message, and the bytes (as a SHA-256) of each file a call
+  writes, with the temporary directory replaced by ``<tmp>`` and the
+  checkout by ``<checkout>``. No exponent is below 1, so no
   ``QuasiNormWarning`` is raised.
 
 It prints one line per field: ``identical``, ``moved`` with the largest
@@ -202,6 +205,12 @@ def gallery_section() -> dict:
 # Flag values of the edge calls, by the check parameter each flag sets.
 EDGE_FLAGS = {"p": ("1.5", "400", "inf"), "k": ("1",), "drop_col": ("1",)}
 EDGE_QUANTITIES = ("sr", "srp", "intdim", "rank", "schatten")
+# The gallery families that read --input, with their other flags.
+EDGE_FAMILIES = {
+    "congruence_maximizer": (),
+    "congruence_minimizer": ("--alpha", "0.5"),
+    "maximizer_multiplier": (),
+}
 
 
 def edge_matrices() -> dict:
@@ -236,7 +245,8 @@ def edge_matrices() -> dict:
 
 
 def edge_argvs(path: str) -> list[list[str]]:
-    """Every edge call on the matrix file ``path``."""
+    """Every edge call on the matrix file ``path``. A gallery call writes
+    its matrices to a directory next to ``path``, named after it."""
     import inspect
 
     from srlab.checks import CHECKS
@@ -255,6 +265,11 @@ def edge_argvs(path: str) -> list[list[str]]:
             if key in params:
                 argvs += [["verify", name, *inputs, _option(key), value] for value in values]
     argvs += [["condition", path, "--perturbation", kind] for kind in ("gaussian", "psd")]
+    out = os.path.splitext(path)[0] + "_gallery"
+    argvs += [
+        ["gallery", family, "--input", path, *flags, "--out", out]
+        for family, flags in EDGE_FAMILIES.items()
+    ]
     return argvs
 
 
@@ -279,6 +294,7 @@ def edge_section(workdir: Path) -> dict:
         path = workdir / f"{stem}.mtx"
         scipy.io.mmwrite(str(path), matrix, symmetry="general", precision=17)
         for argv in edge_argvs(str(path)):
+            before = _mtimes(workdir)
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 with warnings.catch_warnings(record=True) as caught:
@@ -293,6 +309,11 @@ def edge_section(workdir: Path) -> dict:
                 "stdout": _json_or_text(hide(out.getvalue())),
                 "error_line": hide(errors[0]) if errors else None,
                 "warnings": [[w.category.__name__, hide(str(w.message))] for w in caught],
+                "files": {
+                    p.relative_to(workdir).as_posix(): _sha256(p.read_bytes())
+                    for p, mtime in sorted(_mtimes(workdir).items())
+                    if before.get(p) != mtime
+                },
             }
     return section
 

@@ -162,7 +162,6 @@ def _finish(name: str, clauses, details: dict, headline: int = 0) -> CheckReport
 
 
 def _not_applicable(name: str, reason: str, **details) -> CheckReport:
-    details = {k: v for k, v in details.items() if v is not None}
     return CheckReport(name, _NAN, _NAN, _NAN, None, False, {"reason": reason, **details})
 
 

@@ -61,12 +61,12 @@ def _print_report(fmt: str, payload: dict, rows: list[dict], lines: list[str]) -
     in first-seen order, or ``lines`` as text, as ``fmt`` (``--format``) says."""
     if fmt == "json":
         print(json.dumps(encode_json(payload), indent=2, sort_keys=True))
-    elif fmt == "csv" and rows:
+    elif fmt == "csv":
         keys = list(dict.fromkeys(key for row in rows for key in row))
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(keys)
         writer.writerows([encode_json(row.get(k)) for k in keys] for row in rows)
-    elif fmt == "text":
+    else:
         for line in lines:
             print(line)
 
@@ -235,7 +235,7 @@ def cmd_condition(args) -> int:
             e = scaled_perturbation(rng, a, eps, args.perturbation)
             report = check_perturbation(a, e, args.p, rtol=args.rtol)
             if not report.preconditions_met:
-                row["reason"] = report.details.get("reason", "not applicable")
+                row["reason"] = report.details["reason"]
                 rows.append(row)
                 continue
             d = report.details
@@ -375,11 +375,11 @@ def build_parser() -> argparse.ArgumentParser:
         "fuzz", help="randomized verification campaign", parents=[common]
     )
     fuzz.add_argument("--trials", type=int, required=True)
-    fuzz.add_argument("--dims-max", type=int, default=20, dest="dims_max")
+    fuzz.add_argument("--dims-max", type=int, dest="dims_max")
     fuzz.add_argument("--distributions", type=names, help="comma-separated sample kinds")
     fuzz.add_argument("--p-grid", type=numbers, dest="p_grid", help="comma-separated exponents")
     fuzz.add_argument("--checks", type=names, help="comma-separated check names")
-    fuzz.add_argument("--parallelism", type=int, default=0, help="0 = auto")
+    fuzz.add_argument("--parallelism", type=int, help="0 = auto")
     fuzz.add_argument("--out", default=None, help="also write the JSON report here")
     fuzz.set_defaults(func=cmd_fuzz)
 

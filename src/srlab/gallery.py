@@ -18,6 +18,11 @@ seeded random orthogonal matrices: diagonality is destroyed while every
 predicted value is preserved (rotations are similarities wherever a
 predicted quantity requires PSD input, and are shared across related
 matrices so sums and products stay exact).
+
+The congruence families build ``B*AB`` from a PSD ``A``. They take the PSD
+decision from the one classifier, :func:`srlab.matrices.psd_eigenvalues`, so
+they accept exactly the inputs that ``intrinsic_dimension`` accepts, and
+their eigenvalues and eigenvectors from one ``eigh`` of the Hermitian part.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .matrices import (
     haar_unitary,
     prescribed_spectrum_matrix,
     projector_matrix,
-    psd_eigendecomposition,
+    psd_eigenvalues,
     rank1_psd_matrix,
     trial_scope,
 )
@@ -156,11 +161,16 @@ def _multiplied(a: np.ndarray, vh: np.ndarray, d: np.ndarray) -> dict[str, np.nd
 
 
 def _psd_rank(a: Matrix, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """``(a, w, v, r)``: PSD ``a``, its descending eigenvalues and
-    eigenvectors, and its rank at ``rtol``."""
+    """``(a, w, v, r)``: square ``a`` cast to float64 or complex128, the
+    descending eigenvalues and eigenvectors of its Hermitian part, and its
+    rank at ``rtol``. PSD is the classifier's decision (:func:`psd_eigenvalues`);
+    ``w`` and ``v`` come from one ``eigh``."""
     a = _require_matrix(a, "input", square=True)
-    w, v = psd_eigendecomposition(a)
-    return a, w, v, numerical_rank_from_spectrum(w, rtol)
+    if psd_eigenvalues(a) is None:
+        raise PreconditionError("requires a positive semi-definite matrix")
+    w, v = np.linalg.eigh(_hermitize(a))
+    w = w[::-1].copy()
+    return a, w, v[:, ::-1].copy(), numerical_rank_from_spectrum(w, rtol)
 
 
 def _congruence(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> dict[str, np.ndarray]:

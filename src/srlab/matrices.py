@@ -76,8 +76,8 @@ underflows keeps every class.
 :func:`is_psd`,
 :func:`psd_eigenvalues`, :func:`hermitian_eigenvalues` and
 :func:`psd_spectrum` (the precondition of ``intrinsic_dimension``) read
-one private classifier, and :func:`psd_eigendecomposition` (the gallery's
-congruences) applies its PSD test to the eigenvalues of one ``eigh``.
+one private classifier; the gallery's congruences take their PSD decision
+from :func:`psd_eigenvalues` too. No function here runs ``eigh``.
 :func:`pivoted_cholesky` stops and flags a negative pivot on the same ``1e-10``.
 
 :func:`pivoted_cholesky` is one call of LAPACK's ``?pstrf``. Where numpy
@@ -379,8 +379,7 @@ def _certified_sparse_gram_sigma(a) -> np.ndarray | None:
     b.sum_duplicates()
     parts = b.data.view(np.float64)
     e = _gram_exponent(parts)
-    if e:
-        np.ldexp(parts, -e, out=parts)
+    np.ldexp(parts, -e, out=parts)  # exact, and the data is already a copy
     gram = (b @ b.conj().T).toarray()
     return _certified_gram_eigenvalues(gram, b.shape[1], e)
 
@@ -598,22 +597,6 @@ def psd_spectrum(a: Matrix) -> np.ndarray:
             f"matrix is not positive semi-definite: lambda_min = {lam_min:.6e}", lambda_min=lam_min
         )
     return w
-
-
-def psd_eigendecomposition(a: Matrix) -> tuple[np.ndarray, np.ndarray]:
-    """``(w, v)``: descending eigenvalues and eigenvectors of Hermitian PSD ``a``.
-
-    PSD is decided on the eigenvalues of the one ``eigh`` of the Hermitian
-    part. Raises ``ValueError`` on non-square or empty input and
-    :class:`PreconditionError` unless :func:`is_psd` holds.
-    """
-    a = _require_matrix(a, "psd_eigendecomposition", square=True)
-    cls = _memo("hermitian", a, _hermitian_class)
-    if cls:
-        w, v = np.linalg.eigh(_hermitize(a, cls == _EXACT))
-        if _psd_within(w[::-1]):
-            return w[::-1].copy(), v[:, ::-1].copy()
-    raise PreconditionError("requires a positive semi-definite matrix")
 
 
 def pivoted_cholesky(a: Matrix) -> tuple[np.ndarray, np.ndarray, int]:

@@ -43,12 +43,15 @@ def is_scalar_exponent(p) -> bool:
     return isinstance(p, (int, float)) or not isinstance(p, (list, tuple)) and np.ndim(p) == 0
 
 
-# numpy powers an array by a scalar 2.0, 0.5 or -1.0 with ``square``, ``sqrt``
-# or ``reciprocal``, which can differ from ``power`` in the last bit. The grid
-# powers these exponents' rows with the same ufuncs, so each sum keeps the bits
-# of the inline scalar form ``np.sum((v / v[0]) ** p)``;
-# ``test_array_exponents_bit_equal_to_inline_power_sum`` holds them.
-_SCALAR_POWER_SHORTCUTS = {-1.0: np.reciprocal, 0.5: np.sqrt, 2.0: np.square}
+# numpy powers an array by a scalar 2.0 or 0.5 with ``square`` or ``sqrt``,
+# which can differ from ``power`` in the last bit. The grid powers these
+# exponents' rows with the same ufuncs, so each sum keeps the bits of the
+# inline scalar form ``np.sum((v / v[0]) ** p)``;
+# ``test_array_exponents_bit_equal_to_inline_power_sum`` holds them. numpy's
+# third such exponent, -1.0, has no entry: every exponent reaching the power
+# sum has passed ``validate_exponent`` or ``checks._grid_exponents``, which
+# reject a negative one.
+_SCALAR_POWER_SHORTCUTS = {0.5: np.sqrt, 2.0: np.square}
 
 
 def normalized_power_sum(values: np.ndarray, ps) -> np.ndarray:

@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import srlab.checks
+from srlab import gallery
 from srlab.checks import (
     CHECKS,
     CheckReport,
@@ -43,7 +44,6 @@ from srlab.matrices import (
     is_psd,
     pivoted_cholesky,
     projector_matrix,
-    psd_eigendecomposition,
     rank1_psd_matrix,
     sigma,
 )
@@ -942,7 +942,7 @@ _MATRIX_FUNCTIONS = [
     (is_psd, ()),
     (hermitian_eigenvalues, ()),
     (pivoted_cholesky, ()),
-    (psd_eigendecomposition, ()),
+    (gallery.congruence_maximizer, ()),
 ]
 
 

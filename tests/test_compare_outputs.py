@@ -132,6 +132,19 @@ def test_edge_section_runs_every_call_and_repeats(tmp_path):
     # A non-Hermitian input has no intrinsic dimension at any scale.
     tiny = first["compute <tmp>/gaussian_5x5_times_1e-13.mtx -q intdim -p 1.5"]
     assert tiny["exit_code"] == 3
+    # The congruences take the classifier's PSD verdict, and a built family
+    # writes its matrices.
+    built = first["gallery congruence_maximizer --input <tmp>/complex_psd_gram.mtx"
+                  " --out <tmp>/complex_psd_gram_gallery"]
+    assert built["exit_code"] == 0
+    assert sorted(built["files"]) == [
+        f"complex_psd_gram_gallery/congruence_maximizer_{key}.mtx" for key in ("A", "B", "BAB")
+    ]
+    rejected = first["gallery congruence_minimizer --input <tmp>/indefinite_diagonal.mtx"
+                     " --alpha 0.5 --out <tmp>/indefinite_diagonal_gallery"]
+    assert rejected["exit_code"] == 2
+    assert rejected["error_line"] == "error: requires a positive semi-definite matrix"
+    assert rejected["files"] == {}
     # An empty file is rejected as it is read, by every call.
     empty = [record for instance, record in first.items() if "/empty_0x3.mtx" in instance]
     assert len(empty) == len(compare_outputs.edge_argvs("x.mtx"))

@@ -501,12 +501,49 @@ def test_classification_thresholds_are_fixed(threshold, factor, scale):
                     intrinsic_dimension(a)
                 assert ("lambda_min" if hermitian else "max_asymmetry") in raised.value.data
             assert check_weyl(a, np.eye(4)).preconditions_met is psd
-            # The gallery's congruences classify from their own eigh, at the same threshold.
+            # The gallery's congruences take the classifier's verdict.
             if psd:
                 congruence_maximizer(a)
             else:
                 with pytest.raises(PreconditionError):
                     congruence_maximizer(a)
+
+
+def test_every_psd_verdict_agrees_at_the_threshold():
+    """Every route that needs a PSD input gives the classifier's verdict, on
+    inputs whose lambda_min lies within 2e-5 relative of -1e-10 * lambda_max,
+    where two eigensolvers can round to opposite sides of the threshold."""
+    from srlab.checks import check_weyl
+    from srlab.gallery import congruence_maximizer
+    from srlab.matrices import psd_eigenvalues
+    from srlab.ranks import intrinsic_dimension
+
+    def accepts(f, a):
+        try:
+            f(a)
+        except PreconditionError:
+            return False
+        return True
+
+    rng = np.random.default_rng(35)
+    verdicts = []
+    for _ in range(1000):
+        n = int(rng.integers(2, 12))
+        q = haar_unitary(rng, n, str(rng.choice(["real", "complex"])))
+        k = int(rng.integers(-20, 21))
+        lam = np.concatenate(
+            ([1.0], np.sort(rng.uniform(0.1, 1.0, n - 2))[::-1], [-1e-10 * (1 + k * 1e-6)])
+        )
+        m = (q * lam) @ q.conj().T
+        a = (m + m.conj().T) / 2
+        psd = is_psd(a)
+        verdicts.append(psd)
+        assert (psd_eigenvalues(a) is not None) is psd
+        assert accepts(intrinsic_dimension, a) is psd
+        assert check_weyl(a, np.eye(n)).preconditions_met is psd
+        assert accepts(congruence_maximizer, a) is psd
+    # The inputs straddle the threshold.
+    assert 0 < sum(verdicts) < len(verdicts)
 
 
 @pytest.mark.parametrize("scale", [1e-13, 1e-200, 2.0**-600, 1.0, 1e200])
@@ -906,7 +943,6 @@ def test_exactly_hermitian_test_runs_once_and_builds_no_copy(monkeypatch, lapack
     from srlab.gallery import congruence_maximizer
     from srlab.matrices import (
         hermitian_part_eigenvalues,
-        psd_eigendecomposition,
         psd_eigenvalues,
         psd_gram_matrix,
         sigma,
@@ -921,7 +957,7 @@ def test_exactly_hermitian_test_runs_once_and_builds_no_copy(monkeypatch, lapack
         matrices, "_exactly_hermitian", lambda a: calls.append(a.shape) or exactly_hermitian(a)
     )
     functions = (sigma, hermitian_part_eigenvalues, psd_eigenvalues, hermitian_eigenvalues,
-                 intrinsic_dimension, is_psd, psd_eigendecomposition)
+                 intrinsic_dimension, is_psd)
     for f in functions:
         calls.clear()
         f(g)
@@ -937,11 +973,12 @@ def test_exactly_hermitian_test_runs_once_and_builds_no_copy(monkeypatch, lapack
         assert peak < 1_000_000, (f.__name__, peak)
         assert lapack_calls == [("eigvalsh", (500, 500))]
     # Outside a scope, the PSD precondition and the value share one eigvalsh,
-    # and a congruence classifies from its one eigh.
-    for f, call in ((intrinsic_dimension, "eigvalsh"), (congruence_maximizer, "eigh")):
+    # and a congruence takes the classifier's eigvalsh, then one eigh.
+    for f, routines in ((intrinsic_dimension, ["eigvalsh"]),
+                        (congruence_maximizer, ["eigvalsh", "eigh"])):
         lapack_calls.clear()
         f(g)
-        assert lapack_calls == [(call, (500, 500))], f.__name__
+        assert lapack_calls == [(r, (500, 500)) for r in routines], f.__name__
 
 
 # ---------------------------------------------------------------------------
