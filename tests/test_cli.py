@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from srlab.mmio import write_matrix_market
+from srlab.mmio import read_matrix, write_matrix_market
 
 
 def run_cli(*args, cwd=None):
@@ -370,6 +370,29 @@ def test_gallery_matrix_input_family(files, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "family, extra", [("congruence_maximizer", []), ("congruence_minimizer", ["--alpha", "0.5"])]
+)
+def test_gallery_congruence_of_a_near_hermitian_psd_input(family, extra, tmp_path, capsys):
+    """A PSD input Hermitian only within the threshold: B*AB is formed from its
+    Hermitian part, so the instance is not rejected as not Hermitian, and the
+    A file holds the input as given."""
+    from srlab.cli import main
+    from srlab.matrices import is_psd
+
+    rng = np.random.default_rng(2024)
+    x = rng.standard_normal((6, 5))
+    gram = x.T @ x
+    a = gram + 1e-13 * np.abs(gram).max() * rng.standard_normal(gram.shape)
+    assert is_psd(a) and not np.array_equal(a, a.T)
+    path = tmp_path / "noisy.mtx"
+    write_matrix_market(path, a)
+    assert main(["gallery", family, "--input", str(path), *extra, "--out", str(tmp_path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["evaluation"]["intdim_BAB"]["rel_err"] <= 1e-10
+    assert read_matrix(payload["files"]["A"]).tobytes() == a.tobytes()
+
+
+@pytest.mark.parametrize(
     "family, extra",
     [
         ("maximizer_multiplier", []),
@@ -638,6 +661,16 @@ def test_condition_sweep(files):
     uppers = [r["upper"] for r in applicable]
     assert lowers == sorted(lowers, reverse=True)
     assert uppers == sorted(uppers)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "psd"])
+def test_condition_on_the_zero_matrix_is_not_applicable(kind, files, capsys):
+    from srlab.cli import main
+
+    assert main(["condition", str(files / "zero.mtx"), "--perturbation", kind]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert len(rows) == 5
+    assert all(not r["applicable"] and r["reason"] == "A is the zero matrix" for r in rows)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "psd"])

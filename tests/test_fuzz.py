@@ -169,6 +169,50 @@ def test_parallelism_does_not_change_results():
     assert json.dumps(d1, sort_keys=True) == json.dumps(d3, sort_keys=True)
 
 
+def test_a_pool_is_built_only_for_several_workers_and_chunks(monkeypatch):
+    """One worker, or one chunk, runs in this process: a pool's start-up costs
+    more than a short campaign. Several of each get a pool of that many workers."""
+    import concurrent.futures
+
+    built = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            built.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(fuzz, "CHUNK_SIZE", 2)
+    reports = []
+    for trials, parallelism, pools in [(5, 1, []), (2, 2, []), (5, 2, [2]), (2, 1, [])]:
+        built.clear()
+        payload = run_fuzz(small_config(trials=trials, parallelism=parallelism)).to_json_dict()
+        assert built == pools, (trials, parallelism)
+        payload.pop("wall_time")
+        reports.append(json.dumps(payload, sort_keys=True))
+    assert reports[0] == reports[2] and reports[1] == reports[3]
+
+
+def test_numpy_integer_config_echoes_python_ints():
+    cfg = FuzzConfig(trials=np.int64(3), seed=np.uint32(5), dims_max=np.int64(6), parallelism=1)
+    payload = run_fuzz(cfg).to_json_dict()
+    json.dumps(payload)
+    echo = payload["config"]
+    assert [(type(echo[k]), echo[k]) for k in ("trials", "seed", "dims_max")] == [
+        (int, 3), (int, 5), (int, 6)
+    ]
+
+
 def test_reproduce_check_matches_recorded_slack(monkeypatch):
     def not_this_one(*args, **kwargs):
         raise AssertionError("reproduce_check ran another check")
@@ -347,6 +391,42 @@ def test_trial_scope_does_not_change_reports(seed):
         assert json.dumps(_report_dicts(scoped)) == json.dumps(_report_dicts(unscoped))
 
 
+def _moved_reports(transformed, moves) -> list:
+    """Metamorphic test (Chen, Cheung and Yiu, 1998) over seed-7 trials 0-99: every
+    ``_CALLS`` row on a trial's inputs ``x``, then on each ``(label, y)`` that
+    ``transformed(trial, x)`` yields, each in its own trial scope. Returns
+    ``(trial, label, check, variant, p, fields)`` for each report whose
+    ``moves(before, after, label)`` lists fields."""
+    seed = 7
+    cfg = FuzzConfig(trials=1, seed=seed, parallelism=1)
+    moved = []
+    for trial in range(100):
+        x = trial_inputs(seed, trial, cfg)
+        with mat.trial_scope():
+            base = [fuzz._row_reports(x, row, cfg.p_grid) for row in fuzz._CALLS]
+        for label, y in transformed(trial, x):
+            with mat.trial_scope():
+                for row, (ps, reports) in zip(fuzz._CALLS, base):
+                    again = fuzz._row_reports(y, row, cfg.p_grid)[1]
+                    for p, before, after in zip(ps, reports, again, strict=True):
+                        if fields := moves(before, after, label):
+                            moved.append((trial, label, *row[:2], p, fields))
+    return moved
+
+
+def _shape_moved(before: CheckReport, after: CheckReport) -> bool:
+    """Whether the status, the reason or the detail keys differ."""
+    shape = (before.status, before.details.get("reason"), list(before.details))
+    return shape != (after.status, after.details.get("reason"), list(after.details))
+
+
+def _value_pairs(before: CheckReport, after: CheckReport) -> list:
+    """``(name, before's value, after's value)`` of each side and each detail."""
+    sides = ("lhs", "rhs", "slack")
+    pairs = [(side, getattr(before, side), getattr(after, side)) for side in sides]
+    return pairs + [(key, v, after.details[key]) for key, v in before.details.items()]
+
+
 # Even, so 2^(j/2) is exact. The window stops at 2^±150: a tridiagonal whose norm is
 # below about 2^-406 is rescaled inside LAPACK's ?sterf by a factor that is not a
 # power of two, and cross_product's A*A of a 2^-200 input gets there.
@@ -368,35 +448,127 @@ def _scales_by(before, after, j: int) -> bool:
 
 def _scale_moves(before: CheckReport, after: CheckReport, j: int) -> list[str]:
     """The fields of ``after`` that do not follow from ``before`` under scaling by 2^j."""
-    shape = (before.status, before.details.get("reason"), list(before.details))
-    if shape != (after.status, after.details.get("reason"), list(after.details)):
+    if _shape_moved(before, after):
         return ["status, reason or detail keys"]
-    sides = ("lhs", "rhs", "slack")
-    pairs = [(side, getattr(before, side), getattr(after, side)) for side in sides]
-    pairs += [(key, v, after.details[key]) for key, v in before.details.items()]
-    return [key for key, v, w in pairs if not _scales_by(v, w, j)]
+    return [key for key, v, w in _value_pairs(before, after) if not _scales_by(v, w, j)]
 
 
 def test_reports_are_invariant_under_power_of_two_scaling():
-    """Metamorphic test (Chen, Cheung and Yiu, 1998): scaling every matrix input
-    of a trial by 2^j moves no report. sr_p, intdim, ranks, classifications and
-    verdicts are ratios of norms, so each keeps its status, reason and detail
-    keys, and each float is bit-identical or exactly 2^(kj) times its value."""
-    seed = 7
-    cfg = FuzzConfig(trials=1, seed=seed, parallelism=1)
-    moved = []
-    for trial in range(100):
-        x = trial_inputs(seed, trial, cfg)
-        with mat.trial_scope():
-            base = [fuzz._row_reports(x, row, cfg.p_grid) for row in fuzz._CALLS]
+    """Scaling every matrix input of a trial by 2^j moves no report. sr_p, intdim,
+    ranks, classifications and verdicts are ratios of norms, so each keeps its
+    status, reason and detail keys, and each float is bit-identical or exactly
+    2^(kj) times its value."""
+
+    def scaled(trial, x):
         for j in _SCALE_EXPONENTS:
-            scaled = {k: v * 2.0**j if isinstance(v, np.ndarray) else v for k, v in x.items()}
-            with mat.trial_scope():
-                for row, (ps, reports) in zip(fuzz._CALLS, base):
-                    again = fuzz._row_reports(scaled, row, cfg.p_grid)[1]
-                    for p, before, after in zip(ps, reports, again, strict=True):
-                        if fields := _scale_moves(before, after, j):
-                            moved.append((trial, j, *row[:2], p, fields))
+            yield j, {k: v * 2.0**j if isinstance(v, np.ndarray) else v for k, v in x.items()}
+
+    moved = _moved_reports(scaled, _scale_moves)
+    assert not moved, f"{len(moved)} reports moved, first {moved[:5]}"
+
+
+# How far a float of a report may move under an exact invariance that is not a
+# scaling, as a multiple of max(|value|, scale), where scale is max(|lhs|, |rhs|)
+# over the finite sides, the scale of the verdict's own tolerance. On seed-7
+# trials 0-999 with one BLAS thread, the largest moves under the complex embedding
+# were 7.6e-14 (product_kappa), 1.8e-14 (cross_product) and under 1e-14 elsewhere;
+# under unitary conjugation 8.7e-14 (product_kappa), 3.3e-14 (cross_product),
+# 1.3e-14 (perturbation), 1.2e-14 (cholesky_intdim) and under 6e-15 elsewhere.
+# Each bound is at least 10 times the larger of its two, and stands until a
+# report carries its own rounding allowance.
+_INVARIANCE_RTOL = {
+    "weyl": 1e-13,
+    "intdim_subadditive": 1e-13,
+    "sum_subadditivity_proot": 1e-13,
+    "rank1_addition": 1e-13,
+    "product_kappa": 1e-11,
+    "cross_product": 1e-12,
+    "perturbation": 1e-12,
+    "block_diag_sr": 1e-13,
+    "block_intdim": 1e-13,
+    "cholesky_intdim": 1e-12,
+    "deletion": 1e-13,
+}
+# Details that describe a factor, not the matrix: a pivoted Cholesky factor
+# depends on the basis, so conjugation may change its pivots and its trace.
+_BASIS_DETAILS = {("cholesky_intdim", "permutation"), ("cholesky_intdim", "factor_trace_ratio")}
+
+
+def _bounded_moves(before: CheckReport, after: CheckReport, label=None) -> list[str]:
+    """The fields of ``after`` that move from ``before`` by more than the check's
+    :data:`_INVARIANCE_RTOL`; every field that is not a float must be equal."""
+    if _shape_moved(before, after):
+        return ["status, reason or detail keys"]
+    scale = max((abs(v) for v in (before.lhs, before.rhs) if math.isfinite(v)), default=0.0)
+    bound = _INVARIANCE_RTOL[before.name]
+    moved = []
+    for key, v, w in _value_pairs(before, after):
+        if (before.name, key) in _BASIS_DETAILS:
+            continue
+        if not isinstance(v, float) or not math.isfinite(v):
+            same = type(v) is type(w) and (v == w or v != v and w != w)
+        else:
+            same = isinstance(w, float) and abs(w - v) <= bound * max(abs(v), abs(w), scale)
+        if not same:
+            moved.append(key)
+    return moved
+
+
+def test_reports_are_invariant_under_complex_embedding():
+    """Each matrix input of a real trial, cast to complex128, moves no report
+    beyond :data:`_INVARIANCE_RTOL`: a real matrix has the same singular values,
+    eigenvalues, ranks and classes as a complex one."""
+
+    def embedded(trial, x):
+        if x["field"] == "real":
+            cast = {k: v.astype(np.complex128) for k, v in x.items() if isinstance(v, np.ndarray)}
+            yield "complex", {**x, **cast}
+
+    moved = _moved_reports(embedded, _bounded_moves)
+    assert not moved, f"{len(moved)} reports moved, first {moved[:5]}"
+
+
+def _conjugated(trial: int, x: dict) -> dict:
+    """The trial's inputs under unitaries that keep each check's structure.
+
+    The n x n inputs become V*XV, and ``B_prod`` V*X, with V block-diagonal at
+    ``split_k`` so that ``block_intdim``'s blocks are conjugated, not mixed.
+    ``A11`` and ``A22`` each take their own unitary. ``A_gen`` and ``E_gen``
+    become U X, on the left only, since ``deletion`` drops a column; where
+    ``A_gen`` is Hermitian, whose PSD details need a Hermitian input, they
+    become D*XD for a diagonal unitary D, which also commutes with dropping a
+    column. The unitaries are of the trial's field and come from their own
+    seeded stream."""
+    rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(trial, 1)))
+    field, n, k = x["field"], x["n"], x["split_k"]
+
+    def haar(size):
+        return mat.haar_unitary(rng, size, field)
+
+    v = haar(n) if k == 0 else np.block(
+        [[haar(k), np.zeros((k, n - k))], [np.zeros((n - k, k)), haar(n - k)]]
+    )
+    y = {s: v.conj().T @ x[s] @ v for s in ("A_psd", "B_psd", "B_rank1", "A_nonsing", "E_psd")}
+    y["B_prod"] = v.conj().T @ x["B_prod"]
+    for s in ("A11", "A22"):
+        w = haar(len(x[s]))
+        y[s] = w.conj().T @ x[s] @ w
+    a_gen = x["A_gen"]
+    if a_gen.shape[0] == a_gen.shape[1] and mat.is_hermitian(a_gen):
+        d = np.diagonal(haar(len(a_gen)))
+        d = d / np.abs(d)
+        y["A_gen"], y["E_gen"] = (d.conj()[:, None] * x[s] * d for s in ("A_gen", "E_gen"))
+    else:
+        u = haar(len(a_gen))
+        y["A_gen"], y["E_gen"] = u @ a_gen, u @ x["E_gen"]
+    return {**x, **y}
+
+
+def test_reports_are_invariant_under_unitary_conjugation():
+    """Unitaries that respect each check's structure (:func:`_conjugated`) move no
+    report beyond :data:`_INVARIANCE_RTOL`, except the basis-dependent details of
+    a pivoted Cholesky factor."""
+    moved = _moved_reports(lambda trial, x: [("unitary", _conjugated(trial, x))], _bounded_moves)
     assert not moved, f"{len(moved)} reports moved, first {moved[:5]}"
 
 

@@ -260,6 +260,7 @@ def test_pivoted_cholesky_reconstructs(pstrf):
     a = x.T @ x
     L, perm, rank = pivoted_cholesky(a)
     assert rank == 5
+    assert L.dtype == np.float64
     assert np.allclose(a[np.ix_(perm, perm)], L @ L.T, atol=1e-10)
 
 
@@ -278,6 +279,7 @@ def test_pivoted_cholesky_complex(pstrf):
     a = x.conj().T @ x
     L, perm, rank = pivoted_cholesky(a)
     assert rank == 4
+    assert L.dtype == np.complex128
     assert np.allclose(a[np.ix_(perm, perm)], L @ L.conj().T, atol=1e-10)
 
 
@@ -979,6 +981,99 @@ def test_exactly_hermitian_test_runs_once_and_builds_no_copy(monkeypatch, lapack
         lapack_calls.clear()
         f(g)
         assert lapack_calls == [(r, (500, 500)) for r in routines], f.__name__
+
+
+# ---------------------------------------------------------------------------
+# Shortcuts and what each buys, seen without timing (README, "Singular values")
+
+
+def _ufunc_recorded(a: np.ndarray, calls: list) -> np.ndarray:
+    """A view of ``a`` that appends the name of each ufunc called on it to ``calls``."""
+
+    class Recorded(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            calls.append(ufunc.__name__)
+            plain = [x.view(np.ndarray) if isinstance(x, Recorded) else x for x in inputs]
+            if "out" in kwargs:
+                kwargs["out"] = tuple(
+                    x.view(np.ndarray) if isinstance(x, Recorded) else x for x in kwargs["out"]
+                )
+            return getattr(ufunc, method)(*plain, **kwargs)
+
+    return a.view(Recorded)
+
+
+def test_exactly_hermitian_compares_once_and_only_past_the_corner():
+    """A real input is compared with ``a.T`` in one ``np.equal``, not one per
+    block of rows, and an input whose corner pair differs is not compared."""
+    rng = np.random.default_rng(34)
+    symmetric = _hermitian(rng, 40, "real")
+    calls = []
+    assert matrices._exactly_hermitian(_ufunc_recorded(symmetric, calls))
+    assert calls.count("equal") == 1
+    for field in ("real", "complex"):
+        a = _hermitian(rng, 40, field)
+        a[-1, 0] += 1.0
+        calls.clear()
+        assert not matrices._exactly_hermitian(_ufunc_recorded(a, calls))
+        assert calls == [], field
+
+
+@pytest.mark.parametrize("field, products", [("real", 1), ("complex", 3)])
+def test_gram_products_per_field(field, products):
+    """A real Gram is one BLAS product ``b @ b.T``; a complex one is formed
+    :data:`srlab.matrices._GRAM_CONJ_ROWS` rows at a time."""
+    b = gaussian_matrix(np.random.default_rng(35), 40, 100, field)
+    calls = []
+    gram = matrices._gram(_ufunc_recorded(b, calls))
+    assert calls.count("matmul") == products
+    if field == "real":
+        assert gram.tobytes() == (b @ b.T).tobytes()
+
+
+def test_gram_route_reads_a_strided_input_as_its_contiguous_copy(lapack_calls):
+    """Layout invariance: a strided view gets the bits of its C-ordered copy."""
+    x = gaussian_matrix(np.random.default_rng(36), 80, 800)
+    view = x[:, ::2]
+    assert not (view.flags.c_contiguous or view.flags.f_contiguous)
+    for a in (view, view.T):
+        lapack_calls.clear()
+        assert sigma(a).tobytes() == sigma(np.ascontiguousarray(a)).tobytes()
+        assert lapack_calls == [("eigvalsh", (80, 80))] * 2
+
+
+def _numpy_bundles_ilp64_openblas() -> bool:
+    """numpy's own build record, not :func:`srlab.matrices.pstrf_provider`, says
+    whether it links the ILP64 scipy-openblas; False where it keeps no such record."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return blas.get("name") == "scipy-openblas" and "USE64BITINT" in blas.get(
+        "openblas configuration", ""
+    )
+
+
+@pytest.mark.skipif(
+    not _numpy_bundles_ilp64_openblas(), reason="numpy links no ILP64 scipy-openblas here"
+)
+def test_pstrf_provider_is_openblas_where_numpy_bundles_it():
+    assert matrices.pstrf_provider()[0] == "openblas"
+
+
+def test_pstrf_provider_falls_back_to_scipy(monkeypatch):
+    monkeypatch.setattr(matrices, "_bundled_pstrf", lambda: None)
+    assert matrices.pstrf_provider.__wrapped__() == ("scipy", matrices._scipy_pstrf)
+
+
+@needs_bundled_pstrf
+def test_openblas_pstrf_checks_the_array_it_passes_to_lapack():
+    routine = matrices.pstrf_provider()[1]
+    read_only = np.asfortranarray(np.eye(3))
+    read_only.setflags(write=False)
+    for w in (np.eye(3), read_only, np.asfortranarray(np.eye(3, dtype=np.float32))):
+        with pytest.raises(ValueError, match="writeable Fortran-ordered square"):
+            routine(w, 0.0)
 
 
 # ---------------------------------------------------------------------------

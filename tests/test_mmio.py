@@ -78,7 +78,17 @@ def test_sniffing_prefers_market_header(tmp_path):
 
 
 @pytest.mark.parametrize("field", ["real", "complex"])
-def test_write_goes_to_the_given_path(tmp_path, field):
+def test_write_goes_to_the_given_path(tmp_path, field, monkeypatch):
+    import scipy.io
+
+    targets = []
+    real_mmwrite = scipy.io.mmwrite
+
+    def recorded(target, *args, **kwargs):
+        targets.append(target)
+        return real_mmwrite(target, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.io, "mmwrite", recorded)
     a = np.arange(6.0).reshape(2, 3) / 7
     if field == "complex":
         a = a - 1j * a[::-1]
@@ -89,9 +99,11 @@ def test_write_goes_to_the_given_path(tmp_path, field):
     back = read_matrix(path)
     assert back.dtype == a.dtype
     assert back.tobytes() == a.tobytes()
-    # A name that ends in .mtx is written by name; the bytes are the same.
+    # A name that ends in .mtx is written by name, the faster path; the bytes are the same.
     write_matrix_market(tmp_path / "w.mtx", a)
     assert (tmp_path / "w.mtx").read_bytes() == path.read_bytes()
+    assert not isinstance(targets[0], str) and hasattr(targets[0], "write")
+    assert targets[1] == str(tmp_path / "w.mtx")
 
 
 def test_coordinate_format_densified(tmp_path):
