@@ -14,9 +14,9 @@ The output file gains one entry per invocation under ``sets``, named by
 the workload and the seeds, so several workloads and seed sets share one
 file. Each entry holds every end-to-end metric's median and quartiles per
 side, the wins of the change (ties count for neither side), and whether
-the gain rule holds: at least nine tenths of the pairs won, and a median
-gap larger than the distance between the parent's quartiles. The file
-also records the cores, the BLAS build and the thread environment.
+the gain rule holds: at least ten pairs, at least nine tenths of them won,
+and a median gap larger than the distance between the parent's quartiles.
+The file also records the cores, the BLAS build and the thread environment.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from pathlib import Path
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 WIN_SHARE = 0.9
+MIN_PAIRS = 10
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -88,7 +89,9 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict[str, dict]:
             "wins": wins,
             "losses": losses,
             "pairs": len(pairs),
-            "gain_rule_met": wins >= WIN_SHARE * len(pairs) and gap > pq3 - pq1,
+            "gain_rule_met": (
+                len(pairs) >= MIN_PAIRS and wins >= WIN_SHARE * len(pairs) and gap > pq3 - pq1
+            ),
         }
     return summary
 

@@ -37,6 +37,8 @@ def test_gain_rule_needs_nine_tenths_of_wins_and_a_gap_beyond_the_parent_iqr():
     assert bench_pairs.summarize(_pairs(parent, clear, "t"), rule)["t"]["gain_rule_met"]
     assert not bench_pairs.summarize(_pairs(parent, close, "t"), rule)["t"]["gain_rule_met"]
     assert not bench_pairs.summarize(_pairs(parent, eight, "t"), rule)["t"]["gain_rule_met"]
+    # Five pairs, each a clear win, are too few to tell a gain from drift.
+    assert not bench_pairs.summarize(_pairs(parent[:5], clear, "t"), rule)["t"]["gain_rule_met"]
 
 
 def test_parse_seeds():

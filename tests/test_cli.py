@@ -1,23 +1,43 @@
-"""End-to-end CLI behavior: outputs, formats, exit codes, determinism."""
+"""End-to-end CLI behavior: outputs, formats, exit codes, determinism.
 
+Every test calls the CLI in this process through :func:`run_cli`, so
+pytest's ``filterwarnings`` errors reach every CLI path. Only
+``test_python_m_srlab_hands_the_exit_code_to_the_os`` starts ``python -m
+srlab``: the exit status the OS sees is what it tests.
+"""
+
+import contextlib
+import io
 import json
 import re
 import subprocess
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from srlab.cli import build_parser, main
 from srlab.mmio import read_matrix, write_matrix_market
 
 
-def run_cli(*args, cwd=None):
-    return subprocess.run(
-        [sys.executable, "-m", "srlab", *args],
-        capture_output=True,
-        text=True,
-        cwd=cwd,
-    )
+class CliRun(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(*args):
+    """``srlab *args`` in this process: its exit code and what it printed.
+    An argparse exit (a usage error, ``--help``) gives its code; any other
+    exception propagates, so a crash fails the test."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(list(args))
+        except SystemExit as exc:
+            code = exc.code
+    return CliRun(code, stdout.getvalue(), stderr.getvalue())
 
 
 @pytest.fixture
@@ -79,14 +99,13 @@ def test_compute_schatten_and_rank(files):
 
 
 @pytest.mark.parametrize("quantity", ["sr", "intdim", "rank", "srp", "schatten"])
-def test_compute_accepts_p_for_every_quantity(quantity, files, capsys):
+def test_compute_accepts_p_for_every_quantity(quantity, files):
     # A quantity without an exponent ignores -p rather than rejecting it; one
     # with an exponent records it.
-    from srlab.cli import main
-
-    assert main(["compute", str(files / "spiked.mtx"), "-q", quantity, "-p", "3"]) == 0
+    out = run_cli("compute", str(files / "spiked.mtx"), "-q", quantity, "-p", "3")
+    assert out.returncode == 0
     expected = 3.0 if quantity in ("srp", "schatten") else None
-    assert json.loads(capsys.readouterr().out)["p"] == expected
+    assert json.loads(out.stdout)["p"] == expected
 
 
 def test_verify_weyl_pass_exit_0(files):
@@ -179,18 +198,17 @@ VERIFY_SLOTS = {
 
 
 @pytest.mark.parametrize("check", sorted(VERIFY_SLOTS))
-def test_verify_wrong_arity_names_the_slots(check, files, capsys):
+def test_verify_wrong_arity_names_the_slots(check, files):
     from srlab.checks import CHECKS
-    from srlab.cli import main
 
     assert set(CHECKS) == set(VERIFY_SLOTS)
     slots = VERIFY_SLOTS[check]
     count = slots.count(",") + 1
     path = str(files / "identity5.mtx")
     for inputs in ([], [path] * (count + 1)):
-        assert main(["verify", check, *inputs]) == 2
-        err = capsys.readouterr().err
-        assert err == f"error: {check} needs {count} matrix file(s): {slots}\n"
+        out = run_cli("verify", check, *inputs)
+        assert out.returncode == 2
+        assert out.stderr == f"error: {check} needs {count} matrix file(s): {slots}\n"
 
 
 # Each verify flag, as a check parameter: its option, a value to set it to,
@@ -199,44 +217,40 @@ VERIFY_FLAGS = {"p": ("-p", "3", "2"), "k": ("--k", "3", "1"), "drop_col": ("--d
 
 
 @pytest.mark.parametrize("check", sorted(VERIFY_SLOTS))
-def test_verify_rejects_flags_the_check_does_not_take(check, files, capsys):
+def test_verify_rejects_flags_the_check_does_not_take(check, files):
     import inspect
 
     from srlab.checks import CHECKS
-    from srlab.cli import main
 
     taken = inspect.signature(CHECKS[check]).parameters
     inputs = [str(files / "spiked.mtx")] * (VERIFY_SLOTS[check].count(",") + 1)
     for key, (option, value, _) in VERIFY_FLAGS.items():
         if key not in taken:
-            assert main(["verify", check, *inputs, option, value]) == 2, option
-            assert capsys.readouterr().err == f"error: {check} does not take {option}\n"
+            out = run_cli("verify", check, *inputs, option, value)
+            assert out.returncode == 2, option
+            assert out.stderr == f"error: {check} does not take {option}\n"
 
 
 @pytest.mark.parametrize("check", sorted(VERIFY_SLOTS))
-def test_verify_flag_defaults_match_the_cli_defaults(check, files, capsys):
+def test_verify_flag_defaults_match_the_cli_defaults(check, files):
     """A flag left out gives the report of p = 2, k = 1 or drop_col = 0."""
     import inspect
 
     from srlab.checks import CHECKS
-    from srlab.cli import main
 
     taken = inspect.signature(CHECKS[check]).parameters
     inputs = [str(files / "spiked.mtx")] * (VERIFY_SLOTS[check].count(",") + 1)
-    code = main(["verify", check, *inputs])
-    default = capsys.readouterr()
-    assert default.err == ""
+    default = run_cli("verify", check, *inputs)
+    assert default.stderr == ""
     for key, (option, _, value) in VERIFY_FLAGS.items():
         if key in taken:
-            assert main(["verify", check, *inputs, option, value]) == code, option
-            assert capsys.readouterr() == default, option
+            assert run_cli("verify", check, *inputs, option, value) == default, option
 
 
-def test_verify_decomposition_failure_exits_2(files, capsys, monkeypatch):
+def test_verify_decomposition_failure_exits_2(files, monkeypatch):
     """A decomposition that fails is one error line and exit 2, not a
     traceback and the exit 1 of a failed inequality."""
     from srlab import checks
-    from srlab.cli import main
     from srlab.matrices import DecompositionError
 
     def diverges(a, b):
@@ -244,10 +258,10 @@ def test_verify_decomposition_failure_exits_2(files, capsys, monkeypatch):
 
     monkeypatch.setitem(checks.CHECKS, "weyl", diverges)
     path = str(files / "spiked.mtx")
-    assert main(["verify", "weyl", path, path]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: eigendecomposition did not converge\n"
+    out = run_cli("verify", "weyl", path, path)
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "error: eigendecomposition did not converge\n"
 
 
 @pytest.mark.parametrize(
@@ -259,10 +273,9 @@ def test_verify_decomposition_failure_exits_2(files, capsys, monkeypatch):
     ],
     ids=["verify", "condition", "fuzz"],
 )
-def test_a_failed_report_exits_1(argv, files, capsys, monkeypatch):
+def test_a_failed_report_exits_1(argv, files, monkeypatch):
     # Every verdict reads "fail", so each command reports a failure and exits 1.
     from srlab import checks
-    from srlab.cli import main
 
     real = checks._verdict
 
@@ -270,10 +283,10 @@ def test_a_failed_report_exits_1(argv, files, capsys, monkeypatch):
         return real(lhs, rhs, margins)[0], False
 
     monkeypatch.setattr(checks, "_verdict", always_fails)
-    assert main([arg.format(d=files) for arg in argv]) == 1
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert '"holds": false' in captured.out
+    out = run_cli(*[arg.format(d=files) for arg in argv])
+    assert out.returncode == 1
+    assert out.stderr == ""
+    assert '"holds": false' in out.stdout
 
 
 def test_verify_unknown_check_errors(files):
@@ -372,11 +385,10 @@ def test_gallery_matrix_input_family(files, tmp_path):
 @pytest.mark.parametrize(
     "family, extra", [("congruence_maximizer", []), ("congruence_minimizer", ["--alpha", "0.5"])]
 )
-def test_gallery_congruence_of_a_near_hermitian_psd_input(family, extra, tmp_path, capsys):
+def test_gallery_congruence_of_a_near_hermitian_psd_input(family, extra, tmp_path):
     """A PSD input Hermitian only within the threshold: B*AB is formed from its
     Hermitian part, so the instance is not rejected as not Hermitian, and the
     A file holds the input as given."""
-    from srlab.cli import main
     from srlab.matrices import is_psd
 
     rng = np.random.default_rng(2024)
@@ -386,8 +398,9 @@ def test_gallery_congruence_of_a_near_hermitian_psd_input(family, extra, tmp_pat
     assert is_psd(a) and not np.array_equal(a, a.T)
     path = tmp_path / "noisy.mtx"
     write_matrix_market(path, a)
-    assert main(["gallery", family, "--input", str(path), *extra, "--out", str(tmp_path)]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = run_cli("gallery", family, "--input", str(path), *extra, "--out", str(tmp_path))
+    assert out.returncode == 0
+    payload = json.loads(out.stdout)
     assert payload["evaluation"]["intdim_BAB"]["rel_err"] <= 1e-10
     assert read_matrix(payload["files"]["A"]).tobytes() == a.tobytes()
 
@@ -401,15 +414,13 @@ def test_gallery_congruence_of_a_near_hermitian_psd_input(family, extra, tmp_pat
         ("congruence_minimizer", ["--alpha", "0.25"]),
     ],
 )
-def test_gallery_input_family_rejects_rtol_zero(family, extra, files, tmp_path, capsys):
-    from srlab.cli import main
-
+def test_gallery_input_family_rejects_rtol_zero(family, extra, files, tmp_path):
     path = str(files / "identity5.mtx")
     argv = ["--rtol", "0", "gallery", family, "--input", path, *extra, "--out", str(tmp_path / "g")]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: rtol must lie in (0, 1)")
-    assert len(err.splitlines()) == 1
+    out = run_cli(*argv)
+    assert out.returncode == 2
+    assert out.stderr.startswith("error: rtol must lie in (0, 1)")
+    assert len(out.stderr.splitlines()) == 1
 
 
 # One case per gallery family, in FAMILIES order: the builder's keyword
@@ -445,15 +456,14 @@ def test_gallery_cases_cover_every_family():
 
 
 @pytest.mark.parametrize("family", list(GALLERY_CASES))
-def test_gallery_cli_matches_builder(family, files, tmp_path, capsys):
+def test_gallery_cli_matches_builder(family, files, tmp_path):
     from srlab import gallery
     from srlab.checks import encode_json
-    from srlab.cli import main
-    from srlab.mmio import read_matrix
 
     kwargs = GALLERY_CASES[family]
-    assert main(_gallery_argv(family, kwargs, files, tmp_path / "g")) == 0
-    payload = json.loads(capsys.readouterr().out)
+    out = run_cli(*_gallery_argv(family, kwargs, files, tmp_path / "g"))
+    assert out.returncode == 0
+    payload = json.loads(out.stdout)
     direct = {k: read_matrix(files / v) if k == "a" else v for k, v in kwargs.items()}
     instance = getattr(gallery, family)(**direct)
     assert payload["params"] == json.loads(json.dumps(encode_json(instance.params)))
@@ -485,15 +495,13 @@ def test_gallery_cli_matches_builder(family, files, tmp_path, capsys):
         ("equality_cases", "n"),
     ],
 )
-def test_gallery_missing_flag_exit_2(family, flag, files, tmp_path, capsys):
-    from srlab.cli import main
-
+def test_gallery_missing_flag_exit_2(family, flag, files, tmp_path):
     key = "a" if flag == "input" else flag
     kwargs = {k: v for k, v in GALLERY_CASES[family].items() if k != key}
-    assert main(_gallery_argv(family, kwargs, files, tmp_path / "g")) == 2
-    err = capsys.readouterr().err
-    assert f"error: {family} requires --{flag}" in err
-    assert len(err.splitlines()) == 1
+    out = run_cli(*_gallery_argv(family, kwargs, files, tmp_path / "g"))
+    assert out.returncode == 2
+    assert f"error: {family} requires --{flag}" in out.stderr
+    assert len(out.stderr.splitlines()) == 1
 
 
 # A value each gallery flag parses, to set it for a family that does not take it.
@@ -504,32 +512,30 @@ _GALLERY_FLAG_VALUES = {
 
 
 @pytest.mark.parametrize("family", list(GALLERY_CASES))
-def test_gallery_rejects_flags_the_family_does_not_take(family, files, tmp_path, capsys):
+def test_gallery_rejects_flags_the_family_does_not_take(family, files, tmp_path):
     import inspect
 
     from srlab import gallery
-    from srlab.cli import main
 
     taken = inspect.signature(gallery.FAMILIES[family]).parameters
     unused = [key for key in _GALLERY_FLAG_VALUES if key not in taken]
     assert unused
     for key in unused:
         kwargs = {**GALLERY_CASES[family], key: _GALLERY_FLAG_VALUES[key]}
-        assert main(_gallery_argv(family, kwargs, files, tmp_path / "g")) == 2, key
+        out = run_cli(*_gallery_argv(family, kwargs, files, tmp_path / "g"))
+        assert out.returncode == 2, key
         option = {"a": "--input", "p": "-p"}.get(key, "--" + key.replace("_", "-"))
-        err = capsys.readouterr().err
-        assert err == f"error: {family} does not take {option}\n"
+        assert out.stderr == f"error: {family} does not take {option}\n"
 
 
-def test_gallery_equality_cases_defaults_p_to_2(files, tmp_path, capsys):
-    from srlab.cli import main
-
+def test_gallery_equality_cases_defaults_p_to_2(files, tmp_path):
     argv = ["gallery", "equality_cases", "--kind", "rank1", "--n", "4", "--out", str(tmp_path)]
-    assert main(argv) == 0
-    default = capsys.readouterr().out
-    assert main([*argv, "-p", "2"]) == 0
-    assert capsys.readouterr().out == default
-    assert json.loads(default)["params"]["p"] == 2.0
+    default = run_cli(*argv)
+    assert default.returncode == 0
+    out = run_cli(*argv, "-p", "2")
+    assert out.returncode == 0
+    assert out.stdout == default.stdout
+    assert json.loads(default.stdout)["params"]["p"] == 2.0
 
 
 def _geometric_file(tmp_path):
@@ -540,58 +546,58 @@ def _geometric_file(tmp_path):
     return str(path)
 
 
-def test_verify_deletion_counts_rank_at_rtol(tmp_path, capsys):
-    from srlab.cli import main
-
+def test_verify_deletion_counts_rank_at_rtol(tmp_path):
     path = _geometric_file(tmp_path)
-    assert main(["--rtol", "0.3", "compute", path, "-q", "rank"]) == 0
-    rank = json.loads(capsys.readouterr().out)["value"]
-    assert main(["--rtol", "0.3", "verify", "deletion", path, "--drop-col", "19"]) == 0
-    details = json.loads(capsys.readouterr().out)["details"]
+    out = run_cli("--rtol", "0.3", "compute", path, "-q", "rank")
+    assert out.returncode == 0
+    rank = json.loads(out.stdout)["value"]
+    out = run_cli("--rtol", "0.3", "verify", "deletion", path, "--drop-col", "19")
+    assert out.returncode == 0
+    details = json.loads(out.stdout)["details"]
     assert rank == 2.0
     assert details["rank_a"] == rank
 
 
-def test_gallery_geometric_predicts_rank_at_rtol(tmp_path, capsys):
-    from srlab.cli import main
-
+def test_gallery_geometric_predicts_rank_at_rtol(tmp_path):
     argv = ["--rtol", "1e-3", "gallery", "geometric_decay", "--n", "20", "--ratio", "0.5"]
-    assert main([*argv, "--out", str(tmp_path / "g")]) == 0
-    evaluation = json.loads(capsys.readouterr().out)["evaluation"]
+    out = run_cli(*argv, "--out", str(tmp_path / "g"))
+    assert out.returncode == 0
+    evaluation = json.loads(out.stdout)["evaluation"]
     assert evaluation["rank_A"]["predicted"] == 10.0
     assert max(v["rel_err"] for v in evaluation.values()) <= 1e-8
 
 
-def test_overflowing_powers_exit_0_with_inf(tmp_path, capsys):
+def test_overflowing_powers_exit_0_with_inf(tmp_path):
     # kappa^p, a Schatten norm at small p and the gallery's alpha^2 saturate
     # to inf; an OverflowError would exit 1, which reads as a failed inequality.
-    from srlab.cli import main
     from srlab.schatten import QuasiNormWarning
 
     write_matrix_market(tmp_path / "A.mtx", np.diag([10.0, 1.0]))
     write_matrix_market(tmp_path / "B.mtx", np.eye(2))
     write_matrix_market(tmp_path / "G.mtx", np.random.default_rng(0).standard_normal((20, 20)))
     a, b, g = (str(tmp_path / name) for name in ("A.mtx", "B.mtx", "G.mtx"))
-    assert main(["verify", "product_kappa", a, b, "-p", "400"]) == 0
-    assert json.loads(capsys.readouterr().out)["rhs"] == "inf"
+    out = run_cli("verify", "product_kappa", a, b, "-p", "400")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["rhs"] == "inf"
     argv = ["fuzz", "--trials", "5", "--p-grid", "400", "--checks", "product_kappa"]
-    assert main([*argv, "--parallelism", "1"]) == 0
-    assert json.loads(capsys.readouterr().out)["failures"] == []
+    out = run_cli(*argv, "--parallelism", "1")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["failures"] == []
     with pytest.warns(QuasiNormWarning):
-        assert main(["compute", g, "-q", "schatten", "-p", "0.001"]) == 0
-    assert json.loads(capsys.readouterr().out)["value"] == "inf"
+        out = run_cli("compute", g, "-q", "schatten", "-p", "0.001")
+        assert out.returncode == 0
+    assert json.loads(out.stdout)["value"] == "inf"
     for family in ("deletion_family", "sum_violation_family", "product_violation_family"):
         argv = ["gallery", family, "--n", "5", "--alpha", "1e200"]
-        assert main([*argv, "--out", str(tmp_path / family)]) == 0
-        assert json.loads(capsys.readouterr().out)["predicted"]["sr_A"] == 1.0
+        out = run_cli(*argv, "--out", str(tmp_path / family))
+        assert out.returncode == 0
+        assert json.loads(out.stdout)["predicted"]["sr_A"] == 1.0
 
 
-def test_matrix_too_large_to_densify_exits_2(tmp_path, capsys):
+def test_matrix_too_large_to_densify_exits_2(tmp_path):
     # A 1e8 x 1e8 coordinate file with one entry: densifying it asks numpy
     # for 71 PiB, beyond any address space, so numpy refuses without
     # allocating. That is an input error, not a failed inequality (exit 1).
-    from srlab.cli import main
-
     path = tmp_path / "huge.mtx"
     path.write_text(
         "%%MatrixMarket matrix coordinate real general\n100000000 100000000 1\n1 1 1.0\n"
@@ -603,29 +609,28 @@ def test_matrix_too_large_to_densify_exits_2(tmp_path, capsys):
         ["verify", "weyl", f, f],
         ["gallery", "congruence_maximizer", "--input", f],
     ):
-        assert main(argv) == 2, argv
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert re.fullmatch(r"error: Unable to allocate .*\n", captured.err), argv
+        out = run_cli(*argv)
+        assert out.returncode == 2, argv
+        assert out.stdout == ""
+        assert re.fullmatch(r"error: Unable to allocate .*\n", out.stderr), argv
 
 
-def test_condition_counts_rank_e_at_rtol(tmp_path, capsys):
-    from srlab.cli import main
+def test_condition_counts_rank_e_at_rtol(tmp_path):
     from srlab.fuzz import scaled_perturbation
-    from srlab.mmio import read_matrix
     from srlab.ranks import numerical_rank
 
     path = _geometric_file(tmp_path)
-    assert main(["--rtol", "0.3", "--seed", "5", "condition", path, "--epsilons", "0.1"]) == 0
-    row = json.loads(capsys.readouterr().out)["rows"][0]
+    out = run_cli("--rtol", "0.3", "--seed", "5", "condition", path, "--epsilons", "0.1")
+    assert out.returncode == 0
+    row = json.loads(out.stdout)["rows"][0]
     # The sweep's perturbation, drawn as cmd_condition draws it.
     rng = np.random.default_rng(np.random.SeedSequence(5, spawn_key=(0,)))
     e = scaled_perturbation(rng, read_matrix(path), 0.1, "gaussian")
     assert row["rank_e"] == numerical_rank(e, 0.3) < numerical_rank(e)
-    assert main(["--rtol", "0", "condition", path, "--epsilons", "0.1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: rtol must lie in (0, 1), got 0.0\n"
+    out = run_cli("--rtol", "0", "condition", path, "--epsilons", "0.1")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr == "error: rtol must lie in (0, 1), got 0.0\n"
 
 
 def test_condition_sweep(files):
@@ -664,19 +669,16 @@ def test_condition_sweep(files):
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "psd"])
-def test_condition_on_the_zero_matrix_is_not_applicable(kind, files, capsys):
-    from srlab.cli import main
-
-    assert main(["condition", str(files / "zero.mtx"), "--perturbation", kind]) == 0
-    rows = json.loads(capsys.readouterr().out)["rows"]
+def test_condition_on_the_zero_matrix_is_not_applicable(kind, files):
+    out = run_cli("condition", str(files / "zero.mtx"), "--perturbation", kind)
+    assert out.returncode == 0
+    rows = json.loads(out.stdout)["rows"]
     assert len(rows) == 5
     assert all(not r["applicable"] and r["reason"] == "A is the zero matrix" for r in rows)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "psd"])
-def test_condition_sweep_decomposes_input_once(kind, tmp_path, lapack_calls, capsys):
-    from srlab.cli import main
-
+def test_condition_sweep_decomposes_input_once(kind, tmp_path, lapack_calls):
     rng = np.random.default_rng(4)
     if kind == "psd":
         x = rng.standard_normal((30, 30))
@@ -685,35 +687,36 @@ def test_condition_sweep_decomposes_input_once(kind, tmp_path, lapack_calls, cap
         a = rng.standard_normal((40, 30))
     path = tmp_path / "a.mtx"
     write_matrix_market(path, a)
-    assert main(["condition", str(path), "--perturbation", kind]) == 0
-    assert len(json.loads(capsys.readouterr().out)["rows"]) == 5
+    out = run_cli("condition", str(path), "--perturbation", kind)
+    assert out.returncode == 0
+    assert len(json.loads(out.stdout)["rows"]) == 5
     # Per epsilon: the perturbation's norm, then E and A + E in the check.
     # The input itself is decomposed once for the whole sweep.
     assert len(lapack_calls) == 1 + 3 * 5
 
 
-def test_main_calls_share_one_parser(files, capsys):
-    from srlab.cli import build_parser, main
-
+def test_main_calls_share_one_parser(files):
     assert build_parser() is build_parser()
     ident = str(files / "identity5.mtx")
-    assert main(["compute", ident, "-q", "sr", "--format", "csv"]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == "quantity,p,value"
-    assert main(["compute", ident, "-q", "sr"]) == 0
-    assert json.loads(capsys.readouterr().out)["value"] == pytest.approx(5.0)
+    out = run_cli("compute", ident, "-q", "sr", "--format", "csv")
+    assert out.returncode == 0
+    assert out.stdout.splitlines()[0] == "quantity,p,value"
+    out = run_cli("compute", ident, "-q", "sr")
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["value"] == pytest.approx(5.0)
 
-    assert main(["condition", ident, "--epsilons", "0.1"]) == 0
-    assert [r["epsilon"] for r in json.loads(capsys.readouterr().out)["rows"]] == [0.1]
-    assert main(["condition", ident]) == 0
-    rows = json.loads(capsys.readouterr().out)["rows"]
+    out = run_cli("condition", ident, "--epsilons", "0.1")
+    assert out.returncode == 0
+    assert [r["epsilon"] for r in json.loads(out.stdout)["rows"]] == [0.1]
+    out = run_cli("condition", ident)
+    assert out.returncode == 0
+    rows = json.loads(out.stdout)["rows"]
     assert [r["epsilon"] for r in rows] == [0.01, 0.05, 0.1, 0.3, 0.5]
 
-    with pytest.raises(SystemExit) as exc:
-        main(["compute", ident, "-q", "volume"])
-    assert exc.value.code == 2
-    capsys.readouterr()
-    assert main(["compute", ident, "-q", "rank", "--format", "text"]) == 0
-    assert capsys.readouterr().out == "5.0\n"
+    assert run_cli("compute", ident, "-q", "volume").returncode == 2
+    out = run_cli("compute", ident, "-q", "rank", "--format", "text")
+    assert out.returncode == 0
+    assert out.stdout == "5.0\n"
 
 
 def test_fuzz_cli_exit_and_output(files, tmp_path):
@@ -794,7 +797,7 @@ def test_fuzz_cli_bad_p_grid_exit_2(flags, message, tmp_path):
     assert_usage_error(out, message.format(d=tmp_path))
 
 
-def test_fuzz_cli_unwritable_out_fails_before_the_campaign(tmp_path, capsys, monkeypatch):
+def test_fuzz_cli_unwritable_out_fails_before_the_campaign(tmp_path, monkeypatch):
     from srlab import cli
 
     def no_campaign(cfg):
@@ -802,10 +805,10 @@ def test_fuzz_cli_unwritable_out_fails_before_the_campaign(tmp_path, capsys, mon
 
     monkeypatch.setattr(cli, "run_fuzz", no_campaign)
     path = tmp_path / "missing" / "r.json"
-    assert cli.main(["fuzz", "--trials", "1", "--out", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert str(path) in captured.err
+    out = run_cli("fuzz", "--trials", "1", "--out", str(path))
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert str(path) in out.stderr
 
 
 # "{d}" stands for the directory of the files fixture.
@@ -888,9 +891,7 @@ def test_input_errors_exit_2(argv, message, files):
     assert out.stdout == ""
 
 
-def test_text_and_csv_formats_do_not_crash(files, capsys):
-    from srlab.cli import main
-
+def test_text_and_csv_formats_do_not_crash(files):
     eye = str(files / "identity5.mtx")
     # argv -> (CSV header row, pattern of the first text line)
     cases = {
@@ -916,10 +917,10 @@ def test_text_and_csv_formats_do_not_crash(files, capsys):
     printed = {}
     for argv, (header, text) in cases.items():
         for fmt in ("csv", "text"):
-            assert main([*argv, "--format", fmt]) == 0, (argv, fmt)
-            captured = capsys.readouterr()
-            assert captured.err == "", (argv, fmt)
-            printed[argv[0], fmt] = captured.out.splitlines()
+            out = run_cli(*argv, "--format", fmt)
+            assert out.returncode == 0, (argv, fmt)
+            assert out.stderr == "", (argv, fmt)
+            printed[argv[0], fmt] = out.stdout.splitlines()
         assert printed[argv[0], "csv"][0] == header, argv
         assert re.fullmatch(text, printed[argv[0], "text"][0]), argv
     # An epsilon outside [0, 1), nan included, is a not-applicable row.
@@ -930,13 +931,12 @@ def test_text_and_csv_formats_do_not_crash(files, capsys):
         )
 
 
-def test_csv_header_holds_the_keys_of_every_row(files, capsys):
+def test_csv_header_holds_the_keys_of_every_row(files):
     """A not-applicable first row does not drop the columns of later rows."""
-    from srlab.cli import main
-
     argv = ["condition", str(files / "identity5.mtx"), "--epsilons", "2,0.1", "--format", "csv"]
-    assert main(argv) == 0
-    header, skipped, applied = capsys.readouterr().out.splitlines()
+    out = run_cli(*argv)
+    assert out.returncode == 0
+    header, skipped, applied = out.stdout.splitlines()
     keys = header.split(",")
     assert keys == [
         "epsilon", "applicable", "reason", "p", "rank_e", "lower", "actual", "upper",
@@ -949,28 +949,27 @@ def test_csv_header_holds_the_keys_of_every_row(files, capsys):
     assert row["holds"] == "True"
 
 
-def test_csv_writes_a_none_field_empty(files, capsys):
-    from srlab.cli import main
-
-    assert main(["compute", str(files / "identity5.mtx"), "-q", "sr", "--format", "csv"]) == 0
-    assert capsys.readouterr().out.splitlines() == ["quantity,p,value", "sr,,5.0"]
+def test_csv_writes_a_none_field_empty(files):
+    out = run_cli("compute", str(files / "identity5.mtx"), "-q", "sr", "--format", "csv")
+    assert out.returncode == 0
+    assert out.stdout.splitlines() == ["quantity,p,value", "sr,,5.0"]
     # A check with no applicable instance has no least slack.
     argv = ["fuzz", "--trials", "2", "--seed", "1", "--checks", "cross_product", "--p-grid", "0.5"]
-    assert main([*argv, "--parallelism", "1", "--format", "csv"]) == 0
-    assert capsys.readouterr().out.splitlines() == [
+    out = run_cli(*argv, "--parallelism", "1", "--format", "csv")
+    assert out.returncode == 0
+    assert out.stdout.splitlines() == [
         "check,applicable_count,pass_count,min_slack",
         "cross_product,0,0,",
     ]
 
 
-def test_csv_quotes_a_field_that_holds_a_comma(files, capsys):
+def test_csv_quotes_a_field_that_holds_a_comma(files):
     import csv
 
-    from srlab.cli import main
-
     argv = ["--format", "csv", "condition", str(files / "identity5.mtx"), "-p", "0.5"]
-    assert main([*argv, "--epsilons", "0.1"]) == 0
-    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    out = run_cli(*argv, "--epsilons", "0.1")
+    assert out.returncode == 0
+    rows = list(csv.reader(out.stdout.splitlines()))
     reason = "requires p >= 1, got p=0.5"
     assert rows == [["epsilon", "applicable", "reason"], ["0.1", "False", reason]]
     assert all(len(row) == len(rows[0]) for row in rows)
@@ -987,21 +986,20 @@ def test_csv_quotes_a_field_that_holds_a_comma(files, capsys):
     ],
     ids=["cholesky_intdim", "intdim_subadditive", "block_intdim", "cholesky_intdim_300"],
 )
-def test_verify_decomposes_each_input_once(check, n, tmp_path, lapack_calls, capsys):
-    from srlab.cli import main
-
+def test_verify_decomposes_each_input_once(check, n, tmp_path, lapack_calls):
     x = np.random.default_rng(3).standard_normal((n, n))
     g = x @ x.T
     path = tmp_path / "g.mtx"
     write_matrix_market(path, g / 2 + g.T / 2)
     inputs = [str(path)] * (2 if check == "intdim_subadditive" else 1)
     extra = ["--k", "3"] if check == "block_intdim" else []
-    assert main(["verify", check, *inputs, *extra]) == 0
-    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    out = run_cli("verify", check, *inputs, *extra)
+    assert out.returncode == 0
+    assert json.loads(out.stdout)["status"] == "pass"
     assert lapack_calls.count(("eigvalsh", (n, n))) == 1 + (check == "intdim_subadditive")
 
 
-def test_compute_reads_a_coordinate_file_sparse(tmp_path, lapack_calls, capsys, monkeypatch):
+def test_compute_reads_a_coordinate_file_sparse(tmp_path, lapack_calls, monkeypatch):
     """A wide coordinate file takes the sparse Gram route: one eigvalsh of
     the small Gram, the same rank as its array-format copy and sr and sr_1
     within 1e-8. intdim reads a coordinate file sparse as well, and prints the
@@ -1010,7 +1008,6 @@ def test_compute_reads_a_coordinate_file_sparse(tmp_path, lapack_calls, capsys, 
     import scipy.sparse
 
     import srlab.cli
-    from srlab.cli import main
 
     read = []
     read_matrix = srlab.cli.read_matrix
@@ -1026,9 +1023,9 @@ def test_compute_reads_a_coordinate_file_sparse(tmp_path, lapack_calls, capsys, 
     for name in ("coo", "array"):
         for quantity in ("rank", "sr", "srp"):
             lapack_calls.clear()
-            argv = ["compute", str(tmp_path / f"{name}.mtx"), "-q", quantity, "-p", "1"]
-            assert main(argv) == 0
-            values[name, quantity] = json.loads(capsys.readouterr().out)["value"]
+            out = run_cli("compute", str(tmp_path / f"{name}.mtx"), "-q", quantity, "-p", "1")
+            assert out.returncode == 0
+            values[name, quantity] = json.loads(out.stdout)["value"]
             assert lapack_calls == [("eigvalsh", (64, 64))]
     assert values["coo", "rank"] == values["array", "rank"] == 64.0
     assert [scipy.sparse.issparse(a) for a in read] == [True] * 3 + [False] * 3
@@ -1039,9 +1036,76 @@ def test_compute_reads_a_coordinate_file_sparse(tmp_path, lapack_calls, capsys, 
     g = scipy.sparse.coo_matrix(x @ x.T)
     scipy.io.mmwrite(str(tmp_path / "psd.mtx"), g, precision=17)
     write_matrix_market(tmp_path / "psd_array.mtx", g.toarray())
-    out = []
+    printed = []
     for name in ("psd", "psd_array"):
-        assert main(["compute", str(tmp_path / f"{name}.mtx"), "-q", "intdim"]) == 0
-        out.append(capsys.readouterr().out.replace(name, ""))
-    assert out[0] == out[1]
+        out = run_cli("compute", str(tmp_path / f"{name}.mtx"), "-q", "intdim")
+        assert out.returncode == 0
+        printed.append(out.stdout.replace(name, ""))
+    assert printed[0] == printed[1]
     assert [scipy.sparse.issparse(a) for a in read[6:]] == [True, False]
+
+
+def test_python_m_srlab_hands_the_exit_code_to_the_os(files):
+    """``python -m srlab`` exits with the code ``main`` returns. The three
+    processes run side by side and read CSV files, which load no SciPy, so
+    their start-up costs the suite little."""
+    (files / "eye.csv").write_text("1,0\n0,1\n")
+    (files / "indefinite.csv").write_text("1,0\n0,-1\n")
+    cases = [
+        (["compute", str(files / "eye.csv"), "-q", "sr"], 0),
+        (["compute", str(files / "bad.csv"), "-q", "sr"], 2),
+        (["compute", str(files / "indefinite.csv"), "-q", "intdim"], 3),
+    ]
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "srlab", *argv],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for argv, _ in cases
+    ]
+    errs = [proc.communicate()[1] for proc in procs]
+    assert [proc.returncode for proc in procs] == [code for _, code in cases], errs
+    assert errs[0] == ""
+    assert errs[1].startswith("error: ") and errs[1].count("\n") == 1
+    assert "lambda_min" in errs[2]
+
+
+def test_calls_in_one_process_do_not_leak_state(files, tmp_path):
+    """A call's exit code, output and warnings do not depend on the calls
+    before it in the process: the same calls, run again in reverse order,
+    print the same. They go through the cached parser (a usage error among
+    them), the MatrixMarket parser-thread lock, the trial scope and a
+    QuasiNormWarning."""
+    import warnings
+
+    from srlab.schatten import QuasiNormWarning
+
+    coo = files / "coo.mtx"
+    coo.write_text(
+        "%%MatrixMarket matrix coordinate real general\n3 5 3\n1 1 1.0\n2 3 2.0\n3 5 0.5\n"
+    )
+    eye, spiked = str(files / "identity5.mtx"), str(files / "spiked.mtx")
+    calls = [
+        ("compute", str(coo), "-q", "sr"),
+        ("compute", spiked, "-q", "schatten", "-p", "0.5"),
+        ("verify", "intdim_subadditive", eye, spiked),
+        ("gallery", "geometric_decay", "--n", "6", "--ratio", "0.5", "--out", str(tmp_path / "g")),
+        ("--seed", "3", "condition", spiked, "--epsilons", "0.1,0.5"),
+        ("fuzz", "--trials", "3", "--parallelism", "1", "--format", "text"),
+        ("compute", eye, "-q", "volume"),
+        ("compute", str(files / "indefinite.mtx"), "-q", "intdim"),
+    ]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", QuasiNormWarning)
+
+        def observe(argv):
+            start = len(caught)
+            return run_cli(*argv), [str(w.message) for w in caught[start:]]
+
+        first = [observe(argv) for argv in calls]
+        again = [observe(argv) for argv in reversed(calls)][::-1]
+    assert [out.returncode for out, _ in first] == [0, 0, 0, 0, 0, 0, 2, 3]
+    assert [bool(seen) for _, seen in first] == [False, True] + [False] * 6
+    assert again == first
