@@ -22,7 +22,8 @@ parent commit, say). Each one's ``srlab`` runs in its own subprocess with
   directory: 1xn, nx1 and 1x1; zero; exactly rank-deficient, real and PSD;
   a Gram scaled by 2^600, by 2^-600 and to a largest entry of 1.5e308; a
   Gram plus 1e-13 relative noise; a non-Hermitian 5x5 Gaussian scaled by
-  1e-13; an indefinite diagonal; a complex PSD Gram; a coordinate-format
+  1e-13; an indefinite diagonal; a complex PSD Gram, and the same plus
+  non-Hermitian noise of relative size 1e-13; a coordinate-format
   sparse file; and an empty 0x3 array file, which every call rejects as it
   reads it. On each it runs every
   ``compute`` quantity at p = 1.5, 400 and inf, every ``verify`` check bare
@@ -225,6 +226,7 @@ def edge_matrices() -> dict:
     u = rng.integers(-3, 4, size=(5, 2)).astype(float)
     z = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
     sparse = rng.standard_normal((6, 8)) * (rng.random((6, 8)) < 0.3)
+    complex_gram = z.conj().T @ z
     return {
         "row_1x5": rng.standard_normal((1, 5)),
         "column_5x1": rng.standard_normal((5, 1)),
@@ -238,7 +240,10 @@ def edge_matrices() -> dict:
         "gram_noise_1e-13": gram + 1e-13 * top * rng.standard_normal(gram.shape),
         "gaussian_5x5_times_1e-13": rng.standard_normal((5, 5)) * 1e-13,
         "indefinite_diagonal": np.diag([3.0, 1.0, -2.0, 0.5]),
-        "complex_psd_gram": z.conj().T @ z,
+        "complex_psd_gram": complex_gram,
+        # Drawn last, so the other matrices keep their bits.
+        "complex_psd_gram_noise_1e-13": complex_gram + 1e-13 * np.abs(complex_gram).max()
+        * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))),
         "coordinate_6x8": scipy.sparse.coo_matrix(sparse),
         "empty_0x3": np.zeros((0, 3)),
     }

@@ -64,6 +64,7 @@ from .matrices import (
     Matrix,
     _require_matrix,
     hermitian_part_eigenvalues,
+    hermitian_product,
     is_hermitian,
     pivoted_cholesky,
     psd_eigenvalues,
@@ -325,7 +326,7 @@ def check_cholesky_intdim(a: Matrix) -> CheckReport:
     L, perm, rank = pivoted_cholesky(a)
     n = a.shape[0]
     permuted = a[np.ix_(perm, perm)]
-    residual = float(np.linalg.norm(permuted - L @ L.conj().T))
+    residual = float(np.linalg.norm(permuted - hermitian_product(L)))
     if residual > 1e-8 * float(np.linalg.norm(a)):
         raise DecompositionError(
             f"pivoted Cholesky residual {residual:.3e} too large; input likely indefinite"
@@ -498,8 +499,8 @@ def grid_cross_product(a: Matrix, p_grid) -> list[CheckReport]:
     ps, reasons, valid = _grid_exponents(tuple(p_grid), finite=False)
     two_ps = tuple(2.0 * p for p in valid)
     srps_a = srp_from_sigma(sigma(a), valid + two_ps).tolist()
-    srps_left = srp_from_sigma(sigma(a.conj().T @ a), valid).tolist()
-    srps_right = srp_from_sigma(sigma(a @ a.conj().T), valid).tolist()
+    srps_left = srp_from_sigma(sigma(hermitian_product(a.conj().T)), valid).tolist()
+    srps_right = srp_from_sigma(sigma(hermitian_product(a)), valid).tolist()
     k = len(valid)
 
     def rows():

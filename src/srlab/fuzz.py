@@ -159,8 +159,7 @@ def _psd_matrix(rng, kind, n, dims_max, field):
         k = int(rng.integers(1, n + 1))
         lam = np.zeros(n)
         lam[:k] = _descending_spectrum(rng, k)
-        v = mat.haar_unitary(rng, n, field)
-        return mat._hermitize((v * lam) @ v.conj().T)
+        return mat.hermitian_product(mat.haar_unitary(rng, n, field), lam)
     return _general_matrix(rng, kind, n, n, field)  # rank-1 PSD or a projector
 
 

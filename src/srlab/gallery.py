@@ -40,6 +40,7 @@ from .matrices import (
     _hermitize,
     _require_matrix,
     haar_unitary,
+    hermitian_product,
     prescribed_spectrum_matrix,
     projector_matrix,
     psd_eigenvalues,
@@ -120,13 +121,13 @@ def _diag(values) -> np.ndarray:
     return np.diag(np.asarray(values, dtype=np.float64))
 
 
-def _rotated(rotate_seed: int | None, *matrices: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Each matrix as ``q @ m @ q.T`` for one orthogonal ``q`` seeded by
-    ``rotate_seed``, or unchanged when it is None."""
+def _rotated(rotate_seed: int | None, *diagonals) -> tuple[np.ndarray, ...]:
+    """Each diagonal as the matrix ``q diag(d) q.T`` for one orthogonal ``q``
+    seeded by ``rotate_seed``, or as ``diag(d)`` when it is None."""
     if rotate_seed is None:
-        return matrices
-    q = haar_unitary(np.random.default_rng(rotate_seed), matrices[0].shape[0])
-    return tuple(q @ m @ q.T for m in matrices)
+        return tuple(_diag(d) for d in diagonals)
+    q = haar_unitary(np.random.default_rng(rotate_seed), len(diagonals[0]))
+    return tuple(hermitian_product(q, d) for d in diagonals)
 
 
 def _finite(name: str, value):
@@ -179,8 +180,8 @@ def _congruence(a: np.ndarray, h: np.ndarray, v: np.ndarray, d: np.ndarray) -> d
     """``A`` as given, ``B = V diag(d) V*`` and ``B*HB`` for the Hermitian part
     ``H`` of ``A``, frozen: ``B`` would amplify the asymmetry of a near-Hermitian
     ``A`` past the Hermitian threshold."""
-    b = (v * d) @ v.conj().T
-    return _freeze({"A": np.array(a), "B": b, "BAB": b.conj().T @ h @ b})
+    b = hermitian_product(v, d)
+    return _freeze({"A": np.array(a), "B": b, "BAB": _hermitize(b.conj().T @ h @ b)})
 
 
 def geometric_decay(
@@ -220,8 +221,7 @@ def deletion_family(
     a_hat_rowcol = np.eye(n - 1)
     if rotate_seed is not None:
         rng = np.random.default_rng(rotate_seed)
-        q = haar_unitary(rng, n)
-        a = q @ a @ q.T
+        a = hermitian_product(haar_unitary(rng, n), np.diagonal(a))
         a_hat_col = haar_unitary(rng, n) @ a_hat_col @ haar_unitary(rng, n - 1).T
     thresholds = {
         "sr": Fraction(alpha) ** 2 > Fraction(n - 1, n - 2),
@@ -251,9 +251,7 @@ def sum_violation_family(n: int, alpha: float, rotate_seed: int | None = None) -
     alpha = _finite("alpha", float(alpha))
     if abs(alpha) < 2.0:
         raise ValueError(f"|alpha| must be >= 2, got {alpha}")
-    a = _diag([alpha] + [2.0] * (n - 1))
-    b = _diag([-alpha] + [-1.0] * (n - 1))
-    a, b = _rotated(rotate_seed, a, b)
+    a, b = _rotated(rotate_seed, [alpha] + [2.0] * (n - 1), [-alpha] + [-1.0] * (n - 1))
     s = a + b
     thresholds = {"sr_sum": Fraction(alpha) ** 2 > Fraction(5 * (n - 1), n - 3)}
     return FamilyInstance(
@@ -278,9 +276,7 @@ def rank1_drop_family(n: int, beta: float, rotate_seed: int | None = None) -> Fa
     """
     n = int(_at_least("n", n, 4))
     beta = _at_least("beta", float(beta), 1)
-    a = _diag([0.0] + [1.0] * (n - 1))
-    b = _diag([beta] + [0.0] * (n - 1))
-    a, b = _rotated(rotate_seed, a, b)
+    a, b = _rotated(rotate_seed, [0.0] + [1.0] * (n - 1), [beta] + [0.0] * (n - 1))
     thresholds = {"intdim_drop": Fraction(beta) > Fraction(n - 1, n - 3)}
     return FamilyInstance(
         name="rank1_drop_family",
@@ -303,11 +299,7 @@ def product_violation_family(n: int, alpha: float, rotate_seed: int | None = Non
     """
     n = int(_at_least("n", n, 2))
     alpha = _at_least("alpha", float(alpha), 1)
-    a = _diag([1.0] * (n - 1) + [alpha])
-    b = _diag([1.0] * (n - 1) + [1.0 / alpha])
-    a, b = _rotated(rotate_seed, a, b)
-    # AB = I exactly; symmetrizing keeps the rotated product exactly
-    # symmetric, so it is classified and decomposed like the other inputs.
+    a, b = _rotated(rotate_seed, [1.0] * (n - 1) + [alpha], [1.0] * (n - 1) + [1.0 / alpha])
     ab = _hermitize(a @ b)
     thresholds = {"product": Fraction(alpha) > 1}
     return FamilyInstance(
@@ -333,8 +325,8 @@ def cross_gap_family(n: int, alpha: float, rotate_seed: int | None = None) -> Fa
     """
     n = int(_at_least("n", n, 2))
     alpha = _in_unit_interval("alpha", float(alpha))
-    (a,) = _rotated(rotate_seed, _diag([1.0] + [alpha] * (n - 1)))
-    gram = a.conj().T @ a
+    (a,) = _rotated(rotate_seed, [1.0] + [alpha] * (n - 1))
+    gram = hermitian_product(a.conj().T)
     thresholds = {"strict_gap": alpha < 1.0}
     return FamilyInstance(
         name="cross_gap_family",

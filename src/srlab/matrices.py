@@ -14,6 +14,16 @@ the classifier's eigenvalues of the Hermitian part.
 :func:`sigma_from_eigenvalues` maps eigenvalues to singular values as
 :func:`sigma` does for an exactly Hermitian input.
 
+A matrix that srlab builds Hermitian in exact arithmetic is returned through
+:func:`_hermitize`, so it is Hermitian bit for bit (``a == a*``) on any CPU,
+and each one is decomposed once, by ``eigvalsh``. :func:`hermitian_product`
+is the one place that forms a product ``V diag(d) V*``, a Gram ``A*A`` among
+them; the samplers here, the fuzzer's draws, the gallery and the checks
+build theirs with it, and hand any other Hermitian-by-construction matrix,
+such as a scaled Gram or a congruence ``B*HB``, to :func:`_hermitize`. So
+the SVD route for an input Hermitian only within the threshold serves input
+from outside srlab.
+
 Singular values come from the cheapest LAPACK route for the input. An
 exactly Hermitian input (``a == a*`` entrywise, not within a tolerance)
 takes the absolute values of its eigenvalues, sorted descending, from the
@@ -770,12 +780,20 @@ def prescribed_spectrum_matrix(
     return (u[:, :k] * s) @ v[:, :k].conj().T
 
 
+def hermitian_product(v: np.ndarray, d=None) -> np.ndarray:
+    """``V diag(d) V*``, or ``V V*`` when ``d`` is None, exactly Hermitian.
+
+    ``d`` holds one real weight per column of ``V``. The product is returned
+    through :func:`_hermitize`, so its mirror entries agree bit for bit.
+    """
+    return _hermitize((v if d is None else v * d) @ v.conj().T)
+
+
 def rank1_psd_matrix(rng: np.random.Generator, n: int, field: str = "real") -> np.ndarray:
-    v = gaussian_matrix(rng, n, 1, field)[:, 0]
-    return np.outer(v, v.conj())
+    return hermitian_product(gaussian_matrix(rng, n, 1, field))
 
 
 def projector_matrix(rng: np.random.Generator, n: int, r: int, field: str = "real") -> np.ndarray:
     q, _ = np.linalg.qr(gaussian_matrix(rng, n, r, field))
-    return _hermitize(q @ q.conj().T)
+    return hermitian_product(q)
 

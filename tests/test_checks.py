@@ -366,6 +366,13 @@ def _proot_of_srp(a, p: float) -> float:
     return p_stable_rank(a, p) ** (1.0 / p)
 
 
+def _near_hermitian_rank1(rng, n: int) -> np.ndarray:
+    """A complex rank-1 PSD ``v v*`` from ``np.outer``, which rounds the two
+    mirror entries separately, so it is Hermitian only within the threshold."""
+    v = gaussian_matrix(rng, n, 1, "complex")[:, 0]
+    return np.outer(v, v.conj())
+
+
 def test_perturbation_takes_every_spectrum_from_sigma():
     """On a complex rank-1 A that is Hermitian only within the threshold,
     eps and both p-roots are those of sigma, bit for bit, PSD or not."""
@@ -374,10 +381,10 @@ def test_perturbation_takes_every_spectrum_from_sigma():
     rng = np.random.default_rng(23)
     near = 0
     for _ in range(40):
-        a = rank1_psd_matrix(rng, 6, "complex")
+        a = _near_hermitian_rank1(rng, 6)
         near += not np.array_equal(a, a.conj().T)
         assert is_hermitian(a)
-        for e in (0.3 * rank1_psd_matrix(rng, 6, "complex"), 0.05 * gaussian_matrix(rng, 6, 6)):
+        for e in (0.3 * _near_hermitian_rank1(rng, 6), 0.05 * gaussian_matrix(rng, 6, 6)):
             e = e * (0.5 * sigma(a)[0] / sigma(e)[0])
             for p in (1.0, 2.0, 3.0):
                 r = check_perturbation(a, e, p)

@@ -118,7 +118,8 @@ def test_edge_section_runs_every_call_and_repeats(tmp_path):
     # The edge corpus on this tree: every call ends in an exit code, none
     # raises, and a second run in another directory records the same corpus.
     first = compare_outputs.edge_section(tmp_path / "first")
-    assert len(first) > 400
+    assert len(compare_outputs.edge_matrices()) == 16
+    assert len(first) == 16 * len(compare_outputs.edge_argvs("x.mtx"))
     codes = {instance: record["exit_code"] for instance, record in first.items()}
     assert set(codes.values()) <= {0, 1, 2, 3}, codes
     assert compare_outputs.edge_section(tmp_path / "second") == first
@@ -140,6 +141,12 @@ def test_edge_section_runs_every_call_and_repeats(tmp_path):
     assert sorted(built["files"]) == [
         f"complex_psd_gram_gallery/congruence_maximizer_{key}.mtx" for key in ("A", "B", "BAB")
     ]
+    # Outside input Hermitian only within the threshold is still PSD, and
+    # its congruence is built.
+    near = "<tmp>/complex_psd_gram_noise_1e-13"
+    assert first[f"compute {near}.mtx -q intdim -p 1.5"]["exit_code"] == 0
+    assert first[f"gallery congruence_maximizer --input {near}.mtx --out {near}_gallery"][
+        "exit_code"] == 0
     rejected = first["gallery congruence_minimizer --input <tmp>/indefinite_diagonal.mtx"
                      " --alpha 0.5 --out <tmp>/indefinite_diagonal_gallery"]
     assert rejected["exit_code"] == 2

@@ -232,6 +232,93 @@ def test_sampled_spectra_are_sorted_nonnegative(seed):
     assert np.all(s >= 0)
 
 
+@pytest.mark.parametrize("field", ["real", "complex"])
+def test_hermitian_product_is_exactly_hermitian(field):
+    rng = np.random.default_rng(11)
+    v = gaussian_matrix(rng, 7, 3, field)
+    d = np.array([2.0, -0.5, 0.0])
+    for built, plain in ((matrices.hermitian_product(v), v @ v.conj().T),
+                         (matrices.hermitian_product(v, d), (v * d) @ v.conj().T)):
+        assert matrices._exactly_hermitian(built)
+        np.testing.assert_allclose(built, plain, rtol=0, atol=1e-14 * np.abs(plain).max())
+
+
+def _built_hermitian_trial_slots():
+    """``(where, matrix)`` for every trial slot built Hermitian, and both
+    cross-product Grams as ``grid_cross_product`` hands them to ``sigma``."""
+    from srlab import checks, fuzz
+
+    def grams(a):
+        seen = []
+
+        def recording(x):
+            seen.append(x)
+            return sigma(x)
+
+        checks.sigma = recording
+        try:
+            checks.grid_cross_product(a, [2.0])
+        finally:
+            checks.sigma = sigma
+        return seen[1:]  # sigma(A) comes first
+
+    for seed in (7, 42):
+        cfg = fuzz.FuzzConfig(trials=500, seed=seed)
+        for trial in range(cfg.trials):
+            x = fuzz.trial_inputs(seed, trial, cfg)
+            for slot in ("A_psd", "B_psd", "B_rank1", "E_psd"):
+                yield (seed, trial, slot), x[slot]
+            for side, gram in zip(("A*A", "AA*"), grams(x["A_gen"])):
+                yield (seed, trial, side), gram
+    for kind in ("psd_gram", "rank1_psd", "orthogonal_projector"):
+        cfg = fuzz.FuzzConfig(trials=100, seed=7, distributions=(kind,))
+        for trial in range(cfg.trials):
+            yield (kind, trial, "A_gen"), fuzz.trial_inputs(7, trial, cfg)["A_gen"]
+
+
+def _built_hermitian_gallery_matrices():
+    """``(where, matrix)`` for every square gallery matrix built Hermitian,
+    unrotated and rotated, and from real and complex PSD inputs."""
+    from srlab import gallery
+
+    def keyed(instance, *keys):
+        for key in keys:
+            yield (instance.name, instance.params, key), instance.matrices[key]
+
+    for seed in (None, *range(8)):
+        yield from keyed(gallery.deletion_family(6, 1.5, rotate_seed=seed), "A", "A_hat_rowcol")
+        yield from keyed(gallery.sum_violation_family(6, 5.0, rotate_seed=seed), "A", "B", "A_plus_B")
+        yield from keyed(gallery.rank1_drop_family(6, 4.0, rotate_seed=seed), "A", "B", "A_plus_B")
+        yield from keyed(gallery.product_violation_family(6, 3.0, rotate_seed=seed), "A", "B", "AB")
+        yield from keyed(gallery.cross_gap_family(6, 0.5, rotate_seed=seed), "A", "AtA")
+        yield from keyed(gallery.geometric_decay(6, 0.5), "A")
+        yield from keyed(gallery.equality_cases("rank1", 6, seed=seed or 0), "A")
+        yield from keyed(gallery.equality_cases("projector", 6, rank=3, seed=seed or 0), "A")
+    rng = np.random.default_rng(5)
+    for field in ("real", "complex"):
+        for _ in range(8):
+            z = gaussian_matrix(rng, 8, 6, field)
+            # The Gram as multiplied (Hermitian only within the threshold
+            # when complex, as most are) and exactly Hermitian.
+            for a in (z.conj().T @ z, psd_gram_matrix(rng, 8, 6, field)):
+                yield from keyed(gallery.congruence_maximizer(a), "B", "BAB")
+                yield from keyed(gallery.congruence_minimizer(a, 0.5), "B", "BAB")
+
+
+@pytest.mark.parametrize(
+    "built, count",
+    [(_built_hermitian_trial_slots, 6300), (_built_hermitian_gallery_matrices, 272)],
+)
+def test_every_matrix_built_hermitian_is_exactly_hermitian(built, count):
+    """Each matrix srlab builds Hermitian in exact arithmetic has mirror
+    entries equal bit for bit, so sigma and the classifier share one eigvalsh."""
+    seen = 0
+    for where, a in built():
+        assert matrices._exactly_hermitian(a), where
+        seen += 1
+    assert seen == count
+
+
 # ---------------------------------------------------------------------------
 # Pivoted Cholesky
 
